@@ -2,7 +2,9 @@
 
 Trajectories are sampled from a coarse-grained Markov model with one
 counter-based random stream per trajectory, so every number here is
-reproducible bit for bit from the seed.
+reproducible bit for bit from the seed.  A sample is an array of paths,
+one trajectory of state indices per row; the bound checks take its
+transition count matrix.
 """
 
 import math
@@ -16,19 +18,21 @@ from wpi import (
     ift_check,
     markov_tail_check,
     sample_trajectories,
+    transition_counts,
 )
 
 model = four_state_chain()
 print(f"model: {model.name}, states {[s.bits for s in model.states]}")
 
-trajectories = sample_trajectories(model, steps=1, count=50_000, seed=2025)
-print(f"sampled {len(trajectories)} single-step trajectories")
+paths = sample_trajectories(model, steps=1, count=50_000, seed=2025)
+counts = transition_counts(model, paths)
+print(f"sampled {len(paths)} single-step trajectories")
 
 # The surprisal control variable has an exact expectation of 1 on any
 # ergodic chain, which calibrates the sampling machinery.  The
 # complexity-based quantity uses estimator values of K and may drift above
 # 1 by estimator constants; it is reported, not asserted.
-result = ift_check(model, trajectories, Estimator.EXACT_ENUM)
+result = ift_check(model, counts, Estimator.EXACT_ENUM)
 print(f"E[2^-sigma]   = {result.surprisal_mean:.4f} +- {result.surprisal_se:.4f} "
       f"(exact identity: 1)")
 print(f"E[2^-deltaK]  = {result.complexity_mean:.4f} +- {result.complexity_se:.4f} "
@@ -36,7 +40,7 @@ print(f"E[2^-deltaK]  = {result.complexity_mean:.4f} +- {result.complexity_se:.4
 
 # Markov's inequality applied to 2^-deltaK.  For the empirical measure the
 # inequality is a theorem, so 'holds' can only fail on an arithmetic bug.
-samples = delta_ik_samples(model, trajectories, Estimator.EXACT_ENUM)
+samples = delta_ik_samples(model, paths, Estimator.EXACT_ENUM)
 for delta in (0.01, 0.05, 0.1):
     tail = markov_tail_check(samples, delta, estimator=Estimator.EXACT_ENUM)
     print(f"tail delta={delta:4.2f}: lhs={tail.lhs:.5f} <= rhs={tail.rhs:.5f} "
@@ -46,7 +50,7 @@ for delta in (0.01, 0.05, 0.1):
 # intelligence proportional to the irreversible bits, energy equal to the
 # Landauer floor (natural units).  The bound should hold on at least a
 # 1 - delta fraction of valid transitions.
-suite = coupled_bound_suite(model, trajectories, Estimator.EXACT_ENUM, delta=0.05)
+suite = coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, delta=0.05)
 print(f"\ncoupled efficiency checks: {suite.valid_samples} valid transitions "
       f"of {suite.total_transitions}")
 print(f"holds rate = {suite.holds_rate:.4f} "
@@ -58,9 +62,10 @@ for check, weight in zip(suite.checks, suite.check_weights):
 # The structural mirror: adaptation of an architecture state bounded the
 # same way, with intelligence gain per joule on the left-hand side.
 structural = four_state_structural_chain()
+structural_paths = sample_trajectories(structural, steps=1, count=50_000, seed=2026)
 adaptation = coupled_bound_suite(
     structural,
-    sample_trajectories(structural, steps=1, count=50_000, seed=2026),
+    transition_counts(structural, structural_paths),
     Estimator.EXACT_ENUM,
     delta=0.05,
     kind="adaptivity",

@@ -51,9 +51,8 @@ from .errors import (
 )
 from .machine import DEFAULT_MACHINE, ReferenceMachine
 from .markov import (
+    MAX_SEED,
     MarkovModel,
-    Trajectory,
-    TransitionStep,
     eight_state_chain,
     four_state_chain,
     four_state_structural_chain,

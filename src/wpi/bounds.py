@@ -23,7 +23,7 @@ import numpy as np
 
 from .complexity import CoarseState, Estimator, conditional_complexity, estimate_complexity
 from .errors import ImpossibleTransitionError, ValidationError
-from .markov import MarkovModel, Trajectory, stationary_distribution, transition_counts
+from .markov import MarkovModel, stationary_distribution
 
 
 class AgentSpec(NamedTuple):
@@ -102,36 +102,39 @@ class CoupledSuiteResult:
 
 def delta_ik_samples(
     model: MarkovModel,
-    trajectories: Sequence[Trajectory],
+    paths: np.ndarray,
     estimator: Estimator,
 ) -> np.ndarray:
-    """Irreversible complexity change K(target) - K(source) per transition."""
-    k = _complexity_by_index(model, estimator)
-    values = []
-    for trajectory in trajectories:
-        for step in trajectory.steps:
-            values.append(k[step.target] - k[step.source])
-    return np.array(values, dtype=float)
+    """Irreversible complexity change K(target) - K(source) per transition.
+
+    ``paths`` holds one trajectory per row, as returned by
+    :func:`~wpi.markov.sample_trajectories`; the result lists the
+    transitions in row-major order.
+    """
+    k = np.array(_complexity_by_index(model, estimator), dtype=float)
+    return (k[paths[:, 1:]] - k[paths[:, :-1]]).ravel()
 
 
 def ift_check(
     model: MarkovModel,
-    trajectories: Sequence[Trajectory],
+    counts: np.ndarray,
     estimator: Estimator,
     surprisal_control: bool = True,
 ) -> IftCheckResult:
     """Sample mean of 2**(-delta_i_k) over transitions, with exact control.
 
-    The complexity-based mean uses the chosen estimator.  When
-    ``surprisal_control`` is set, the stationary distribution is computed
-    from the kernel (rejecting non-ergodic chains) and the control variable
+    The transitions are given as the ``(source, target)`` count matrix of
+    :func:`~wpi.markov.transition_counts`.  The complexity-based mean uses
+    the chosen estimator.  When ``surprisal_control`` is set, the
+    stationary distribution is computed from the kernel (rejecting
+    non-ergodic chains) and the control variable
     ``sigma = log2(P(y|x) pi(x)) - log2(P(x|y) pi(y))`` is averaged over the
     same transitions.
     """
-    counts = transition_counts(model, trajectories)
+    counts = _check_counts(model, counts)
     n_samples = int(counts.sum())
     if n_samples == 0:
-        raise ValidationError("trajectories contain no transitions")
+        raise ValidationError("counts contain no transitions")
 
     k = _complexity_by_index(model, estimator)
     n = model.n_states
@@ -308,7 +311,7 @@ def adaptivity_bound_check(
 
 def coupled_bound_suite(
     model: MarkovModel,
-    trajectories: Sequence[Trajectory],
+    counts: np.ndarray,
     estimator: Estimator,
     delta: float,
     kind: str = "efficiency",
@@ -324,11 +327,12 @@ def coupled_bound_suite(
     the Landauer floor ``energy_per_bit * d``.  Transitions with ``d <= 0``
     admit no such agent (the floor is not positive) and are excluded from
     the rate.  Distinct (x, y) pairs are checked once and weighted by their
-    observed counts.
+    observed counts, the ``(source, target)`` matrix of
+    :func:`~wpi.markov.transition_counts`.
     """
     if kind not in ("efficiency", "adaptivity"):
         raise ValidationError(f"kind must be 'efficiency' or 'adaptivity', got {kind!r}")
-    counts = transition_counts(model, trajectories)
+    counts = _check_counts(model, counts)
     total = int(counts.sum())
     k = _complexity_by_index(model, estimator)
 
@@ -385,6 +389,14 @@ def _transition_rhs(
 ) -> float:
     k_cond = conditional_complexity(x, y, estimator).bits
     return (math.log2(1.0 / probability) - k_cond) / tau + math.log2(1.0 / delta)
+
+
+def _check_counts(model: MarkovModel, counts: np.ndarray) -> np.ndarray:
+    counts = np.asarray(counts)
+    n = model.n_states
+    if counts.shape != (n, n):
+        raise ValidationError(f"counts must be {n}x{n}, got {counts.shape}")
+    return counts
 
 
 def _complexity_by_index(model: MarkovModel, estimator: Estimator) -> list[int]:

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 from .complexity import Estimator
-from .config import ExperimentConfig, ingest_config
+from .config import ExperimentConfig, ingest_config, override_sim
 from .errors import ValidationError
 from .report import (
     bounds_section,
     build_metadata,
     compare_section,
+    sample_models,
     score_section,
     simulate_section,
     write_bundle,
@@ -60,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override the config confidence parameter")
             p.add_argument("--estimator", choices=[e.value for e in Estimator],
                            default=None, help="override the config estimator")
-            p.add_argument("--workers", type=int, default=1,
-                           help="worker processes for trajectory sampling")
 
     common(sub.add_parser("score", help="intelligence scores and phi per trace"))
     common(sub.add_parser("compare", help="rank substrates by phi at fixed algorithm"))
@@ -87,22 +85,11 @@ def _load(args) -> ExperimentConfig:
     path = args.config if args.config is not None else default_config_path()
     config = ingest_config(path)
     overrides = {}
-    for attr in ("seed", "samples", "delta"):
+    for attr in ("seed", "samples", "delta", "estimator"):
         value = getattr(args, attr, None)
         if value is not None:
             overrides[attr] = value
-    estimator = getattr(args, "estimator", None)
-    if estimator is not None:
-        overrides["estimator"] = Estimator(estimator)
-    if overrides:
-        config = ExperimentConfig(
-            substrates=config.substrates,
-            suites=config.suites,
-            traces=config.traces,
-            models=config.models,
-            sim=replace(config.sim, **overrides),
-        )
-    return config
+    return override_sim(config, **overrides) if overrides else config
 
 
 def _empty_bundle(config) -> dict:
@@ -135,13 +122,15 @@ def main(argv=None) -> int:
             bundle["wpi_reports"] = section["wpi_reports"]
         if args.command in ("compare", "report"):
             bundle["comparison"] = compare_section(config)
+        if args.command in ("simulate", "check-bounds", "report"):
+            # one sample per model serves both sections: a Philox stream's
+            # first two draws do not depend on how many follow
+            paths = sample_models(config, getattr(args, "steps", 1))
         if args.command in ("simulate", "report"):
-            bundle["simulations"] = simulate_section(
-                config, sim.samples, steps=args.steps, workers=args.workers
-            )
+            bundle["simulations"] = simulate_section(config, paths)
         if args.command in ("check-bounds", "report"):
             sections, gates = bounds_section(
-                config, sim.samples, sim.delta, sim.estimator, workers=args.workers
+                config, [p[:, :2] for p in paths], sim.delta, sim.estimator
             )
             bundle["bound_checks"] = sections
             bundle["gates"] = gates

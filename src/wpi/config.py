@@ -24,14 +24,14 @@ energy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
 from .complexity import CoarseState, Estimator
 from .entropy import StateMeasure
 from .errors import ConfigError, TelemetryError, ValidationError
-from .markov import MarkovModel
+from .markov import MAX_SEED, MarkovModel
 from .metrics import ExecutionTrace, TaskRecord, TaskSuite
 from .substrate import Substrate
 from .telemetry import integrate_power, read_power_csv
@@ -103,7 +103,8 @@ def config_from_dict(data: Any, base_dir: Path | None = None) -> ExperimentConfi
         errors.error("", "config root must be a JSON object")
         errors.raise_if_any()
 
-    sim = _validate_sim(data, errors)
+    raw_models = data.get("models")
+    sim = _validate_sim(data, errors, len(raw_models) if isinstance(raw_models, list) else 0)
     substrates = _validate_substrates(data.get("substrates", []), errors)
     suites = _validate_suites(data.get("suites", []), errors)
     traces = _validate_traces(
@@ -121,13 +122,21 @@ def config_from_dict(data: Any, base_dir: Path | None = None) -> ExperimentConfi
     )
 
 
+def override_sim(config: ExperimentConfig, **overrides) -> ExperimentConfig:
+    """``config`` with simulation settings replaced, validated as in a config file.
+
+    Raises :class:`~wpi.errors.ConfigError` listing every invalid value.
+    """
+    errors = _Collector()
+    sim = _validate_sim({**_sim_dict(config.sim), **overrides}, errors, len(config.models))
+    errors.raise_if_any()
+    return replace(config, sim=sim)
+
+
 def serialize_config(config: ExperimentConfig) -> dict:
     """Dict form of a config; ``config_from_dict`` of the result round-trips."""
     return {
-        "seed": config.sim.seed,
-        "samples": config.sim.samples,
-        "delta": config.sim.delta,
-        "estimator": config.sim.estimator.value,
+        **_sim_dict(config.sim),
         "substrates": [
             {
                 "name": s.name,
@@ -174,13 +183,31 @@ def serialize_config(config: ExperimentConfig) -> dict:
     }
 
 
-def _validate_sim(data: dict, errors: _Collector) -> SimSettings:
+def _sim_dict(sim: SimSettings) -> dict:
+    return {
+        "seed": sim.seed,
+        "samples": sim.samples,
+        "delta": sim.delta,
+        "estimator": sim.estimator.value,
+    }
+
+
+def _validate_sim(data: dict, errors: _Collector, n_models: int) -> SimSettings:
+    """Simulation settings; model ``i`` samples with seed ``seed + i``."""
     seed = data.get("seed")
+    max_seed = MAX_SEED - max(n_models - 1, 0)
     if seed is None:
         errors.error("/seed", "seed is required; wall-clock seeding is not supported")
         seed = 0
     elif not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         errors.error("/seed", f"seed must be a non-negative integer, got {seed!r}")
+        seed = 0
+    elif seed > max_seed:
+        errors.error(
+            "/seed",
+            f"seed + number of models - 1 must be <= 2**63 - 1 (model i samples "
+            f"with seed + i), got seed {seed!r} with {n_models} model(s)",
+        )
         seed = 0
 
     samples = data.get("samples", DEFAULT_SAMPLES)

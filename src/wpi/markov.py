@@ -1,17 +1,20 @@
 """Finite discrete-time Markov models and deterministic trajectory sampling.
 
-Sampling uses one Philox counter-based substream per trajectory, keyed by
-``(seed, trajectory index)``.  Results are therefore bit-identical for a
-given seed no matter how trajectories are partitioned across workers.
+Trajectory ``i`` of a sample draws all its randomness from the Philox4x64-10
+counter-based stream keyed ``(seed, i)``: the same doubles that
+``numpy.random.Generator(numpy.random.Philox(key=[seed, i])).random()``
+returns.  Because the generator is counter-based, the sampler computes those
+streams as array arithmetic over all trajectory indices at once, in fixed
+chunks of trajectories, and returns the paths as one integer array.  A
+stream's first draws do not depend on how many follow, so a path sampled
+with more steps extends the shorter one.  Seeds range over
+``[0, MAX_SEED]``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .complexity import CoarseState
@@ -23,6 +26,10 @@ DISTRIBUTION_TOL = 1e-12
 
 #: Power-iteration convergence target for the stationary distribution.
 STATIONARY_RESIDUAL = 1e-12
+
+#: Largest sampling seed.  numpy reads a larger key in a ``Philox(key=[...])``
+#: list through float64, so its stream would belong to a rounded seed.
+MAX_SEED = 2**63 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,33 +109,34 @@ class MarkovModel:
         raise ValidationError(f"state {state.bits!r} is not in the model")
 
 
-class TransitionStep(NamedTuple):
-    source: int
-    target: int
-    probability: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A sampled state path; steps chain source -> target consecutively."""
-
-    steps: tuple[TransitionStep, ...]
-    seed: tuple[int, int]  # (experiment seed, trajectory index)
-
-    def __post_init__(self):
-        for a, b in zip(self.steps, self.steps[1:]):
-            if a.target != b.source:
-                raise ValidationError("trajectory steps do not chain")
-
-
 def is_ergodic(kernel: np.ndarray) -> bool:
-    """Irreducible and aperiodic as a directed graph on positive entries."""
-    graph = nx.DiGraph()
-    n = kernel.shape[0]
-    graph.add_nodes_from(range(n))
-    for i, j in zip(*np.nonzero(kernel > 0.0)):
-        graph.add_edge(int(i), int(j))
-    return nx.is_strongly_connected(graph) and nx.is_aperiodic(graph)
+    """Irreducible and aperiodic as a directed graph on positive entries.
+
+    Strong connectivity is checked by reachability from state 0 along the
+    edges and against them.  The period is the gcd of
+    ``level[u] + 1 - level[v]`` over all edges ``u -> v``, where ``level``
+    is the breadth-first distance from state 0; the chain is aperiodic when
+    that gcd is 1.
+    """
+    adjacency = np.asarray(kernel) > 0.0
+    level = _bfs_levels(adjacency)
+    if np.any(level < 0) or np.any(_bfs_levels(adjacency.T) < 0):
+        return False
+    sources, targets = np.nonzero(adjacency)
+    return int(np.gcd.reduce(level[sources] + 1 - level[targets])) == 1
+
+
+def _bfs_levels(adjacency: np.ndarray) -> np.ndarray:
+    """Breadth-first distance of every state from state 0; -1 if unreachable."""
+    level = np.full(adjacency.shape[0], -1, dtype=np.int64)
+    frontier = np.zeros(adjacency.shape[0], dtype=bool)
+    frontier[0] = True
+    depth = 0
+    while frontier.any():
+        level[frontier] = depth
+        frontier = adjacency[frontier].any(axis=0) & (level < 0)
+        depth += 1
+    return level
 
 
 def stationary_distribution(kernel: np.ndarray, max_iterations: int = 100_000) -> np.ndarray:
@@ -156,83 +164,103 @@ def stationary_distribution(kernel: np.ndarray, max_iterations: int = 100_000) -
     )
 
 
-def sample_trajectories(
-    model: MarkovModel,
-    steps: int,
-    count: int,
-    seed: int,
-    workers: int = 1,
-) -> list[Trajectory]:
-    """Sample ``count`` trajectories of ``steps`` transitions each.
+def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int) -> np.ndarray:
+    """Sample ``count`` paths of ``steps`` transitions each.
 
-    Trajectory ``i`` draws all its randomness from ``Philox(key=(seed, i))``,
-    so output is deterministic for a given seed and independent of
-    ``workers`` (which only partitions the index range).
+    Returns an int64 array of shape ``(count, steps + 1)`` whose row ``i``
+    lists the state indices visited by trajectory ``i``.  That trajectory
+    draws its ``steps + 1`` uniforms from ``Philox(key=(seed, i))``: the
+    first picks the initial state, the others one transition each.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed <= MAX_SEED:
+        raise ValidationError(f"seed must be an integer in [0, 2**63 - 1], got {seed!r}")
+    seed = int(seed)
 
     kernel_cdf = np.cumsum(model.kernel, axis=1)
     initial_cdf = np.cumsum(model.initial)
-
-    if workers == 1 or count < 2 * workers:
-        paths = _sample_block(kernel_cdf, initial_cdf, steps, seed, 0, count)
-    else:
-        bounds = np.linspace(0, count, workers + 1, dtype=int)
-        blocks = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_sample_block, kernel_cdf, initial_cdf, steps, seed,
-                            int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for future in futures:
-                blocks.append(future.result())
-        paths = np.vstack(blocks)
-
-    kernel = model.kernel
-    trajectories = []
-    for i in range(count):
-        path = paths[i]
-        steps_out = tuple(
-            TransitionStep(int(a), int(b), float(kernel[a, b]))
-            for a, b in zip(path[:-1], path[1:])
-        )
-        trajectories.append(Trajectory(steps=steps_out, seed=(seed, i)))
-    return trajectories
-
-
-def transition_counts(model: MarkovModel, trajectories: Sequence[Trajectory]) -> np.ndarray:
-    """Count matrix of observed (source, target) transitions."""
-    counts = np.zeros((model.n_states, model.n_states), dtype=np.int64)
-    for trajectory in trajectories:
-        for step in trajectory.steps:
-            counts[step.source, step.target] += 1
-    return counts
-
-
-def _sample_block(kernel_cdf, initial_cdf, steps, seed, lo, hi):
-    """Sample trajectories lo..hi-1; returns an int array (hi-lo, steps+1)."""
-    n = kernel_cdf.shape[0]
-    out = np.empty((hi - lo, steps + 1), dtype=np.int64)
-    for i in range(lo, hi):
-        gen = np.random.Generator(np.random.Philox(key=[seed, i]))
-        uniforms = gen.random(steps + 1)
-        state = min(int(np.searchsorted(initial_cdf, uniforms[0], side="right")), n - 1)
-        row = out[i - lo]
-        row[0] = state
+    last = model.n_states - 1
+    paths = np.empty((count, steps + 1), dtype=np.int64)
+    for lo in range(0, count, _CHUNK):
+        index = np.arange(lo, min(lo + _CHUNK, count), dtype=np.uint64)
+        path = paths[lo:lo + len(index)]
+        u = _philox_uniforms(seed, index, steps + 1)
+        path[:, 0] = np.minimum(np.searchsorted(initial_cdf, u[:, 0], side="right"), last)
         for k in range(steps):
-            state = min(
-                int(np.searchsorted(kernel_cdf[state], uniforms[k + 1], side="right")),
-                n - 1,
-            )
-            row[k + 1] = state
-    return out
+            path[:, k + 1] = _row_searchsorted(kernel_cdf, path[:, k], u[:, k + 1])
+    return paths
+
+
+def transition_counts(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
+    """Count matrix of observed (source, target) transitions in ``paths``."""
+    n = model.n_states
+    pairs = paths[:, :-1] * n + paths[:, 1:]
+    return np.bincount(pairs.ravel(), minlength=n * n).reshape(n, n)
+
+
+def _row_searchsorted(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Number of entries <= ``u`` in ``cdf[rows]``, clipped to n - 1.
+
+    A binary search run in lockstep over all rows; it equals
+    ``searchsorted(cdf[row], u, side="right")`` for every nondecreasing row.
+    """
+    n = cdf.shape[1]
+    lo = np.zeros(len(u), dtype=np.int64)
+    hi = np.full(len(u), n, dtype=np.int64)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) >> 1
+        right = cdf[rows, np.minimum(mid, n - 1)] <= u
+        lo = np.where(right & (lo < hi), mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return np.minimum(lo, n - 1)
+
+
+# Philox4x64-10 (Salmon et al., SC'11) as numpy draws it: block b of the
+# stream keyed (k0, k1) is the 10-round bijection of counter (b + 1, 0, 0, 0).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_MASK64 = (1 << 64) - 1
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+#: Trajectories sampled together; bounds the sampler's working memory.
+_CHUNK = 1 << 16
+
+
+def _philox_uniforms(seed: int, index: np.ndarray, k: int) -> np.ndarray:
+    """First ``k`` doubles of ``Generator(Philox(key=[seed, i])).random`` per index."""
+    blocks = [_philox_block(seed, index, b + 1) for b in range(-(-k // 4))]
+    words = np.stack([w for block in blocks for w in block], axis=1)[:, :k]
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _philox_block(seed: int, index: np.ndarray, counter: int) -> tuple[np.ndarray, ...]:
+    """One 4-word output block for key ``(seed, index)`` at ``counter``."""
+    zero = np.zeros_like(index)
+    c0, c1, c2, c3 = zero + np.uint64(counter), zero, zero, zero
+    k0, k1 = seed, index
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & _MASK64
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of ``m * x``, via 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    lo_lo, hi_lo = x_lo * m_lo, x_hi * m_lo
+    cross = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + x_lo * m_hi
+    hi = x_hi * m_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32)
+    return hi, x * np.uint64(m)
 
 
 def two_state_chain() -> MarkovModel:

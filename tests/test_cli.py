@@ -1,10 +1,13 @@
 """End-to-end CLI tests: subcommands, exit codes, determinism, file outputs."""
 
+import hashlib
 import json
 
 import pytest
 
+from wpi import ingest_config, sample_trajectories
 from wpi.cli import main
+from wpi.report import write_bundle
 
 
 def load_report(out_dir):
@@ -19,6 +22,21 @@ def stripped(bundle):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def small_model(name):
+    return {
+        "name": name,
+        "states": ["0000", "0101", "0110", "1011"],
+        "kernel": [
+            [0.875, 0.0625, 0.046875, 0.015625],
+            [0.015625, 0.875, 0.0625, 0.046875],
+            [0.046875, 0.015625, 0.875, 0.0625],
+            [0.0625, 0.046875, 0.015625, 0.875],
+        ],
+        "measure": [1.0, 0.5, 2.0, 0.25],
+        "initial": [0.25, 0.25, 0.25, 0.25],
+    }
 
 
 def small_config(tmp_path, **overrides):
@@ -44,18 +62,7 @@ def small_config(tmp_path, **overrides):
             {"substrate": name, "suite": "bench", "irreversible_ops": 10**6, "duration": 1.0}
             for name in ("cpu", "gpu", "neuromorphic")
         ],
-        "models": [{
-            "name": "four-state",
-            "states": ["0000", "0101", "0110", "1011"],
-            "kernel": [
-                [0.875, 0.0625, 0.046875, 0.015625],
-                [0.015625, 0.875, 0.0625, 0.046875],
-                [0.046875, 0.015625, 0.875, 0.0625],
-                [0.0625, 0.046875, 0.015625, 0.875],
-            ],
-            "measure": [1.0, 0.5, 2.0, 0.25],
-            "initial": [0.25, 0.25, 0.25, 0.25],
-        }],
+        "models": [small_model("four-state")],
     }
     data.update(overrides)
     path = tmp_path / "config.json"
@@ -98,6 +105,17 @@ class TestSubcommands:
         assert sim_a["first_trajectory"] == sim_b["first_trajectory"]
         assert sim_a["trajectory_digest"] == sim_b["trajectory_digest"]
 
+    def test_trajectory_digest_hashes_paths_as_text(self, tmp_path):
+        config = small_config(tmp_path)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", config, "--out", out, "--steps", 3]) == 0
+        sim = load_report(out)["simulations"][0]
+        model = ingest_config(config).models[0]
+        rows = sample_trajectories(model, 3, 400, seed=11).tolist()
+        text = "".join(",".join(map(str, row)) + ";" for row in rows)
+        assert sim["trajectory_digest"] == hashlib.sha256(text.encode()).hexdigest()
+        assert sim["first_trajectory"] == rows[0]
+
     def test_check_bounds_writes_tsv_and_gates(self, tmp_path):
         config = small_config(tmp_path)
         out = tmp_path / "out"
@@ -106,6 +124,53 @@ class TestSubcommands:
         assert bundle["bound_checks"][0]["model"] == "four-state"
         assert bundle["gates"]
         assert (out / "bounds.tsv").exists()
+
+    def test_bounds_tsv_coupled_rows_match_gates(self, tmp_path):
+        two_state = {
+            "name": "two-state", "states": ["0", "1"],
+            "kernel": [[0.875, 0.125], [0.125, 0.875]],
+            "measure": [1.0, 0.5], "initial": [0.5, 0.5],
+        }
+        config = small_config(tmp_path, models=[small_model("four-state"), two_state])
+        out = tmp_path / "out"
+        assert run(["check-bounds", "--config", config, "--out", out]) == 0
+        gates = {(g["model"], g["gate"]): g["passed"] for g in load_report(out)["gates"]}
+        header, *rows = [line.split("\t") for line in (out / "bounds.tsv").read_text().splitlines()
+                         if not line.startswith("#")]
+        coupled = [dict(zip(header, r)) for r in rows if r[1].startswith("coupled_")]
+        assert len(coupled) == 4
+        for row in coupled:
+            gate = gates.get((row["model"], f"{row['check']}_holds_rate"))
+            if row["model"] == "two-state":
+                assert row["holds"] == "vacuous" and row["samples"] == "0"
+                assert gate is None
+            else:
+                assert row["holds"] == str(gate)
+
+    def test_bounds_tsv_coupled_verdict_allows_three_standard_errors(self, tmp_path):
+        suite = {"kind": "efficiency", "delta": 0.05, "holds_rate": 0.94, "rate_se": 0.01,
+                 "valid_samples": 475}
+        bundle = {"bound_checks": [{
+            "model": "m", "estimator": "exact-enum", "markov_tail": [],
+            "coupled_efficiency": suite,
+            "coupled_adaptivity": dict(suite, kind="adaptivity", holds_rate=0.91),
+        }]}
+        write_bundle(tmp_path, bundle, fmt="tsv")
+        lines = (tmp_path / "bounds.tsv").read_text().splitlines()
+        holds = {line.split("\t")[1]: line.split("\t")[6] for line in lines[-2:]}
+        assert holds == {"coupled_efficiency": "True", "coupled_adaptivity": "False"}
+
+    def test_report_bounds_match_check_bounds_with_longer_paths(self, tmp_path):
+        # bound checks read the first transition of each sampled path, which
+        # does not depend on how many steps the path has
+        config = small_config(tmp_path)
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert run(["report", "--config", config, "--out", out_a, "--steps", 5]) == 0
+        assert run(["check-bounds", "--config", config, "--out", out_b]) == 0
+        a, b = load_report(out_a), load_report(out_b)
+        assert a["simulations"][0]["steps"] == 5
+        assert a["bound_checks"] == b["bound_checks"]
+        assert a["gates"] == b["gates"]
 
     def test_report_runs_everything(self, tmp_path):
         config = small_config(tmp_path)
@@ -153,6 +218,22 @@ class TestExitCodes:
         bundle = load_report(out)
         failing = [g for g in bundle["gates"] if not g["passed"]]
         assert any(g["gate"] == "coupled_efficiency_holds_rate" for g in failing)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", -1),
+        ("--seed", 2**64),
+        ("--seed", 2**63 + 5),
+        ("--seed", 2**63 - 1),  # a second model would need seed 2**63
+        ("--samples", 0),
+        ("--delta", "nan"),
+        ("--delta", 1.5),
+    ])
+    def test_invalid_simulation_override_exits_one(self, tmp_path, capsys, flag, value):
+        config = small_config(tmp_path, models=[small_model("a"), small_model("b")])
+        args = ["simulate", "--config", config, "--out", tmp_path / "out", flag, value]
+        assert run(args) == 1
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exits_one(self, tmp_path):
         assert run(["score", "--config", tmp_path / "nope.json"]) == 1

@@ -46,6 +46,20 @@ class TestValidation:
             config_from_dict(data)
         assert "/seed" in pointers(info)
 
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**63 + 5, 2**64])
+    def test_seed_outside_sampler_range_is_an_error(self, seed):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(minimal_config(seed=seed))
+        assert "/seed" in pointers(info)
+
+    def test_seed_range_counts_one_stream_per_model(self):
+        model = minimal_config()["models"][0]
+        models = [dict(model, name=f"m{i}") for i in range(3)]
+        assert config_from_dict(minimal_config(seed=2**63 - 3, models=models)).sim.seed == 2**63 - 3
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(minimal_config(seed=2**63 - 2, models=models))
+        assert "/seed" in pointers(info)
+
     def test_kernel_row_sum_pointer(self):
         data = minimal_config()
         data["models"][0]["kernel"] = [[0.5, 0.4], [0.5, 0.5]]
