@@ -84,6 +84,7 @@ from .substrate import (
     ComparisonRow,
     Substrate,
     SubstrateRun,
+    account_run,
     default_substrates,
     run_comparison,
     total_overhead,

@@ -229,34 +229,10 @@ def efficiency_bound_check(
     ``I / P <= (1/tau) * (log2(1/p) - K(x|y)) + log2(1/delta)``.
     """
     agent = AgentSpec(*agent)
-    if not (0.0 < delta < 1.0):
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
     if not (agent.power > 0.0):
         raise ValidationError(f"agent power must be > 0, got {agent.power}")
-    if not (agent.duration > 0.0):
-        raise ValidationError(f"agent duration must be > 0, got {agent.duration}")
-
-    i = model.index_of(x)
-    j = model.index_of(y)
-    probability = float(model.kernel[i, j])
-    if probability == 0.0:
-        raise ImpossibleTransitionError(
-            f"impossible transition: P({y.bits!r} | {x.bits!r}) = 0"
-        )
-
-    lhs = agent.intelligence / agent.power
-    rhs = _transition_rhs(x, y, probability, agent.duration, delta, estimator)
-    kx = estimate_complexity(x, estimator).bits
-    ky = estimate_complexity(y, estimator).bits
-    return BoundCheckResult(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        slack=rhs - lhs,
-        delta=delta,
-        samples=1,
-        estimator=Estimator(estimator),
-        empirical_ift=2.0 ** (-(ky - kx)),
+    return _transition_bound_check(
+        model, x, y, agent.intelligence / agent.power, agent.duration, delta, estimator
     )
 
 
@@ -280,32 +256,8 @@ def adaptivity_bound_check(
         raise ValidationError(
             f"adaptation energy must be positive, got {d_energy}"
         )
-    if not (tau > 0.0):
-        raise ValidationError(f"tau must be > 0, got {tau}")
-    if not (0.0 < delta < 1.0):
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
-
-    i = structural_model.index_of(s1)
-    j = structural_model.index_of(s2)
-    probability = float(structural_model.kernel[i, j])
-    if probability == 0.0:
-        raise ImpossibleTransitionError(
-            f"impossible transition: P({s2.bits!r} | {s1.bits!r}) = 0"
-        )
-
-    lhs = d_intelligence / d_energy
-    rhs = _transition_rhs(s1, s2, probability, tau, delta, estimator)
-    k1 = estimate_complexity(s1, estimator).bits
-    k2 = estimate_complexity(s2, estimator).bits
-    return BoundCheckResult(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        slack=rhs - lhs,
-        delta=delta,
-        samples=1,
-        estimator=Estimator(estimator),
-        empirical_ift=2.0 ** (-(k2 - k1)),
+    return _transition_bound_check(
+        structural_model, s1, s2, d_intelligence / d_energy, tau, delta, estimator
     )
 
 
@@ -379,16 +331,39 @@ def coupled_bound_suite(
     )
 
 
-def _transition_rhs(
+def _transition_bound_check(
+    model: MarkovModel,
     x: CoarseState,
     y: CoarseState,
-    probability: float,
+    lhs: float,
     tau: float,
     delta: float,
     estimator: Estimator,
-) -> float:
+) -> BoundCheckResult:
+    """``lhs <= (log2(1/P(y|x)) - K(x|y)) / tau + log2(1/delta)`` for one transition."""
+    if not (tau > 0.0):
+        raise ValidationError(f"duration tau must be > 0, got {tau}")
+    if not (0.0 < delta < 1.0):
+        raise ValidationError(f"delta must be in (0, 1), got {delta}")
+    probability = float(model.kernel[model.index_of(x), model.index_of(y)])
+    if probability == 0.0:
+        raise ImpossibleTransitionError(
+            f"impossible transition: P({y.bits!r} | {x.bits!r}) = 0"
+        )
     k_cond = conditional_complexity(x, y, estimator).bits
-    return (math.log2(1.0 / probability) - k_cond) / tau + math.log2(1.0 / delta)
+    rhs = (math.log2(1.0 / probability) - k_cond) / tau + math.log2(1.0 / delta)
+    kx = estimate_complexity(x, estimator).bits
+    ky = estimate_complexity(y, estimator).bits
+    return BoundCheckResult(
+        lhs=lhs,
+        rhs=rhs,
+        holds=lhs <= rhs,
+        slack=rhs - lhs,
+        delta=delta,
+        samples=1,
+        estimator=Estimator(estimator),
+        empirical_ift=2.0 ** (-(ky - kx)),
+    )
 
 
 def _check_counts(model: MarkovModel, counts: np.ndarray) -> np.ndarray:

@@ -21,11 +21,9 @@ from .complexity import CoarseState
 from .entropy import StateMeasure
 from .errors import NonErgodicChainError, ValidationError
 
-#: Tolerance on kernel row sums and the initial distribution.
+#: Tolerance on kernel row sums and the initial distribution, and, times the
+#: number of states, on the stationary law's residual.
 DISTRIBUTION_TOL = 1e-12
-
-#: Power-iteration convergence target for the stationary distribution.
-STATIONARY_RESIDUAL = 1e-12
 
 #: Largest sampling seed.  numpy reads a larger key in a ``Philox(key=[...])``
 #: list through float64, so its stream would belong to a rounded seed.
@@ -139,11 +137,19 @@ def _bfs_levels(adjacency: np.ndarray) -> np.ndarray:
     return level
 
 
-def stationary_distribution(kernel: np.ndarray, max_iterations: int = 100_000) -> np.ndarray:
-    """Stationary law by power iteration to an L1 residual of 1e-12.
+def stationary_distribution(kernel: np.ndarray) -> np.ndarray:
+    """Stationary law by a direct solve of ``pi K = pi`` with ``sum(pi) = 1``.
 
-    Non-ergodic kernels are rejected: without a unique positive stationary
-    distribution the surprisal control quantity is ill-defined.
+    The last equation of ``pi (K - I) = 0`` is replaced by the
+    normalisation, which leaves a nonsingular system for an ergodic kernel.
+    The diagonal of ``K - I`` is taken as minus the off-diagonal row sum,
+    which avoids the cancellation in ``K[i, i] - 1`` on slowly mixing chains.
+
+    Non-ergodic kernels raise :class:`NonErgodicChainError`: without a
+    unique positive stationary distribution the surprisal control quantity
+    is ill-defined.  A solution that is not positive, or whose L1 residual
+    ``|pi K - pi|`` exceeds ``n * DISTRIBUTION_TOL``, raises
+    :class:`ValidationError`.
     """
     kernel = np.asarray(kernel, dtype=float)
     if not is_ergodic(kernel):
@@ -151,17 +157,18 @@ def stationary_distribution(kernel: np.ndarray, max_iterations: int = 100_000) -
             "kernel is not ergodic (must be irreducible and aperiodic)"
         )
     n = kernel.shape[0]
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iterations):
-        nxt = pi @ kernel
-        residual = float(np.abs(nxt - pi).sum())
-        pi = nxt
-        if residual <= STATIONARY_RESIDUAL:
-            return pi / pi.sum()
-    raise NonErgodicChainError(
-        f"power iteration did not reach residual {STATIONARY_RESIDUAL} in "
-        f"{max_iterations} iterations"
-    )
+    off_diagonal = kernel - np.diag(np.diag(kernel))
+    system = (off_diagonal - np.diag(off_diagonal.sum(axis=1))).T
+    system[-1] = 1.0
+    pi = np.linalg.solve(system, np.eye(n)[-1])
+    residual = float(np.abs(pi @ kernel - pi).sum())
+    tolerance = n * DISTRIBUTION_TOL
+    if not (residual <= tolerance and np.all(pi > 0.0)):
+        raise ValidationError(
+            f"stationary solve failed: residual |pi K - pi| = {residual!r} "
+            f"(tolerance {tolerance!r}), min(pi) = {float(pi.min())!r}"
+        )
+    return pi
 
 
 def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int) -> np.ndarray:

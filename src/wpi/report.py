@@ -30,8 +30,8 @@ from .bounds import (
 from .config import ExperimentConfig, serialize_config
 from .errors import NonErgodicChainError, ValidationError
 from .markov import sample_trajectories, transition_counts
-from .metrics import intelligence_score, modeled_energy, phi_lower_bound, wpi
-from .substrate import SubstrateRun, run_comparison, total_overhead
+from .metrics import intelligence_score
+from .substrate import SubstrateRun, account_run, run_comparison
 
 #: Units attached to every report header.
 UNITS = {
@@ -77,7 +77,7 @@ def bound_check_dict(result: BoundCheckResult) -> dict:
 
 
 def score_section(config: ExperimentConfig) -> dict:
-    """Intelligence per suite plus phi accounting per trace."""
+    """Intelligence per suite plus phi accounting per trace (:func:`account_run`)."""
     suites = [
         {
             "suite": suite_id,
@@ -88,42 +88,25 @@ def score_section(config: ExperimentConfig) -> dict:
     ]
     reports = []
     for (substrate_name, suite_id), trace in config.traces.items():
-        substrate = config.substrate(substrate_name)
-        factor = total_overhead(substrate)
-        energy = modeled_energy(trace, factor, substrate.temperature)
-        score = intelligence_score(config.suites[suite_id])
-        phi = wpi(energy.power, score)
-        # an infinite back-solved factor (zero-op trace with measured
-        # energy) falls back to the modeled factor; a sub-Landauer one
-        # clamps to the reversible floor, with the violation flagged in
-        # the warnings either way
-        bound_factor = (energy.overhead_factor_used
-                        if math.isfinite(energy.overhead_factor_used) else factor)
-        bound = phi_lower_bound(
-            substrate.temperature, max(1.0, bound_factor),
-            substrate.algorithmic_yield, trace.duration,
-        )
-        floor = phi_lower_bound(
-            substrate.temperature, 1.0, substrate.algorithmic_yield, trace.duration
+        row = account_run(
+            SubstrateRun(config.substrate(substrate_name), trace, config.suites[suite_id])
         )
         reports.append({
             "substrate": substrate_name,
             "suite": suite_id,
             "irreversible_ops": trace.irreversible_ops,
             "duration_s": trace.duration,
-            "energy_j": energy.energy,
-            "power_w": energy.power,
-            "landauer_floor_j": energy.landauer_floor,
-            "overhead_factor": energy.overhead_factor_used,
-            "overhead_source": (substrate.overhead_source
-                                if energy.overhead_source == "modeled"
-                                else energy.overhead_source),
-            "intelligence": score.value,
-            "phi": phi,
-            "phi_lower_bound": bound,
-            "slack": phi / bound,
-            "reversible_floor": floor,
-            "warnings": list(energy.warnings),
+            "energy_j": row.energy,
+            "power_w": row.power,
+            "landauer_floor_j": row.landauer_floor,
+            "overhead_factor": row.overhead,
+            "overhead_source": row.overhead_source,
+            "intelligence": row.intelligence,
+            "phi": row.phi,
+            "phi_lower_bound": row.lower_bound,
+            "slack": row.slack,
+            "reversible_floor": row.reversible_floor,
+            "warnings": list(row.warnings),
         })
     return {"suites": suites, "wpi_reports": reports}
 

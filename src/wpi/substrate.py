@@ -9,6 +9,7 @@ substrates by phi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -18,8 +19,7 @@ from .metrics import (
     TaskSuite,
     intelligence_score,
     modeled_energy,
-    phi_lower_bound,
-    wpi,
+    wpi_report,
 )
 
 
@@ -89,6 +89,8 @@ class SubstrateRun:
 
 @dataclass(frozen=True)
 class ComparisonRow:
+    """Energy and phi accounting of one run, as computed by :func:`account_run`."""
+
     name: str
     overhead: float
     overhead_source: str
@@ -99,6 +101,9 @@ class ComparisonRow:
     phi: float
     lower_bound: float
     slack: float
+    landauer_floor: float
+    reversible_floor: float
+    warnings: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,45 @@ class ComparisonReport:
 
     rows: tuple[ComparisonRow, ...]
     ordering: tuple[str, ...]
+
+
+def account_run(run: SubstrateRun) -> ComparisonRow:
+    """Energy, phi, its lower bound and slack for one run.
+
+    This is the one bound policy every table uses.  The bound takes the
+    overhead factor actually used, with two exceptions, both flagged in the
+    energy report's warnings: an infinite back-solved factor (a zero-op
+    trace with a positive measured energy) falls back to the substrate's
+    modeled factor, and a sub-Landauer factor below 1 clamps to 1, the
+    reversible floor.  Effective operations are the factor times the
+    intrinsic count, and 0 for a zero-op trace.
+    """
+    sub, ops = run.substrate, run.trace.irreversible_ops
+    modeled = total_overhead(sub)
+    energy = modeled_energy(run.trace, modeled, sub.temperature)
+    used = energy.overhead_factor_used
+    score = intelligence_score(run.suite)
+    report = wpi_report(
+        energy.power, score, sub.temperature,
+        max(1.0, used if math.isfinite(used) else modeled),
+        sub.algorithmic_yield, run.trace.duration,
+    )
+    return ComparisonRow(
+        name=sub.name,
+        overhead=used,
+        overhead_source=(sub.overhead_source if energy.overhead_source == "modeled"
+                         else energy.overhead_source),
+        effective_ops=used * ops if ops else 0.0,
+        energy=energy.energy,
+        power=energy.power,
+        intelligence=score.value,
+        phi=report.phi,
+        lower_bound=report.lower_bound,
+        slack=report.slack,
+        landauer_floor=energy.landauer_floor,
+        reversible_floor=report.reversible_floor,
+        warnings=energy.warnings,
+    )
 
 
 def run_comparison(runs: Sequence[SubstrateRun]) -> ComparisonReport:
@@ -126,36 +170,7 @@ def run_comparison(runs: Sequence[SubstrateRun]) -> ComparisonReport:
             raise ValidationError(
                 "comparison requires fixed algorithm: intrinsic operation counts differ"
             )
-
-    score = intelligence_score(reference.suite)
-    rows = []
-    for run in runs:
-        sub = run.substrate
-        factor = total_overhead(sub)
-        energy = modeled_energy(run.trace, factor, sub.temperature)
-        phi = wpi(energy.power, score)
-        # a sub-Landauer measurement back-solves F < 1; the defensible bound
-        # is then the reversible floor, and the violation stays flagged in
-        # the energy report's warnings
-        bound = phi_lower_bound(
-            sub.temperature, max(1.0, energy.overhead_factor_used),
-            sub.algorithmic_yield, run.trace.duration,
-        )
-        rows.append(ComparisonRow(
-            name=sub.name,
-            overhead=energy.overhead_factor_used,
-            overhead_source=(sub.overhead_source if energy.overhead_source == "modeled"
-                             else energy.overhead_source),
-            effective_ops=energy.overhead_factor_used * run.trace.irreversible_ops,
-            energy=energy.energy,
-            power=energy.power,
-            intelligence=score.value,
-            phi=phi,
-            lower_bound=bound,
-            slack=phi / bound,
-        ))
-
-    rows.sort(key=lambda r: (r.phi, r.name))
+    rows = sorted((account_run(run) for run in runs), key=lambda r: (r.phi, r.name))
     return ComparisonReport(rows=tuple(rows), ordering=tuple(r.name for r in rows))
 
 
@@ -179,6 +194,7 @@ __all__ = [
     "ComparisonRow",
     "ComparisonReport",
     "total_overhead",
+    "account_run",
     "run_comparison",
     "default_substrates",
 ]

@@ -241,6 +241,33 @@ class TestAdaptivityBound:
             )
 
 
+class TestBoundCoreEquivalence:
+    @pytest.mark.parametrize("estimator", list(Estimator))
+    @pytest.mark.parametrize("gain, cost, tau, delta", [
+        (1.0, 1.0, 1.0, 0.05),
+        (3.0, 0.5, 2.0, 0.01),
+        (0.25, 7.0, 0.125, 0.5),
+        (0.0, 1e-3, 10.0, 0.9),
+        (5.0, 2.0, 3.7, 0.2),
+    ])
+    def test_efficiency_equals_adaptivity_field_for_field(
+        self, estimator, gain, cost, tau, delta
+    ):
+        model = four_state_chain()
+        pairs = [(i, j) for i in range(model.n_states) for j in range(model.n_states)
+                 if model.kernel[i, j] > 0.0]
+        assert pairs
+        for i, j in pairs:
+            x, y = model.states[i], model.states[j]
+            efficiency = efficiency_bound_check(
+                model, x, y, AgentSpec(gain, cost, tau), delta, estimator
+            )
+            adaptivity = adaptivity_bound_check(
+                model, x, y, (gain, cost), tau, delta, estimator
+            )
+            assert efficiency == adaptivity
+
+
 class TestCoupledSuites:
     def test_efficiency_holds_rate_on_shipped_chain(self):
         model = four_state_chain()

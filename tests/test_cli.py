@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
-from wpi import ingest_config, sample_trajectories
-from wpi.cli import main
-from wpi.report import write_bundle
+from wpi import ingest_config, phi_lower_bound, sample_trajectories
+from wpi.cli import default_config_path, main
+from wpi.report import compare_section, score_section, write_bundle
 
 
 def load_report(out_dir):
@@ -331,3 +332,60 @@ class TestMeasuredEnergyPaths:
         assert cpu["overhead_factor"] < 1.0
         assert cpu["phi_lower_bound"] == cpu["reversible_floor"]
         assert run(["compare", "--config", config, "--out", out]) == 0
+
+
+def zero_op_traces():
+    # measured energy on a trace with no irreversible ops back-solves an
+    # infinite overhead factor
+    return [
+        {"substrate": "cpu", "suite": "bench", "irreversible_ops": 0,
+         "duration": 1.0, "measured_energy": 1e-9},
+        {"substrate": "gpu", "suite": "bench", "irreversible_ops": 0, "duration": 1.0},
+    ]
+
+
+def sub_landauer_traces():
+    return [
+        {"substrate": "cpu", "suite": "bench", "irreversible_ops": 10**6,
+         "duration": 1.0, "measured_energy": 1e-21},
+        {"substrate": "gpu", "suite": "bench", "irreversible_ops": 10**6, "duration": 1.0},
+    ]
+
+
+class TestPhiAccountingAgreement:
+    """The comparison table and the per-trace reports share one accounting."""
+
+    SHARED = {
+        "overhead": "overhead_factor",
+        "overhead_source": "overhead_source",
+        "energy_j": "energy_j",
+        "power_w": "power_w",
+        "intelligence": "intelligence",
+        "phi": "phi",
+        "phi_lower_bound": "phi_lower_bound",
+        "slack": "slack",
+    }
+
+    @pytest.mark.parametrize("traces", [None, zero_op_traces(), sub_landauer_traces()],
+                             ids=["shipped", "zero-op", "sub-landauer"])
+    def test_comparison_rows_match_wpi_reports(self, tmp_path, traces):
+        path = default_config_path() if traces is None else small_config(tmp_path, traces=traces)
+        config = ingest_config(path)
+        reports = {(r["substrate"], r["suite"]): r
+                   for r in score_section(config)["wpi_reports"]}
+        rows = [(c["suite"], row) for c in compare_section(config) for row in c["rows"]]
+        assert len(rows) == len(reports)
+        for suite, row in rows:
+            report = reports[(row["name"], suite)]
+            for row_key, report_key in self.SHARED.items():
+                assert row[row_key] == report[report_key], row_key
+            assert not any(isinstance(v, float) and math.isnan(v) for v in row.values())
+
+    def test_zero_op_bound_uses_modeled_factor(self, tmp_path):
+        config = ingest_config(small_config(tmp_path, traces=zero_op_traces()))
+        rows = {r["name"]: r for r in compare_section(config)[0]["rows"]}
+        assert rows["cpu"]["overhead"] == math.inf
+        assert rows["cpu"]["effective_ops"] == 0.0
+        # cpu's modeled factor is 40 * 5 at 300 K, unit yield and 1 s
+        assert rows["cpu"]["phi_lower_bound"] == phi_lower_bound(300.0, 200.0, 1.0, 1.0)
+        assert rows["cpu"]["slack"] > 1.0

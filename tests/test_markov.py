@@ -197,6 +197,18 @@ class TestStationary:
         with pytest.raises(NonErgodicChainError):
             stationary_distribution(kernel)
 
+    def test_slowly_mixing_chain_solved(self):
+        # ergodic, but power iteration needs millions of steps to converge
+        pi = stationary_distribution([[1 - 1e-6, 1e-6], [3e-6, 1 - 3e-6]])
+        assert pi == pytest.approx([0.75, 0.25], rel=0, abs=1e-12)
+
+    def test_failed_residual_names_the_residual(self):
+        # strongly connected and aperiodic, but row 0 sums to 1.1: no law
+        # satisfies pi K = pi with entries summing to 1
+        with pytest.raises(ValidationError, match="residual") as caught:
+            stationary_distribution(np.array([[0.5, 0.6], [0.5, 0.5]]))
+        assert not isinstance(caught.value, NonErgodicChainError)
+
     def test_residual_contract(self):
         pi = stationary_distribution(four_state_chain().kernel)
         residual = np.abs(pi @ four_state_chain().kernel - pi).sum()
