@@ -8,9 +8,9 @@ caller, not to the arithmetic here.
 
 The "coupled" suites construct the agent the way the bound's own derivation
 does: intelligence proportional to the irreversible complexity change and
-energy equal to its Landauer floor.  They default to natural units (energy
-counted in bits, i.e. one Landauer quantum per bit, with unit yield and
-unit duration); SI callers can pass ``energy_per_bit=landauer_constant(T)``.
+energy equal to its Landauer floor.  They work in natural units only:
+energy is counted in bits, one Landauer quantum per bit, so both sides of
+the bound are in bits.
 """
 
 from __future__ import annotations
@@ -269,14 +269,13 @@ def coupled_bound_suite(
     kind: str = "efficiency",
     alpha: float = 1.0,
     tau: float = 1.0,
-    energy_per_bit: float = 1.0,
 ) -> CoupledSuiteResult:
     """Run a bound check on every sampled transition with the coupled agent.
 
     For each observed transition x -> y with a positive irreversible
     complexity change ``d = K(y) - K(x)``, the agent is built exactly as in
     the bound's derivation: intelligence ``alpha * d`` and energy equal to
-    the Landauer floor ``energy_per_bit * d``.  Transitions with ``d <= 0``
+    the Landauer floor ``d`` in natural units.  Transitions with ``d <= 0``
     admit no such agent (the floor is not positive) and are excluded from
     the rate.  Distinct (x, y) pairs are checked once and weighted by their
     observed counts, the ``(source, target)`` matrix of
@@ -302,7 +301,7 @@ def coupled_bound_suite(
                 continue
             x, y = model.states[i], model.states[j]
             intelligence = alpha * d
-            energy = energy_per_bit * d
+            energy = float(d)
             if kind == "efficiency":
                 result = efficiency_bound_check(
                     model, x, y, AgentSpec(intelligence, energy / tau, tau),

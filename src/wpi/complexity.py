@@ -32,7 +32,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .errors import ValidationError
-from .machine import DEFAULT_MACHINE, ReferenceMachine, cached_shortest_length
+from .machine import cached_shortest_length
 
 #: Separator used when concatenating strings for conditional estimates.
 SEPARATOR = "|"
@@ -116,34 +116,12 @@ def complexity_lz(x: CoarseState) -> ComplexityEstimate:
     return ComplexityEstimate(bits=lz78_codelength(x.bits), estimator=Estimator.LZ_PROXY)
 
 
-def complexity_exact(
-    x: CoarseState,
-    machine: ReferenceMachine = DEFAULT_MACHINE,
-    max_len: int | None = None,
-) -> ComplexityEstimate:
-    """Length of the shortest reference-machine program producing ``x``.
-
-    ``max_len`` defaults to ``len(x) + 3``, which always suffices because of
-    the machine's LITERAL instruction.  With a smaller budget the search can
-    fail, in which case :class:`~wpi.errors.EnumerationBudgetExceeded` is
-    raised rather than silently falling back to another estimator.
-    """
-    if max_len is None:
-        max_len = len(x.bits) + 3
-    if machine is DEFAULT_MACHINE:
-        bits = cached_shortest_length(x.bits, max_len)
-    else:
-        bits = len(machine.shortest_program(x.bits, max_len))
-    return ComplexityEstimate(bits=bits, estimator=Estimator.EXACT_ENUM)
+def complexity_exact(x: CoarseState) -> ComplexityEstimate:
+    """Length of the shortest reference-machine program producing ``x``."""
+    return ComplexityEstimate(bits=cached_shortest_length(x.bits), estimator=Estimator.EXACT_ENUM)
 
 
-def conditional_complexity(
-    x: CoarseState,
-    y: CoarseState,
-    estimator: Estimator,
-    machine: ReferenceMachine = DEFAULT_MACHINE,
-    max_len: int | None = None,
-) -> ComplexityEstimate:
+def conditional_complexity(x: CoarseState, y: CoarseState, estimator: Estimator) -> ComplexityEstimate:
     """Estimate of K(x | y) under the chosen estimator.
 
     lz-proxy charges ``max(0, codelen(y + sep + x) - codelen(y))``; exact
@@ -154,26 +132,16 @@ def conditional_complexity(
     if estimator is Estimator.LZ_PROXY:
         bits = _lz_conditional(x.bits, y.bits)
     else:
-        if max_len is None:
-            max_len = len(x.bits) + 3
-        if machine is DEFAULT_MACHINE:
-            bits = cached_shortest_length(x.bits, max_len, aux=y.bits)
-        else:
-            bits = len(machine.shortest_program(x.bits, max_len, aux=y.bits))
+        bits = cached_shortest_length(x.bits, y.bits)
     return ComplexityEstimate(bits=bits, estimator=estimator, conditional_on=y)
 
 
-def estimate_complexity(
-    x: CoarseState,
-    estimator: Estimator,
-    machine: ReferenceMachine = DEFAULT_MACHINE,
-    max_len: int | None = None,
-) -> ComplexityEstimate:
+def estimate_complexity(x: CoarseState, estimator: Estimator) -> ComplexityEstimate:
     """Dispatch to :func:`complexity_lz` or :func:`complexity_exact`."""
     estimator = Estimator(estimator)
     if estimator is Estimator.LZ_PROXY:
         return complexity_lz(x)
-    return complexity_exact(x, machine=machine, max_len=max_len)
+    return complexity_exact(x)
 
 
 def read_corpus(path: str | Path) -> list[str]:

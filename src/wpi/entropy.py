@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 
 from .complexity import CoarseState, Estimator, estimate_complexity
 from .errors import ValidationError
-from .machine import DEFAULT_MACHINE, ReferenceMachine
 from .metrics import landauer_constant
 
 
@@ -25,24 +24,15 @@ class StateMeasure:
     """A positive (not necessarily normalized) measure over a finite domain."""
 
     weights: Mapping[CoarseState, float]
-    domain: tuple[CoarseState, ...]
 
-    def __init__(self, weights: Mapping[CoarseState, float], domain: Sequence[CoarseState] | None = None):
-        weights = dict(weights)
+    def __post_init__(self):
+        weights = dict(self.weights)
         for state, w in weights.items():
             if not (w > 0.0):
                 raise ValidationError(
                     f"measure weight for state {state.bits!r} must be > 0, got {w}"
                 )
-        if domain is None:
-            domain = tuple(weights)
-        else:
-            domain = tuple(domain)
-            missing = [s.bits for s in domain if s not in weights]
-            if missing:
-                raise ValidationError(f"measure missing weights for domain states {missing}")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "domain", domain)
 
     def __contains__(self, state: CoarseState) -> bool:
         return state in self.weights
@@ -75,16 +65,11 @@ class EntropyDelta:
     exchanged: float
 
 
-def algorithmic_entropy(
-    x: CoarseState,
-    pi: StateMeasure,
-    estimator: Estimator,
-    machine: ReferenceMachine = DEFAULT_MACHINE,
-) -> float:
+def algorithmic_entropy(x: CoarseState, pi: StateMeasure, estimator: Estimator) -> float:
     """Per-state entropy ``K(x) + log2 pi(x)`` in bits; may be negative."""
     if x not in pi:
         raise ValidationError(f"state {x.bits!r} is not in the measure domain")
-    k = estimate_complexity(x, estimator, machine=machine).bits
+    k = estimate_complexity(x, estimator).bits
     return k + pi.log2_weight(x)
 
 
@@ -93,14 +78,13 @@ def entropy_decomposition(
     y: CoarseState,
     pi: StateMeasure,
     estimator: Estimator,
-    machine: ReferenceMachine = DEFAULT_MACHINE,
 ) -> EntropyDelta:
     """Split the entropy change of x -> y into irreversible and exchanged parts."""
     for state in (x, y):
         if state not in pi:
             raise ValidationError(f"state {state.bits!r} is not in the measure domain")
-    kx = estimate_complexity(x, estimator, machine=machine).bits
-    ky = estimate_complexity(y, estimator, machine=machine).bits
+    kx = estimate_complexity(x, estimator).bits
+    ky = estimate_complexity(y, estimator).bits
     irreversible = float(ky - kx)
     exchanged = pi.log2_weight(x) - pi.log2_weight(y)
     return EntropyDelta(

@@ -28,7 +28,7 @@ Programs
 Halting
     A program halts when its instruction stream is exhausted or after
     LITERAL.  Executing one instruction costs one step, plus one step per
-    output bit appended.  A run that exceeds its step budget, or whose
+    output bit appended.  A run that exceeds ``STEP_BUDGET`` steps, or whose
     output grows past ``max_output``, is treated as non-halting.
 
 Enumeration order
@@ -50,9 +50,9 @@ from typing import Iterator
 
 from .errors import EnumerationBudgetExceeded, ValidationError
 
-#: Step budget per program during enumeration; programs not halting within
-#: the budget are treated as non-halting.
-DEFAULT_STEP_BUDGET = 10_000
+#: Step budget per program; programs not halting within the budget are
+#: treated as non-halting.
+STEP_BUDGET = 10_000
 
 #: Hard ceilings keeping exhaustive enumeration desk-scale.
 MAX_STATE_BITS = 16
@@ -68,11 +68,6 @@ class RunResult:
 
 class ReferenceMachine:
     """The append-only five-instruction machine defined in the module docs."""
-
-    def __init__(self, step_budget: int = DEFAULT_STEP_BUDGET):
-        if step_budget < 1:
-            raise ValidationError(f"step budget must be >= 1, got {step_budget}")
-        self.step_budget = step_budget
 
     def run(self, program: str, aux: str = "", max_output: int = 1 << 16) -> RunResult:
         """Execute ``program`` with ``aux`` on the auxiliary tape."""
@@ -116,7 +111,7 @@ class ReferenceMachine:
 
             out_len += appended
             steps += 1 + appended
-            if steps > self.step_budget or out_len > max_output:
+            if steps > STEP_BUDGET or out_len > max_output:
                 return RunResult(output=None, steps=steps, halted=False)
         return RunResult(output="".join(parts), steps=steps, halted=True)
 
@@ -149,7 +144,7 @@ class ReferenceMachine:
             result = self.run(program, aux=aux, max_output=cap)
             if result.halted and result.output == target:
                 return program
-        raise EnumerationBudgetExceeded(target, max_len, self.step_budget)
+        raise EnumerationBudgetExceeded(target, max_len, STEP_BUDGET)
 
     def complexity_table(self, max_len: int, aux: str = "") -> dict[str, int]:
         """Map each producible state to the length of its shortest program.
@@ -175,9 +170,9 @@ DEFAULT_MACHINE = ReferenceMachine()
 
 
 @lru_cache(maxsize=65536)
-def cached_shortest_length(target: str, max_len: int, aux: str = "") -> int:
-    """Memoized shortest-program length on the default machine."""
-    return len(DEFAULT_MACHINE.shortest_program(target, max_len, aux=aux))
+def cached_shortest_length(target: str, aux: str = "") -> int:
+    """Memoized K(target | aux) on the default machine, searched to ``len(target) + 3`` bits."""
+    return len(DEFAULT_MACHINE.shortest_program(target, len(target) + 3, aux=aux))
 
 
 def _check_bits(s: str, label: str) -> None:

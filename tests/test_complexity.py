@@ -9,7 +9,6 @@ import pytest
 
 from wpi import (
     CoarseState,
-    EnumerationBudgetExceeded,
     Estimator,
     ValidationError,
     complexity_exact,
@@ -122,17 +121,12 @@ class TestExactEstimator:
         # whatever a 3-bit program produces has complexity at most 3
         for program in ("000", "010", "110", "111"):
             output = DEFAULT_MACHINE.run(program).output
-            assert complexity_exact(CoarseState(output), max_len=3).bits <= 3
+            assert complexity_exact(CoarseState(output)).bits <= 3
 
     def test_monotone_in_budget(self):
-        state = CoarseState("0101")
-        k_small = complexity_exact(state, max_len=7).bits
-        k_large = complexity_exact(state, max_len=12).bits
+        k_small = len(DEFAULT_MACHINE.shortest_program("0101", 7))
+        k_large = len(DEFAULT_MACHINE.shortest_program("0101", 12))
         assert k_large <= k_small
-
-    def test_budget_exceeded_is_typed_result(self):
-        with pytest.raises(EnumerationBudgetExceeded):
-            complexity_exact(CoarseState("0110100110010110"), max_len=4)
 
     def test_counting_lower_bound_on_four_bit_states(self):
         # at most 2^(L+1) - 1 states can have complexity <= L
@@ -150,6 +144,17 @@ class TestExactEstimator:
             y = CoarseState("1111")
             cond = conditional_complexity(x, y, Estimator.EXACT_ENUM).bits
             assert cond <= complexity_exact(x).bits
+
+    @pytest.mark.parametrize("aux", ["0", "01", "1011", "0110"])
+    def test_conditional_matches_complexity_table(self, aux):
+        # K(x | aux) <= len(x) + 3 <= 8 for x of at most 5 bits, so the
+        # 9-bit sweep holds every such x at its true complexity
+        table = DEFAULT_MACHINE.complexity_table(9, aux)
+        y = CoarseState(aux)
+        for length in range(6):
+            for bits in itertools.product("01", repeat=length):
+                x = "".join(bits)
+                assert conditional_complexity(CoarseState(x), y, Estimator.EXACT_ENUM).bits == table[x]
 
 
 class TestCoarseState:

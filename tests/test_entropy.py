@@ -33,10 +33,6 @@ class TestStateMeasure:
         with pytest.raises(ValidationError):
             StateMeasure({CoarseState("0"): 0.0})
 
-    def test_domain_must_be_covered(self):
-        with pytest.raises(ValidationError):
-            StateMeasure({CoarseState("0"): 1.0}, domain=[CoarseState("0"), CoarseState("1")])
-
     def test_unnormalized_measures_allowed(self):
         measure = StateMeasure({CoarseState("0"): 3.0, CoarseState("1"): 9.0})
         assert CoarseState("0") in measure

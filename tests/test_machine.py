@@ -2,8 +2,8 @@
 
 import pytest
 
-from wpi import EnumerationBudgetExceeded, ReferenceMachine, ValidationError
-from wpi.machine import DEFAULT_MACHINE
+from wpi import EnumerationBudgetExceeded, ValidationError
+from wpi.machine import DEFAULT_MACHINE, STEP_BUDGET
 
 
 class TestExecution:
@@ -36,10 +36,14 @@ class TestExecution:
         assert DEFAULT_MACHINE.run("0001").steps == 4
 
     def test_step_budget_means_non_halting(self):
-        tiny = ReferenceMachine(step_budget=3)
-        result = tiny.run("00011010")
-        assert not result.halted
-        assert result.output is None
+        # write 1, then double k times: 2**k + k + 1 steps, 2**k output bits
+        within = DEFAULT_MACHINE.run("01" + "10" * 13)
+        assert within.halted
+        assert within.steps == 8_206 <= STEP_BUDGET
+        over = DEFAULT_MACHINE.run("01" + "10" * 14)  # 16,384 bits, under the output cap
+        assert not over.halted
+        assert over.output is None
+        assert over.steps == 16_399 > STEP_BUDGET
 
     def test_output_cap_means_non_halting(self):
         result = DEFAULT_MACHINE.run("00101010", max_output=3)
