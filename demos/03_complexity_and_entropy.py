@@ -30,8 +30,9 @@ random_bits = CoarseState("".join("01"[b] for b in rng.integers(0, 2, 1024)))
 print(f"LZ78 codelength of 1024 zeros:       {complexity_lz(regular).bits:5d} bits")
 print(f"LZ78 codelength of 1024 random bits: {complexity_lz(random_bits).bits:5d} bits")
 
-# The exact estimator enumerates reference-machine programs in canonical
-# order.  Doubling structure shows up as shorter programs.
+# The exact estimator finds the shortest reference-machine program, as a
+# shortest path over the state's prefixes.  Doubling structure shows up as
+# shorter programs.
 for bits in ("0000", "0110", "0101010101010101"):
     estimate = complexity_exact(CoarseState(bits))
     print(f"K_exact({bits!r:20s}) = {estimate.bits:2d} bits "

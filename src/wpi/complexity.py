@@ -4,9 +4,12 @@ True algorithmic complexity is uncomputable, so every estimate here is
 tagged with the estimator that produced it:
 
 ``exact-enum``
-    Exhaustive shortest-program search on the tiny reference machine
-    (:mod:`wpi.machine`).  Exact relative to that machine, feasible for
-    states up to 16 bits.
+    Length of the shortest program on the tiny reference machine
+    (:mod:`wpi.machine`), for states up to 16 bits.  It is defined by
+    enumerating programs in canonical order, and computed without running
+    any: as a shortest path over the prefixes of the state, which gives
+    the same length (``docs/reference_machine.md``, "Computing K").  Exact
+    relative to that machine.
 
 ``lz-proxy``
     LZ78 dictionary codelength.  Scales to long strings; the estimate is
@@ -124,8 +127,8 @@ def complexity_exact(x: CoarseState) -> ComplexityEstimate:
 def conditional_complexity(x: CoarseState, y: CoarseState, estimator: Estimator) -> ComplexityEstimate:
     """Estimate of K(x | y) under the chosen estimator.
 
-    lz-proxy charges ``max(0, codelen(y + sep + x) - codelen(y))``; exact
-    enumeration searches for the shortest program that emits ``x`` with
+    lz-proxy charges ``max(0, codelen(y + sep + x) - codelen(y))``;
+    exact-enum is the length of the shortest program that emits ``x`` with
     ``y`` on the auxiliary tape.
     """
     estimator = Estimator(estimator)

@@ -39,6 +39,11 @@ Enumeration order
 
 Every string has a program (LITERAL gives length ``len(x) + 3``), so
 enumeration with ``max_len >= len(x) + 3`` always succeeds.
+
+Enumeration (:meth:`ReferenceMachine.shortest_program`) is the executable
+definition of K and the test oracle.  The estimators call
+:func:`cached_shortest_length`, which finds the same length as a shortest
+path over the prefixes of the target (see ``docs/reference_machine.md``).
 """
 
 from __future__ import annotations
@@ -128,13 +133,7 @@ class ReferenceMachine:
         Raises :class:`EnumerationBudgetExceeded` when no program of length
         <= max_len halts on ``target`` within the step budget.
         """
-        _check_bits(target, "target")
-        _check_bits(aux, "aux")
-        if len(target) > MAX_STATE_BITS:
-            raise ValidationError(
-                f"target has {len(target)} bits; exact enumeration is limited to "
-                f"{MAX_STATE_BITS}"
-            )
+        _check_target(target, aux)
         if not (0 <= max_len <= MAX_PROGRAM_BITS):
             raise ValidationError(
                 f"max_len must be in [0, {MAX_PROGRAM_BITS}], got {max_len}"
@@ -171,8 +170,39 @@ DEFAULT_MACHINE = ReferenceMachine()
 
 @lru_cache(maxsize=65536)
 def cached_shortest_length(target: str, aux: str = "") -> int:
-    """Memoized K(target | aux) on the default machine, searched to ``len(target) + 3`` bits."""
-    return len(DEFAULT_MACHINE.shortest_program(target, len(target) + 3, aux=aux))
+    """Memoized K(target | aux) on the default machine, without enumeration.
+
+    Every instruction only appends, so a program producing ``target``
+    passes only through its prefixes, and no shortest program carries
+    padding.  K is therefore the shortest path from node 0 to node
+    ``len(target)``, node k standing for the output ``target[:k]``.  Every
+    edge that makes progress goes forward, so one pass in order of k
+    settles each node before it is left.  The ``k >= 1`` and non-empty
+    ``aux`` guards only drop self-loops, which never shorten a path.  Equal to
+    ``len(DEFAULT_MACHINE.shortest_program(target, len(target) + 3, aux))``.
+    """
+    _check_target(target, aux)
+    n = len(target)
+    best = [0] + [n + 3] * n  # no path worth taking costs more than LITERAL from node 0
+    for k in range(n):
+        cost = best[k]
+        best[n] = min(best[n], cost + 3 + n - k)  # LITERAL with the rest
+        best[k + 1] = min(best[k + 1], cost + 2)  # WRITE0 / WRITE1
+        if k >= 1 and target[k:2 * k] == target[:k]:  # DOUBLE
+            best[2 * k] = min(best[2 * k], cost + 2)
+        if aux and target.startswith(aux, k):  # COPY_AUX
+            best[k + len(aux)] = min(best[k + len(aux)], cost + 3)
+    return best[n]
+
+
+def _check_target(target: str, aux: str) -> None:
+    _check_bits(target, "target")
+    _check_bits(aux, "aux")
+    if len(target) > MAX_STATE_BITS:
+        raise ValidationError(
+            f"target has {len(target)} bits; exact enumeration is limited to "
+            f"{MAX_STATE_BITS}"
+        )
 
 
 def _check_bits(s: str, label: str) -> None:

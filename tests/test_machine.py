@@ -1,9 +1,11 @@
-"""Reference machine semantics and enumeration tests."""
+"""Reference machine semantics, enumeration and prefix shortest-path tests."""
+
+import random
 
 import pytest
 
-from wpi import EnumerationBudgetExceeded, ValidationError
-from wpi.machine import DEFAULT_MACHINE, STEP_BUDGET
+from wpi import CoarseState, EnumerationBudgetExceeded, ValidationError, complexity_exact
+from wpi.machine import DEFAULT_MACHINE, STEP_BUDGET, ReferenceMachine, cached_shortest_length
 
 
 class TestExecution:
@@ -97,3 +99,55 @@ class TestEnumeration:
         assert DEFAULT_MACHINE.shortest_program("1011", 10, aux="1011") == "111"
         # x extends y: copy aux then write
         assert DEFAULT_MACHINE.shortest_program("10111", 10, aux="1011") == "11101"
+
+
+class TestPrefixShortestPath:
+    """``cached_shortest_length`` against enumeration, its definition."""
+
+    AUXES = ("", "0", "1", "01", "10", "0110", "1011", "111", "00000")
+
+    @pytest.mark.parametrize("aux", AUXES)
+    def test_matches_enumeration_up_to_ten_bits(self, aux):
+        # Every string of at most 10 bits has K <= 13, so the table holds
+        # all of them.  The auxes cover empty, longer than x and equal to x.
+        table = DEFAULT_MACHINE.complexity_table(13, aux)
+        for n in range(11):
+            for i in range(1 << n):
+                x = format(i, f"0{n}b") if n else ""
+                assert cached_shortest_length(x, aux) == table[x], (x, aux)
+
+    def test_sixteen_bit_lengths_are_minimal(self):
+        # Enumeration up to 13 bits is cheap; every 16-bit string it can
+        # reach is kept, together with a seeded sample that mostly it cannot.
+        table = DEFAULT_MACHINE.complexity_table(13)
+        rng = random.Random(16)
+        sample = {format(rng.getrandbits(16), "016b") for _ in range(2000)}
+        sample |= {"01" * 8} | {x for x in table if len(x) == 16}
+        kept = []
+        for x in sorted(sample):
+            k = cached_shortest_length(x)
+            assert (k <= 13) == (x in table), x
+            if k <= 13:
+                kept.append(x)
+                assert len(DEFAULT_MACHINE.shortest_program(x, k)) == k
+                with pytest.raises(EnumerationBudgetExceeded):
+                    DEFAULT_MACHINE.shortest_program(x, k - 1)
+        assert "01" * 8 in kept and len(kept) == 16
+
+    def test_rejects_oversized_target(self):
+        with pytest.raises(ValidationError, match="limited to 16"):
+            cached_shortest_length("0" * 17)
+
+    @pytest.mark.parametrize("target, aux", [("01", "0x"), ("0x", ""), ("01", "2")])
+    def test_rejects_non_binary(self, target, aux):
+        with pytest.raises(ValidationError):
+            cached_shortest_length(target, aux)
+
+    def test_estimator_runs_no_program(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact estimator must not run programs")
+
+        cached_shortest_length.cache_clear()
+        monkeypatch.setattr(ReferenceMachine, "run", refuse)
+        x = "0110100110010110"  # incompressible: K = 16 + 3
+        assert complexity_exact(CoarseState(x)).bits == len(x) + 3
