@@ -15,7 +15,6 @@ from .bounds import (
     IftCheckResult,
     adaptivity_bound_check,
     coupled_bound_suite,
-    delta_ik_samples,
     efficiency_bound_check,
     ift_check,
     markov_tail_check,

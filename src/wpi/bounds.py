@@ -1,10 +1,14 @@
 """Fluctuation-theorem and efficiency bound checks over Markov dynamics.
 
 All logarithms are base 2 so that complexities, surprisals, and the
-``log2(1/delta)`` confidence term share units (bits).  Probabilistic bound
-checks record both sides of their inequality and the sample statistics;
-pass/fail policies (such as a three-sigma sampling allowance) belong to the
-caller, not to the arithmetic here.
+``log2(1/delta)`` confidence term share units (bits).  Every sample-based
+check (:func:`ift_check`, :func:`markov_tail_check`,
+:func:`coupled_bound_suite`) reads the sampled transitions as one
+``(source, target)`` count matrix from :func:`~wpi.markov.transition_counts`.
+The checks record both sides of their inequality and the sample
+statistics; pass/fail policies (such as a three-sigma sampling allowance)
+belong to the caller, not to the arithmetic here: ``wpi.report`` turns each
+check into one verdict for both ``report.json`` and ``bounds.tsv``.
 
 The "coupled" suites construct the agent the way the bound's own derivation
 does: intelligence proportional to the irreversible complexity change and
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +53,8 @@ class BoundCheckResult:
     slack: float
     delta: float
     samples: int
-    estimator: Estimator | None
-    empirical_ift: float | None
+    estimator: Estimator
+    empirical_ift: float
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
@@ -100,21 +104,6 @@ class CoupledSuiteResult:
         return math.sqrt(self.delta * (1.0 - self.delta) / self.valid_samples)
 
 
-def delta_ik_samples(
-    model: MarkovModel,
-    paths: np.ndarray,
-    estimator: Estimator,
-) -> np.ndarray:
-    """Irreversible complexity change K(target) - K(source) per transition.
-
-    ``paths`` holds one trajectory per row, as returned by
-    :func:`~wpi.markov.sample_trajectories`; the result lists the
-    transitions in row-major order.
-    """
-    k = np.array(_complexity_by_index(model, estimator), dtype=float)
-    return (k[paths[:, 1:]] - k[paths[:, :-1]]).ravel()
-
-
 def ift_check(
     model: MarkovModel,
     counts: np.ndarray,
@@ -131,17 +120,8 @@ def ift_check(
     ``sigma = log2(P(y|x) pi(x)) - log2(P(x|y) pi(y))`` is averaged over the
     same transitions.
     """
-    counts = _check_counts(model, counts)
-    n_samples = int(counts.sum())
-    if n_samples == 0:
-        raise ValidationError("counts contain no transitions")
-
-    k = _complexity_by_index(model, estimator)
-    n = model.n_states
-    complexity_values = np.array(
-        [[2.0 ** (-(k[j] - k[i])) for j in range(n)] for i in range(n)]
-    )
-    c_mean, c_se = _counted_mean_se(complexity_values, counts)
+    counts, n_samples = _check_sampled_counts(model, counts)
+    c_mean, c_se = _counted_mean_se(_complexity_ift_table(model, estimator), counts)
 
     s_mean = s_se = None
     if surprisal_control:
@@ -183,25 +163,25 @@ def surprisal_table(model: MarkovModel) -> np.ndarray:
 
 
 def markov_tail_check(
-    samples: Sequence[float] | np.ndarray,
+    model: MarkovModel,
+    counts: np.ndarray,
+    estimator: Estimator,
     delta: float,
-    estimator: Estimator | None = None,
 ) -> BoundCheckResult:
-    """Markov-inequality tail check on samples of delta_i_k.
+    """Markov-inequality tail check on the sampled values of 2**(-delta_i_k).
 
-    With ``X = 2**(-delta_i_k)``, checks the empirical inequality
-    ``Pr{X >= 1/delta} <= delta * mean(X)``.  This holds exactly for the
-    empirical distribution, so any violation indicates an implementation
-    error rather than sampling noise.
+    With ``X = 2**(-delta_i_k)`` over the transitions of the count matrix,
+    checks the empirical inequality ``Pr{X >= 1/delta} <= delta * mean(X)``.
+    This holds exactly for the empirical distribution, so any violation
+    indicates an implementation error rather than sampling noise.  The mean
+    is the complexity mean of :func:`ift_check` on the same counts.
     """
     if not (0.0 < delta < 1.0):
         raise ValidationError(f"delta must be in (0, 1), got {delta}")
-    values = np.asarray(samples, dtype=float)
-    if values.size == 0:
-        raise ValidationError("tail check needs at least one sample")
-    x = 2.0 ** (-values)
-    lhs = float(np.mean(x >= 1.0 / delta))
-    mean = float(x.mean())
+    counts, n_samples = _check_sampled_counts(model, counts)
+    x = _complexity_ift_table(model, estimator)
+    lhs = int(counts[x >= 1.0 / delta].sum()) / n_samples
+    mean, _ = _counted_mean_se(x, counts)
     rhs = delta * mean
     return BoundCheckResult(
         lhs=lhs,
@@ -209,8 +189,8 @@ def markov_tail_check(
         holds=lhs <= rhs,
         slack=rhs - lhs,
         delta=delta,
-        samples=int(values.size),
-        estimator=Estimator(estimator) if estimator is not None else None,
+        samples=n_samples,
+        estimator=Estimator(estimator),
         empirical_ift=mean,
     )
 
@@ -373,8 +353,22 @@ def _check_counts(model: MarkovModel, counts: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _check_sampled_counts(model: MarkovModel, counts: np.ndarray) -> tuple[np.ndarray, int]:
+    counts = _check_counts(model, counts)
+    n_samples = int(counts.sum())
+    if n_samples == 0:
+        raise ValidationError("counts contain no transitions")
+    return counts, n_samples
+
+
 def _complexity_by_index(model: MarkovModel, estimator: Estimator) -> list[int]:
     return [estimate_complexity(s, estimator).bits for s in model.states]
+
+
+def _complexity_ift_table(model: MarkovModel, estimator: Estimator) -> np.ndarray:
+    """``2**(-(K(y) - K(x)))`` for every (x, y) index pair."""
+    k = np.array(_complexity_by_index(model, estimator), dtype=float)
+    return 2.0 ** (k[:, None] - k[None, :])
 
 
 def _counted_mean_se(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:

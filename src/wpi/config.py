@@ -31,7 +31,7 @@ from typing import Any
 from .complexity import CoarseState, Estimator
 from .entropy import StateMeasure
 from .errors import ConfigError, TelemetryError, ValidationError
-from .markov import MAX_SEED, MarkovModel
+from .markov import DISTRIBUTION_TOL, MAX_SEED, MarkovModel
 from .metrics import ExecutionTrace, TaskRecord, TaskSuite
 from .substrate import Substrate
 from .telemetry import integrate_power, read_power_csv
@@ -437,7 +437,7 @@ def _validate_models(raw: Any, errors: _Collector) -> list[MarkovModel]:
                 ok = False
                 continue
             total = sum(row)
-            if abs(total - 1.0) > 1e-12:
+            if abs(total - 1.0) > DISTRIBUTION_TOL:
                 errors.error(
                     f"{ptr}/kernel/{j}", f"kernel row sums to {total!r}, expected 1"
                 )

@@ -20,13 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    BoundCheckResult,
-    coupled_bound_suite,
-    delta_ik_samples,
-    ift_check,
-    markov_tail_check,
-)
+from .bounds import BoundCheckResult, coupled_bound_suite, ift_check, markov_tail_check
 from .config import ExperimentConfig, serialize_config
 from .errors import NonErgodicChainError, ValidationError
 from .markov import sample_trajectories, transition_counts
@@ -71,7 +65,7 @@ def bound_check_dict(result: BoundCheckResult) -> dict:
         "slack": result.slack,
         "delta": result.delta,
         "samples": result.samples,
-        "estimator": result.estimator.value if result.estimator else None,
+        "estimator": result.estimator.value,
         "empirical_ift": result.empirical_ift,
     }
 
@@ -196,7 +190,10 @@ def bounds_section(
     delta: float,
     estimator,
 ) -> tuple[list[dict], list[dict]]:
-    """Bound checks per model on one-step paths, plus the gate verdicts for --assert."""
+    """Bound checks per model on one-step paths, plus the gate verdicts for --assert.
+
+    The gates are the verdicts of :func:`_verdicts` that are not vacuous.
+    """
     sections = []
     gates = []
     for index, (model, model_paths) in enumerate(zip(config.models, paths)):
@@ -217,8 +214,7 @@ def bounds_section(
         excursion = ift.complexity_mean > 1.0 + 3.0 * ift.complexity_se
 
         deltas = sorted(set(TAIL_DELTAS) | {delta})
-        samples_dik = delta_ik_samples(model, model_paths, estimator)
-        tails = [markov_tail_check(samples_dik, d, estimator=estimator) for d in deltas]
+        tails = [markov_tail_check(model, counts, estimator, d) for d in deltas]
 
         efficiency = coupled_bound_suite(
             model, counts, estimator, delta, kind="efficiency"
@@ -243,34 +239,11 @@ def bounds_section(
             "coupled_adaptivity": _suite_dict(adaptivity),
         })
 
-        if surprisal["mean"] is not None:
-            mean, se = ift.surprisal_mean, ift.surprisal_se
-            gates.append(_gate(
-                "surprisal_ift_window", model.name,
-                0.95 <= mean <= 1.05,
-                f"mean={mean!r} must lie in [0.95, 1.05]",
-            ))
-            gates.append(_gate(
-                "surprisal_ift_identity", model.name,
-                abs(mean - 1.0) <= 3.0 * se,
-                f"|{mean!r} - 1| must be <= 3*se ({se!r})",
-            ))
-        for tail in tails:
-            allowance = 3.0 * math.sqrt(max(tail.lhs * (1.0 - tail.lhs), 0.0) / tail.samples)
-            gates.append(_gate(
-                f"markov_tail_delta_{tail.delta}", model.name,
-                tail.lhs <= tail.rhs + allowance,
-                f"lhs={tail.lhs!r} must be <= rhs={tail.rhs!r} + 3*binomial SE",
-            ))
-        for suite in (efficiency, adaptivity):
-            if suite.valid_samples == 0:
-                continue
-            threshold = _coupled_threshold(suite.delta, suite.rate_standard_error)
-            gates.append(_gate(
-                f"coupled_{suite.kind}_holds_rate", model.name,
-                suite.holds_rate >= threshold,
-                f"holds rate {suite.holds_rate!r} must be >= {threshold!r}",
-            ))
+        gates += [
+            {"gate": row["gate"], "model": row["model"],
+             "passed": row["status"] == "pass", "detail": row["detail"]}
+            for row in _verdicts(sections[-1]) if row["status"] != "vacuous"
+        ]
     return sections, gates
 
 
@@ -315,39 +288,61 @@ def _compare_tsv(bundle: dict) -> str:
 
 
 def _bounds_tsv(bundle: dict) -> str:
+    columns = ("gate", "model", "status", "value", "threshold", "detail")
     lines = [
-        "# lhs/rhs in bits (base-2 logs); holds means lhs <= rhs",
-        "# coupled rows: lhs is the holds rate and rhs the gate threshold"
-        " 1 - delta - 3*SE; holds means lhs >= rhs, and is 'vacuous' (lhs"
-        " empty) when no sampled transition raised the complexity",
-        "model\tcheck\testimator\tdelta\tlhs\trhs\tholds\tslack\tsamples\tempirical_ift",
+        "# one row per gate of report.json, in its order, plus a 'vacuous' row"
+        " for each check that could not be evaluated and so has no gate",
+        "# value and threshold are the two numbers the gate compares; detail"
+        " states the comparison",
+        "\t".join(columns),
     ]
     for section in bundle["bound_checks"]:
-        model = section["model"]
-        for tail in section["markov_tail"]:
-            lines.append("\t".join(map(_cell, (
-                model, "markov_tail", tail["estimator"], tail["delta"], tail["lhs"],
-                tail["rhs"], tail["holds"], tail["slack"], tail["samples"],
-                tail["empirical_ift"],
-            ))))
-        for kind in ("coupled_efficiency", "coupled_adaptivity"):
-            suite = section[kind]
-            threshold = _coupled_threshold(suite["delta"], suite["rate_se"])
-            if suite["valid_samples"]:
-                rate = suite["holds_rate"]
-                holds, slack = rate >= threshold, rate - threshold
-            else:
-                rate, holds, slack = None, "vacuous", None
-            lines.append("\t".join(map(_cell, (
-                model, kind, section["estimator"], suite["delta"], rate, threshold,
-                holds, slack, suite["valid_samples"], None,
-            ))))
+        for row in _verdicts(section):
+            lines.append("\t".join(_cell(row[column]) for column in columns))
     return "\n".join(lines) + "\n"
 
 
-def _coupled_threshold(delta: float, rate_se: float) -> float:
-    """Least holds rate a coupled suite's gate accepts."""
-    return 1.0 - delta - 3.0 * rate_se
+def _verdicts(section: dict) -> list[dict]:
+    """The verdict of every gated check of one ``bound_checks`` section.
+
+    Rows follow the gate order of ``report.json``.  ``status`` is ``pass``,
+    ``fail`` or ``vacuous``; a vacuous check (a surprisal control without a
+    stationary law, a coupled suite without valid samples) could not be
+    evaluated and has no ``value`` or ``threshold``.
+    """
+    rows = []
+
+    def verdict(gate, passed, value, threshold, detail):
+        status = "vacuous" if passed is None else "pass" if passed else "fail"
+        rows.append({"gate": gate, "model": section["model"], "status": status,
+                     "value": value, "threshold": threshold, "detail": detail})
+
+    surprisal = section["surprisal_ift"]
+    mean, se = surprisal["mean"], surprisal["se"]
+    if mean is None:
+        verdict("surprisal_ift_window", None, None, None, surprisal["note"])
+        verdict("surprisal_ift_identity", None, None, None, surprisal["note"])
+    else:
+        verdict("surprisal_ift_window", 0.95 <= mean <= 1.05, mean, "[0.95, 1.05]",
+                f"mean={mean!r} must lie in [0.95, 1.05]")
+        distance, limit = abs(mean - 1.0), 3.0 * se
+        verdict("surprisal_ift_identity", distance <= limit, distance, limit,
+                f"|{mean!r} - 1| must be <= 3*se ({se!r})")
+    for tail in section["markov_tail"]:
+        lhs = tail["lhs"]
+        limit = tail["rhs"] + 3.0 * math.sqrt(max(lhs * (1.0 - lhs), 0.0) / tail["samples"])
+        verdict(f"markov_tail_delta_{tail['delta']}", lhs <= limit, lhs, limit,
+                f"lhs={lhs!r} must be <= rhs={tail['rhs']!r} + 3*binomial SE")
+    for kind in ("efficiency", "adaptivity"):
+        suite = section[f"coupled_{kind}"]
+        gate = f"coupled_{kind}_holds_rate"
+        if suite["valid_samples"] == 0:
+            verdict(gate, None, None, None, "no sampled transition raised the complexity")
+            continue
+        rate = suite["holds_rate"]
+        limit = 1.0 - suite["delta"] - 3.0 * suite["rate_se"]
+        verdict(gate, rate >= limit, rate, limit, f"holds rate {rate!r} must be >= {limit!r}")
+    return rows
 
 
 def _suite_dict(suite) -> dict:
@@ -362,10 +357,6 @@ def _suite_dict(suite) -> dict:
         "checks": [bound_check_dict(c) for c in suite.checks],
         "check_weights": list(suite.check_weights),
     }
-
-
-def _gate(name: str, model: str, passed: bool, detail: str) -> dict:
-    return {"gate": name, "model": model, "passed": bool(passed), "detail": detail}
 
 
 def _cell(value) -> str:
@@ -388,12 +379,20 @@ def _jsonable(value):
 
 
 def _atomic_write(path: Path, text: str) -> Path:
+    """Write ``text`` to a temp file and rename it over ``path``.
+
+    The file gets the mode ``open(path, "w")`` would give it: the temp file
+    is created 0600, so it is set to 0666 less the process umask.
+    """
     handle = tempfile.NamedTemporaryFile(
         "w", dir=path.parent, prefix=f".{path.name}.", delete=False, encoding="utf-8"
     )
     try:
         with handle:
             handle.write(text)
+        umask = os.umask(0)  # os.umask is the only way to read the umask
+        os.umask(umask)
+        os.chmod(handle.name, 0o666 & ~umask)
         os.replace(handle.name, path)
     except BaseException:
         os.unlink(handle.name)

@@ -82,10 +82,6 @@ class SubstrateRun:
     trace: ExecutionTrace
     suite: TaskSuite
 
-    def effective_ops(self) -> float:
-        """Effective irreversible operations: overhead times intrinsic count."""
-        return total_overhead(self.substrate) * self.trace.irreversible_ops
-
 
 @dataclass(frozen=True)
 class ComparisonRow:

@@ -24,7 +24,6 @@ from wpi import (
     TaskSuite,
     coupled_bound_suite,
     default_substrates,
-    delta_ik_samples,
     entropy_decomposition,
     four_state_chain,
     four_state_structural_chain,
@@ -191,9 +190,9 @@ def test_criterion_5_surprisal_ift():
 def test_criterion_6_markov_tail():
     for model in shipped_chains():
         paths = sample_trajectories(model, 1, 50_000, seed=606)
-        samples = delta_ik_samples(model, paths, Estimator.EXACT_ENUM)
+        counts = transition_counts(model, paths)
         for delta in (0.01, 0.05, 0.1):
-            result = markov_tail_check(samples, delta, estimator=Estimator.EXACT_ENUM)
+            result = markov_tail_check(model, counts, Estimator.EXACT_ENUM, delta)
             allowance = 3.0 * math.sqrt(max(result.lhs * (1 - result.lhs), 0.0) / result.samples)
             assert result.lhs <= result.rhs + allowance, (model.name, delta)
 

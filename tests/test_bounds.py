@@ -18,7 +18,6 @@ from wpi import (
     adaptivity_bound_check,
     complexity_exact,
     coupled_bound_suite,
-    delta_ik_samples,
     efficiency_bound_check,
     four_state_chain,
     four_state_structural_chain,
@@ -104,17 +103,6 @@ class TestIftCheck:
             ift_check(model, np.zeros((4, 4), dtype=np.int64), Estimator.EXACT_ENUM)
 
 
-class TestDeltaIkSamples:
-    def test_row_major_transitions(self):
-        model = four_state_chain()
-        paths = sample_trajectories(model, 3, 50, seed=17)
-        k = [complexity_exact(s).bits for s in model.states]
-        expected = [k[b] - k[a] for row in paths.tolist() for a, b in zip(row, row[1:])]
-        samples = delta_ik_samples(model, paths, Estimator.EXACT_ENUM)
-        assert samples.dtype == float
-        assert samples.tolist() == expected
-
-
 class TestSurprisalTable:
     def test_reverse_pair_antisymmetry(self):
         table = surprisal_table(four_state_chain())
@@ -129,43 +117,101 @@ class TestSurprisalTable:
         assert all(table[i, i] == 0.0 for i in range(4))
 
 
+def uniform_model(bits):
+    states = [CoarseState(b) for b in bits]
+    n = len(states)
+    return MarkovModel(states, np.full((n, n), 1.0 / n), StateMeasure.uniform(states),
+                       np.full(n, 1.0 / n))
+
+
+def ring_of_long_states(n_states=12, seed=8):
+    """A ring of 8-12-bit states, alternating periodic and random ones."""
+    rng = np.random.default_rng(seed)
+    bits = []
+    while len(bits) < n_states:
+        n = int(rng.integers(8, 13))
+        if len(bits) % 2 == 0:
+            period = "".join(rng.choice(["0", "1"], size=int(rng.integers(1, 4))))
+            s = (period * n)[:n]
+        else:
+            s = "".join(rng.choice(["0", "1"], size=n))
+        if s not in bits:
+            bits.append(s)
+    states = [CoarseState(b) for b in bits]
+    kernel = np.zeros((n_states, n_states))
+    for i in range(n_states):
+        kernel[i, i] = 0.75
+        kernel[i, (i + 1) % n_states] = 0.1875
+        kernel[i, (i - 1) % n_states] = 0.0625
+    return MarkovModel(states, kernel, StateMeasure.uniform(states),
+                       np.full(n_states, 1.0 / n_states), name="ring")
+
+
 class TestMarkovTail:
     def test_all_zero_changes(self):
-        result = markov_tail_check(np.zeros(100), 0.5)
+        # only self-transitions: every delta_i_k is 0 and X = 1
+        model = four_state_chain()
+        counts = np.diag([25, 25, 25, 25])
+        result = markov_tail_check(model, counts, Estimator.EXACT_ENUM, 0.5)
         assert result.lhs == 0.0  # Pr{1 >= 2} = 0
         assert result.rhs == 0.5
         assert result.holds
+        assert result.samples == 100
 
     def test_degenerate_threshold_near_one(self):
-        # constant samples, delta close to 1: indicator is all-or-nothing
-        result = markov_tail_check(np.full(50, -1.0), 0.75)  # X = 2.0, 1/delta = 4/3
-        assert result.lhs == 1.0
+        # constant delta_i_k = -1, delta close to 1: indicator is all-or-nothing
+        model = uniform_model(["0110", "0101"])  # K = 7 and 6
+        counts = np.array([[0, 50], [0, 0]])
+        result = markov_tail_check(model, counts, Estimator.EXACT_ENUM, 0.75)
+        assert result.lhs == 1.0  # X = 2.0, 1/delta = 4/3
         assert result.rhs == 0.75 * 2.0
         assert result.holds
 
     def test_shipped_chain_at_ten_percent(self):
         model = four_state_chain()
-        paths = sample_trajectories(model, 1, 20_000, seed=21)
-        samples = delta_ik_samples(model, paths, Estimator.EXACT_ENUM)
-        result = markov_tail_check(samples, 0.1, estimator=Estimator.EXACT_ENUM)
+        counts = sampled_counts(model, 1, 20_000, seed=21)
+        result = markov_tail_check(model, counts, Estimator.EXACT_ENUM, 0.1)
         assert result.holds
         assert result.samples == 20_000
 
     @given(
-        st.lists(st.floats(-8, 8), min_size=1, max_size=200),
+        st.lists(st.integers(0, 40), min_size=36, max_size=36).filter(any),
         st.floats(0.01, 0.99),
     )
-    def test_empirical_markov_inequality_is_exact(self, values, delta):
+    def test_empirical_markov_inequality_is_exact(self, cells, delta):
         # Markov's inequality holds for the empirical measure itself, so the
-        # check can only fail if the arithmetic is wrong
-        result = markov_tail_check(np.array(values), delta)
+        # check can only fail if the arithmetic is wrong; the states' K
+        # values are 0, 2, 4, 7, 11 and 19 bits
+        model = uniform_model(["", "0", "01", "0110", "01101001", "0110100110010110"])
+        counts = np.array(cells).reshape(6, 6)
+        result = markov_tail_check(model, counts, Estimator.EXACT_ENUM, delta)
         assert result.lhs <= result.rhs + 1e-12
 
+    @pytest.mark.parametrize("model", [four_state_chain(), ring_of_long_states()],
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("delta", [0.01, 0.05, 0.1, 0.5])
+    def test_matches_per_transition_oracle(self, model, delta):
+        # oracle: delta_i_k listed per sampled transition, in row-major order
+        paths = sample_trajectories(model, 3, 4000, seed=29)
+        k = [complexity_exact(s).bits for s in model.states]
+        changes = np.array(
+            [k[b] - k[a] for row in paths.tolist() for a, b in zip(row, row[1:])], dtype=float
+        )
+        x = 2.0 ** (-changes)
+        result = markov_tail_check(
+            model, transition_counts(model, paths), Estimator.EXACT_ENUM, delta
+        )
+        assert result.lhs == float(np.mean(x >= 1.0 / delta))
+        assert abs(result.rhs - delta * float(x.mean())) <= 1e-12
+        assert result.empirical_ift == pytest.approx(float(x.mean()), rel=1e-12)
+        assert result.samples == changes.size
+
     def test_validation(self):
+        model = four_state_chain()
         with pytest.raises(ValidationError):
-            markov_tail_check(np.array([]), 0.5)
+            markov_tail_check(model, np.zeros((4, 4), dtype=np.int64), Estimator.EXACT_ENUM, 0.5)
         with pytest.raises(ValidationError):
-            markov_tail_check(np.zeros(3), 1.5)
+            markov_tail_check(model, np.ones((4, 4), dtype=np.int64), Estimator.EXACT_ENUM, 1.5)
 
 
 class TestEfficiencyBound:

@@ -1,8 +1,12 @@
 """End-to-end CLI tests: subcommands, exit codes, determinism, file outputs."""
 
 import hashlib
+import importlib
 import json
 import math
+import os
+import stat
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,13 @@ def stripped(bundle):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def bounds_rows(out_dir):
+    header, *rows = [line.split("\t") for line in (out_dir / "bounds.tsv").read_text().splitlines()
+                     if not line.startswith("#")]
+    assert header == ["gate", "model", "status", "value", "threshold", "detail"]
+    return [dict(zip(header, row)) for row in rows]
 
 
 def small_model(name):
@@ -136,30 +147,52 @@ class TestSubcommands:
         out = tmp_path / "out"
         assert run(["check-bounds", "--config", config, "--out", out]) == 0
         gates = {(g["model"], g["gate"]): g["passed"] for g in load_report(out)["gates"]}
-        header, *rows = [line.split("\t") for line in (out / "bounds.tsv").read_text().splitlines()
-                         if not line.startswith("#")]
-        coupled = [dict(zip(header, r)) for r in rows if r[1].startswith("coupled_")]
+        coupled = [row for row in bounds_rows(out) if row["gate"].startswith("coupled_")]
         assert len(coupled) == 4
         for row in coupled:
-            gate = gates.get((row["model"], f"{row['check']}_holds_rate"))
+            gate = gates.get((row["model"], row["gate"]))
             if row["model"] == "two-state":
-                assert row["holds"] == "vacuous" and row["samples"] == "0"
+                assert row["status"] == "vacuous" and row["value"] == ""
                 assert gate is None
             else:
-                assert row["holds"] == str(gate)
+                assert row["status"] == ("pass" if gate else "fail")
 
     def test_bounds_tsv_coupled_verdict_allows_three_standard_errors(self, tmp_path):
         suite = {"kind": "efficiency", "delta": 0.05, "holds_rate": 0.94, "rate_se": 0.01,
                  "valid_samples": 475}
         bundle = {"bound_checks": [{
             "model": "m", "estimator": "exact-enum", "markov_tail": [],
+            "surprisal_ift": {"mean": None, "se": None, "note": "no stationary law"},
             "coupled_efficiency": suite,
             "coupled_adaptivity": dict(suite, kind="adaptivity", holds_rate=0.91),
         }]}
         write_bundle(tmp_path, bundle, fmt="tsv")
-        lines = (tmp_path / "bounds.tsv").read_text().splitlines()
-        holds = {line.split("\t")[1]: line.split("\t")[6] for line in lines[-2:]}
-        assert holds == {"coupled_efficiency": "True", "coupled_adaptivity": "False"}
+        status = {row["gate"]: row["status"] for row in bounds_rows(tmp_path)}
+        assert status["coupled_efficiency_holds_rate"] == "pass"  # 0.94 >= 0.92
+        assert status["coupled_adaptivity_holds_rate"] == "fail"  # 0.91 < 0.92
+
+    def test_bounds_tsv_verdicts_at_their_limits(self, tmp_path):
+        # a tail share above rhs passes within its 3-SE binomial allowance,
+        # and a holds rate equal to its threshold passes
+        tail = {"delta": 0.1, "lhs": 0.5, "samples": 100}
+        suite = {"delta": 0.25, "holds_rate": 0.75, "rate_se": 0.0, "valid_samples": 1}
+        bundle = {"bound_checks": [{
+            "model": "m",
+            "surprisal_ift": {"mean": 1.0, "se": 0.0},
+            "markov_tail": [dict(tail, rhs=0.45), dict(tail, delta=0.2, rhs=0.3)],
+            "coupled_efficiency": suite,
+            "coupled_adaptivity": dict(suite, valid_samples=0),
+        }]}
+        write_bundle(tmp_path, bundle, fmt="tsv")
+        status = [(row["gate"], row["status"]) for row in bounds_rows(tmp_path)]
+        assert status == [
+            ("surprisal_ift_window", "pass"),
+            ("surprisal_ift_identity", "pass"),  # |1 - 1| <= 3 * 0
+            ("markov_tail_delta_0.1", "pass"),  # 0.5 <= 0.45 + 3 * 0.05
+            ("markov_tail_delta_0.2", "fail"),  # 0.5 > 0.3 + 3 * 0.05
+            ("coupled_efficiency_holds_rate", "pass"),
+            ("coupled_adaptivity_holds_rate", "vacuous"),
+        ]
 
     def test_report_bounds_match_check_bounds_with_longer_paths(self, tmp_path):
         # bound checks read the first transition of each sampled path, which
@@ -240,6 +273,85 @@ class TestExitCodes:
         assert run(["score", "--config", tmp_path / "nope.json"]) == 1
 
 
+def wide_chain_config(tmp_path, monkeypatch):
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    inputs = importlib.import_module("inputs")
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(inputs.wide_chain_config(1)))
+    return path
+
+
+class TestVerdictTable:
+    """bounds.tsv lists the gates of report.json, in order, plus vacuous checks."""
+
+    def assert_table_matches_gates(self, out):
+        bundle = load_report(out)
+        rows = bounds_rows(out)
+        gated = [r for r in rows if r["status"] != "vacuous"]
+        assert [(r["gate"], r["model"], r["status"], r["detail"]) for r in gated] == [
+            (g["gate"], g["model"], "pass" if g["passed"] else "fail", g["detail"])
+            for g in bundle["gates"]
+        ]
+        for row in gated:
+            value = float(row["value"])
+            if row["gate"] == "surprisal_ift_window":
+                assert row["threshold"] == "[0.95, 1.05]"
+                passed = 0.95 <= value <= 1.05
+            elif row["gate"].startswith("coupled_"):
+                passed = value >= float(row["threshold"])
+            else:
+                passed = value <= float(row["threshold"])
+            assert row["status"] == ("pass" if passed else "fail"), row
+
+        # a vacuous row for exactly the checks that could not be evaluated
+        expected = []
+        for section in bundle["bound_checks"]:
+            if section["surprisal_ift"]["mean"] is None:
+                expected += [("surprisal_ift_window", section["model"]),
+                             ("surprisal_ift_identity", section["model"])]
+            for kind in ("efficiency", "adaptivity"):
+                if section[f"coupled_{kind}"]["valid_samples"] == 0:
+                    expected.append((f"coupled_{kind}_holds_rate", section["model"]))
+        vacuous = [r for r in rows if r["status"] == "vacuous"]
+        assert sorted((r["gate"], r["model"]) for r in vacuous) == sorted(expected)
+        assert all(r["value"] == r["threshold"] == "" and r["detail"] for r in vacuous)
+        return rows
+
+    def test_shipped_config(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["report", "--out", out, "--assert"]) == 0
+        rows = self.assert_table_matches_gates(out)
+        assert {r["status"] for r in rows} == {"pass", "vacuous"}
+
+    def test_failing_hot_hop(self, tmp_path):
+        config = small_config(tmp_path, models=[{
+            "name": "hot-hop", "states": ["0000", "0110"],
+            "kernel": [[0.5, 0.5], [0.5, 0.5]], "measure": [1.0, 1.0], "initial": [0.5, 0.5],
+        }])
+        out = tmp_path / "out"
+        assert run(["check-bounds", "--config", config, "--out", out, "--assert"]) == 2
+        rows = self.assert_table_matches_gates(out)
+        assert "fail" in {r["status"] for r in rows}
+
+    def test_non_ergodic_model(self, tmp_path):
+        stuck = {"name": "stuck", "states": ["0", "1"], "kernel": [[1.0, 0.0], [0.0, 1.0]],
+                 "measure": [1.0, 1.0], "initial": [0.5, 0.5]}
+        config = small_config(tmp_path, models=[small_model("four-state"), stuck])
+        out = tmp_path / "out"
+        assert run(["check-bounds", "--config", config, "--out", out]) == 0
+        rows = self.assert_table_matches_gates(out)
+        stuck_status = {r["gate"]: r["status"] for r in rows if r["model"] == "stuck"}
+        assert stuck_status["surprisal_ift_window"] == "vacuous"
+        assert stuck_status["surprisal_ift_identity"] == "vacuous"
+
+    def test_wide_chain(self, tmp_path, monkeypatch):
+        config = wide_chain_config(tmp_path, monkeypatch)
+        out = tmp_path / "out"
+        assert run(["report", "--config", config, "--out", out, "--steps", 16, "--assert"]) == 2
+        self.assert_table_matches_gates(out)
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical_modulo_timestamp(self, tmp_path):
         config = small_config(tmp_path)
@@ -272,6 +384,21 @@ class TestDeterminism:
         other = small_config(tmp_path, seed=12)
         run(["score", "--config", other, "--out", out])
         assert load_report(out)["metadata"]["config_sha256"] != first
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
+    def test_bundle_files_get_umask_permissions(self, tmp_path, umask):
+        # the files are created like open(path, "w") would create them
+        config = small_config(tmp_path)
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            assert run(["report", "--config", config, "--out", out]) == 0
+        finally:
+            os.umask(old)
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["bounds.tsv", "compare.tsv", "report.json"]
+        for name in names:
+            assert stat.S_IMODE((out / name).stat().st_mode) == 0o666 & ~umask, name
 
 
 class TestMeasuredEnergyPaths:
