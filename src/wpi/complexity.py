@@ -24,7 +24,20 @@ a final (index, no-symbol) pair.  Each emitted pair costs
 ``ceil(log2(d + 1)) + 1`` bits, where ``d`` is the dictionary size at the
 moment the pair is emitted.  Conditional estimates encode ``y``, a
 separator symbol outside the binary alphabet, then ``x``, and charge the
-codelength difference.
+codelength difference.  The coder's alphabet is ``"0"``, ``"1"`` and the
+separator; any other symbol is a validation error.
+
+The parse walks a flat phrase trie: a Python list in which the row of a
+node is three entries, one per symbol, holding the row offset of the
+child (three times its insertion number) or 0 if there is none.  The
+root is row 0, so the trie size is the dictionary size plus one, and the
+codelength follows in closed form from the dictionary size and whether
+the parse stopped inside a phrase (a non-empty remainder).  LZ78 is a
+greedy online parse: the phrases of ``y`` do not depend on what follows
+``y``.  So a conditional estimate parses ``y`` once, reads the codelength
+of ``y`` from that state, and continues the same parse over the separator
+and ``x`` from the node where ``y`` stopped; the result equals parsing the
+concatenation from scratch.
 """
 
 from __future__ import annotations
@@ -39,6 +52,14 @@ from .machine import cached_shortest_length
 
 #: Separator used when concatenating strings for conditional estimates.
 SEPARATOR = "|"
+
+#: The LZ78 coder's input alphabet, in trie symbol order.
+_ALPHABET = "01" + SEPARATOR
+#: Maps each alphabet byte to its trie symbol 0, 1 or 2.  Other bytes map to
+#: themselves, so ``_symbol_codes`` rejects them before translating.
+_SYMBOL_CODES = bytes.maketrans(_ALPHABET.encode(), bytes(range(len(_ALPHABET))))
+#: One trie row: no child for any symbol.
+_EMPTY_ROW = (0,) * len(_ALPHABET)
 
 
 class Estimator(str, enum.Enum):
@@ -88,30 +109,11 @@ class ComplexityEstimate:
             raise ValidationError(f"complexity estimate must be >= 0 bits, got {self.bits}")
 
 
-def lz78_pairs(symbols: str) -> list[tuple[int, str | None, int]]:
-    """LZ78 parse of ``symbols``: (index, symbol, dict size at emission)."""
-    dictionary: dict[str, int] = {}
-    pairs: list[tuple[int, str | None, int]] = []
-    current = ""
-    for s in symbols:
-        candidate = current + s
-        if candidate in dictionary:
-            current = candidate
-        else:
-            pairs.append((dictionary.get(current, 0), s, len(dictionary)))
-            dictionary[candidate] = len(dictionary) + 1
-            current = ""
-    if current:
-        pairs.append((dictionary[current], None, len(dictionary)))
-    return pairs
-
-
 def lz78_codelength(symbols: str) -> int:
     """Total emitted bits for the declared LZ78 coder."""
-    total = 0
-    for _, _, dict_size in lz78_pairs(symbols):
-        total += _ceil_log2(dict_size + 1) + 1
-    return total
+    trie = list(_EMPTY_ROW)
+    node = _lz78_parse(_symbol_codes(symbols), trie, 0)
+    return _lz78_bits(trie, node)
 
 
 def complexity_lz(x: CoarseState) -> ComplexityEstimate:
@@ -166,9 +168,51 @@ def read_corpus(path: str | Path) -> list[str]:
 
 @lru_cache(maxsize=65536)
 def _lz_conditional(x_bits: str, y_bits: str) -> int:
-    joint = lz78_codelength(y_bits + SEPARATOR + x_bits)
-    return max(0, joint - lz78_codelength(y_bits))
+    trie = list(_EMPTY_ROW)
+    node = _lz78_parse(_symbol_codes(y_bits), trie, 0)
+    alone = _lz78_bits(trie, node)
+    node = _lz78_parse(_symbol_codes(SEPARATOR + x_bits), trie, node)
+    return max(0, _lz78_bits(trie, node) - alone)
 
 
-def _ceil_log2(n: int) -> int:
-    return (n - 1).bit_length()
+def _symbol_codes(symbols: str) -> bytes:
+    raw = symbols.encode()
+    if raw.translate(None, _ALPHABET.encode()):
+        bad = next(s for s in symbols if s not in _ALPHABET)
+        raise ValidationError(f"LZ78 symbols must be '0', '1' or {SEPARATOR!r}, got {bad!r}")
+    return raw.translate(_SYMBOL_CODES)
+
+
+def _lz78_parse(codes: bytes, trie: list[int], node: int) -> int:
+    """Continue the greedy parse of ``codes`` from ``node``, growing ``trie``.
+
+    Returns the node where the parse stops: 0 when the last phrase was
+    completed, else the node of the remainder.  Nodes are row offsets.
+    """
+    for sym in codes:
+        child = trie[node + sym]
+        if child:
+            node = child
+        else:
+            trie[node + sym] = len(trie)
+            trie += _EMPTY_ROW
+            node = 0
+    return node
+
+
+def _lz78_bits(trie: list[int], node: int) -> int:
+    """Bits emitted by a parse that built ``trie`` and stopped at ``node``.
+
+    The pair emitted at dictionary size d costs ``d.bit_length() + 1``
+    bits, and the n completed phrases were emitted at sizes 0..n-1.  With
+    L = (n - 1).bit_length(), that sum is ``(L + 1) * n - 2**L + 1``; a
+    remainder adds one pair at size n.
+    """
+    phrases = len(trie) // len(_EMPTY_ROW) - 1
+    if phrases == 0:
+        return 0
+    width = (phrases - 1).bit_length()
+    total = (width + 1) * phrases - (1 << width) + 1
+    if node:
+        total += phrases.bit_length() + 1
+    return total

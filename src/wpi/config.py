@@ -31,7 +31,7 @@ from typing import Any
 from .complexity import CoarseState, Estimator
 from .entropy import StateMeasure
 from .errors import ConfigError, TelemetryError, ValidationError
-from .markov import DISTRIBUTION_TOL, MAX_SEED, MarkovModel
+from .markov import MAX_SEED, MarkovModel, kernel_row_problem
 from .metrics import ExecutionTrace, TaskRecord, TaskSuite
 from .substrate import Substrate
 from .telemetry import integrate_power, read_power_csv
@@ -432,15 +432,9 @@ def _validate_models(raw: Any, errors: _Collector) -> list[MarkovModel]:
                 errors.error(f"{ptr}/kernel/{j}", "kernel entries must be numbers")
                 ok = False
                 continue
-            if any(v < 0 for v in row):
-                errors.error(f"{ptr}/kernel/{j}", "kernel entries must be >= 0")
-                ok = False
-                continue
-            total = sum(row)
-            if abs(total - 1.0) > DISTRIBUTION_TOL:
-                errors.error(
-                    f"{ptr}/kernel/{j}", f"kernel row sums to {total!r}, expected 1"
-                )
+            problem = kernel_row_problem(row)
+            if problem:
+                errors.error(f"{ptr}/kernel/{j}", f"kernel row {problem}")
                 ok = False
         if not ok:
             continue

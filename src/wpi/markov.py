@@ -63,15 +63,10 @@ class MarkovModel:
         kernel = np.array(kernel, dtype=float)
         if kernel.shape != (n, n):
             raise ValidationError(f"kernel must be {n}x{n}, got {kernel.shape}")
-        if np.any(kernel < 0.0):
-            raise ValidationError("kernel entries must be >= 0")
-        row_sums = kernel.sum(axis=1)
-        bad = np.nonzero(np.abs(row_sums - 1.0) > DISTRIBUTION_TOL)[0]
-        if bad.size:
-            raise ValidationError(
-                f"kernel row {bad[0]} sums to {row_sums[bad[0]]!r}, expected 1 "
-                f"within {DISTRIBUTION_TOL}"
-            )
+        for row, entries in enumerate(kernel):
+            problem = kernel_row_problem(entries)
+            if problem:
+                raise ValidationError(f"kernel row {row} {problem}")
 
         initial = np.array(initial, dtype=float)
         if initial.shape != (n,):
@@ -105,6 +100,21 @@ class MarkovModel:
             if s == state:
                 return i
         raise ValidationError(f"state {state.bits!r} is not in the model")
+
+
+def kernel_row_problem(row) -> str | None:
+    """Why a kernel row is not a probability distribution, or None if it is.
+
+    Entries must be >= 0 and sum to 1 within ``DISTRIBUTION_TOL``; a NaN
+    sum fails the tolerance test.
+    """
+    row = np.asarray(row, dtype=float)
+    if np.any(row < 0.0):
+        return "has a negative entry; entries must be >= 0"
+    total = float(row.sum())
+    if not abs(total - 1.0) <= DISTRIBUTION_TOL:
+        return f"sums to {total!r}, expected 1 within {DISTRIBUTION_TOL}"
+    return None
 
 
 def is_ergodic(kernel: np.ndarray) -> bool:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
@@ -53,6 +54,9 @@ def build_metadata(config: ExperimentConfig) -> dict:
         "version": __version__,
         "config_sha256": config_hash(config),
         "generated_at": datetime.now(timezone.utc).isoformat(),
+        # the sampled streams and the float output depend on both
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "units": dict(UNITS),
     }
 

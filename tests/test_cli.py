@@ -5,9 +5,11 @@ import importlib
 import json
 import math
 import os
+import platform
 import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wpi import ingest_config, phi_lower_bound, sample_trajectories
@@ -384,6 +386,14 @@ class TestDeterminism:
         other = small_config(tmp_path, seed=12)
         run(["score", "--config", other, "--out", out])
         assert load_report(out)["metadata"]["config_sha256"] != first
+
+    def test_metadata_names_python_and_numpy(self, tmp_path):
+        config = small_config(tmp_path)
+        out = tmp_path / "out"
+        run(["score", "--config", config, "--out", out])
+        metadata = load_report(out)["metadata"]
+        assert metadata["python"] == platform.python_version()
+        assert metadata["numpy"] == np.__version__
 
     @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
     def test_bundle_files_get_umask_permissions(self, tmp_path, umask):

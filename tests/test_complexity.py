@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from wpi import (
     lz78_codelength,
     read_corpus,
 )
-from wpi.complexity import SEPARATOR, lz78_pairs
+from wpi.complexity import SEPARATOR
 from wpi.machine import DEFAULT_MACHINE
 
 CORPUS_PATH = Path(__file__).parent / "data" / "corpus.txt"
@@ -27,6 +28,46 @@ CORPUS = read_corpus(CORPUS_PATH)
 def rand_bits(n, seed):
     rng = np.random.default_rng(seed)
     return "".join("01"[b] for b in rng.integers(0, 2, n))
+
+
+def biased_bits(n, seed, p_one):
+    rng = np.random.default_rng(seed)
+    return "".join("01"[int(b)] for b in rng.random(n) < p_one)
+
+
+def lz78_pairs(symbols):
+    """Reference LZ78 parse of ``symbols``: (index, symbol, dict size at emission).
+
+    The naive definition, a dictionary of phrase strings, kept as the
+    oracle for the trie parse in ``wpi.complexity``.
+    """
+    dictionary = {}
+    pairs = []
+    current = ""
+    for s in symbols:
+        candidate = current + s
+        if candidate in dictionary:
+            current = candidate
+        else:
+            pairs.append((dictionary.get(current, 0), s, len(dictionary)))
+            dictionary[candidate] = len(dictionary) + 1
+            current = ""
+    if current:
+        pairs.append((dictionary[current], None, len(dictionary)))
+    return pairs
+
+
+def oracle_codelength(symbols):
+    return sum(math.ceil(math.log2(dict_size + 1)) + 1 for _, _, dict_size in lz78_pairs(symbols))
+
+
+def oracle_conditional(x, y):
+    return max(0, oracle_codelength(y + SEPARATOR + x) - oracle_codelength(y))
+
+
+def ends_mid_phrase(symbols):
+    pairs = lz78_pairs(symbols)
+    return bool(pairs) and pairs[-1][1] is None
 
 
 class TestLzCoder:
@@ -56,10 +97,15 @@ class TestLzCoder:
 
     def test_codelength_matches_pair_formula(self):
         for x in CORPUS[:8]:
-            total = 0
-            for _, _, dict_size in lz78_pairs(x):
-                total += math.ceil(math.log2(dict_size + 1)) + 1
-            assert total == lz78_codelength(x)
+            assert oracle_codelength(x) == lz78_codelength(x)
+
+    @pytest.mark.parametrize("bad", ["\x00", "\x01", "\x02", "2", "a", " ", "é", "€"])
+    def test_symbol_outside_alphabet_is_named(self, bad):
+        # the control bytes are the trie's own symbol codes: they must not
+        # pass as "0", "1" or the separator
+        for symbols in (bad, "01" + bad + "10", "0|1" + bad):
+            with pytest.raises(ValidationError, match=re.escape(repr(bad))):
+                lz78_codelength(symbols)
 
     def test_estimates_are_integers(self):
         for x in CORPUS:
@@ -104,6 +150,44 @@ class TestConditionalLz:
         x, y = CoarseState("0101"), CoarseState("0011")
         estimate = conditional_complexity(x, y, Estimator.LZ_PROXY)
         assert estimate.conditional_on == y
+
+
+class TestLzOracle:
+    """The trie parse against the naive dictionary definition."""
+
+    @staticmethod
+    def assert_pair_matches(x, y):
+        assert lz78_codelength(x) == oracle_codelength(x)
+        assert lz78_codelength(y + SEPARATOR + x) == oracle_codelength(y + SEPARATOR + x)
+        lz = conditional_complexity(CoarseState(x), CoarseState(y), Estimator.LZ_PROXY).bits
+        assert lz == oracle_conditional(x, y), (x, y)
+
+    def test_every_pair_up_to_six_bits(self):
+        strings = ["".join(bits) for n in range(7) for bits in itertools.product("01", repeat=n)]
+        for x, y in itertools.product(strings, repeat=2):
+            self.assert_pair_matches(x, y)
+
+    def test_seeded_random_pairs_up_to_2000_bits(self):
+        rng = np.random.default_rng(11)
+        mid_phrase = 0
+        for i in range(120):
+            p_one = (0.5, 0.1, 0.9)[i % 3]
+            y = biased_bits(int(rng.integers(0, 2001)), 1000 + i, p_one)
+            if i % 2:
+                # x related to y, so its parse walks phrases that y built
+                flips = rng.random(len(y)) < 0.05
+                x = "".join("10"[int(b)] if f else b for b, f in zip(y, flips))
+            else:
+                x = biased_bits(int(rng.integers(0, 2001)), 5000 + i, p_one)
+            mid_phrase += ends_mid_phrase(y)
+            self.assert_pair_matches(x, y)
+        # the continued parse starts inside a phrase of y in a good share
+        assert mid_phrase >= 30
+
+    def test_one_64000_bit_pair(self):
+        y = biased_bits(64_000, 21, p_one=0.3)
+        x = rand_bits(64_000, 22)
+        self.assert_pair_matches(x, y)
 
 
 class TestExactEstimator:

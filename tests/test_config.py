@@ -67,6 +67,13 @@ class TestValidation:
             config_from_dict(data)
         assert "/models/0/kernel/0" in pointers(info)
 
+    def test_every_bad_kernel_row_pointed_at(self):
+        data = minimal_config()
+        data["models"][0]["kernel"] = [[1.5, -0.5], [float("nan"), 0.5]]
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert pointers(info) == ["/models/0/kernel/0", "/models/0/kernel/1"]
+
     def test_duplicate_task_id_named(self):
         data = minimal_config()
         data["suites"][0]["tasks"] = [

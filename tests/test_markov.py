@@ -38,6 +38,11 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match=">= 0"):
             simple_model([[1.2, -0.2], [0.5, 0.5]])
 
+    def test_nan_row_rejected(self):
+        # a NaN row sum compares false against the tolerance in both directions
+        with pytest.raises(ValidationError, match="row 1"):
+            simple_model([[0.5, 0.5], [float("nan"), 0.5]])
+
     def test_initial_must_sum_to_one(self):
         with pytest.raises(ValidationError, match="initial"):
             simple_model([[1.0, 0.0], [0.0, 1.0]], initial=[0.7, 0.2])
