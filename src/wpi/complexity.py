@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 from .errors import ValidationError
@@ -166,7 +165,6 @@ def read_corpus(path: str | Path) -> list[str]:
     return strings
 
 
-@lru_cache(maxsize=65536)
 def _lz_conditional(x_bits: str, y_bits: str) -> int:
     trie = list(_EMPTY_ROW)
     node = _lz78_parse(_symbol_codes(y_bits), trie, 0)

@@ -15,6 +15,14 @@ A config file is a single JSON object::
       "models":     [{"name", "states", "labels"?, "kernel", "measure", "initial"}]
     }
 
+Keys marked ``?`` are optional.  One field table per kind of object gives
+each key's JSON type and default, and any other key is an error.  A number
+is an integer or a float but not a boolean, and is read as a float; only
+``measured_energy``, ``telemetry``, ``labels`` and a label may be ``null``.
+Range rules are the constructors' (``Substrate``, ``MarkovModel``, ...).
+This module checks only the sampling settings' ranges and what no
+constructor sees: unique names, trace references and per-model lengths.
+
 Validation reports *every* problem found, each tagged with the JSON pointer
 of the offending value.  A trace's ``telemetry`` names a power CSV relative
 to the config file; its trapezoidal integral becomes the trace's measured
@@ -24,14 +32,17 @@ energy.
 from __future__ import annotations
 
 import json
+import reprlib
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from types import NoneType, UnionType
+from typing import Any, get_args, get_origin
 
 from .complexity import CoarseState, Estimator
 from .entropy import StateMeasure
-from .errors import ConfigError, TelemetryError, ValidationError
-from .markov import MAX_SEED, MarkovModel, kernel_row_problem
+from .errors import ConfigError, ValidationError
+from .markov import MAX_SEED, MarkovModel, distribution_problem
 from .metrics import ExecutionTrace, TaskRecord, TaskSuite
 from .substrate import Substrate
 from .telemetry import integrate_power, read_power_csv
@@ -64,16 +75,58 @@ class ExperimentConfig:
         raise ValidationError(f"unknown substrate {name!r}")
 
 
-class _Collector:
-    def __init__(self):
-        self.issues: list[tuple[str, str]] = []
+#: Default of a key that must be present.
+_REQUIRED = object()
+#: What a field reads as when its value was reported as a problem.
+_INVALID = object()
 
-    def error(self, pointer: str, message: str):
-        self.issues.append((pointer, message))
-
-    def raise_if_any(self):
-        if self.issues:
-            raise ConfigError(self.issues)
+# Field tables: key -> (JSON type, default).  A type is float (a number),
+# int, str, None, list[T], dict[str, T] (an object of T values) or a union;
+# a bare list is read entry by entry by the section that owns it.
+_SIM = {
+    "seed": (int, _REQUIRED),
+    "samples": (int, DEFAULT_SAMPLES),
+    "delta": (float, DEFAULT_DELTA),
+    "estimator": (str, DEFAULT_ESTIMATOR.value),
+}
+_ROOT = {
+    **_SIM,
+    "substrates": (list, []),
+    "suites": (list, []),
+    "traces": (list, []),
+    "models": (list, []),
+}
+_SUBSTRATE = {
+    "name": (str, _REQUIRED),
+    "temperature": (float, _REQUIRED),
+    "overhead_mem": (float, _REQUIRED),
+    "overhead_ctrl": (float, _REQUIRED),
+    "algorithmic_yield": (float, _REQUIRED),
+    "extra_overheads": (dict[str, float], {}),
+    "overhead_source": (str, "user"),
+}
+_SUITE = {"id": (str, _REQUIRED), "tasks": (list, _REQUIRED)}
+_TASK = {"id": (str, _REQUIRED), "weight": (float, _REQUIRED), "performance": (float, _REQUIRED)}
+_TRACE = {
+    "substrate": (str, _REQUIRED),
+    "suite": (str, _REQUIRED),
+    "irreversible_ops": (int, _REQUIRED),
+    "duration": (float, _REQUIRED),
+    "measured_energy": (float | None, None),
+    "telemetry": (str | None, None),
+}
+_MODEL = {
+    "name": (str, _REQUIRED),
+    "states": (list[str], _REQUIRED),
+    "labels": (list[str | None] | None, None),
+    "kernel": (list[list[float]], _REQUIRED),
+    "measure": (list[float], _REQUIRED),
+    "initial": (list[float], _REQUIRED),
+}
+_TYPE_NAMES = {
+    float: "a number", int: "an integer", str: "a string",
+    list: "a list", dict: "an object", NoneType: "null",
+}
 
 
 def ingest_config(path: str | Path) -> ExperimentConfig:
@@ -98,20 +151,16 @@ def ingest_config(path: str | Path) -> ExperimentConfig:
 
 def config_from_dict(data: Any, base_dir: Path | None = None) -> ExperimentConfig:
     """Validate an already-parsed config object."""
-    errors = _Collector()
-    if not isinstance(data, dict):
-        errors.error("", "config root must be a JSON object")
-        errors.raise_if_any()
-
-    raw_models = data.get("models")
-    sim = _validate_sim(data, errors, len(raw_models) if isinstance(raw_models, list) else 0)
-    substrates = _validate_substrates(data.get("substrates", []), errors)
-    suites = _validate_suites(data.get("suites", []), errors)
-    traces = _validate_traces(
-        data.get("traces", []), substrates, suites, errors, base_dir
-    )
-    models = _validate_models(data.get("models", []), errors)
-    errors.raise_if_any()
+    errors: list[tuple[str, str]] = []
+    root = _read(data, _ROOT, "", errors)
+    n_models = 0 if root["models"] is _INVALID else len(root["models"])
+    sim = _validate_sim(root, errors, n_models)
+    substrates = _validate_substrates(root["substrates"], errors)
+    suites = _validate_suites(root["suites"], errors)
+    traces = _validate_traces(root["traces"], substrates, suites, errors, base_dir)
+    models = _validate_models(root["models"], errors)
+    if errors:
+        raise ConfigError(errors)
 
     return ExperimentConfig(
         substrates=tuple(substrates.values()),
@@ -127,9 +176,11 @@ def override_sim(config: ExperimentConfig, **overrides) -> ExperimentConfig:
 
     Raises :class:`~wpi.errors.ConfigError` listing every invalid value.
     """
-    errors = _Collector()
-    sim = _validate_sim({**_sim_dict(config.sim), **overrides}, errors, len(config.models))
-    errors.raise_if_any()
+    errors: list[tuple[str, str]] = []
+    fields = _read({**_sim_dict(config.sim), **overrides}, _SIM, "", errors)
+    sim = _validate_sim(fields, errors, len(config.models))
+    if errors:
+        raise ConfigError(errors)
     return replace(config, sim=sim)
 
 
@@ -192,132 +243,136 @@ def _sim_dict(sim: SimSettings) -> dict:
     }
 
 
-def _validate_sim(data: dict, errors: _Collector, n_models: int) -> SimSettings:
-    """Simulation settings; model ``i`` samples with seed ``seed + i``."""
-    seed = data.get("seed")
+def _read(obj: Any, table: dict, ptr: str, errors: list) -> dict:
+    """Every field of ``obj`` by ``table``: defaults filled in, numbers as floats.
+
+    Each unknown key, missing required key and value of the wrong JSON type
+    is reported at its pointer, and its field reads as ``_INVALID``; every
+    field does if ``obj`` is not an object.
+    """
+    if not isinstance(obj, dict):
+        errors.append((ptr, f"must be an object, got {reprlib.repr(obj)}"))
+        return dict.fromkeys(table, _INVALID)
+    for key in obj:
+        if key not in table:
+            errors.append((_child(ptr, key), f"unknown key; expected one of {', '.join(table)}"))
+    fields = {}
+    for key, (kind, default) in table.items():
+        if key in obj:
+            fields[key] = _typed(obj[key], kind, _child(ptr, key), errors)
+        elif default is _REQUIRED:
+            errors.append((_child(ptr, key), "required key is missing"))
+            fields[key] = _INVALID
+        else:
+            fields[key] = default
+    return fields
+
+
+def _typed(value: Any, kind: Any, ptr: str, errors: list) -> Any:
+    """``value`` checked against JSON type ``kind`` and read, or ``_INVALID``."""
+    alternatives = get_args(kind) if isinstance(kind, UnionType) else (kind,)
+    match = next((alt for alt in alternatives if _has_type(value, alt)), None)
+    if match is None:
+        names = " or ".join(_TYPE_NAMES[get_origin(alt) or alt] for alt in alternatives)
+        errors.append((ptr, f"must be {names}, got {reprlib.repr(value)}"))
+        return _INVALID
+    if match is float:
+        return float(value)
+    if get_origin(match) is list:
+        (item,) = get_args(match)
+        if all(type(v) is item for v in value):  # the usual case, without a call per entry
+            return value
+        read = [_typed(v, item, f"{ptr}/{i}", errors) for i, v in enumerate(value)]
+        return _INVALID if _INVALID in read else read
+    if get_origin(match) is dict:
+        item = get_args(match)[1]
+        read = {k: _typed(v, item, _child(ptr, k), errors) for k, v in value.items()}
+        return _INVALID if _INVALID in read.values() else read
+    return value
+
+
+def _has_type(value: Any, kind: Any) -> bool:
+    """Whether ``value`` is of JSON type ``kind``, its entries not yet checked."""
+    kind = get_origin(kind) or kind
+    if isinstance(value, bool):
+        return False
+    if kind is float and isinstance(value, int):
+        return abs(value) <= sys.float_info.max  # it is read as a float, so it must fit one
+    return isinstance(value, kind)
+
+
+def _child(ptr: str, key: Any) -> str:
+    """The JSON pointer of member ``key`` of the object at ``ptr``."""
+    return f"{ptr}/" + str(key).replace("~", "~0").replace("/", "~1")
+
+
+def _entries(raw: Any, table: dict, ptr: str, errors: list):
+    """``(pointer, fields)`` of each entry of list ``raw`` whose fields all read.
+
+    An entry with an unknown key is still read.  ``raw`` is ``_INVALID``
+    when the list itself was reported.
+    """
+    for i, entry in enumerate([] if raw is _INVALID else raw):
+        fields = _read(entry, table, f"{ptr}/{i}", errors)
+        if _INVALID not in fields.values():
+            yield f"{ptr}/{i}", fields
+
+
+def _validate_sim(fields: dict, errors: list, n_models: int) -> SimSettings:
+    """Simulation settings; model ``i`` samples with seed ``seed + i``.
+
+    The result holds ``_INVALID`` where a problem was reported.
+    """
+    seed, samples, delta, estimator = (fields[key] for key in _SIM)
     max_seed = MAX_SEED - max(n_models - 1, 0)
-    if seed is None:
-        errors.error("/seed", "seed is required; wall-clock seeding is not supported")
-        seed = 0
-    elif not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        errors.error("/seed", f"seed must be a non-negative integer, got {seed!r}")
-        seed = 0
-    elif seed > max_seed:
-        errors.error(
-            "/seed",
-            f"seed + number of models - 1 must be <= 2**63 - 1 (model i samples "
-            f"with seed + i), got seed {seed!r} with {n_models} model(s)",
-        )
-        seed = 0
-
-    samples = data.get("samples", DEFAULT_SAMPLES)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        errors.error("/samples", f"samples must be a positive integer, got {samples!r}")
-        samples = DEFAULT_SAMPLES
-
-    delta = data.get("delta", DEFAULT_DELTA)
-    if not isinstance(delta, (int, float)) or isinstance(delta, bool) or not (0.0 < delta < 1.0):
-        errors.error("/delta", f"delta must be a number in (0, 1), got {delta!r}")
-        delta = DEFAULT_DELTA
-
-    estimator_raw = data.get("estimator", DEFAULT_ESTIMATOR.value)
-    try:
-        estimator = Estimator(estimator_raw)
-    except ValueError:
-        errors.error(
-            "/estimator",
-            f"estimator must be one of {[e.value for e in Estimator]}, got {estimator_raw!r}",
-        )
-        estimator = DEFAULT_ESTIMATOR
-
-    return SimSettings(seed=seed, samples=samples, delta=float(delta), estimator=estimator)
+    if seed is not _INVALID and not 0 <= seed <= max_seed:
+        errors.append(("/seed", f"seed must be in [0, {max_seed}] for {n_models} model(s): "
+                                f"model i samples with seed + i, got {seed!r}"))
+    if samples is not _INVALID and samples < 1:
+        errors.append(("/samples", f"samples must be a positive integer, got {samples!r}"))
+    if delta is not _INVALID and not 0.0 < delta < 1.0:
+        errors.append(("/delta", f"delta must be in (0, 1), got {delta!r}"))
+    choices = [e.value for e in Estimator]
+    if estimator is not _INVALID and estimator not in choices:
+        errors.append(("/estimator", f"estimator must be one of {choices}, got {estimator!r}"))
+    if estimator in choices:
+        estimator = Estimator(estimator)
+    return SimSettings(seed=seed, samples=samples, delta=delta, estimator=estimator)
 
 
-def _validate_substrates(raw: Any, errors: _Collector) -> dict[str, Substrate]:
+def _validate_substrates(raw: Any, errors: list) -> dict[str, Substrate]:
     out: dict[str, Substrate] = {}
-    if not isinstance(raw, list):
-        errors.error("/substrates", "substrates must be a list")
-        return out
-    for i, entry in enumerate(raw):
-        ptr = f"/substrates/{i}"
-        if not isinstance(entry, dict):
-            errors.error(ptr, "substrate must be an object")
-            continue
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            errors.error(f"{ptr}/name", "substrate name must be a non-empty string")
-            continue
+    for ptr, fields in _entries(raw, _SUBSTRATE, "/substrates", errors):
+        name = fields["name"]
         if name in out:
-            errors.error(f"{ptr}/name", f"duplicate substrate name {name!r}")
-            continue
-        fields = {
-            key: _number(entry, key, ptr, errors)
-            for key in ("temperature", "overhead_mem", "overhead_ctrl", "algorithmic_yield")
-        }
-        if any(v is None for v in fields.values()):
+            errors.append((f"{ptr}/name", f"duplicate substrate name {name!r}"))
             continue
         try:
-            out[name] = Substrate(
-                name=name,
-                extra_overheads=entry.get("extra_overheads", {}),
-                overhead_source=entry.get("overhead_source", "user"),
-                **fields,
-            )
-        except (ValidationError, TypeError) as exc:
-            errors.error(ptr, str(exc))
+            out[name] = Substrate(**fields)
+        except ValidationError as exc:
+            errors.append((ptr, str(exc)))
     return out
 
 
-def _validate_suites(raw: Any, errors: _Collector) -> dict[str, TaskSuite]:
+def _validate_suites(raw: Any, errors: list) -> dict[str, TaskSuite]:
     out: dict[str, TaskSuite] = {}
-    if not isinstance(raw, list):
-        errors.error("/suites", "suites must be a list")
-        return out
-    for i, entry in enumerate(raw):
-        ptr = f"/suites/{i}"
-        if not isinstance(entry, dict):
-            errors.error(ptr, "suite must be an object")
-            continue
-        suite_id = entry.get("id")
-        if not isinstance(suite_id, str) or not suite_id:
-            errors.error(f"{ptr}/id", "suite id must be a non-empty string")
-            continue
-        if suite_id in out:
-            errors.error(f"{ptr}/id", f"duplicate suite id {suite_id!r}")
-            continue
-        tasks_raw = entry.get("tasks")
-        if not isinstance(tasks_raw, list) or not tasks_raw:
-            errors.error(f"{ptr}/tasks", "suite needs a non-empty task list")
+    for ptr, fields in _entries(raw, _SUITE, "/suites", errors):
+        suite_id = fields["id"]
+        if not suite_id or suite_id in out:
+            errors.append((f"{ptr}/id", f"suite id must be new and non-empty, got {suite_id!r}"))
             continue
         records = []
-        ok = True
-        for j, task in enumerate(tasks_raw):
-            tptr = f"{ptr}/tasks/{j}"
-            if not isinstance(task, dict):
-                errors.error(tptr, "task must be an object")
-                ok = False
-                continue
-            task_id = task.get("id")
-            weight = _number(task, "weight", tptr, errors)
-            performance = _number(task, "performance", tptr, errors)
-            if not isinstance(task_id, str) or not task_id:
-                errors.error(f"{tptr}/id", "task id must be a non-empty string")
-                ok = False
-                continue
-            if weight is None or performance is None:
-                ok = False
-                continue
+        for task_ptr, task in _entries(fields["tasks"], _TASK, f"{ptr}/tasks", errors):
             try:
-                records.append(TaskRecord(id=task_id, weight=weight, performance=performance))
+                records.append(TaskRecord(**task))
             except ValidationError as exc:
-                errors.error(tptr, str(exc))
-                ok = False
-        if not ok:
+                errors.append((task_ptr, str(exc)))
+        if len(records) < len(fields["tasks"]):
             continue
         try:
             out[suite_id] = TaskSuite(records)
         except ValidationError as exc:
-            errors.error(f"{ptr}/tasks", str(exc))
+            errors.append((f"{ptr}/tasks", str(exc)))
     return out
 
 
@@ -325,140 +380,76 @@ def _validate_traces(
     raw: Any,
     substrates: dict[str, Substrate],
     suites: dict[str, TaskSuite],
-    errors: _Collector,
+    errors: list,
     base_dir: Path | None,
 ) -> dict[tuple[str, str], ExecutionTrace]:
     out: dict[tuple[str, str], ExecutionTrace] = {}
-    if not isinstance(raw, list):
-        errors.error("/traces", "traces must be a list")
-        return out
-    for i, entry in enumerate(raw):
-        ptr = f"/traces/{i}"
-        if not isinstance(entry, dict):
-            errors.error(ptr, "trace must be an object")
-            continue
-        substrate = entry.get("substrate")
-        suite = entry.get("suite")
-        if not isinstance(substrate, str) or substrate not in substrates:
-            errors.error(f"{ptr}/substrate", f"trace names unknown substrate {substrate!r}")
-            continue
-        if not isinstance(suite, str) or suite not in suites:
-            errors.error(f"{ptr}/suite", f"trace names unknown suite {suite!r}")
-            continue
-        key = (substrate, suite)
+    for ptr, fields in _entries(raw, _TRACE, "/traces", errors):
+        substrate, suite = key = (fields.pop("substrate"), fields.pop("suite"))
+        telemetry = fields.pop("telemetry")
+        before = len(errors)
+        if substrate not in substrates:
+            errors.append((f"{ptr}/substrate", f"trace names unknown substrate {substrate!r}"))
+        if suite not in suites:
+            errors.append((f"{ptr}/suite", f"trace names unknown suite {suite!r}"))
         if key in out:
-            errors.error(ptr, f"duplicate trace for substrate {substrate!r} and suite {suite!r}")
-            continue
-
-        measured = entry.get("measured_energy")
-        telemetry = entry.get("telemetry")
-        if telemetry is not None:
-            if measured is not None:
-                errors.error(
-                    f"{ptr}/telemetry",
-                    "trace specifies both measured_energy and telemetry",
-                )
-                continue
+            errors.append((ptr, f"duplicate trace for {substrate!r} and {suite!r}"))
+        if telemetry is not None and fields["measured_energy"] is not None:
+            errors.append((f"{ptr}/telemetry", "trace gives both measured_energy and telemetry"))
+        elif telemetry is not None:
             csv_path = Path(telemetry)
             if base_dir is not None and not csv_path.is_absolute():
                 csv_path = base_dir / csv_path
             try:
-                measured = integrate_power(read_power_csv(csv_path))
-            except (TelemetryError, OSError) as exc:
-                errors.error(f"{ptr}/telemetry", str(exc))
-                continue
-        ops = entry.get("irreversible_ops")
-        duration = _number(entry, "duration", ptr, errors)
-        if not isinstance(ops, int) or isinstance(ops, bool):
-            errors.error(f"{ptr}/irreversible_ops", f"irreversible_ops must be an integer, got {ops!r}")
-            continue
-        if duration is None:
+                fields["measured_energy"] = integrate_power(read_power_csv(csv_path))
+            except (ValidationError, OSError) as exc:
+                errors.append((f"{ptr}/telemetry", str(exc)))
+        if len(errors) > before:
             continue
         try:
-            out[key] = ExecutionTrace(
-                irreversible_ops=ops, duration=duration, measured_energy=measured,
-            )
+            out[key] = ExecutionTrace(**fields)
         except ValidationError as exc:
-            errors.error(ptr, str(exc))
+            errors.append((ptr, str(exc)))
     return out
 
 
-def _validate_models(raw: Any, errors: _Collector) -> list[MarkovModel]:
+def _validate_models(raw: Any, errors: list) -> list[MarkovModel]:
     out: list[MarkovModel] = []
-    if not isinstance(raw, list):
-        errors.error("/models", "models must be a list")
-        return out
-    for i, entry in enumerate(raw):
-        ptr = f"/models/{i}"
-        if not isinstance(entry, dict):
-            errors.error(ptr, "model must be an object")
+    for ptr, fields in _entries(raw, _MODEL, "/models", errors):
+        name, bits, labels, kernel, measure, initial = fields.values()
+        if name in (m.name for m in out):
+            errors.append((f"{ptr}/name", f"duplicate model name {name!r}"))
             continue
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            errors.error(f"{ptr}/name", "model name must be a non-empty string")
+        n = len(bits)
+        if not n:
+            errors.append((f"{ptr}/states", "must list at least one state"))
             continue
-        states_raw = entry.get("states")
-        if not isinstance(states_raw, list) or not states_raw:
-            errors.error(f"{ptr}/states", "model needs a non-empty state list")
+        labels = [None] * n if labels is None else labels
+        sized = {"labels": labels, "kernel": kernel, "measure": measure, "initial": initial}
+        sized.update((f"kernel/{j}", row) for j, row in enumerate(kernel))
+        before = len(errors)
+        for key, values in sized.items():
+            if len(values) != n:
+                errors.append((f"{ptr}/{key}", f"must have {n} entries, got {len(values)}"))
+        if len(errors) > before:
             continue
-        labels = entry.get("labels")
-        if labels is None:
-            labels = [None] * len(states_raw)
-        if not isinstance(labels, list) or len(labels) != len(states_raw):
-            errors.error(f"{ptr}/labels", "labels must match the state list length")
-            continue
+
         states = []
-        ok = True
-        for j, bits in enumerate(states_raw):
+        for j, (state_bits, label) in enumerate(zip(bits, labels)):
             try:
-                states.append(CoarseState(bits, label=labels[j]))
-            except (ValidationError, TypeError, AttributeError) as exc:
-                errors.error(f"{ptr}/states/{j}", str(exc))
-                ok = False
-        if not ok:
-            continue
-
-        n = len(states)
-        kernel = entry.get("kernel")
-        if not isinstance(kernel, list) or len(kernel) != n:
-            errors.error(f"{ptr}/kernel", f"kernel must be a list of {n} rows")
-            continue
-        for j, row in enumerate(kernel):
-            if not isinstance(row, list) or len(row) != n:
-                errors.error(f"{ptr}/kernel/{j}", f"kernel row must have {n} entries")
-                ok = False
-                continue
-            if any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in row):
-                errors.error(f"{ptr}/kernel/{j}", "kernel entries must be numbers")
-                ok = False
-                continue
-            problem = kernel_row_problem(row)
+                states.append(CoarseState(state_bits, label=label))
+            except ValidationError as exc:
+                errors.append((f"{ptr}/states/{j}", str(exc)))
+        laws = [(f"kernel/{j}", "kernel row", row) for j, row in enumerate(kernel)]
+        for key, what, vector in [*laws, ("initial", "initial distribution", initial)]:
+            problem = distribution_problem(vector)
             if problem:
-                errors.error(f"{ptr}/kernel/{j}", f"kernel row {problem}")
-                ok = False
-        if not ok:
+                errors.append((f"{ptr}/{key}", f"{what} {problem}"))
+        if len(errors) > before:
             continue
-
-        measure_raw = entry.get("measure")
-        if not isinstance(measure_raw, list) or len(measure_raw) != n:
-            errors.error(f"{ptr}/measure", f"measure must be a list of {n} positive weights")
-            continue
-        initial = entry.get("initial")
-        if not isinstance(initial, list) or len(initial) != n:
-            errors.error(f"{ptr}/initial", f"initial must be a probability vector of length {n}")
-            continue
-
         try:
-            measure = StateMeasure(dict(zip(states, measure_raw)))
+            measure = StateMeasure(dict(zip(states, measure)))
             out.append(MarkovModel(states, kernel, measure, initial, name=name))
-        except (ValidationError, TypeError) as exc:
-            errors.error(ptr, str(exc))
+        except ValidationError as exc:
+            errors.append((ptr, str(exc)))
     return out
-
-
-def _number(entry: dict, key: str, ptr: str, errors: _Collector) -> float | None:
-    value = entry.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        errors.error(f"{ptr}/{key}", f"{key} must be a number, got {value!r}")
-        return None
-    return float(value)

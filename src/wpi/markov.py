@@ -53,6 +53,8 @@ class MarkovModel:
         )
 
     def __init__(self, states, kernel, measure, initial, name="model"):
+        if not name:
+            raise ValidationError("model name must be non-empty")
         states = tuple(states)
         if not states:
             raise ValidationError("model needs at least one state")
@@ -64,20 +66,16 @@ class MarkovModel:
         if kernel.shape != (n, n):
             raise ValidationError(f"kernel must be {n}x{n}, got {kernel.shape}")
         for row, entries in enumerate(kernel):
-            problem = kernel_row_problem(entries)
+            problem = distribution_problem(entries)
             if problem:
                 raise ValidationError(f"kernel row {row} {problem}")
 
         initial = np.array(initial, dtype=float)
         if initial.shape != (n,):
             raise ValidationError(f"initial distribution must have length {n}")
-        if np.any(initial < 0.0):
-            raise ValidationError("initial probabilities must be >= 0")
-        if abs(initial.sum() - 1.0) > DISTRIBUTION_TOL:
-            raise ValidationError(
-                f"initial distribution sums to {initial.sum()!r}, expected 1 "
-                f"within {DISTRIBUTION_TOL}"
-            )
+        problem = distribution_problem(initial)
+        if problem:
+            raise ValidationError(f"initial distribution {problem}")
 
         for s in states:
             if s not in measure:
@@ -102,16 +100,16 @@ class MarkovModel:
         raise ValidationError(f"state {state.bits!r} is not in the model")
 
 
-def kernel_row_problem(row) -> str | None:
-    """Why a kernel row is not a probability distribution, or None if it is.
+def distribution_problem(vector) -> str | None:
+    """Why a kernel row or an initial law is not a probability vector, or None.
 
     Entries must be >= 0 and sum to 1 within ``DISTRIBUTION_TOL``; a NaN
     sum fails the tolerance test.
     """
-    row = np.asarray(row, dtype=float)
-    if np.any(row < 0.0):
+    vector = np.asarray(vector, dtype=float)
+    if np.any(vector < 0.0):
         return "has a negative entry; entries must be >= 0"
-    total = float(row.sum())
+    total = float(vector.sum())
     if not abs(total - 1.0) <= DISTRIBUTION_TOL:
         return f"sums to {total!r}, expected 1 within {DISTRIBUTION_TOL}"
     return None

@@ -42,7 +42,7 @@ class TaskRecord:
 
 @dataclass(frozen=True)
 class TaskSuite:
-    """A finite weighted task set; ids must be unique within the suite."""
+    """A finite, non-empty weighted task set; ids must be unique within the suite."""
 
     tasks: tuple[TaskRecord, ...]
 
@@ -50,6 +50,8 @@ class TaskSuite:
         records = tuple(
             t if isinstance(t, TaskRecord) else TaskRecord(*t) for t in tasks
         )
+        if not records:
+            raise ValidationError("a suite needs at least one task")
         seen: set[str] = set()
         for t in records:
             if t.id in seen:

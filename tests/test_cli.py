@@ -271,6 +271,16 @@ class TestExitCodes:
         assert flag.lstrip("-") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_mistyped_field_exits_one_with_pointer(self, tmp_path, capsys):
+        config = small_config(tmp_path, traces=[
+            {"substrate": "cpu", "suite": "bench", "irreversible_ops": 10**6,
+             "duration": 1.0, "measured_energy": "5"},
+        ])
+        assert run(["report", "--config", config, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert "/traces/0/measured_energy" in err
+        assert "Traceback" not in err
+
     def test_missing_config_file_exits_one(self, tmp_path):
         assert run(["score", "--config", tmp_path / "nope.json"]) == 1
 

@@ -32,6 +32,49 @@ def pointers(excinfo):
     return [ptr for ptr, _ in excinfo.value.issues]
 
 
+def with_value(path, value):
+    """``minimal_config()`` with the value at ``path`` (a key sequence) replaced."""
+    data = minimal_config()
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return data
+
+
+def leaf_paths(value, path=()):
+    """Key paths of every value in ``value`` that is neither a list nor an object."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return [path]
+    return [leaf for key, item in items for leaf in leaf_paths(item, (*path, key))]
+
+
+# Inputs of the wrong JSON type (10**400 overflows a float), a NaN initial
+# law, an empty state list, a duplicate model name and an unknown key, each
+# with the pointer that must name it.
+BAD_INPUTS = [
+    (("traces", 0, "measured_energy"), "5", "/traces/0/measured_energy"),
+    (("traces", 0, "measured_energy"), True, "/traces/0/measured_energy"),
+    (("traces", 0, "telemetry"), 5, "/traces/0/telemetry"),
+    (("substrates", 0, "extra_overheads"), "x", "/substrates/0/extra_overheads"),
+    (("substrates", 0, "extra_overheads"), {"io": True}, "/substrates/0/extra_overheads/io"),
+    (("substrates", 0, "overhead_source"), 5, "/substrates/0/overhead_source"),
+    (("substrates", 0, "temperature"), 10**400, "/substrates/0/temperature"),
+    (("models", 0, "measure"), [True, True], "/models/0/measure/0"),
+    (("models", 0, "initial"), ["0.5", "0.5"], "/models/0/initial/0"),
+    (("models", 0, "initial"), [None, None], "/models/0/initial/0"),
+    (("models", 0, "labels"), [{}, {}], "/models/0/labels/0"),
+    (("models", 0, "initial"), [float("nan"), 0.5], "/models/0/initial"),
+    (("models", 0, "states"), [], "/models/0/states"),
+    (("models",), minimal_config()["models"] * 2, "/models/1/name"),
+    (("traces", 0, "measured_enrgy"), 5.0, "/traces/0/measured_enrgy"),
+]
+
+
 class TestValidation:
     def test_minimal_config_parses(self):
         config = config_from_dict(minimal_config())
@@ -122,6 +165,57 @@ class TestValidation:
         with pytest.raises(ConfigError) as info:
             config_from_dict(data)
         assert "/models/0/states/1" in pointers(info)
+
+    @pytest.mark.parametrize("path, value, pointer", BAD_INPUTS,
+                             ids=[f"{i}:{ptr}" for i, (_, _, ptr) in enumerate(BAD_INPUTS)])
+    def test_bad_input_pointed_at(self, path, value, pointer):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(with_value(path, value))
+        assert pointer in pointers(info)
+
+    def test_unknown_keys_pointed_at_everywhere(self):
+        data = minimal_config(sed=7)
+        data["substrates"][0]["overhead"] = 2.0
+        data["suites"][0]["tasks"][0]["wieght"] = 1.0
+        data["models"][0]["label"] = ["a", "b"]
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert sorted(pointers(info)) == [
+            "/models/0/label", "/sed", "/substrates/0/overhead", "/suites/0/tasks/0/wieght",
+        ]
+
+    def test_unknown_key_pointer_is_escaped(self):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(minimal_config(**{"a/b~c": 1}))
+        assert pointers(info) == ["/a~1b~0c"]
+
+    def test_type_fuzz_raises_only_config_errors(self):
+        # every leaf in turn, replaced by each JSON type (and NaN)
+        replacements = [None, True, "x", 5, -1.5, [], {}, float("nan")]
+        for path in leaf_paths(minimal_config()):
+            for value in replacements:
+                try:
+                    config_from_dict(with_value(path, value))
+                except ConfigError as exc:
+                    assert all(ptr.startswith("/") for ptr, _ in exc.issues), (path, value)
+                except Exception as exc:  # noqa: BLE001 - the test is that none escapes
+                    pytest.fail(f"{path} = {value!r} raised {type(exc).__name__}: {exc}")
+
+    def test_numbers_read_as_floats(self):
+        data = minimal_config()
+        data["substrates"][0]["extra_overheads"] = {"io": 2}
+        data["traces"][0]["measured_energy"] = 5
+        config = config_from_dict(data)
+        assert type(config.substrates[0].extra_overheads["io"]) is float
+        assert type(config.traces[("cpu", "s")].measured_energy) is float
+
+    def test_optional_fields_may_be_null(self):
+        data = minimal_config()
+        data["traces"][0].update(measured_energy=None, telemetry=None)
+        data["models"][0]["labels"] = None
+        config = config_from_dict(data)
+        assert config.traces[("cpu", "s")].measured_energy is None
+        assert [s.label for s in config.models[0].states] == [None, None]
 
 
 class TestTelemetryAttachment:

@@ -47,6 +47,15 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match="initial"):
             simple_model([[1.0, 0.0], [0.0, 1.0]], initial=[0.7, 0.2])
 
+    def test_nan_initial_rejected(self):
+        # a NaN sum passed `abs(sum - 1) > tol`, and every path then started in state 0
+        with pytest.raises(ValidationError, match="initial"):
+            simple_model([[0.5, 0.5], [0.5, 0.5]], initial=[float("nan"), 0.5])
+
+    def test_negative_initial_rejected(self):
+        with pytest.raises(ValidationError, match="initial.*>= 0"):
+            simple_model([[0.5, 0.5], [0.5, 0.5]], initial=[1.5, -0.5])
+
     def test_duplicate_states_rejected(self):
         states = [CoarseState("0"), CoarseState("0")]
         with pytest.raises(ValidationError, match="distinct"):
