@@ -280,8 +280,6 @@ def _typed(value: Any, kind: Any, ptr: str, errors: list) -> Any:
         return float(value)
     if get_origin(match) is list:
         (item,) = get_args(match)
-        if all(type(v) is item for v in value):  # the usual case, without a call per entry
-            return value
         read = [_typed(v, item, f"{ptr}/{i}", errors) for i, v in enumerate(value)]
         return _INVALID if _INVALID in read else read
     if get_origin(match) is dict:
@@ -306,14 +304,26 @@ def _child(ptr: str, key: Any) -> str:
     return f"{ptr}/" + str(key).replace("~", "~0").replace("/", "~1")
 
 
-def _entries(raw: Any, table: dict, ptr: str, errors: list):
+def _entries(raw: Any, table: dict, ptr: str, errors: list, unique: tuple[str, ...] = ()):
     """``(pointer, fields)`` of each entry of list ``raw`` whose fields all read.
 
-    An entry with an unknown key is still read.  ``raw`` is ``_INVALID``
-    when the list itself was reported.
+    The ``unique`` fields of an entry, if any, together must differ from
+    every earlier entry's, whether or not either entry's other fields read
+    or build; a repeat is reported at its one key (or at the entry) and
+    skipped.  An entry with an unknown key is still read.  ``raw`` is
+    ``_INVALID`` when the list itself was reported.
     """
+    seen: dict[tuple, str] = {}
     for i, entry in enumerate([] if raw is _INVALID else raw):
         fields = _read(entry, table, f"{ptr}/{i}", errors)
+        key = tuple(fields[k] for k in unique)
+        if unique and _INVALID not in key:
+            if key in seen:
+                at = f"{ptr}/{i}/{unique[0]}" if len(unique) == 1 else f"{ptr}/{i}"
+                errors.append((at, f"duplicate {' and '.join(unique)} {', '.join(map(repr, key))}"
+                                   f", as at {seen[key]}"))
+                continue
+            seen[key] = f"{ptr}/{i}"
         if _INVALID not in fields.values():
             yield f"{ptr}/{i}", fields
 
@@ -323,7 +333,9 @@ def _validate_sim(fields: dict, errors: list, n_models: int) -> SimSettings:
 
     The result holds ``_INVALID`` where a problem was reported.
     """
-    seed, samples, delta, estimator = (fields[key] for key in _SIM)
+    seed, samples, delta, estimator = (
+        fields["seed"], fields["samples"], fields["delta"], fields["estimator"]
+    )
     max_seed = MAX_SEED - max(n_models - 1, 0)
     if seed is not _INVALID and not 0 <= seed <= max_seed:
         errors.append(("/seed", f"seed must be in [0, {max_seed}] for {n_models} model(s): "
@@ -342,13 +354,9 @@ def _validate_sim(fields: dict, errors: list, n_models: int) -> SimSettings:
 
 def _validate_substrates(raw: Any, errors: list) -> dict[str, Substrate]:
     out: dict[str, Substrate] = {}
-    for ptr, fields in _entries(raw, _SUBSTRATE, "/substrates", errors):
-        name = fields["name"]
-        if name in out:
-            errors.append((f"{ptr}/name", f"duplicate substrate name {name!r}"))
-            continue
+    for ptr, fields in _entries(raw, _SUBSTRATE, "/substrates", errors, ("name",)):
         try:
-            out[name] = Substrate(**fields)
+            out[fields["name"]] = Substrate(**fields)
         except ValidationError as exc:
             errors.append((ptr, str(exc)))
     return out
@@ -356,10 +364,10 @@ def _validate_substrates(raw: Any, errors: list) -> dict[str, Substrate]:
 
 def _validate_suites(raw: Any, errors: list) -> dict[str, TaskSuite]:
     out: dict[str, TaskSuite] = {}
-    for ptr, fields in _entries(raw, _SUITE, "/suites", errors):
+    for ptr, fields in _entries(raw, _SUITE, "/suites", errors, ("id",)):
         suite_id = fields["id"]
-        if not suite_id or suite_id in out:
-            errors.append((f"{ptr}/id", f"suite id must be new and non-empty, got {suite_id!r}"))
+        if not suite_id:
+            errors.append((f"{ptr}/id", "suite id must be non-empty"))
             continue
         records = []
         for task_ptr, task in _entries(fields["tasks"], _TASK, f"{ptr}/tasks", errors):
@@ -384,7 +392,7 @@ def _validate_traces(
     base_dir: Path | None,
 ) -> dict[tuple[str, str], ExecutionTrace]:
     out: dict[tuple[str, str], ExecutionTrace] = {}
-    for ptr, fields in _entries(raw, _TRACE, "/traces", errors):
+    for ptr, fields in _entries(raw, _TRACE, "/traces", errors, ("substrate", "suite")):
         substrate, suite = key = (fields.pop("substrate"), fields.pop("suite"))
         telemetry = fields.pop("telemetry")
         before = len(errors)
@@ -392,8 +400,6 @@ def _validate_traces(
             errors.append((f"{ptr}/substrate", f"trace names unknown substrate {substrate!r}"))
         if suite not in suites:
             errors.append((f"{ptr}/suite", f"trace names unknown suite {suite!r}"))
-        if key in out:
-            errors.append((ptr, f"duplicate trace for {substrate!r} and {suite!r}"))
         if telemetry is not None and fields["measured_energy"] is not None:
             errors.append((f"{ptr}/telemetry", "trace gives both measured_energy and telemetry"))
         elif telemetry is not None:
@@ -415,11 +421,9 @@ def _validate_traces(
 
 def _validate_models(raw: Any, errors: list) -> list[MarkovModel]:
     out: list[MarkovModel] = []
-    for ptr, fields in _entries(raw, _MODEL, "/models", errors):
-        name, bits, labels, kernel, measure, initial = fields.values()
-        if name in (m.name for m in out):
-            errors.append((f"{ptr}/name", f"duplicate model name {name!r}"))
-            continue
+    for ptr, fields in _entries(raw, _MODEL, "/models", errors, ("name",)):
+        bits, labels, kernel = fields["states"], fields["labels"], fields["kernel"]
+        measure, initial = fields["measure"], fields["initial"]
         n = len(bits)
         if not n:
             errors.append((f"{ptr}/states", "must list at least one state"))
@@ -449,7 +453,7 @@ def _validate_models(raw: Any, errors: list) -> list[MarkovModel]:
             continue
         try:
             measure = StateMeasure(dict(zip(states, measure)))
-            out.append(MarkovModel(states, kernel, measure, initial, name=name))
+            out.append(MarkovModel(states, kernel, measure, initial, name=fields["name"]))
         except ValidationError as exc:
             errors.append((ptr, str(exc)))
     return out

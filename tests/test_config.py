@@ -53,9 +53,15 @@ def leaf_paths(value, path=()):
     return [leaf for key, item in items for leaf in leaf_paths(item, (*path, key))]
 
 
+def entry(section, **changes):
+    """The one entry of ``section`` in ``minimal_config()``, with ``changes``."""
+    return {**minimal_config()[section][0], **changes}
+
+
 # Inputs of the wrong JSON type (10**400 overflows a float), a NaN initial
-# law, an empty state list, a duplicate model name and an unknown key, each
-# with the pointer that must name it.
+# law, an empty state list, a duplicate model name, an unknown key, and
+# duplicates whose first copy has a problem of its own, each with the
+# pointer that must name it.
 BAD_INPUTS = [
     (("traces", 0, "measured_energy"), "5", "/traces/0/measured_energy"),
     (("traces", 0, "measured_energy"), True, "/traces/0/measured_energy"),
@@ -72,6 +78,13 @@ BAD_INPUTS = [
     (("models", 0, "states"), [], "/models/0/states"),
     (("models",), minimal_config()["models"] * 2, "/models/1/name"),
     (("traces", 0, "measured_enrgy"), 5.0, "/traces/0/measured_enrgy"),
+    (("models",), [entry("models", kernel=[[1.5, -0.5], [0.5, 0.5]]), entry("models")],
+     "/models/1/name"),
+    (("models",), [entry("models", measure="x"), entry("models")], "/models/1/name"),
+    (("substrates",), [entry("substrates", temperature=-1.0), entry("substrates")],
+     "/substrates/1/name"),
+    (("suites",), [entry("suites", tasks=[]), entry("suites")], "/suites/1/id"),
+    (("traces",), [entry("traces", duration="x"), entry("traces")], "/traces/1"),
 ]
 
 
