@@ -8,13 +8,14 @@ check (:func:`ift_check`, :func:`markov_tail_check`,
 The checks record both sides of their inequality and the sample
 statistics; pass/fail policies (such as a three-sigma sampling allowance)
 belong to the caller, not to the arithmetic here: ``wpi.report`` turns each
-check into one verdict for both ``report.json`` and ``bounds.tsv``.
+check into one verdict for both ``report.json`` and ``bounds.tsv``, and
+writes each result's dataclass fields as they are.
 
 The "coupled" suites construct the agent the way the bound's own derivation
-does: intelligence proportional to the irreversible complexity change and
-energy equal to its Landauer floor.  They work in natural units only:
-energy is counted in bits, one Landauer quantum per bit, so both sides of
-the bound are in bits.
+does: intelligence equal to the irreversible complexity change and energy
+equal to its Landauer floor, over unit duration.  They work in natural
+units only: energy is counted in bits, one Landauer quantum per bit, so
+both sides of the bound are in bits and the lhs is 1.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexity import CoarseState, Estimator, conditional_complexity, estimate_complexity
-from .errors import ImpossibleTransitionError, ValidationError
+from .errors import ImpossibleTransitionError, NonErgodicChainError, ValidationError
 from .markov import MarkovModel, stationary_distribution
 
 
@@ -73,7 +74,9 @@ class IftCheckResult:
     ``E[2**(-sigma)] == 1`` on any stationary-kernel chain, so its empirical
     mean is reported side by side as a calibration for the estimator-based
     quantity (whose additive constants are not guaranteed to keep the mean
-    at or below 1).
+    at or below 1).  A chain without a stationary law has no control:
+    ``surprisal_mean`` and ``surprisal_se`` are None and ``surprisal_note``
+    holds the :class:`~wpi.errors.NonErgodicChainError` message.
     """
 
     complexity_mean: float
@@ -82,6 +85,7 @@ class IftCheckResult:
     surprisal_se: float | None
     samples: int
     estimator: Estimator
+    surprisal_note: str | None = None
 
 
 @dataclass(frozen=True)
@@ -104,30 +108,25 @@ class CoupledSuiteResult:
         return math.sqrt(self.delta * (1.0 - self.delta) / self.valid_samples)
 
 
-def ift_check(
-    model: MarkovModel,
-    counts: np.ndarray,
-    estimator: Estimator,
-    surprisal_control: bool = True,
-) -> IftCheckResult:
+def ift_check(model: MarkovModel, counts: np.ndarray, estimator: Estimator) -> IftCheckResult:
     """Sample mean of 2**(-delta_i_k) over transitions, with exact control.
 
     The transitions are given as the ``(source, target)`` count matrix of
     :func:`~wpi.markov.transition_counts`.  The complexity-based mean uses
-    the chosen estimator.  When ``surprisal_control`` is set, the
-    stationary distribution is computed from the kernel (rejecting
-    non-ergodic chains) and the control variable
+    the chosen estimator.  The control variable
     ``sigma = log2(P(y|x) pi(x)) - log2(P(x|y) pi(y))`` is averaged over the
-    same transitions.
+    same transitions, with pi the kernel's stationary distribution; a
+    non-ergodic chain gets no control and a ``surprisal_note`` instead.
     """
     counts, n_samples = _check_sampled_counts(model, counts)
     c_mean, c_se = _counted_mean_se(_complexity_ift_table(model, estimator), counts)
-
-    s_mean = s_se = None
-    if surprisal_control:
-        surprisal_values = surprisal_table(model)
-        s_mean, s_se = _counted_mean_se(2.0 ** (-surprisal_values), counts)
-
+    s_mean = s_se = note = None
+    try:
+        sigma = surprisal_table(model)
+    except NonErgodicChainError as exc:
+        note = str(exc)
+    else:
+        s_mean, s_se = _counted_mean_se(2.0 ** (-sigma), counts)
     return IftCheckResult(
         complexity_mean=c_mean,
         complexity_se=c_se,
@@ -135,6 +134,7 @@ def ift_check(
         surprisal_se=s_se,
         samples=n_samples,
         estimator=Estimator(estimator),
+        surprisal_note=note,
     )
 
 
@@ -247,62 +247,44 @@ def coupled_bound_suite(
     estimator: Estimator,
     delta: float,
     kind: str = "efficiency",
-    alpha: float = 1.0,
-    tau: float = 1.0,
 ) -> CoupledSuiteResult:
     """Run a bound check on every sampled transition with the coupled agent.
 
     For each observed transition x -> y with a positive irreversible
     complexity change ``d = K(y) - K(x)``, the agent is built exactly as in
-    the bound's derivation: intelligence ``alpha * d`` and energy equal to
-    the Landauer floor ``d`` in natural units.  Transitions with ``d <= 0``
-    admit no such agent (the floor is not positive) and are excluded from
-    the rate.  Distinct (x, y) pairs are checked once and weighted by their
-    observed counts, the ``(source, target)`` matrix of
-    :func:`~wpi.markov.transition_counts`.
+    the bound's derivation: intelligence ``d`` and energy equal to the
+    Landauer floor ``d`` in natural units, over duration 1, so the lhs is 1.
+    Transitions with ``d <= 0`` admit no such agent (the floor is not
+    positive) and are excluded from the rate.  Distinct (x, y) pairs are
+    checked once, in row-major order, and weighted by their observed counts,
+    the ``(source, target)`` matrix of :func:`~wpi.markov.transition_counts`.
     """
     if kind not in ("efficiency", "adaptivity"):
         raise ValidationError(f"kind must be 'efficiency' or 'adaptivity', got {kind!r}")
     counts = _check_counts(model, counts)
-    total = int(counts.sum())
     k = _complexity_by_index(model, estimator)
 
     checks: list[BoundCheckResult] = []
     weights: list[int] = []
-    held = 0
-    valid = 0
-    for i in range(model.n_states):
-        for j in range(model.n_states):
-            weight = int(counts[i, j])
-            if weight == 0:
-                continue
-            d = k[j] - k[i]
-            if d <= 0:
-                continue
-            x, y = model.states[i], model.states[j]
-            intelligence = alpha * d
-            energy = float(d)
-            if kind == "efficiency":
-                result = efficiency_bound_check(
-                    model, x, y, AgentSpec(intelligence, energy / tau, tau),
-                    delta, estimator,
-                )
-            else:
-                result = adaptivity_bound_check(
-                    model, x, y, (intelligence, energy), tau, delta, estimator,
-                )
-            checks.append(result)
-            weights.append(weight)
-            valid += weight
-            if result.holds:
-                held += weight
+    for i, j in zip(*np.nonzero(counts)):
+        d = k[j] - k[i]
+        if d <= 0:
+            continue
+        x, y = model.states[i], model.states[j]
+        if kind == "efficiency":
+            result = efficiency_bound_check(model, x, y, AgentSpec(d, d, 1.0), delta, estimator)
+        else:
+            result = adaptivity_bound_check(model, x, y, (d, d), 1.0, delta, estimator)
+        checks.append(result)
+        weights.append(int(counts[i, j]))
 
-    rate = held / valid if valid else 1.0
+    valid = sum(weights)
+    held = sum(w for check, w in zip(checks, weights) if check.holds)
     return CoupledSuiteResult(
         kind=kind,
-        holds_rate=rate,
+        holds_rate=held / valid if valid else 1.0,
         valid_samples=valid,
-        total_transitions=total,
+        total_transitions=int(counts.sum()),
         delta=delta,
         estimator=Estimator(estimator),
         checks=tuple(checks),

@@ -133,7 +133,9 @@ def ingest_config(path: str | Path) -> ExperimentConfig:
     """Parse and fully validate a config file.
 
     Raises :class:`~wpi.errors.ConfigError` carrying the complete list of
-    validation problems; a JSON parse failure reports line and column.
+    validation problems; a JSON parse failure reports line and column, and
+    text past the parser's limits (integer length, nesting depth) is a parse
+    failure too.
     """
     path = Path(path)
     try:
@@ -146,6 +148,8 @@ def ingest_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(
             [("", f"JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}")]
         ) from exc
+    except (ValueError, RecursionError) as exc:  # an integer over 4,300 digits; deep nesting
+        raise ConfigError([("", f"JSON parse error: {exc}")]) from exc
     return config_from_dict(data, base_dir=path.parent)
 
 

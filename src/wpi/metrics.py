@@ -9,6 +9,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import UndefinedMetricError, ValidationError
@@ -90,6 +91,11 @@ class ExecutionTrace:
         if self.irreversible_ops < 0 or self.irreversible_ops != int(self.irreversible_ops):
             raise ValidationError(
                 f"irreversible_ops must be a non-negative integer, got {self.irreversible_ops}"
+            )
+        if self.irreversible_ops > sys.float_info.max:  # energies multiply it by a float
+            raise ValidationError(
+                f"irreversible_ops must be at most the largest float {sys.float_info.max!r}, "
+                f"got a {self.irreversible_ops.bit_length()}-bit integer"
             )
         if not (self.duration > 0.0):
             raise ValidationError(f"duration must be > 0 seconds, got {self.duration}")

@@ -9,6 +9,7 @@ its measured energy.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -22,44 +23,55 @@ def ingest_telemetry(path: str | Path) -> list[tuple[float, float]]:
     """Read a telemetry CSV into (timestamp, power) pairs.
 
     All row-level problems (non-numeric fields, non-monotone timestamps,
-    negative power) are collected and raised together.
+    negative power) are collected and raised together.  A file that is not
+    UTF-8 text, or a path holding a NUL byte, raises :class:`TelemetryError`
+    at row 0, as an empty file does.
     """
     path = Path(path)
+    try:
+        data = path.read_bytes()
+    except ValueError as exc:  # the path holds a NUL byte
+        raise TelemetryError([(0, f"cannot open {str(path)!r}: {exc}")]) from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TelemetryError(
+            [(0, f"not UTF-8 text: byte {exc.start} is {data[exc.start]:#04x}")]
+        ) from exc
+
     issues: list[tuple[int, str]] = []
     rows: list[tuple[float, float]] = []
-
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TelemetryError([(0, "file is empty; expected header 't_s,power_w'")])
+    if [h.strip() for h in header] != EXPECTED_HEADER:
+        raise TelemetryError(
+            [(1, f"expected header 't_s,power_w', got {','.join(header)!r}")]
+        )
+    previous_t = None
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 2:
+            issues.append((lineno, f"expected 2 fields, got {len(row)}"))
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TelemetryError([(0, "file is empty; expected header 't_s,power_w'")])
-        if [h.strip() for h in header] != EXPECTED_HEADER:
-            raise TelemetryError(
-                [(1, f"expected header 't_s,power_w', got {','.join(header)!r}")]
+            t, p = float(row[0]), float(row[1])
+        except ValueError:
+            issues.append((lineno, f"non-numeric row: {row!r}"))
+            continue
+        if previous_t is not None and t <= previous_t:
+            issues.append(
+                (lineno, f"timestamp {t!r} is not strictly greater than {previous_t!r}")
             )
-        previous_t = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                issues.append((lineno, f"expected 2 fields, got {len(row)}"))
-                continue
-            try:
-                t, p = float(row[0]), float(row[1])
-            except ValueError:
-                issues.append((lineno, f"non-numeric row: {row!r}"))
-                continue
-            if previous_t is not None and t <= previous_t:
-                issues.append(
-                    (lineno, f"timestamp {t!r} is not strictly greater than {previous_t!r}")
-                )
-                continue
-            if p < 0.0:
-                issues.append((lineno, f"negative power {p!r} W"))
-                continue
-            previous_t = t
-            rows.append((t, p))
+            continue
+        if p < 0.0:
+            issues.append((lineno, f"negative power {p!r} W"))
+            continue
+        previous_t = t
+        rows.append((t, p))
 
     if issues:
         raise TelemetryError(issues)

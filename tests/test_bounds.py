@@ -13,6 +13,7 @@ from wpi import (
     Estimator,
     ImpossibleTransitionError,
     MarkovModel,
+    NonErgodicChainError,
     StateMeasure,
     ValidationError,
     adaptivity_bound_check,
@@ -57,10 +58,10 @@ class TestIftCheck:
             states, [[1.0, 0.0], [0.0, 1.0]], StateMeasure.uniform(states), [0.5, 0.5]
         )
         counts = sampled_counts(model, 2, 200, seed=5)
-        result = ift_check(model, counts, Estimator.EXACT_ENUM, surprisal_control=False)
+        result = ift_check(model, counts, Estimator.EXACT_ENUM)
         assert result.complexity_mean == 1.0
         assert result.complexity_se == 0.0
-        assert result.surprisal_mean is None
+        assert result.surprisal_mean is None  # the identity kernel is not ergodic
 
     def test_four_state_surprisal_near_one(self):
         model = four_state_chain()
@@ -79,9 +80,29 @@ class TestIftCheck:
             states, [[1.0, 0.0], [0.0, 1.0]], StateMeasure.uniform(states), [0.5, 0.5]
         )
         counts = sampled_counts(model, 1, 10, seed=2)
-        from wpi import NonErgodicChainError
-        with pytest.raises(NonErgodicChainError):
-            ift_check(model, counts, Estimator.EXACT_ENUM, surprisal_control=True)
+        result = ift_check(model, counts, Estimator.EXACT_ENUM)
+        assert result.surprisal_mean is None
+        assert result.surprisal_se is None
+        with pytest.raises(NonErgodicChainError) as rejected:
+            stationary_distribution(model.kernel)
+        assert result.surprisal_note == str(rejected.value)
+        assert "not ergodic" in result.surprisal_note
+        assert result.complexity_mean == 1.0
+
+    def test_ergodic_chain_has_no_note(self):
+        model = four_state_chain()
+        result = ift_check(model, sampled_counts(model, 1, 100, seed=3), Estimator.EXACT_ENUM)
+        assert result.surprisal_mean is not None
+        assert result.surprisal_note is None
+
+    def test_other_stationary_failures_propagate(self, monkeypatch):
+        def unsolvable(kernel):
+            raise ValidationError("stationary residual too large")
+
+        monkeypatch.setattr("wpi.bounds.stationary_distribution", unsolvable)
+        model = four_state_chain()
+        with pytest.raises(ValidationError, match="residual"):
+            ift_check(model, sampled_counts(model, 1, 100, seed=3), Estimator.EXACT_ENUM)
 
     def test_complexity_mean_reported_even_above_one(self):
         # estimator constants can push the complexity-based mean above 1;
@@ -340,11 +361,13 @@ class TestCoupledSuites:
         assert sum(suite.check_weights) == suite.valid_samples
         assert suite.total_transitions == 5_000
 
-    def test_coupled_agent_unit_ratio(self):
-        # with natural units the coupled agent's lhs is exactly 1
+    @pytest.mark.parametrize("kind", ["efficiency", "adaptivity"])
+    def test_coupled_agent_unit_ratio(self, kind):
+        # with natural units and unit duration the coupled agent's lhs is exactly 1
         model = four_state_chain()
         counts = sampled_counts(model, 1, 5_000, seed=43)
-        suite = coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05)
+        suite = coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05, kind=kind)
+        assert suite.checks
         assert all(check.lhs == 1.0 for check in suite.checks)
 
 

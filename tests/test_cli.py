@@ -6,6 +6,7 @@ import json
 import math
 import os
 import platform
+import re
 import stat
 from pathlib import Path
 
@@ -208,6 +209,27 @@ class TestSubcommands:
         assert a["bound_checks"] == b["bound_checks"]
         assert a["gates"] == b["gates"]
 
+    def test_bound_check_keys_are_the_documented_ones(self, tmp_path):
+        # a field added to a bound dataclass must reach docs/file_formats.md too
+        docs = (Path(__file__).resolve().parents[1] / "docs" / "file_formats.md").read_text()
+        documented = {
+            line.split("|")[1].split(":")[0].strip(): set(re.findall(r"`(\w+)`", line.split("|")[3]))
+            for line in docs.splitlines()
+            if line.startswith(("| bound check:", "| coupled suite:"))
+        }
+        check_keys, suite_keys = documented["bound check"], documented["coupled suite"]
+        out = tmp_path / "out"
+        assert run(["check-bounds", "--config", small_config(tmp_path), "--out", out]) == 0
+        checks = 0
+        for entry in load_report(out)["bound_checks"]:
+            assert all(set(tail) == check_keys for tail in entry["markov_tail"])
+            for kind in ("efficiency", "adaptivity"):
+                suite = entry[f"coupled_{kind}"]
+                assert set(suite) == suite_keys
+                assert all(set(check) == check_keys for check in suite["checks"])
+                checks += len(suite["checks"])
+        assert checks > 0
+
     def test_report_runs_everything(self, tmp_path):
         config = small_config(tmp_path)
         out = tmp_path / "out"
@@ -283,6 +305,35 @@ class TestExitCodes:
 
     def test_missing_config_file_exits_one(self, tmp_path):
         assert run(["score", "--config", tmp_path / "nope.json"]) == 1
+
+    @pytest.mark.parametrize("case, pointer", [
+        ("5000-digit-seed", "<config>"),
+        ("deep-nesting", "<config>"),
+        ("ops-beyond-float", "/traces/0:"),
+        ("non-utf8-telemetry", "/traces/0/telemetry"),
+        ("nul-telemetry-path", "/traces/0/telemetry"),
+    ])
+    def test_unreadable_input_exits_one_with_pointer(self, tmp_path, capsys, case, pointer):
+        config = small_config(tmp_path)
+        data = json.loads(config.read_text())
+        trace = data["traces"][0]
+        (tmp_path / "power.csv").write_bytes(b"t_s,power_w\n0.0,1.0\n\xff,1.0\n")
+        if case == "ops-beyond-float":
+            trace["irreversible_ops"] = 10**400
+        elif case == "non-utf8-telemetry":
+            trace["telemetry"] = "power.csv"
+        elif case == "nul-telemetry-path":
+            trace["telemetry"] = "a\u0000b"
+        text = json.dumps(data)
+        if case == "5000-digit-seed":
+            text = text.replace('"seed": 11', '"seed": ' + "1" * 5_000)
+        elif case == "deep-nesting":
+            text = "[" * 100_000
+        config.write_text(text)
+        assert run(["score", "--config", config, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert pointer in err
+        assert "Traceback" not in err
 
 
 def wide_chain_config(tmp_path, monkeypatch):

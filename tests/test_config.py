@@ -1,6 +1,7 @@
 """Config schema validation, error pointers, and round-tripping."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -162,6 +163,25 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"line 2 column"):
             ingest_config(path)
 
+    @pytest.mark.parametrize("text", [
+        '{"seed": ' + "1" * 5_000 + "}",  # over Python's 4,300-digit integer limit
+        "[" * 100_000,  # deeper than the parser's recursion limit
+    ], ids=["5000-digit-seed", "deep-nesting"])
+    def test_parser_limits_reported_as_parse_errors(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="JSON parse error") as info:
+            ingest_config(path)
+        assert pointers(info) == [""]
+
+    def test_irreversible_ops_beyond_float_range_pointed_at(self):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(with_value(("traces", 0, "irreversible_ops"), 10**400))
+        assert pointers(info) == ["/traces/0"]
+        largest = int(sys.float_info.max)
+        config = config_from_dict(with_value(("traces", 0, "irreversible_ops"), largest))
+        assert config.traces[("cpu", "s")].irreversible_ops == largest
+
     def test_delta_range(self):
         with pytest.raises(ConfigError) as info:
             config_from_dict(minimal_config(delta=1.5))
@@ -250,6 +270,22 @@ class TestTelemetryAttachment:
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match="both"):
             ingest_config(path)
+
+
+    @pytest.mark.parametrize("name, content", [
+        ("a\u0000b", None),  # a path the operating system cannot open
+        ("power.csv", b"t_s,power_w\n0.0,1.0\n\xff,1.0\n"),  # not UTF-8
+    ], ids=["nul-path", "non-utf8"])
+    def test_unreadable_telemetry_pointed_at(self, tmp_path, name, content):
+        if content is not None:
+            (tmp_path / name).write_bytes(content)
+        data = minimal_config()
+        data["traces"][0]["telemetry"] = name
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError) as info:
+            ingest_config(path)
+        assert pointers(info) == ["/traces/0/telemetry"]
 
 
 class TestRoundTrip:

@@ -1,6 +1,7 @@
 """Core metric tests: intelligence scores, Landauer accounting, phi bounds."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -227,6 +228,12 @@ class TestExecutionTrace:
     def test_rejects_negative_ops(self):
         with pytest.raises(ValidationError):
             ExecutionTrace(-1, 1.0)
+
+    def test_rejects_ops_beyond_float_range(self):
+        # the energy accounting multiplies the count by a float
+        with pytest.raises(ValidationError, match="largest float"):
+            ExecutionTrace(10**400, 1.0)
+        assert ExecutionTrace(int(sys.float_info.max), 1.0).irreversible_ops > 0
 
     def test_rejects_negative_measured_energy(self):
         with pytest.raises(ValidationError):

@@ -48,6 +48,17 @@ class TestIngest:
             ingest_telemetry(path)
 
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "power.csv"
+        path.write_bytes(b"t_s,power_w\n0.0,1.0\n\xff,1.0\n")
+        with pytest.raises(TelemetryError, match="UTF-8.*byte 20"):
+            ingest_telemetry(path)
+
+    def test_nul_byte_in_path_rejected(self):
+        with pytest.raises(TelemetryError, match="null byte"):
+            ingest_telemetry("a\x00b")
+
+
 class TestIntegration:
     def test_constant_power_unit_interval(self, tmp_path):
         path = write_csv(tmp_path, [(0.0, 1.0), (1.0, 1.0)])
