@@ -9,13 +9,15 @@ import math
 
 from wpi import (
     ExecutionTrace,
+    Substrate,
+    SubstrateRun,
     TaskSuite,
+    account_run,
     intelligence_score,
     landauer_constant,
     modeled_energy,
     phi_lower_bound,
     wpi,
-    wpi_report,
 )
 
 # A finite weighted task set.  Weights encode difficulty, performances lie
@@ -26,7 +28,7 @@ suite = TaskSuite([
     ("summarize", 2.0, 0.40),
 ])
 score = intelligence_score(suite)
-print(f"intelligence score I = {score.value:.3f} (max {suite.total_weight():.1f})")
+print(f"intelligence score I = {score:.3f} (max {suite.total_weight():.1f})")
 
 # The Landauer constant sets the energy floor per irreversible bit
 # operation.  At room temperature it is a few zeptojoules.
@@ -44,15 +46,17 @@ print(f"modeled energy  E = {energy.energy:.4e} J "
 print(f"power           P = {energy.power:.4e} W")
 
 # Phi is power per unit intelligence; the lower bound is c * F / (alpha * tau).
+# account_run composes both, their ratio (the slack) and the reversible
+# floor (F = 1) for a substrate with overhead F and algorithmic yield alpha.
 alpha = 1.0
-report = wpi_report(
-    power=energy.power, intelligence=score, temperature=T,
-    overhead=overhead, algorithmic_yield=alpha, duration=trace.duration,
-)
-print(f"phi             = {report.phi:.4e} W per intelligence unit")
-print(f"lower bound     = {report.lower_bound:.4e}")
-print(f"reversible floor= {report.reversible_floor:.4e}")
-print(f"slack           = {report.slack:.3e}  (>= 1 whenever I <= alpha*N)")
+substrate = Substrate("demo", T, overhead_mem=overhead, overhead_ctrl=1.0,
+                      algorithmic_yield=alpha)
+row = account_run(SubstrateRun(substrate, trace, suite))
+assert row.phi == wpi(energy.power, score)
+print(f"phi             = {row.phi:.4e} W per intelligence unit")
+print(f"lower bound     = {row.lower_bound:.4e}")
+print(f"reversible floor= {row.reversible_floor:.4e}")
+print(f"slack           = {row.slack:.3e}  (>= 1 whenever I <= alpha*N)")
 
 # With telemetry the measurement wins and F is back-solved from the floor.
 measured = ExecutionTrace(irreversible_ops=5 * 10**9, duration=2.0,

@@ -31,17 +31,18 @@ for sub in substrates:
 
 # Same algorithm everywhere: identical suite and intrinsic operation count.
 trace = ExecutionTrace(irreversible_ops=10**6, duration=1.0)
-report = run_comparison([SubstrateRun(sub, trace, suite) for sub in substrates])
+rows = run_comparison([SubstrateRun(sub, trace, suite) for sub in substrates])
 
 print("\nmost efficient first:")
 header = f"{'substrate':13s} {'F':>7s} {'E [J]':>12s} {'P [W]':>12s} {'phi':>12s} {'slack':>10s}"
 print(header)
-for row in report.rows:
+for row in rows:
     print(f"{row.name:13s} {row.overhead:7.1f} {row.energy:12.4e} "
           f"{row.power:12.4e} {row.phi:12.4e} {row.slack:10.3e}")
 
-print(f"\nordering by ascending phi: {' < '.join(report.ordering)}")
-assert report.ordering == ("neuromorphic", "gpu", "cpu")
+ordering = [row.name for row in rows]
+print(f"\nordering by ascending phi: {' < '.join(ordering)}")
+assert ordering == ["neuromorphic", "gpu", "cpu"]
 
 # Doubling one substrate's overhead doubles its phi and nothing else.
 doubled = [
@@ -51,7 +52,7 @@ doubled = [
     for sub in substrates
 ]
 rescored = run_comparison(doubled)
-gpu_before = next(r.phi for r in report.rows if r.name == "gpu")
-gpu_after = next(r.phi for r in rescored.rows if r.name == "gpu")
+gpu_before = next(r.phi for r in rows if r.name == "gpu")
+gpu_after = next(r.phi for r in rescored if r.name == "gpu")
 print(f"doubling gpu memory overhead: phi {gpu_before:.4e} -> {gpu_after:.4e} "
       f"(x{gpu_after / gpu_before:.1f})")

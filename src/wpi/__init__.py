@@ -67,19 +67,15 @@ from .metrics import (
     NATURAL_UNIT_TEMPERATURE,
     EnergyReport,
     ExecutionTrace,
-    IntelligenceScore,
     TaskRecord,
     TaskSuite,
-    WpiReport,
     intelligence_score,
     landauer_constant,
     modeled_energy,
     phi_lower_bound,
     wpi,
-    wpi_report,
 )
 from .substrate import (
-    ComparisonReport,
     ComparisonRow,
     Substrate,
     SubstrateRun,

@@ -96,6 +96,7 @@ def _empty_bundle(config) -> dict:
     return {
         "metadata": build_metadata(config),
         "scores": None,
+        "wpi_reports": None,
         "comparison": None,
         "simulations": None,
         "bound_checks": None,
@@ -122,6 +123,8 @@ def main(argv=None) -> int:
             bundle["wpi_reports"] = section["wpi_reports"]
         if args.command in ("compare", "report"):
             bundle["comparison"] = compare_section(config)
+            if args.command == "compare" and not bundle["comparison"]:
+                raise ValidationError("comparison requires at least 2 traces sharing one suite")
         if args.command in ("simulate", "check-bounds", "report"):
             # one sample per model serves both sections: a Philox stream's
             # first two draws do not depend on how many follow

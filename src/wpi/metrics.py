@@ -65,17 +65,6 @@ class TaskSuite:
 
 
 @dataclass(frozen=True)
-class IntelligenceScore:
-    """Weighted task performance total; dimensionless and non-negative."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (self.value >= 0.0):
-            raise ValidationError(f"intelligence score must be >= 0, got {self.value}")
-
-
-@dataclass(frozen=True)
 class ExecutionTrace:
     """Observed execution: irreversible-bit-operation count and wall time.
 
@@ -88,7 +77,8 @@ class ExecutionTrace:
     measured_energy: float | None = None
 
     def __post_init__(self):
-        if self.irreversible_ops < 0 or self.irreversible_ops != int(self.irreversible_ops):
+        # NaN fails the first test, an infinity the second
+        if not (self.irreversible_ops >= 0 and self.irreversible_ops % 1 == 0):
             raise ValidationError(
                 f"irreversible_ops must be a non-negative integer, got {self.irreversible_ops}"
             )
@@ -123,16 +113,6 @@ class EnergyReport:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-@dataclass(frozen=True)
-class WpiReport:
-    """Phi together with its thermodynamic lower bound and slack ratio."""
-
-    phi: float
-    lower_bound: float
-    slack: float
-    reversible_floor: float
-
-
 def landauer_constant(temperature: float) -> float:
     """Minimum dissipation per irreversible bit operation, k_B * T * ln 2 (J/bit)."""
     if not (temperature > 0.0):
@@ -140,7 +120,7 @@ def landauer_constant(temperature: float) -> float:
     return BOLTZMANN_CONSTANT * temperature * math.log(2)
 
 
-def intelligence_score(suite: TaskSuite) -> IntelligenceScore:
+def intelligence_score(suite: TaskSuite) -> float:
     """Weighted sum of task performances.
 
     Terms are accumulated in ascending task-id order with exact (fsum)
@@ -148,8 +128,7 @@ def intelligence_score(suite: TaskSuite) -> IntelligenceScore:
     tasks were listed in.
     """
     ordered = sorted(suite.tasks, key=lambda t: t.id)
-    value = math.fsum(t.weight * t.performance for t in ordered)
-    return IntelligenceScore(value)
+    return math.fsum(t.weight * t.performance for t in ordered)
 
 
 def modeled_energy(
@@ -200,14 +179,13 @@ def modeled_energy(
     )
 
 
-def wpi(power: float, intelligence: IntelligenceScore | float) -> float:
+def wpi(power: float, intelligence: float) -> float:
     """Watts per intelligence unit: power divided by the intelligence score."""
-    value = intelligence.value if isinstance(intelligence, IntelligenceScore) else float(intelligence)
-    if value < 0.0:
-        raise ValidationError(f"intelligence must be >= 0, got {value}")
-    if value == 0.0:
+    if not (intelligence >= 0.0):
+        raise ValidationError(f"intelligence must be >= 0, got {intelligence}")
+    if intelligence == 0.0:
         raise UndefinedMetricError("phi undefined at zero intelligence")
-    return power / value
+    return power / intelligence
 
 
 def phi_lower_bound(
@@ -226,17 +204,3 @@ def phi_lower_bound(
         raise ValidationError(f"duration must be > 0 seconds, got {duration}")
     return landauer_constant(temperature) * overhead / (algorithmic_yield * duration)
 
-
-def wpi_report(
-    power: float,
-    intelligence: IntelligenceScore | float,
-    temperature: float,
-    overhead: float,
-    algorithmic_yield: float,
-    duration: float,
-) -> WpiReport:
-    """Compose phi with its lower bound, slack ratio, and reversible floor."""
-    phi = wpi(power, intelligence)
-    bound = phi_lower_bound(temperature, overhead, algorithmic_yield, duration)
-    floor = phi_lower_bound(temperature, 1.0, algorithmic_yield, duration)
-    return WpiReport(phi=phi, lower_bound=bound, slack=phi / bound, reversible_floor=floor)

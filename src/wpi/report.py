@@ -26,7 +26,7 @@ from .config import ExperimentConfig, serialize_config
 from .errors import ValidationError
 from .markov import sample_trajectories, transition_counts
 from .metrics import intelligence_score
-from .substrate import SubstrateRun, account_run, run_comparison
+from .substrate import ComparisonRow, SubstrateRun, account_run, run_comparison
 
 #: Units attached to every report header.
 UNITS = {
@@ -40,6 +40,39 @@ UNITS = {
 
 #: Confidence parameters at which tail checks are always evaluated.
 TAIL_DELTAS = (0.01, 0.05, 0.1)
+
+#: Key of a ``wpi_reports`` entry -> the :class:`ComparisonRow` field it
+#: holds.  The entry also names its trace's ``suite``, ``irreversible_ops``
+#: and ``duration_s``.
+_REPORT_FIELDS = {
+    "substrate": "name",
+    "energy_j": "energy",
+    "power_w": "power",
+    "landauer_floor_j": "landauer_floor",
+    "overhead_factor": "overhead",
+    "overhead_source": "overhead_source",
+    "intelligence": "intelligence",
+    "phi": "phi",
+    "phi_lower_bound": "lower_bound",
+    "slack": "slack",
+    "reversible_floor": "reversible_floor",
+    "warnings": "warnings",
+}
+
+#: Key of a ``comparison`` row -> the :class:`ComparisonRow` field it holds;
+#: ``compare.tsv`` has these columns, after ``suite``.
+_COMPARISON_FIELDS = {
+    "name": "name",
+    "overhead": "overhead",
+    "overhead_source": "overhead_source",
+    "effective_ops": "effective_ops",
+    "energy_j": "energy",
+    "power_w": "power",
+    "intelligence": "intelligence",
+    "phi": "phi",
+    "phi_lower_bound": "lower_bound",
+    "slack": "slack",
+}
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -71,72 +104,47 @@ def score_section(config: ExperimentConfig) -> dict:
     suites = [
         {
             "suite": suite_id,
-            "intelligence": intelligence_score(suite).value,
+            "intelligence": intelligence_score(suite),
             "total_weight": suite.total_weight(),
         }
         for suite_id, suite in config.suites.items()
     ]
-    reports = []
-    for (substrate_name, suite_id), trace in config.traces.items():
-        row = account_run(
-            SubstrateRun(config.substrate(substrate_name), trace, config.suites[suite_id])
-        )
-        reports.append({
-            "substrate": substrate_name,
-            "suite": suite_id,
-            "irreversible_ops": trace.irreversible_ops,
-            "duration_s": trace.duration,
-            "energy_j": row.energy,
-            "power_w": row.power,
-            "landauer_floor_j": row.landauer_floor,
-            "overhead_factor": row.overhead,
-            "overhead_source": row.overhead_source,
-            "intelligence": row.intelligence,
-            "phi": row.phi,
-            "phi_lower_bound": row.lower_bound,
-            "slack": row.slack,
-            "reversible_floor": row.reversible_floor,
-            "warnings": list(row.warnings),
-        })
+    reports = [
+        {"suite": suite_id, "irreversible_ops": run.trace.irreversible_ops,
+         "duration_s": run.trace.duration, **_fields(account_run(run), _REPORT_FIELDS)}
+        for suite_id, run in _runs(config)
+    ]
     return {"suites": suites, "wpi_reports": reports}
 
 
 def compare_section(config: ExperimentConfig) -> list[dict]:
-    """Fixed-algorithm comparisons, one per suite with at least two traces."""
+    """Fixed-algorithm comparisons, one per suite with at least two traces, if any."""
     by_suite: dict[str, list[SubstrateRun]] = {}
-    for (substrate_name, suite_id), trace in config.traces.items():
-        by_suite.setdefault(suite_id, []).append(
-            SubstrateRun(config.substrate(substrate_name), trace, config.suites[suite_id])
-        )
+    for suite_id, run in _runs(config):
+        by_suite.setdefault(suite_id, []).append(run)
     comparisons = []
     for suite_id, runs in by_suite.items():
-        if len(runs) < 2:
-            continue
-        report = run_comparison(runs)
-        comparisons.append({
-            "suite": suite_id,
-            "ordering": list(report.ordering),
-            "rows": [
-                {
-                    "name": r.name,
-                    "overhead": r.overhead,
-                    "overhead_source": r.overhead_source,
-                    "effective_ops": r.effective_ops,
-                    "energy_j": r.energy,
-                    "power_w": r.power,
-                    "intelligence": r.intelligence,
-                    "phi": r.phi,
-                    "phi_lower_bound": r.lower_bound,
-                    "slack": r.slack,
-                }
-                for r in report.rows
-            ],
-        })
-    if not comparisons:
-        raise ValidationError(
-            "comparison requires at least 2 traces sharing one suite"
-        )
+        if len(runs) >= 2:
+            rows = run_comparison(runs)
+            comparisons.append({
+                "suite": suite_id,
+                "ordering": [r.name for r in rows],
+                "rows": [_fields(r, _COMPARISON_FIELDS) for r in rows],
+            })
     return comparisons
+
+
+def _runs(config: ExperimentConfig) -> list[tuple[str, SubstrateRun]]:
+    """``(suite id, run)`` for each trace of ``config``, in config order."""
+    return [
+        (suite_id, SubstrateRun(config.substrate(substrate_name), trace, config.suites[suite_id]))
+        for (substrate_name, suite_id), trace in config.traces.items()
+    ]
+
+
+def _fields(row: ComparisonRow, table: dict[str, str]) -> dict:
+    """The entry ``table`` lays out: each key with its field of ``row``."""
+    return {key: getattr(row, name) for key, name in table.items()}
 
 
 def sample_models(config: ExperimentConfig, steps: int) -> list[np.ndarray]:
@@ -263,17 +271,12 @@ def _compare_tsv(bundle: dict) -> str:
     lines = [
         f"# phi units: {UNITS['phi']}; energy units: {UNITS['energy']}",
         "# rows ordered by descending phi (least efficient first)",
-        "suite\tname\toverhead\toverhead_source\teffective_ops\tenergy_j\tpower_w"
-        "\tintelligence\tphi\tphi_lower_bound\tslack",
+        "\t".join(("suite", *_COMPARISON_FIELDS)),
     ]
     for comparison in bundle["comparison"]:
         for row in reversed(comparison["rows"]):
-            lines.append("\t".join(map(_cell, (
-                comparison["suite"], row["name"], row["overhead"],
-                row["overhead_source"], row["effective_ops"], row["energy_j"],
-                row["power_w"], row["intelligence"], row["phi"],
-                row["phi_lower_bound"], row["slack"],
-            ))))
+            cells = (comparison["suite"], *(row[key] for key in _COMPARISON_FIELDS))
+            lines.append("\t".join(map(_cell, cells)))
     return "\n".join(lines) + "\n"
 
 

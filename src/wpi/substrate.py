@@ -19,7 +19,8 @@ from .metrics import (
     TaskSuite,
     intelligence_score,
     modeled_energy,
-    wpi_report,
+    phi_lower_bound,
+    wpi,
 )
 
 
@@ -102,35 +103,25 @@ class ComparisonRow:
     warnings: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Per-substrate metrics, rows and ordering both ascending by phi."""
-
-    rows: tuple[ComparisonRow, ...]
-    ordering: tuple[str, ...]
-
-
 def account_run(run: SubstrateRun) -> ComparisonRow:
-    """Energy, phi, its lower bound and slack for one run.
+    """Energy, phi, its lower bound, slack and reversible floor for one run.
 
-    This is the one bound policy every table uses.  The bound takes the
-    overhead factor actually used, with two exceptions, both flagged in the
-    energy report's warnings: an infinite back-solved factor (a zero-op
-    trace with a positive measured energy) falls back to the substrate's
-    modeled factor, and a sub-Landauer factor below 1 clamps to 1, the
-    reversible floor.  Effective operations are the factor times the
-    intrinsic count, and 0 for a zero-op trace.
+    This is the one place that composes them, under the one bound policy
+    every table uses.  The bound takes the overhead factor actually used,
+    with two exceptions, both flagged in the energy report's warnings: an
+    infinite back-solved factor (a zero-op trace with a positive measured
+    energy) falls back to the substrate's modeled factor, and a sub-Landauer
+    factor below 1 clamps to 1, the reversible floor.  Effective operations
+    are the factor times the intrinsic count, and 0 for a zero-op trace.
     """
     sub, ops = run.substrate, run.trace.irreversible_ops
     modeled = total_overhead(sub)
     energy = modeled_energy(run.trace, modeled, sub.temperature)
     used = energy.overhead_factor_used
-    score = intelligence_score(run.suite)
-    report = wpi_report(
-        energy.power, score, sub.temperature,
-        max(1.0, used if math.isfinite(used) else modeled),
-        sub.algorithmic_yield, run.trace.duration,
-    )
+    intelligence = intelligence_score(run.suite)
+    phi = wpi(energy.power, intelligence)
+    bound = phi_lower_bound(sub.temperature, max(1.0, used if math.isfinite(used) else modeled),
+                            sub.algorithmic_yield, run.trace.duration)
     return ComparisonRow(
         name=sub.name,
         overhead=used,
@@ -139,22 +130,24 @@ def account_run(run: SubstrateRun) -> ComparisonRow:
         effective_ops=used * ops if ops else 0.0,
         energy=energy.energy,
         power=energy.power,
-        intelligence=score.value,
-        phi=report.phi,
-        lower_bound=report.lower_bound,
-        slack=report.slack,
+        intelligence=intelligence,
+        phi=phi,
+        lower_bound=bound,
+        slack=phi / bound,
         landauer_floor=energy.landauer_floor,
-        reversible_floor=report.reversible_floor,
+        reversible_floor=phi_lower_bound(sub.temperature, 1.0, sub.algorithmic_yield,
+                                         run.trace.duration),
         warnings=energy.warnings,
     )
 
 
-def run_comparison(runs: Sequence[SubstrateRun]) -> ComparisonReport:
+def run_comparison(runs: Sequence[SubstrateRun]) -> list[ComparisonRow]:
     """Rank substrates running the same algorithm by watts per intelligence.
 
     All runs must share an identical task suite and an identical intrinsic
     irreversible-operation count; otherwise the phi ordering would conflate
-    algorithm changes with substrate changes.  Ties are broken by name.
+    algorithm changes with substrate changes.  Rows ascend by phi, ties
+    broken by name.
     """
     if len(runs) < 2:
         raise ValidationError("comparison requires at least 2 runs")
@@ -163,11 +156,11 @@ def run_comparison(runs: Sequence[SubstrateRun]) -> ComparisonReport:
         if run.suite.tasks != reference.suite.tasks:
             raise ValidationError("comparison requires fixed algorithm: task suites differ")
         if run.trace.irreversible_ops != reference.trace.irreversible_ops:
+            counts = ", ".join(f"{r.substrate.name}: {r.trace.irreversible_ops}" for r in runs)
             raise ValidationError(
-                "comparison requires fixed algorithm: intrinsic operation counts differ"
+                f"comparison requires fixed algorithm: intrinsic operation counts differ ({counts})"
             )
-    rows = sorted((account_run(run) for run in runs), key=lambda r: (r.phi, r.name))
-    return ComparisonReport(rows=tuple(rows), ordering=tuple(r.name for r in rows))
+    return sorted((account_run(run) for run in runs), key=lambda r: (r.phi, r.name))
 
 
 def default_substrates(temperature: float = 300.0) -> list[Substrate]:
@@ -188,7 +181,6 @@ __all__ = [
     "Substrate",
     "SubstrateRun",
     "ComparisonRow",
-    "ComparisonReport",
     "total_overhead",
     "account_run",
     "run_comparison",

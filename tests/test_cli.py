@@ -230,6 +230,39 @@ class TestSubcommands:
                 checks += len(suite["checks"])
         assert checks > 0
 
+    def test_phi_table_keys_are_the_documented_ones(self, tmp_path):
+        # the wpi_reports and comparison layouts and the compare.tsv header
+        # must match their table in docs/file_formats.md
+        docs = (Path(__file__).resolve().parents[1] / "docs" / "file_formats.md").read_text()
+        documented = {
+            line.split("|")[1].split(":")[0].strip(): re.findall(r"`(\w+)`", line.split("|")[3])
+            for line in docs.splitlines()
+            if line.startswith(("| per-trace report:", "| comparison row:", "| compare.tsv header:"))
+        }
+        out = tmp_path / "out"
+        assert run(["report", "--config", small_config(tmp_path), "--out", out]) == 0
+        bundle = load_report(out)
+        assert bundle["wpi_reports"] and bundle["comparison"]
+        for entry in bundle["wpi_reports"]:
+            assert set(entry) == set(documented["per-trace report"])
+        for comparison in bundle["comparison"]:
+            assert all(set(row) == set(documented["comparison row"])
+                       for row in comparison["rows"])
+        header = next(line for line in (out / "compare.tsv").read_text().splitlines()
+                      if not line.startswith("#"))
+        assert header.split("\t") == documented["compare.tsv header"]
+
+    def test_every_subcommand_writes_the_same_top_level_keys(self, tmp_path):
+        config = small_config(tmp_path)
+        keys = {}
+        for command in ("score", "compare", "simulate", "check-bounds", "report"):
+            out = tmp_path / command
+            assert run([command, "--config", config, "--out", out]) == 0
+            keys[command] = set(load_report(out))
+        assert all(k == keys["report"] for k in keys.values()), keys
+        for command in ("compare", "simulate", "check-bounds"):
+            assert load_report(tmp_path / command)["wpi_reports"] is None
+
     def test_report_runs_everything(self, tmp_path):
         config = small_config(tmp_path)
         out = tmp_path / "out"
@@ -587,3 +620,40 @@ class TestPhiAccountingAgreement:
         # cpu's modeled factor is 40 * 5 at 300 K, unit yield and 1 s
         assert rows["cpu"]["phi_lower_bound"] == phi_lower_bound(300.0, 200.0, 1.0, 1.0)
         assert rows["cpu"]["slack"] > 1.0
+
+
+class TestComparisonRules:
+    """Which traces form a comparison, and the errors when none can."""
+
+    ONE_TRACE = [{"substrate": "cpu", "suite": "bench", "irreversible_ops": 10**6,
+                  "duration": 1.0}]
+
+    def test_report_without_a_comparison_writes_everything_else(self, tmp_path):
+        config = small_config(tmp_path, traces=self.ONE_TRACE)
+        out = tmp_path / "out"
+        assert run(["report", "--config", config, "--out", out, "--assert"]) == 0
+        bundle = load_report(out)
+        assert bundle["comparison"] == []
+        assert len(bundle["wpi_reports"]) == 1
+        for key in ("scores", "simulations", "bound_checks", "gates"):
+            assert bundle[key]
+        assert not (out / "compare.tsv").exists()
+        assert (out / "bounds.tsv").exists()
+
+    def test_compare_without_a_comparison_exits_one(self, tmp_path, capsys):
+        config = small_config(tmp_path, traces=self.ONE_TRACE)
+        out = tmp_path / "out"
+        assert run(["compare", "--config", config, "--out", out]) == 1
+        assert "at least 2 traces sharing one suite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "report"])
+    def test_mismatched_op_counts_name_each_trace(self, tmp_path, capsys, command):
+        config = small_config(tmp_path, traces=[
+            {"substrate": "cpu", "suite": "bench", "irreversible_ops": 10**6, "duration": 1.0},
+            {"substrate": "gpu", "suite": "bench", "irreversible_ops": 999, "duration": 1.0},
+        ])
+        assert run([command, "--config", config, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert "fixed algorithm" in err
+        assert re.search(r"cpu: 1000000\b", err) and re.search(r"gpu: 999\b", err), err

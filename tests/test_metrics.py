@@ -11,26 +11,27 @@ from hypothesis import given, strategies as st
 from wpi import (
     BOLTZMANN_CONSTANT,
     ExecutionTrace,
-    IntelligenceScore,
+    Substrate,
+    SubstrateRun,
     TaskSuite,
     UndefinedMetricError,
     ValidationError,
+    account_run,
     intelligence_score,
     landauer_constant,
     modeled_energy,
     phi_lower_bound,
     wpi,
-    wpi_report,
 )
 
 
 class TestIntelligenceScore:
     def test_single_perfect_task(self):
-        assert intelligence_score(TaskSuite([("t", 1.0, 1.0)])).value == 1.0
+        assert intelligence_score(TaskSuite([("t", 1.0, 1.0)])) == 1.0
 
     def test_weighted_sum_by_hand(self):
         suite = TaskSuite([("a", 2.0, 0.5), ("b", 3.0, 0.0)])
-        assert intelligence_score(suite).value == 1.0
+        assert intelligence_score(suite) == 1.0
 
     def test_matches_exact_rational_resummation(self):
         # oracle: exact arithmetic over the same terms via Fraction
@@ -42,7 +43,7 @@ class TestIntelligenceScore:
         exact = sum(
             (Fraction(w) * Fraction(p) for _, w, p in tasks), start=Fraction(0)
         )
-        got = intelligence_score(TaskSuite(tasks)).value
+        got = intelligence_score(TaskSuite(tasks))
         assert abs(got - float(exact)) <= 1e-12 * float(exact)
 
     @given(st.permutations(list(range(30))))
@@ -52,8 +53,8 @@ class TestIntelligenceScore:
             (f"t{i:02d}", float(rng.uniform(0, 5)), float(rng.uniform(0, 1)))
             for i in range(30)
         ]
-        baseline = intelligence_score(TaskSuite(tasks)).value
-        shuffled = intelligence_score(TaskSuite([tasks[i] for i in order])).value
+        baseline = intelligence_score(TaskSuite(tasks))
+        shuffled = intelligence_score(TaskSuite([tasks[i] for i in order]))
         assert shuffled == baseline
 
     def test_rejects_negative_weight_naming_task(self):
@@ -70,12 +71,12 @@ class TestIntelligenceScore:
 
     def test_score_bounded_by_total_weight(self):
         suite = TaskSuite([("a", 2.0, 0.9), ("b", 3.0, 0.4)])
-        score = intelligence_score(suite)
-        assert 0.0 <= score.value <= suite.total_weight()
+        assert 0.0 <= intelligence_score(suite) <= suite.total_weight()
 
     def test_negative_score_rejected(self):
-        with pytest.raises(ValidationError):
-            IntelligenceScore(-1.0)
+        for intelligence in (-1.0, math.nan):
+            with pytest.raises(ValidationError):
+                wpi(1.0, intelligence)
 
 
 class TestLandauerConstant:
@@ -145,21 +146,21 @@ class TestModeledEnergy:
 
 class TestWpi:
     def test_simple_division(self):
-        assert wpi(10.0, IntelligenceScore(5.0)) == 2.0
+        assert wpi(10.0, 5.0) == 2.0
 
     def test_idle_system(self):
-        assert wpi(0.0, IntelligenceScore(1.0)) == 0.0
+        assert wpi(0.0, 1.0) == 0.0
 
     def test_chained_from_energy_model(self):
         trace = ExecutionTrace(1000, 1.0)
         power = modeled_energy(trace, 1.0, 300.0).power
-        assert wpi(power, IntelligenceScore(1.0)) == pytest.approx(
+        assert wpi(power, 1.0) == pytest.approx(
             1000 * landauer_constant(300.0), rel=1e-15
         )
 
     def test_zero_intelligence_is_explicit_error(self):
         with pytest.raises(UndefinedMetricError, match="zero intelligence"):
-            wpi(1.0, IntelligenceScore(0.0))
+            wpi(1.0, 0.0)
 
     def test_accepts_plain_float(self):
         assert wpi(6.0, 3.0) == 2.0
@@ -190,23 +191,23 @@ class TestPhiLowerBound:
             tau = rng.uniform(1e-3, 1e3)
             n = int(rng.integers(1, 10**9))
             energy = f * n * landauer_constant(t)
-            phi = wpi(energy / tau, IntelligenceScore(alpha * n))
+            phi = wpi(energy / tau, alpha * n)
             bound = phi_lower_bound(t, f, alpha, tau)
             assert phi / bound == pytest.approx(1.0, rel=1e-12)
 
 
 class TestWpiReport:
     def test_bound_chain_ordering(self):
-        report = wpi_report(
-            power=1e-12, intelligence=2.0, temperature=300.0,
-            overhead=50.0, algorithmic_yield=1.0, duration=1.0,
-        )
-        assert report.phi >= report.lower_bound >= report.reversible_floor
-        assert report.slack >= 1.0
+        row = account_run(SubstrateRun(
+            Substrate("s", 300.0, 50.0, 1.0, 1.0), ExecutionTrace(10**6, 1.0),
+            TaskSuite([("t", 2.0, 1.0)]),
+        ))
+        assert row.phi >= row.lower_bound >= row.reversible_floor
+        assert row.slack >= 1.0
 
     def test_phi_strictly_decreasing_in_intelligence(self):
-        lo = wpi(5.0, IntelligenceScore(2.0))
-        hi = wpi(5.0, IntelligenceScore(1.0))
+        lo = wpi(5.0, 2.0)
+        hi = wpi(5.0, 1.0)
         assert lo < hi
 
     @given(
@@ -228,6 +229,11 @@ class TestExecutionTrace:
     def test_rejects_negative_ops(self):
         with pytest.raises(ValidationError):
             ExecutionTrace(-1, 1.0)
+
+    @pytest.mark.parametrize("ops", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_ops_naming_the_field(self, ops):
+        with pytest.raises(ValidationError, match="irreversible_ops"):
+            ExecutionTrace(ops, 1.0)
 
     def test_rejects_ops_beyond_float_range(self):
         # the energy accounting multiplies the count by a float
