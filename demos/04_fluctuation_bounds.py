@@ -67,7 +67,6 @@ adaptation = coupled_bound_suite(
     transition_counts(structural, structural_paths),
     Estimator.EXACT_ENUM,
     delta=0.05,
-    kind="adaptivity",
 )
 print(f"\ncoupled adaptivity holds rate = {adaptation.holds_rate:.4f} "
       f"over {adaptation.valid_samples} reconfigurations")

@@ -9,7 +9,6 @@ coarse-grained Markov models.
 __version__ = "0.1.0"
 
 from .bounds import (
-    AgentSpec,
     BoundCheckResult,
     CoupledSuiteResult,
     IftCheckResult,

@@ -11,32 +11,25 @@ belong to the caller, not to the arithmetic here: ``wpi.report`` turns each
 check into one verdict for both ``report.json`` and ``bounds.tsv``, and
 writes each result's dataclass fields as they are.
 
-The "coupled" suites construct the agent the way the bound's own derivation
+The coupled suite constructs the agent the way the bound's own derivation
 does: intelligence equal to the irreversible complexity change and energy
-equal to its Landauer floor, over unit duration.  They work in natural
+equal to its Landauer floor, over unit duration.  It works in natural
 units only: energy is counted in bits, one Landauer quantum per bit, so
-both sides of the bound are in bits and the lhs is 1.
+both sides of the bound are in bits and the lhs is 1.  For that agent the
+efficiency bound (I/P) and the adaptivity bound (dI/dE) are the same
+inequality, so one suite serves both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .complexity import CoarseState, Estimator, conditional_complexity, estimate_complexity
 from .errors import ImpossibleTransitionError, NonErgodicChainError, ValidationError
 from .markov import MarkovModel, stationary_distribution
-
-
-class AgentSpec(NamedTuple):
-    """An agent summary for a single bound check."""
-
-    intelligence: float
-    power: float
-    duration: float
 
 
 @dataclass(frozen=True)
@@ -92,7 +85,6 @@ class IftCheckResult:
 class CoupledSuiteResult:
     """Aggregate of bound checks with the derivation-coupled agent."""
 
-    kind: str
     holds_rate: float
     valid_samples: int
     total_transitions: int
@@ -199,21 +191,22 @@ def efficiency_bound_check(
     model: MarkovModel,
     x: CoarseState,
     y: CoarseState,
-    agent: AgentSpec | tuple[float, float, float],
+    agent: tuple[float, float, float],
     delta: float,
     estimator: Estimator,
 ) -> BoundCheckResult:
     """Check intelligence-per-watts against its transition bound.
 
-    For the transition x -> y with forward probability p, the bound is
+    ``agent`` is ``(intelligence, power, duration)``.  For the transition
+    x -> y with forward probability p, the bound is
     ``I / P <= (1/tau) * (log2(1/p) - K(x|y)) + log2(1/delta)``.
     """
-    agent = AgentSpec(*agent)
-    if not (agent.power > 0.0):
-        raise ValidationError(f"agent power must be > 0, got {agent.power}")
-    return _transition_bound_check(
-        model, x, y, agent.intelligence / agent.power, agent.duration, delta, estimator
-    )
+    intelligence, power, duration = agent
+    if not (power > 0.0):
+        raise ValidationError(f"agent power must be > 0, got {power}")
+    i, j = model.index_of(x), model.index_of(y)
+    k_change = estimate_complexity(y, estimator).bits - estimate_complexity(x, estimator).bits
+    return _pair_check(model, i, j, intelligence / power, duration, delta, estimator, k_change)
 
 
 def adaptivity_bound_check(
@@ -227,7 +220,7 @@ def adaptivity_bound_check(
 ) -> BoundCheckResult:
     """Check an adaptation's intelligence gain per joule against its bound.
 
-    Identical arithmetic to :func:`efficiency_bound_check` with structural
+    The arithmetic of :func:`efficiency_bound_check` with structural
     states: ``dI / dE <= (1/tau) * (log2(1/P(s2|s1)) - K(s1|s2)) +
     log2(1/delta)``.
     """
@@ -236,8 +229,8 @@ def adaptivity_bound_check(
         raise ValidationError(
             f"adaptation energy must be positive, got {d_energy}"
         )
-    return _transition_bound_check(
-        structural_model, s1, s2, d_intelligence / d_energy, tau, delta, estimator
+    return efficiency_bound_check(
+        structural_model, s1, s2, (d_intelligence, d_energy, tau), delta, estimator
     )
 
 
@@ -246,7 +239,6 @@ def coupled_bound_suite(
     counts: np.ndarray,
     estimator: Estimator,
     delta: float,
-    kind: str = "efficiency",
 ) -> CoupledSuiteResult:
     """Run a bound check on every sampled transition with the coupled agent.
 
@@ -259,8 +251,6 @@ def coupled_bound_suite(
     checked once, in row-major order, and weighted by their observed counts,
     the ``(source, target)`` matrix of :func:`~wpi.markov.transition_counts`.
     """
-    if kind not in ("efficiency", "adaptivity"):
-        raise ValidationError(f"kind must be 'efficiency' or 'adaptivity', got {kind!r}")
     counts = _check_counts(model, counts)
     k = _complexity_by_index(model, estimator)
 
@@ -270,18 +260,12 @@ def coupled_bound_suite(
         d = k[j] - k[i]
         if d <= 0:
             continue
-        x, y = model.states[i], model.states[j]
-        if kind == "efficiency":
-            result = efficiency_bound_check(model, x, y, AgentSpec(d, d, 1.0), delta, estimator)
-        else:
-            result = adaptivity_bound_check(model, x, y, (d, d), 1.0, delta, estimator)
-        checks.append(result)
+        checks.append(_pair_check(model, i, j, 1.0, 1.0, delta, estimator, d))
         weights.append(int(counts[i, j]))
 
     valid = sum(weights)
     held = sum(w for check, w in zip(checks, weights) if check.holds)
     return CoupledSuiteResult(
-        kind=kind,
         holds_rate=held / valid if valid else 1.0,
         valid_samples=valid,
         total_transitions=int(counts.sum()),
@@ -292,29 +276,33 @@ def coupled_bound_suite(
     )
 
 
-def _transition_bound_check(
+def _pair_check(
     model: MarkovModel,
-    x: CoarseState,
-    y: CoarseState,
+    i: int,
+    j: int,
     lhs: float,
     tau: float,
     delta: float,
     estimator: Estimator,
+    k_change: int,
 ) -> BoundCheckResult:
-    """``lhs <= (log2(1/P(y|x)) - K(x|y)) / tau + log2(1/delta)`` for one transition."""
+    """``lhs <= (log2(1/P(y|x)) - K(x|y)) / tau + log2(1/delta)`` for states i -> j.
+
+    P is read from the kernel and K(x|y) estimated here; ``k_change`` is
+    ``K(y) - K(x)``, and ``empirical_ift`` is ``2**-k_change``.
+    """
     if not (tau > 0.0):
         raise ValidationError(f"duration tau must be > 0, got {tau}")
     if not (0.0 < delta < 1.0):
         raise ValidationError(f"delta must be in (0, 1), got {delta}")
-    probability = float(model.kernel[model.index_of(x), model.index_of(y)])
+    x, y = model.states[i], model.states[j]
+    probability = float(model.kernel[i, j])
     if probability == 0.0:
         raise ImpossibleTransitionError(
             f"impossible transition: P({y.bits!r} | {x.bits!r}) = 0"
         )
     k_cond = conditional_complexity(x, y, estimator).bits
     rhs = (math.log2(1.0 / probability) - k_cond) / tau + math.log2(1.0 / delta)
-    kx = estimate_complexity(x, estimator).bits
-    ky = estimate_complexity(y, estimator).bits
     return BoundCheckResult(
         lhs=lhs,
         rhs=rhs,
@@ -323,7 +311,7 @@ def _transition_bound_check(
         delta=delta,
         samples=1,
         estimator=Estimator(estimator),
-        empirical_ift=2.0 ** (-(ky - kx)),
+        empirical_ift=2.0 ** (-k_change),
     )
 
 

@@ -2,8 +2,8 @@
 
 Subcommands: ``score``, ``compare``, ``simulate``, ``check-bounds``, and
 ``report`` (everything at once).  Exit codes: 0 on success, 1 on any
-validation or usage error, 2 when ``--assert`` is set and a gated bound
-check fails.
+validation or usage error or an ``--out`` that cannot be written, 2 when
+``--assert`` is set and a gated bound check fails.
 """
 
 from __future__ import annotations
@@ -138,7 +138,11 @@ def main(argv=None) -> int:
             bundle["bound_checks"] = sections
             bundle["gates"] = gates
 
-        written = write_bundle(args.out, bundle, fmt=args.format)
+        try:
+            written = write_bundle(args.out, bundle, fmt=args.format)
+        except OSError as exc:
+            print(f"error: cannot write output to {args.out}: {exc}", file=sys.stderr)
+            return 1
         for path in written:
             print(path)
 

@@ -17,8 +17,9 @@ A config file is a single JSON object::
 
 Keys marked ``?`` are optional.  One field table per kind of object gives
 each key's JSON type and default, and any other key is an error.  A number
-is an integer or a float but not a boolean, and is read as a float; only
-``measured_energy``, ``telemetry``, ``labels`` and a label may be ``null``.
+is an integer or a float but not a boolean, and is read as a float, so it
+must be finite; only ``measured_energy``, ``telemetry``, ``labels`` and a
+label may be ``null``.
 Range rules are the constructors' (``Substrate``, ``MarkovModel``, ...).
 This module checks only the sampling settings' ranges and what no
 constructor sees: unique names, trace references and per-model lengths.
@@ -124,7 +125,7 @@ _MODEL = {
     "initial": (list[float], _REQUIRED),
 }
 _TYPE_NAMES = {
-    float: "a number", int: "an integer", str: "a string",
+    float: "a finite number", int: "an integer", str: "a string",
     list: "a list", dict: "an object", NoneType: "null",
 }
 
@@ -298,8 +299,10 @@ def _has_type(value: Any, kind: Any) -> bool:
     kind = get_origin(kind) or kind
     if isinstance(value, bool):
         return False
-    if kind is float and isinstance(value, int):
-        return abs(value) <= sys.float_info.max  # it is read as a float, so it must fit one
+    if kind is float and isinstance(value, (int, float)):
+        # it is read as a float, so it must fit one, and no infinity does;
+        # NaN is left to the range rules, which all reject it
+        return not abs(value) > sys.float_info.max
     return isinstance(value, kind)
 
 

@@ -89,9 +89,9 @@ class ExecutionTrace:
             )
         if not (self.duration > 0.0):
             raise ValidationError(f"duration must be > 0 seconds, got {self.duration}")
-        if self.measured_energy is not None and not (self.measured_energy >= 0.0):
+        if self.measured_energy is not None and not (0.0 <= self.measured_energy < math.inf):
             raise ValidationError(
-                f"measured_energy must be >= 0 joules, got {self.measured_energy}"
+                f"measured_energy must be finite and >= 0 joules, got {self.measured_energy}"
             )
 
 

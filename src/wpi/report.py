@@ -41,6 +41,11 @@ UNITS = {
 #: Confidence parameters at which tail checks are always evaluated.
 TAIL_DELTAS = (0.01, 0.05, 0.1)
 
+#: Each model's one coupled suite is written once per bound, as
+#: ``coupled_<kind>`` with its ``kind``: for the coupled agent the
+#: efficiency and adaptivity bounds are the same inequality.
+_COUPLED_KINDS = ("efficiency", "adaptivity")
+
 #: Key of a ``wpi_reports`` entry -> the :class:`ComparisonRow` field it
 #: holds.  The entry also names its trace's ``suite``, ``irreversible_ops``
 #: and ``duration_s``.
@@ -214,12 +219,7 @@ def bounds_section(
         deltas = sorted(set(TAIL_DELTAS) | {delta})
         tails = [markov_tail_check(model, counts, estimator, d) for d in deltas]
 
-        efficiency = coupled_bound_suite(
-            model, counts, estimator, delta, kind="efficiency"
-        )
-        adaptivity = coupled_bound_suite(
-            model, counts, estimator, delta, kind="adaptivity"
-        )
+        coupled = _suite_dict(coupled_bound_suite(model, counts, estimator, delta))
 
         sections.append({
             "model": model.name,
@@ -233,8 +233,7 @@ def bounds_section(
             },
             "surprisal_ift": surprisal,
             "markov_tail": [bound_check_dict(t) for t in tails],
-            "coupled_efficiency": _suite_dict(efficiency),
-            "coupled_adaptivity": _suite_dict(adaptivity),
+            **{f"coupled_{kind}": {**coupled, "kind": kind} for kind in _COUPLED_KINDS},
         })
 
         gates += [
@@ -326,7 +325,7 @@ def _verdicts(section: dict) -> list[dict]:
         limit = tail["rhs"] + 3.0 * math.sqrt(max(lhs * (1.0 - lhs), 0.0) / tail["samples"])
         verdict(f"markov_tail_delta_{tail['delta']}", lhs <= limit, lhs, limit,
                 f"lhs={lhs!r} must be <= rhs={tail['rhs']!r} + 3*binomial SE")
-    for kind in ("efficiency", "adaptivity"):
+    for kind in _COUPLED_KINDS:
         suite = section[f"coupled_{kind}"]
         gate = f"coupled_{kind}_holds_rate"
         if suite["valid_samples"] == 0:

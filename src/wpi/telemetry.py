@@ -96,4 +96,5 @@ def integrate_power(samples: np.ndarray) -> float:
         raise ValidationError("timestamps must be strictly increasing")
     if np.any(p < 0.0):
         raise ValidationError("power must be non-negative")
-    return float(np.trapezoid(p, t))
+    with np.errstate(over="ignore"):  # an overflow is inf, which a trace rejects
+        return float(np.trapezoid(p, t))

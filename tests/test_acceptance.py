@@ -204,8 +204,7 @@ def test_criterion_7_coupled_bounds():
     efficiency_model = four_state_chain()
     paths = sample_trajectories(efficiency_model, 1, 10_000, seed=707)
     efficiency = coupled_bound_suite(
-        efficiency_model, transition_counts(efficiency_model, paths), Estimator.EXACT_ENUM,
-        delta, kind="efficiency",
+        efficiency_model, transition_counts(efficiency_model, paths), Estimator.EXACT_ENUM, delta
     )
     assert efficiency.total_transitions == 10_000
     assert efficiency.valid_samples > 0
@@ -216,7 +215,7 @@ def test_criterion_7_coupled_bounds():
     structural_paths = sample_trajectories(structural_model, 1, 10_000, seed=708)
     adaptivity = coupled_bound_suite(
         structural_model, transition_counts(structural_model, structural_paths),
-        Estimator.EXACT_ENUM, delta, kind="adaptivity",
+        Estimator.EXACT_ENUM, delta,
     )
     assert adaptivity.valid_samples > 0
     threshold = 1.0 - delta - 3.0 * adaptivity.rate_standard_error

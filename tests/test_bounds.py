@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wpi import (
-    AgentSpec,
     BoundCheckResult,
     CoarseState,
     Estimator,
@@ -20,6 +19,7 @@ from wpi import (
     complexity_exact,
     coupled_bound_suite,
     efficiency_bound_check,
+    estimate_complexity,
     four_state_chain,
     four_state_structural_chain,
     ift_check,
@@ -245,7 +245,7 @@ class TestEfficiencyBound:
         )
         delta = 0.05
         result = efficiency_bound_check(
-            model, states[0], states[1], AgentSpec(1.0, 1.0, 1.0), delta,
+            model, states[0], states[1], (1.0, 1.0, 1.0), delta,
             Estimator.EXACT_ENUM,
         )
         assert result.rhs == pytest.approx(math.log2(1 / delta), abs=1e-12)
@@ -254,7 +254,7 @@ class TestEfficiencyBound:
     def test_smaller_delta_increases_rhs(self):
         model = four_state_chain()
         x, y = model.states[0], model.states[1]
-        agent = AgentSpec(1.0, 1.0, 1.0)
+        agent = (1.0, 1.0, 1.0)
         loose = efficiency_bound_check(model, x, y, agent, 0.2, Estimator.EXACT_ENUM)
         tight = efficiency_bound_check(model, x, y, agent, 0.01, Estimator.EXACT_ENUM)
         assert tight.rhs > loose.rhs
@@ -266,7 +266,7 @@ class TestEfficiencyBound:
         )
         with pytest.raises(ImpossibleTransitionError):
             efficiency_bound_check(
-                model, states[0], states[1], AgentSpec(1.0, 1.0, 1.0), 0.05,
+                model, states[0], states[1], (1.0, 1.0, 1.0), 0.05,
                 Estimator.EXACT_ENUM,
             )
 
@@ -274,7 +274,7 @@ class TestEfficiencyBound:
         model = four_state_chain()
         with pytest.raises(ValidationError, match="power"):
             efficiency_bound_check(
-                model, model.states[0], model.states[1], AgentSpec(1.0, 0.0, 1.0),
+                model, model.states[0], model.states[1], (1.0, 0.0, 1.0),
                 0.05, Estimator.EXACT_ENUM,
             )
 
@@ -327,7 +327,7 @@ class TestBoundCoreEquivalence:
         for i, j in pairs:
             x, y = model.states[i], model.states[j]
             efficiency = efficiency_bound_check(
-                model, x, y, AgentSpec(gain, cost, tau), delta, estimator
+                model, x, y, (gain, cost, tau), delta, estimator
             )
             adaptivity = adaptivity_bound_check(
                 model, x, y, (gain, cost), tau, delta, estimator
@@ -347,10 +347,7 @@ class TestCoupledSuites:
     def test_adaptivity_mirror(self):
         model = four_state_structural_chain()
         counts = sampled_counts(model, 1, 20_000, seed=37)
-        suite = coupled_bound_suite(
-            model, counts, Estimator.EXACT_ENUM, 0.05, kind="adaptivity"
-        )
-        assert suite.kind == "adaptivity"
+        suite = coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05)
         threshold = 1.0 - suite.delta - 3.0 * suite.rate_standard_error
         assert suite.holds_rate >= threshold
 
@@ -363,12 +360,49 @@ class TestCoupledSuites:
 
     @pytest.mark.parametrize("kind", ["efficiency", "adaptivity"])
     def test_coupled_agent_unit_ratio(self, kind):
-        # with natural units and unit duration the coupled agent's lhs is exactly 1
+        # with natural units and unit duration the coupled agent's lhs is exactly 1,
+        # in the one suite and in each bound's per-pair check of that agent
         model = four_state_chain()
         counts = sampled_counts(model, 1, 5_000, seed=43)
-        suite = coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05, kind=kind)
+        suite = coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05)
         assert suite.checks
         assert all(check.lhs == 1.0 for check in suite.checks)
+        k = [estimate_complexity(s, Estimator.EXACT_ENUM).bits for s in model.states]
+        n = model.n_states
+        pairs = [(i, j) for i in range(n) for j in range(n) if counts[i, j] and k[j] > k[i]]
+        assert len(pairs) == len(suite.checks)
+        for i, j in pairs:
+            x, y, d = model.states[i], model.states[j], k[j] - k[i]
+            if kind == "efficiency":
+                check = efficiency_bound_check(
+                    model, x, y, (d, d, 1.0), 0.05, Estimator.EXACT_ENUM
+                )
+            else:
+                check = adaptivity_bound_check(
+                    model, x, y, (d, d), 1.0, 0.05, Estimator.EXACT_ENUM
+                )
+            assert check.lhs == 1.0
+
+    @pytest.mark.parametrize("estimator", list(Estimator))
+    @pytest.mark.parametrize("model", [four_state_chain(), ring_of_long_states()],
+                             ids=lambda m: m.name)
+    def test_checks_equal_the_per_pair_checks(self, model, estimator):
+        # oracle: both public per-pair checks with the coupled agent (d, d, 1),
+        # one per distinct sampled pair whose K rises, in row-major order
+        counts = sampled_counts(model, 1, 4_000, seed=47)
+        suite = coupled_bound_suite(model, counts, estimator, 0.05)
+        k = [estimate_complexity(s, estimator).bits for s in model.states]
+        n = model.n_states
+        pairs = [(i, j) for i in range(n) for j in range(n) if counts[i, j] and k[j] > k[i]]
+        assert list(suite.check_weights) == [int(counts[i, j]) for i, j in pairs]
+        assert len(suite.checks) == len(pairs)
+        assert pairs or (model.name, estimator) == ("four-state", Estimator.LZ_PROXY)  # K = 6 each
+        for (i, j), check in zip(pairs, suite.checks):
+            x, y, d = model.states[i], model.states[j], k[j] - k[i]
+            assert check == efficiency_bound_check(model, x, y, (d, d, 1.0), 0.05, estimator)
+            assert check == adaptivity_bound_check(model, x, y, (d, d), 1.0, 0.05, estimator)
+        if model.name == "ring":
+            assert any(check.rhs < 0.0 for check in suite.checks)
 
 
 class TestBoundCheckResult:

@@ -230,6 +230,16 @@ class TestSubcommands:
                 checks += len(suite["checks"])
         assert checks > 0
 
+    @pytest.mark.parametrize("estimator", ["exact-enum", "lz-proxy"])
+    def test_coupled_keys_hold_one_suite(self, tmp_path, estimator):
+        # for the coupled agent both bounds are one inequality, written twice
+        out = tmp_path / "out"
+        assert run(["check-bounds", "--out", out, "--estimator", estimator]) == 0
+        for entry in load_report(out)["bound_checks"]:
+            efficiency, adaptivity = entry["coupled_efficiency"], entry["coupled_adaptivity"]
+            assert (efficiency.pop("kind"), adaptivity.pop("kind")) == ("efficiency", "adaptivity")
+            assert adaptivity == efficiency
+
     def test_phi_table_keys_are_the_documented_ones(self, tmp_path):
         # the wpi_reports and comparison layouts and the compare.tsv header
         # must match their table in docs/file_formats.md
@@ -367,6 +377,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert pointer in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case, pointer", [
+        ("infinite-weight", "/suites/0/tasks/0/weight:"),
+        ("infinite-power", "/traces/0:"),
+        ("overflowing-integral", "/traces/0:"),
+    ])
+    def test_non_finite_input_exits_one_with_pointer(self, tmp_path, capsys, case, pointer):
+        config = tmp_path / "config.json"
+        data = json.loads(default_config_path().read_text())
+        rows = {"infinite-power": "0,1\n1,inf\n", "overflowing-integral": "1,1e308\n2,1e308\n"}
+        if case in rows:
+            (tmp_path / "power.csv").write_text("t_s,power_w\n" + rows[case])
+            data["traces"][0]["telemetry"] = "power.csv"
+        text = json.dumps(data)
+        if case == "infinite-weight":
+            text = text.replace('"weight": 1.0', '"weight": Infinity', 1)
+        config.write_text(text)
+        assert run(["score", "--config", config, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert pointer in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["existing-file", "below-a-file"])
+    def test_unwritable_out_exits_one(self, tmp_path, capsys, case):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker if case == "existing-file" else blocker / "sub"
+        assert run(["score", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot write output to {out}: " in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == ""
 
 
 def wide_chain_config(tmp_path, monkeypatch):

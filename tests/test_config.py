@@ -1,6 +1,8 @@
 """Config schema validation, error pointers, and round-tripping."""
 
+import copy
 import json
+import math
 import sys
 
 import numpy as np
@@ -233,6 +235,34 @@ class TestValidation:
                     assert all(ptr.startswith("/") for ptr, _ in exc.issues), (path, value)
                 except Exception as exc:  # noqa: BLE001 - the test is that none escapes
                     pytest.fail(f"{path} = {value!r} raised {type(exc).__name__}: {exc}")
+
+    def test_non_finite_numbers_rejected(self):
+        # an infinity is out of the float range a number must fit, so it is
+        # reported at its own pointer; the range rules reject NaN, at the
+        # value or at the row or entry that holds it
+        data = minimal_config()
+        data["traces"][0]["measured_energy"] = 1.0
+        data["substrates"][0]["extra_overheads"] = {"io": 2.0}
+
+        def parent_of(config, path):
+            for key in path[:-1]:
+                config = config[key]
+            return config
+
+        numbers = [path for path in leaf_paths(data)
+                   if type(parent_of(data, path)[path[-1]]) in (int, float)]
+        assert len(numbers) == 19
+        for path in numbers:
+            leaf = "/" + "/".join(map(str, path))
+            for value in (math.inf, -math.inf, math.nan):
+                bad = copy.deepcopy(data)
+                parent_of(bad, path)[path[-1]] = value
+                with pytest.raises(ConfigError) as info:
+                    config_from_dict(bad)
+                if math.isnan(value):
+                    assert any(leaf == p or leaf.startswith(p + "/") for p in pointers(info))
+                else:
+                    assert leaf in pointers(info), (leaf, value)
 
     def test_numbers_read_as_floats(self):
         data = minimal_config()

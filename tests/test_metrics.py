@@ -245,5 +245,11 @@ class TestExecutionTrace:
         with pytest.raises(ValidationError):
             ExecutionTrace(1, 1.0, measured_energy=-1e-21)
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf])
+    def test_rejects_non_finite_measured_energy(self, energy):
+        # an overflowing telemetry integral arrives here as inf
+        with pytest.raises(ValidationError, match="measured_energy"):
+            ExecutionTrace(1, 1.0, measured_energy=energy)
+
     def test_boltzmann_constant_is_exact_si(self):
         assert BOLTZMANN_CONSTANT == 1.380649e-23
