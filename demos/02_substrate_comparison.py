@@ -23,7 +23,7 @@ suite = TaskSuite([
 
 # The shipped catalog carries illustrative defaults (F = 200 / 20 / 4),
 # flagged as such in every report.
-substrates = default_substrates(temperature=300.0)
+substrates = default_substrates()
 for sub in substrates:
     print(f"{sub.name:13s} F_mem x F_ctrl = {sub.overhead_mem:5.1f} x "
           f"{sub.overhead_ctrl:4.1f} -> F = {total_overhead(sub):6.1f} "

@@ -30,7 +30,19 @@ from .complexity import (
     lz78_codelength,
     read_corpus,
 )
-from .config import ExperimentConfig, SimSettings, config_from_dict, ingest_config, serialize_config
+from .config import (
+    ExperimentConfig,
+    SimSettings,
+    config_from_dict,
+    default_substrates,
+    eight_state_chain,
+    four_state_chain,
+    four_state_structural_chain,
+    ingest_config,
+    serialize_config,
+    shipped_chains,
+    two_state_chain,
+)
 from .entropy import (
     EntropyDelta,
     StateMeasure,
@@ -51,19 +63,13 @@ from .machine import DEFAULT_MACHINE, ReferenceMachine
 from .markov import (
     MAX_SEED,
     MarkovModel,
-    eight_state_chain,
-    four_state_chain,
-    four_state_structural_chain,
     is_ergodic,
     sample_trajectories,
-    shipped_chains,
     stationary_distribution,
     transition_counts,
-    two_state_chain,
 )
 from .metrics import (
     BOLTZMANN_CONSTANT,
-    NATURAL_UNIT_TEMPERATURE,
     EnergyReport,
     ExecutionTrace,
     TaskRecord,
@@ -79,7 +85,6 @@ from .substrate import (
     Substrate,
     SubstrateRun,
     account_run,
-    default_substrates,
     run_comparison,
     total_overhead,
 )

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .complexity import Estimator
-from .config import ExperimentConfig, ingest_config, override_sim
+from .config import ExperimentConfig, default_config_path, ingest_config, override_sim
 from .errors import ValidationError
 from .report import (
     bounds_section,
@@ -34,10 +33,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def default_config_path() -> Path:
-    return Path(resources.files("wpi").joinpath("data/default_config.json"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,7 +109,6 @@ def main(argv=None) -> int:
     try:
         config = _load(args)
         bundle = _empty_bundle(config)
-        sim = config.sim
         gates = None
 
         if args.command in ("score", "report"):
@@ -132,9 +126,7 @@ def main(argv=None) -> int:
         if args.command in ("simulate", "report"):
             bundle["simulations"] = simulate_section(config, paths)
         if args.command in ("check-bounds", "report"):
-            sections, gates = bounds_section(
-                config, [p[:, :2] for p in paths], sim.delta, sim.estimator
-            )
+            sections, gates = bounds_section(config, [p[:, :2] for p in paths])
             bundle["bound_checks"] = sections
             bundle["gates"] = gates
 

@@ -28,6 +28,11 @@ Validation reports *every* problem found, each tagged with the JSON pointer
 of the offending value.  A trace's ``telemetry`` names a power CSV relative
 to the config file; its trapezoidal integral becomes the trace's measured
 energy.
+
+The packaged config (:func:`default_config_path`) is what ``wpi report``
+runs by default, and it is the one definition of the shipped chains and the
+substrate catalog: :func:`shipped_chains`, :func:`default_substrates` and
+the named chains read it on each call.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import json
 import reprlib
 import sys
 from dataclasses import dataclass, replace
+from importlib import resources
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Any, get_args, get_origin
@@ -154,6 +160,51 @@ def ingest_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(data, base_dir=path.parent)
 
 
+def default_config_path() -> Path:
+    return Path(resources.files("wpi").joinpath("data/default_config.json"))
+
+
+def shipped_chains() -> list[MarkovModel]:
+    """The models of the packaged config, in file order."""
+    return list(ingest_config(default_config_path()).models)
+
+
+def two_state_chain() -> MarkovModel:
+    return _shipped_chain("two-state")
+
+
+def four_state_chain() -> MarkovModel:
+    return _shipped_chain("four-state")
+
+
+def eight_state_chain() -> MarkovModel:
+    return _shipped_chain("eight-state")
+
+
+def _shipped_chain(name: str) -> MarkovModel:
+    return next(m for m in shipped_chains() if m.name == name)
+
+
+def four_state_structural_chain() -> MarkovModel:
+    """The four-state chain relabeled as architecture (structural) states."""
+    base = four_state_chain()
+    labels = ("arch-dense", "arch-sparse", "arch-routed", "arch-spiking")
+    states = tuple(
+        CoarseState(s.bits, label=lab) for s, lab in zip(base.states, labels)
+    )
+    measure = StateMeasure({s: base.measure.weights[s] for s in states})
+    return MarkovModel(states, base.kernel, measure, base.initial, name="four-state-structural")
+
+
+def default_substrates() -> list[Substrate]:
+    """The packaged config's illustrative substrate catalog, in file order.
+
+    Its overhead factors are demonstration defaults, not measured hardware
+    characterizations, and each substrate carries ``overhead_source="default"``.
+    """
+    return list(ingest_config(default_config_path()).substrates)
+
+
 def config_from_dict(data: Any, base_dir: Path | None = None) -> ExperimentConfig:
     """Validate an already-parsed config object."""
     errors: list[tuple[str, str]] = []
@@ -190,41 +241,24 @@ def override_sim(config: ExperimentConfig, **overrides) -> ExperimentConfig:
 
 
 def serialize_config(config: ExperimentConfig) -> dict:
-    """Dict form of a config; ``config_from_dict`` of the result round-trips."""
+    """Dict form of a config; ``config_from_dict`` of the result round-trips.
+
+    A trace's ``telemetry`` is not written: its integral is the trace's
+    ``measured_energy``.
+    """
     return {
         **_sim_dict(config.sim),
-        "substrates": [
-            {
-                "name": s.name,
-                "temperature": s.temperature,
-                "overhead_mem": s.overhead_mem,
-                "overhead_ctrl": s.overhead_ctrl,
-                "algorithmic_yield": s.algorithmic_yield,
-                "extra_overheads": dict(s.extra_overheads),
-                "overhead_source": s.overhead_source,
-            }
-            for s in config.substrates
-        ],
+        "substrates": [_entry(s, _SUBSTRATE) for s in config.substrates],
         "suites": [
-            {
-                "id": suite_id,
-                "tasks": [
-                    {"id": t.id, "weight": t.weight, "performance": t.performance}
-                    for t in suite.tasks
-                ],
-            }
+            {"id": suite_id, "tasks": [_entry(t, _TASK) for t in suite.tasks]}
             for suite_id, suite in config.suites.items()
         ],
         "traces": [
-            {
-                "substrate": substrate,
-                "suite": suite,
-                "irreversible_ops": trace.irreversible_ops,
-                "duration": trace.duration,
-                "measured_energy": trace.measured_energy,
-            }
+            {"substrate": substrate, "suite": suite,
+             **_entry(trace, _TRACE, skip=("substrate", "suite", "telemetry"))}
             for (substrate, suite), trace in config.traces.items()
         ],
+        # a model's fields are per-state arrays, so _MODEL does not lay it out
         "models": [
             {
                 "name": m.name,
@@ -240,12 +274,13 @@ def serialize_config(config: ExperimentConfig) -> dict:
 
 
 def _sim_dict(sim: SimSettings) -> dict:
-    return {
-        "seed": sim.seed,
-        "samples": sim.samples,
-        "delta": sim.delta,
-        "estimator": sim.estimator.value,
-    }
+    return {**_entry(sim, _SIM), "estimator": sim.estimator.value}
+
+
+def _entry(obj: Any, table: dict, skip: tuple[str, ...] = ()) -> dict:
+    """Attribute ``key`` of ``obj`` for each key of ``table`` not in ``skip``, dicts copied."""
+    values = {key: getattr(obj, key) for key in table if key not in skip}
+    return {key: dict(v) if isinstance(v, dict) else v for key, v in values.items()}
 
 
 def _read(obj: Any, table: dict, ptr: str, errors: list) -> dict:

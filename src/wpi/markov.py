@@ -276,72 +276,3 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cross = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + x_lo * m_hi
     hi = x_hi * m_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32)
     return hi, x * np.uint64(m)
-
-
-def two_state_chain() -> MarkovModel:
-    """Symmetric two-state chain; detailed balance makes surprisal exactly zero."""
-    states = (CoarseState("0"), CoarseState("1"))
-    kernel = [[0.875, 0.125],
-              [0.125, 0.875]]
-    measure = StateMeasure({states[0]: 1.0, states[1]: 0.5})
-    return MarkovModel(states, kernel, measure, [0.5, 0.5], name="two-state")
-
-
-def four_state_chain() -> MarkovModel:
-    """Cyclically biased lazy chain over 4-bit states of unequal complexity.
-
-    All probabilities are exact binary fractions (56/64, 4/64, 3/64, 1/64),
-    the kernel is doubly stochastic (uniform stationary law), every
-    transition has a positive reverse transition, and the bias makes the
-    surprisal quantity genuinely fluctuate.
-    """
-    states = (
-        CoarseState("0000"),
-        CoarseState("0101"),
-        CoarseState("0110"),
-        CoarseState("1011"),
-    )
-    s, f, d, b = 0.875, 0.0625, 0.046875, 0.015625  # stay, +1, +2, -1
-    kernel = [
-        [s, f, d, b],
-        [b, s, f, d],
-        [d, b, s, f],
-        [f, d, b, s],
-    ]
-    measure = StateMeasure({
-        states[0]: 1.0,
-        states[1]: 0.5,
-        states[2]: 2.0,
-        states[3]: 0.25,
-    })
-    return MarkovModel(states, kernel, measure, [0.25] * 4, name="four-state")
-
-
-def eight_state_chain() -> MarkovModel:
-    """Biased ring over the 3-bit states: forward 1/2, stay 5/16, back 3/16."""
-    bits = ["000", "001", "011", "010", "110", "111", "101", "100"]
-    states = tuple(CoarseState(b) for b in bits)
-    n = len(states)
-    kernel = np.zeros((n, n))
-    for i in range(n):
-        kernel[i, (i + 1) % n] = 0.5
-        kernel[i, i] = 0.3125
-        kernel[i, (i - 1) % n] = 0.1875
-    measure = StateMeasure({s: 1.0 for s in states})
-    return MarkovModel(states, kernel, measure, [1.0 / n] * n, name="eight-state")
-
-
-def four_state_structural_chain() -> MarkovModel:
-    """The four-state chain relabeled as architecture (structural) states."""
-    base = four_state_chain()
-    labels = ("arch-dense", "arch-sparse", "arch-routed", "arch-spiking")
-    states = tuple(
-        CoarseState(s.bits, label=lab) for s, lab in zip(base.states, labels)
-    )
-    measure = StateMeasure({s: base.measure.weights[s] for s in states})
-    return MarkovModel(states, base.kernel, measure, base.initial, name="four-state-structural")
-
-
-def shipped_chains() -> list[MarkovModel]:
-    """The ergodic test chains bundled with the package."""
-    return [two_state_chain(), four_state_chain(), eight_state_chain()]

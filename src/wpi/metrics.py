@@ -17,10 +17,6 @@ from .errors import UndefinedMetricError, ValidationError
 #: Boltzmann constant, exact SI value (J/K).
 BOLTZMANN_CONSTANT = 1.380649e-23
 
-#: Temperature at which one Landauer erasure costs exactly 1 J.  Useful for
-#: working in natural units where energy is counted in bits.
-NATURAL_UNIT_TEMPERATURE = 1.0 / math.log(2) / BOLTZMANN_CONSTANT
-
 
 @dataclass(frozen=True)
 class TaskRecord:
@@ -33,8 +29,10 @@ class TaskRecord:
     def __post_init__(self):
         if not self.id:
             raise ValidationError("task id must be a non-empty string")
-        if not (self.weight >= 0.0):
-            raise ValidationError(f"task {self.id!r}: weight must be >= 0, got {self.weight}")
+        if not (0.0 <= self.weight < math.inf):
+            raise ValidationError(
+                f"task {self.id!r}: weight must be finite and >= 0, got {self.weight}"
+            )
         if not (0.0 <= self.performance <= 1.0):
             raise ValidationError(
                 f"task {self.id!r}: performance must be in [0, 1], got {self.performance}"
@@ -87,8 +85,8 @@ class ExecutionTrace:
                 f"irreversible_ops must be at most the largest float {sys.float_info.max!r}, "
                 f"got a {self.irreversible_ops.bit_length()}-bit integer"
             )
-        if not (self.duration > 0.0):
-            raise ValidationError(f"duration must be > 0 seconds, got {self.duration}")
+        if not (0.0 < self.duration < math.inf):
+            raise ValidationError(f"duration must be finite and > 0 seconds, got {self.duration}")
         if self.measured_energy is not None and not (0.0 <= self.measured_energy < math.inf):
             raise ValidationError(
                 f"measured_energy must be finite and >= 0 joules, got {self.measured_energy}"

@@ -194,15 +194,14 @@ def _path_digest(paths: np.ndarray, n_states: int) -> str:
 
 
 def bounds_section(
-    config: ExperimentConfig,
-    paths: Sequence[np.ndarray],
-    delta: float,
-    estimator,
+    config: ExperimentConfig, paths: Sequence[np.ndarray]
 ) -> tuple[list[dict], list[dict]]:
     """Bound checks per model on one-step paths, plus the gate verdicts for --assert.
 
+    Every check runs at ``config.sim.delta`` with ``config.sim.estimator``.
     The gates are the verdicts of :func:`_verdicts` that are not vacuous.
     """
+    delta, estimator = config.sim.delta, config.sim.estimator
     sections = []
     gates = []
     for index, (model, model_paths) in enumerate(zip(config.models, paths)):

@@ -45,24 +45,27 @@ class Substrate:
         object.__setattr__(self, "extra_overheads", dict(self.extra_overheads))
         if not self.name:
             raise ValidationError("substrate name must be non-empty")
-        if not (self.temperature > 0.0):
+        # each test fails on NaN and on infinity
+        if not (0.0 < self.temperature < math.inf):
             raise ValidationError(
-                f"substrate {self.name!r}: temperature must be > 0 K, got {self.temperature}"
+                f"substrate {self.name!r}: temperature must be finite and > 0 K, "
+                f"got {self.temperature}"
             )
         for label, value in (("overhead_mem", self.overhead_mem),
                              ("overhead_ctrl", self.overhead_ctrl)):
-            if not (value >= 1.0):
+            if not (1.0 <= value < math.inf):
                 raise ValidationError(
-                    f"substrate {self.name!r}: {label} must be >= 1, got {value}"
+                    f"substrate {self.name!r}: {label} must be finite and >= 1, got {value}"
                 )
         for label, value in self.extra_overheads.items():
-            if not (value >= 1.0):
+            if not (1.0 <= value < math.inf):
                 raise ValidationError(
-                    f"substrate {self.name!r}: extra overhead {label!r} must be >= 1, got {value}"
+                    f"substrate {self.name!r}: extra overhead {label!r} must be finite "
+                    f"and >= 1, got {value}"
                 )
-        if not (self.algorithmic_yield > 0.0):
+        if not (0.0 < self.algorithmic_yield < math.inf):
             raise ValidationError(
-                f"substrate {self.name!r}: algorithmic yield must be > 0, "
+                f"substrate {self.name!r}: algorithmic_yield must be finite and > 0, "
                 f"got {self.algorithmic_yield}"
             )
 
@@ -163,20 +166,6 @@ def run_comparison(runs: Sequence[SubstrateRun]) -> list[ComparisonRow]:
     return sorted((account_run(run) for run in runs), key=lambda r: (r.phi, r.name))
 
 
-def default_substrates(temperature: float = 300.0) -> list[Substrate]:
-    """Illustrative substrate catalog with overhead factors 200 / 20 / 4.
-
-    The factors are configuration defaults for demonstration, not measured
-    hardware characterizations; reports carry ``overhead_source="default"``
-    so downstream consumers can tell them apart from user data.
-    """
-    return [
-        Substrate("cpu", temperature, 40.0, 5.0, 1.0, overhead_source="default"),
-        Substrate("gpu", temperature, 10.0, 2.0, 1.0, overhead_source="default"),
-        Substrate("neuromorphic", temperature, 2.0, 2.0, 1.0, overhead_source="default"),
-    ]
-
-
 __all__ = [
     "Substrate",
     "SubstrateRun",
@@ -184,5 +173,4 @@ __all__ = [
     "total_overhead",
     "account_run",
     "run_comparison",
-    "default_substrates",
 ]

@@ -8,7 +8,17 @@ import sys
 import numpy as np
 import pytest
 
-from wpi import ConfigError, config_from_dict, ingest_config, serialize_config
+from wpi import (
+    ConfigError,
+    config_from_dict,
+    default_substrates,
+    eight_state_chain,
+    four_state_chain,
+    ingest_config,
+    serialize_config,
+    shipped_chains,
+    two_state_chain,
+)
 from wpi.cli import default_config_path
 
 
@@ -373,3 +383,15 @@ class TestRoundTrip:
             }]
             config = config_from_dict(data)
             assert config_from_dict(serialize_config(config)) == config
+
+
+def test_shipped_names_read_the_packaged_config():
+    """The library's shipped chains and catalog are the ones ``wpi report`` runs."""
+    config = ingest_config(default_config_path())
+    assert shipped_chains() == list(config.models)
+    assert default_substrates() == list(config.substrates)
+    by_name = {model.name: model for model in config.models}
+    named = {"two-state": two_state_chain, "four-state": four_state_chain,
+             "eight-state": eight_state_chain}
+    for name, chain in named.items():
+        assert chain() == by_name[name]

@@ -271,6 +271,22 @@ class TestShippedChains:
             forward = model.kernel > 0
             assert np.array_equal(forward, forward.T)
 
+    def test_two_state_chain_is_symmetric(self):
+        kernel = two_state_chain().kernel
+        assert np.array_equal(kernel, kernel.T)
+
+    def test_four_state_kernel_is_exact_binary_fractions(self):
+        scaled = four_state_chain().kernel * 64
+        assert np.array_equal(scaled, np.round(scaled))
+
+    def test_eight_state_ring_steps(self):
+        kernel = eight_state_chain().kernel
+        n = len(kernel)
+        for i in range(n):
+            assert kernel[i, (i + 1) % n] == 0.5
+            assert kernel[i, i] == 0.3125
+            assert kernel[i, (i - 1) % n] == 0.1875
+
     def test_structural_chain_mirrors_four_state(self):
         structural = four_state_structural_chain()
         base = four_state_chain()

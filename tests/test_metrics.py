@@ -58,8 +58,9 @@ class TestIntelligenceScore:
         assert shuffled == baseline
 
     def test_rejects_negative_weight_naming_task(self):
-        with pytest.raises(ValidationError, match="bad-task"):
-            TaskSuite([("ok", 1.0, 1.0), ("bad-task", -0.5, 1.0)])
+        for weight in (-0.5, math.inf):
+            with pytest.raises(ValidationError, match="bad-task.*weight"):
+                TaskSuite([("ok", 1.0, 1.0), ("bad-task", weight, 1.0)])
 
     def test_rejects_performance_out_of_range(self):
         with pytest.raises(ValidationError, match="hot"):
@@ -223,8 +224,9 @@ class TestWpiReport:
 
 class TestExecutionTrace:
     def test_rejects_non_positive_duration(self):
-        with pytest.raises(ValidationError):
-            ExecutionTrace(1, 0.0)
+        for duration in (0.0, math.inf):
+            with pytest.raises(ValidationError, match="duration"):
+                ExecutionTrace(1, duration)
 
     def test_rejects_negative_ops(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,7 @@
 """Substrate overhead decomposition and fixed-algorithm comparison tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -48,6 +50,8 @@ class TestTotalOverhead:
     @pytest.mark.parametrize("kw", [
         {"mem": 0.5}, {"ctrl": 0.0}, {"temperature": 0.0},
         {"algorithmic_yield": 0.0}, {"extra_overheads": {"x": 0.9}},
+        {"mem": math.inf}, {"ctrl": math.inf}, {"temperature": math.inf},
+        {"algorithmic_yield": math.inf}, {"extra_overheads": {"x": math.inf}},
     ])
     def test_invalid_substrates_rejected(self, kw):
         with pytest.raises(ValidationError):
