@@ -51,8 +51,7 @@ class BoundCheckResult:
     empirical_ift: float
 
     def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
-            raise ValidationError(f"delta must be in (0, 1), got {self.delta}")
+        _check_delta(self.delta)
         if self.samples < 1:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
         if self.holds != (self.lhs <= self.rhs):
@@ -92,6 +91,9 @@ class CoupledSuiteResult:
     estimator: Estimator
     checks: tuple[BoundCheckResult, ...]
     check_weights: tuple[int, ...]
+
+    def __post_init__(self):
+        _check_delta(self.delta)
 
     @property
     def rate_standard_error(self) -> float:
@@ -168,8 +170,7 @@ def markov_tail_check(
     indicates an implementation error rather than sampling noise.  The mean
     is the complexity mean of :func:`ift_check` on the same counts.
     """
-    if not (0.0 < delta < 1.0):
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)  # before 1/delta
     counts, n_samples = _check_sampled_counts(model, counts)
     x = _complexity_ift_table(model, estimator)
     lhs = int(counts[x >= 1.0 / delta].sum()) / n_samples
@@ -195,43 +196,21 @@ def efficiency_bound_check(
     delta: float,
     estimator: Estimator,
 ) -> BoundCheckResult:
-    """Check intelligence-per-watts against its transition bound.
+    """Check one transition x -> y against the efficiency or adaptivity bound.
 
-    ``agent`` is ``(intelligence, power, duration)``.  For the transition
-    x -> y with forward probability p, the bound is
+    ``agent`` is ``(I, P, tau)`` for efficiency, ``(dI, dE, tau)`` for
+    adaptivity; with p the forward probability, both bounds read
     ``I / P <= (1/tau) * (log2(1/p) - K(x|y)) + log2(1/delta)``.
     """
     intelligence, power, duration = agent
     if not (power > 0.0):
-        raise ValidationError(f"agent power must be > 0, got {power}")
+        raise ValidationError(f"agent power (adaptation energy) must be > 0, got {power}")
     i, j = model.index_of(x), model.index_of(y)
     k_change = estimate_complexity(y, estimator).bits - estimate_complexity(x, estimator).bits
     return _pair_check(model, i, j, intelligence / power, duration, delta, estimator, k_change)
 
 
-def adaptivity_bound_check(
-    structural_model: MarkovModel,
-    s1: CoarseState,
-    s2: CoarseState,
-    deltas: tuple[float, float],
-    tau: float,
-    delta: float,
-    estimator: Estimator,
-) -> BoundCheckResult:
-    """Check an adaptation's intelligence gain per joule against its bound.
-
-    The arithmetic of :func:`efficiency_bound_check` with structural
-    states: ``dI / dE <= (1/tau) * (log2(1/P(s2|s1)) - K(s1|s2)) +
-    log2(1/delta)``.
-    """
-    d_intelligence, d_energy = deltas
-    if not (d_energy > 0.0):
-        raise ValidationError(
-            f"adaptation energy must be positive, got {d_energy}"
-        )
-    return efficiency_bound_check(
-        structural_model, s1, s2, (d_intelligence, d_energy, tau), delta, estimator
-    )
+adaptivity_bound_check = efficiency_bound_check
 
 
 def coupled_bound_suite(
@@ -293,8 +272,7 @@ def _pair_check(
     """
     if not (tau > 0.0):
         raise ValidationError(f"duration tau must be > 0, got {tau}")
-    if not (0.0 < delta < 1.0):
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)  # before log2(1/delta)
     x, y = model.states[i], model.states[j]
     probability = float(model.kernel[i, j])
     if probability == 0.0:
@@ -313,6 +291,11 @@ def _pair_check(
         estimator=Estimator(estimator),
         empirical_ift=2.0 ** (-k_change),
     )
+
+
+def _check_delta(delta: float) -> None:
+    if not (0.0 < delta < 1.0):
+        raise ValidationError(f"delta must be in (0, 1), got {delta}")
 
 
 def _check_counts(model: MarkovModel, counts: np.ndarray) -> np.ndarray:

@@ -57,6 +57,10 @@ class TaskSuite:
                 raise ValidationError(f"duplicate task id {t.id!r} in suite")
             seen.add(t.id)
         object.__setattr__(self, "tasks", records)
+        try:  # performances are at most 1, so the score cannot overflow either
+            self.total_weight()
+        except OverflowError:
+            raise ValidationError("the suite's total weight overflows a float") from None
 
     def total_weight(self) -> float:
         return math.fsum(t.weight for t in self.tasks)
@@ -113,8 +117,8 @@ class EnergyReport:
 
 def landauer_constant(temperature: float) -> float:
     """Minimum dissipation per irreversible bit operation, k_B * T * ln 2 (J/bit)."""
-    if not (temperature > 0.0):
-        raise ValidationError(f"temperature must be > 0 K, got {temperature}")
+    if not (0.0 < temperature < math.inf):
+        raise ValidationError(f"temperature must be finite and > 0 K, got {temperature}")
     return BOLTZMANN_CONSTANT * temperature * math.log(2)
 
 
@@ -138,8 +142,10 @@ def modeled_energy(
     measured energy, the measurement replaces the model and the overhead
     factor actually used is back-solved as ``measured / (N * c)``.
     """
-    if not (overhead >= 1.0):
-        raise ValidationError(f"sub-Landauer overhead: factor must be >= 1, got {overhead}")
+    if not (1.0 <= overhead < math.inf):
+        raise ValidationError(
+            f"sub-Landauer or infinite overhead: factor must be finite and >= 1, got {overhead}"
+        )
     c = landauer_constant(temperature)
     n = trace.irreversible_ops
     floor = n * c
@@ -194,11 +200,12 @@ def phi_lower_bound(
     With ``overhead == 1`` this is bit-identical to the reversible-limit
     floor ``landauer_constant(T) / (alpha * tau)``.
     """
-    if not (overhead >= 1.0):
-        raise ValidationError(f"sub-Landauer overhead: factor must be >= 1, got {overhead}")
-    if not (algorithmic_yield > 0.0):
-        raise ValidationError(f"algorithmic yield must be > 0, got {algorithmic_yield}")
-    if not (duration > 0.0):
-        raise ValidationError(f"duration must be > 0 seconds, got {duration}")
+    if not (1.0 <= overhead < math.inf):
+        raise ValidationError(
+            f"sub-Landauer or infinite overhead: factor must be finite and >= 1, got {overhead}"
+        )
+    if not (0.0 < algorithmic_yield < math.inf):
+        raise ValidationError(f"algorithmic yield must be finite and > 0, got {algorithmic_yield}")
+    if not (0.0 < duration < math.inf):
+        raise ValidationError(f"duration must be finite and > 0 seconds, got {duration}")
     return landauer_constant(temperature) * overhead / (algorithmic_yield * duration)
-

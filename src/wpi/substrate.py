@@ -63,6 +63,11 @@ class Substrate:
                     f"substrate {self.name!r}: extra overhead {label!r} must be finite "
                     f"and >= 1, got {value}"
                 )
+        if total_overhead(self) == math.inf:
+            raise ValidationError(
+                f"substrate {self.name!r}: total overhead (the product of all overhead "
+                f"factors) must be finite, got inf"
+            )
         if not (0.0 < self.algorithmic_yield < math.inf):
             raise ValidationError(
                 f"substrate {self.name!r}: algorithmic_yield must be finite and > 0, "

@@ -28,6 +28,7 @@ from wpi import (
     stationary_distribution,
     surprisal_table,
     transition_counts,
+    two_state_chain,
 )
 
 
@@ -227,6 +228,12 @@ class TestMarkovTail:
         assert result.empirical_ift == pytest.approx(float(x.mean()), rel=1e-12)
         assert result.samples == changes.size
 
+    @pytest.mark.parametrize("delta", [0.0, -0.5, math.nan])
+    def test_bad_delta_is_typed_error(self, delta):
+        counts = np.ones((4, 4), dtype=np.int64)
+        with pytest.raises(ValidationError, match="delta"):
+            markov_tail_check(four_state_chain(), counts, Estimator.EXACT_ENUM, delta)
+
     def test_validation(self):
         model = four_state_chain()
         with pytest.raises(ValidationError):
@@ -270,6 +277,16 @@ class TestEfficiencyBound:
                 Estimator.EXACT_ENUM,
             )
 
+    @pytest.mark.parametrize("delta", [0.0, -0.5, 1.0, math.inf, math.nan])
+    def test_bad_delta_is_typed_error(self, delta):
+        # 0, negative and infinite deltas break log2(1/delta) before a result exists
+        model = four_state_chain()
+        with pytest.raises(ValidationError, match="delta"):
+            efficiency_bound_check(
+                model, model.states[0], model.states[1], (1.0, 1.0, 1.0), delta,
+                Estimator.EXACT_ENUM,
+            )
+
     def test_agent_validation(self):
         model = four_state_chain()
         with pytest.raises(ValidationError, match="power"):
@@ -283,7 +300,7 @@ class TestAdaptivityBound:
     def test_zero_gain_holds_when_rhs_nonnegative(self):
         model = four_state_structural_chain()
         result = adaptivity_bound_check(
-            model, model.states[0], model.states[1], (0.0, 1.0), 1.0, 0.05,
+            model, model.states[0], model.states[1], (0.0, 1.0, 1.0), 0.05,
             Estimator.EXACT_ENUM,
         )
         if result.rhs >= 0:
@@ -295,7 +312,7 @@ class TestAdaptivityBound:
         states = [CoarseState("")]
         model = MarkovModel(states, [[1.0]], StateMeasure.uniform(states), [1.0])
         result = adaptivity_bound_check(
-            model, states[0], states[0], (0.5, 1.0), 1.0, 0.05, Estimator.EXACT_ENUM
+            model, states[0], states[0], (0.5, 1.0, 1.0), 0.05, Estimator.EXACT_ENUM
         )
         assert result.rhs == pytest.approx(math.log2(1 / 0.05), abs=1e-12)
 
@@ -303,12 +320,15 @@ class TestAdaptivityBound:
         model = four_state_structural_chain()
         with pytest.raises(ValidationError, match="adaptation energy"):
             adaptivity_bound_check(
-                model, model.states[0], model.states[1], (1.0, 0.0), 1.0, 0.05,
+                model, model.states[0], model.states[1], (1.0, 0.0, 1.0), 0.05,
                 Estimator.EXACT_ENUM,
             )
 
 
 class TestBoundCoreEquivalence:
+    def test_one_function_serves_both_bounds(self):
+        assert adaptivity_bound_check is efficiency_bound_check  # both as exported by wpi
+
     @pytest.mark.parametrize("estimator", list(Estimator))
     @pytest.mark.parametrize("gain, cost, tau, delta", [
         (1.0, 1.0, 1.0, 0.05),
@@ -330,7 +350,7 @@ class TestBoundCoreEquivalence:
                 model, x, y, (gain, cost, tau), delta, estimator
             )
             adaptivity = adaptivity_bound_check(
-                model, x, y, (gain, cost), tau, delta, estimator
+                model, x, y, (gain, cost, tau), delta, estimator
             )
             assert efficiency == adaptivity
 
@@ -379,7 +399,7 @@ class TestCoupledSuites:
                 )
             else:
                 check = adaptivity_bound_check(
-                    model, x, y, (d, d), 1.0, 0.05, Estimator.EXACT_ENUM
+                    model, x, y, (d, d, 1.0), 0.05, Estimator.EXACT_ENUM
                 )
             assert check.lhs == 1.0
 
@@ -400,9 +420,20 @@ class TestCoupledSuites:
         for (i, j), check in zip(pairs, suite.checks):
             x, y, d = model.states[i], model.states[j], k[j] - k[i]
             assert check == efficiency_bound_check(model, x, y, (d, d, 1.0), 0.05, estimator)
-            assert check == adaptivity_bound_check(model, x, y, (d, d), 1.0, 0.05, estimator)
+            assert check == adaptivity_bound_check(model, x, y, (d, d, 1.0), 0.05, estimator)
         if model.name == "ring":
             assert any(check.rhs < 0.0 for check in suite.checks)
+
+    @pytest.mark.parametrize("estimator", list(Estimator))
+    @pytest.mark.parametrize("delta", [1.5, math.nan, 0.0])
+    def test_bad_delta_rejected_without_checked_pairs(self, estimator, delta):
+        # both two-state states have the same K under either estimator, so no
+        # sampled pair is checked and only the suite's own result sees delta
+        model = two_state_chain()
+        counts = sampled_counts(model, 1, 1_000, seed=53)
+        assert not coupled_bound_suite(model, counts, estimator, 0.05).checks
+        with pytest.raises(ValidationError, match="delta"):
+            coupled_bound_suite(model, counts, estimator, delta)
 
 
 class TestBoundCheckResult:

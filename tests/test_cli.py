@@ -382,6 +382,8 @@ class TestExitCodes:
         ("infinite-weight", "/suites/0/tasks/0/weight:"),
         ("infinite-power", "/traces/0:"),
         ("overflowing-integral", "/traces/0:"),
+        ("overflowing-overhead", "/substrates/0:"),
+        ("overflowing-weight", "/suites/0/tasks:"),
     ])
     def test_non_finite_input_exits_one_with_pointer(self, tmp_path, capsys, case, pointer):
         config = tmp_path / "config.json"
@@ -390,6 +392,11 @@ class TestExitCodes:
         if case in rows:
             (tmp_path / "power.csv").write_text("t_s,power_w\n" + rows[case])
             data["traces"][0]["telemetry"] = "power.csv"
+        if case == "overflowing-overhead":  # each factor finite, their product not
+            data["substrates"][0].update(overhead_mem=1e200, overhead_ctrl=1e200)
+        elif case == "overflowing-weight":  # each weight finite, their sum not
+            for task in data["suites"][0]["tasks"]:
+                task.update(weight=1e308, performance=1.0)
         text = json.dumps(data)
         if case == "infinite-weight":
             text = text.replace('"weight": 1.0', '"weight": Infinity', 1)

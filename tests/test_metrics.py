@@ -62,6 +62,16 @@ class TestIntelligenceScore:
             with pytest.raises(ValidationError, match="bad-task.*weight"):
                 TaskSuite([("ok", 1.0, 1.0), ("bad-task", weight, 1.0)])
 
+    def test_rejects_total_weight_beyond_float_range(self):
+        with pytest.raises(ValidationError, match="total weight"):
+            TaskSuite([(name, 1e308, 1.0) for name in "abc"])
+
+    def test_score_of_largest_total_weight_is_finite(self):
+        # performances are at most 1, so a suite that passes cannot overflow the score
+        half = sys.float_info.max / 2
+        suite = TaskSuite([("a", half, 1.0), ("b", half, 1.0)])
+        assert intelligence_score(suite) == suite.total_weight() == sys.float_info.max
+
     def test_rejects_performance_out_of_range(self):
         with pytest.raises(ValidationError, match="hot"):
             TaskSuite([("hot", 1.0, 1.5)])
@@ -93,7 +103,7 @@ class TestLandauerConstant:
         t = 1.0 / math.log(2) / 1.380649e-23
         assert landauer_constant(t) == pytest.approx(1.0, rel=1e-15)
 
-    @pytest.mark.parametrize("t", [0.0, -5.0])
+    @pytest.mark.parametrize("t", [0.0, -5.0, math.inf, math.nan])
     def test_rejects_non_positive_temperature(self, t):
         with pytest.raises(ValidationError):
             landauer_constant(t)
@@ -126,6 +136,10 @@ class TestModeledEnergy:
     def test_sub_landauer_overhead_rejected(self):
         with pytest.raises(ValidationError, match="sub-Landauer"):
             modeled_energy(ExecutionTrace(10, 1.0), 0.5, 300.0)
+        with pytest.raises(ValidationError, match="overhead"):
+            modeled_energy(ExecutionTrace(10, 1.0), math.inf, 300.0)
+        with pytest.raises(ValidationError, match="temperature"):
+            modeled_energy(ExecutionTrace(10, 1.0), 1.0, math.inf)
 
     def test_zero_ops_with_measured_energy_flags_infinity(self):
         report = modeled_energy(ExecutionTrace(0, 1.0, measured_energy=1e-18), 1.0, 300.0)
@@ -181,6 +195,14 @@ class TestPhiLowerBound:
             phi_lower_bound(300.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValidationError):
             phi_lower_bound(300.0, 1.0, 1.0, -1.0)
+        with pytest.raises(ValidationError, match="yield"):
+            phi_lower_bound(300.0, 1.0, math.inf, 1.0)
+        with pytest.raises(ValidationError, match="duration"):
+            phi_lower_bound(300.0, 1.0, 1.0, math.inf)
+        with pytest.raises(ValidationError, match="overhead"):
+            phi_lower_bound(300.0, math.inf, 1.0, 1.0)
+        with pytest.raises(ValidationError, match="temperature"):
+            phi_lower_bound(math.inf, 1.0, 1.0, 1.0)
 
     def test_equality_when_intelligence_saturates(self):
         # wpi / bound == 1 when I == alpha * N and E == F * N * c

@@ -52,6 +52,7 @@ class TestTotalOverhead:
         {"algorithmic_yield": 0.0}, {"extra_overheads": {"x": 0.9}},
         {"mem": math.inf}, {"ctrl": math.inf}, {"temperature": math.inf},
         {"algorithmic_yield": math.inf}, {"extra_overheads": {"x": math.inf}},
+        {"mem": 1e200, "ctrl": 1e200}, {"mem": 1e300, "extra_overheads": {"x": 1e10}},
     ])
     def test_invalid_substrates_rejected(self, kw):
         with pytest.raises(ValidationError):
