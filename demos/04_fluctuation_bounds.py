@@ -13,7 +13,6 @@ from wpi import (
     Estimator,
     coupled_bound_suite,
     four_state_chain,
-    four_state_structural_chain,
     ift_check,
     markov_tail_check,
     sample_trajectories,
@@ -58,9 +57,9 @@ for check, weight in zip(suite.checks, suite.check_weights):
     print(f"  lhs={check.lhs:.2f} rhs={check.rhs:.2f} slack={check.slack:+.2f} "
           f"weight={weight}")
 
-# The structural mirror: adaptation of an architecture state bounded the
-# same way, with intelligence gain per joule on the left-hand side.
-structural = four_state_structural_chain()
+# The adaptivity mirror: adaptation read as intelligence gain per joule is
+# bounded the same way; a fresh sample of the same chain checks it.
+structural = four_state_chain()
 structural_paths = sample_trajectories(structural, steps=1, count=50_000, seed=2026)
 adaptation = coupled_bound_suite(
     structural,

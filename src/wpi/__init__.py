@@ -37,7 +37,6 @@ from .config import (
     default_substrates,
     eight_state_chain,
     four_state_chain,
-    four_state_structural_chain,
     ingest_config,
     serialize_config,
     shipped_chains,

@@ -303,6 +303,16 @@ def _check_counts(model: MarkovModel, counts: np.ndarray) -> np.ndarray:
     n = model.n_states
     if counts.shape != (n, n):
         raise ValidationError(f"counts must be {n}x{n}, got {counts.shape}")
+    if counts.dtype.kind not in "biuf":
+        raise ValidationError(f"counts must be numbers, got dtype {counts.dtype}")
+    bad = counts < 0
+    if counts.dtype.kind == "f":
+        bad |= ~np.isfinite(counts) | (counts != np.floor(counts))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValidationError(
+            f"counts[{i}, {j}] must be a non-negative integer, got {counts[i, j].item()!r}"
+        )
     return counts
 
 

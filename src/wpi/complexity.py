@@ -70,26 +70,13 @@ class Estimator(str, enum.Enum):
 
 @dataclass(frozen=True)
 class CoarseState:
-    """A coarse-grained system state: a finite binary string.
-
-    ``label`` is display metadata only; equality and hashing use the bits,
-    so relabeled copies of a state compare equal.
-    """
+    """A coarse-grained system state: a finite binary string, equal by its bits."""
 
     bits: str
-    label: str | None = None
 
     def __post_init__(self):
         if self.bits.strip("01") != "":
             raise ValidationError(f"state bits must contain only '0'/'1', got {self.bits!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, CoarseState):
-            return NotImplemented
-        return self.bits == other.bits
-
-    def __hash__(self):
-        return hash(self.bits)
 
     def __len__(self):
         return len(self.bits)

@@ -22,12 +22,19 @@ must be finite; only ``measured_energy``, ``telemetry``, ``labels`` and a
 label may be ``null``.
 Range rules are the constructors' (``Substrate``, ``MarkovModel``, ...).
 This module checks only the sampling settings' ranges and what no
-constructor sees: unique names, trace references and per-model lengths.
+constructor sees: unique names, trace references, per-model lengths and
+that every ``measure`` weight is > 0.  A model's ``labels`` and ``measure``
+are validated and hashed, but no object holds them and no computation
+reads them.
 
 Validation reports *every* problem found, each tagged with the JSON pointer
 of the offending value.  A trace's ``telemetry`` names a power CSV relative
 to the config file; its trapezoidal integral becomes the trace's measured
 energy.
+
+The config keeps the document it validated (``ExperimentConfig.document``),
+so the field tables below are the one layout of both the schema and a
+report's ``config_sha256``.
 
 The packaged config (:func:`default_config_path`) is what ``wpi report``
 runs by default, and it is the one definition of the shipped chains and the
@@ -37,6 +44,7 @@ the named chains read it on each call.
 
 from __future__ import annotations
 
+import copy
 import json
 import reprlib
 import sys
@@ -47,7 +55,6 @@ from types import NoneType, UnionType
 from typing import Any, get_args, get_origin
 
 from .complexity import CoarseState, Estimator
-from .entropy import StateMeasure
 from .errors import ConfigError, ValidationError
 from .markov import MAX_SEED, MarkovModel, distribution_problem
 from .metrics import ExecutionTrace, TaskRecord, TaskSuite
@@ -69,11 +76,21 @@ class SimSettings:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The objects a config builds, and the validated document they were built from.
+
+    ``document`` is the config as :func:`config_from_dict` read it: every
+    key present, defaults filled in, numbers as floats, each model's null
+    ``labels`` as a list of nulls and each trace's ``telemetry`` replaced
+    by its integral in ``measured_energy``.  It is what
+    :func:`serialize_config` returns and what ``config_sha256`` hashes.
+    """
+
     substrates: tuple[Substrate, ...]
     suites: dict[str, TaskSuite]
     traces: dict[tuple[str, str], ExecutionTrace]
     models: tuple[MarkovModel, ...]
     sim: SimSettings
+    document: dict
 
     def substrate(self, name: str) -> Substrate:
         for sub in self.substrates:
@@ -185,17 +202,6 @@ def _shipped_chain(name: str) -> MarkovModel:
     return next(m for m in shipped_chains() if m.name == name)
 
 
-def four_state_structural_chain() -> MarkovModel:
-    """The four-state chain relabeled as architecture (structural) states."""
-    base = four_state_chain()
-    labels = ("arch-dense", "arch-sparse", "arch-routed", "arch-spiking")
-    states = tuple(
-        CoarseState(s.bits, label=lab) for s, lab in zip(base.states, labels)
-    )
-    measure = StateMeasure({s: base.measure.weights[s] for s in states})
-    return MarkovModel(states, base.kernel, measure, base.initial, name="four-state-structural")
-
-
 def default_substrates() -> list[Substrate]:
     """The packaged config's illustrative substrate catalog, in file order.
 
@@ -206,15 +212,15 @@ def default_substrates() -> list[Substrate]:
 
 
 def config_from_dict(data: Any, base_dir: Path | None = None) -> ExperimentConfig:
-    """Validate an already-parsed config object."""
+    """Validate an already-parsed config object; the result keeps the validated document."""
     errors: list[tuple[str, str]] = []
-    root = _read(data, _ROOT, "", errors)
-    n_models = 0 if root["models"] is _INVALID else len(root["models"])
-    sim = _validate_sim(root, errors, n_models)
-    substrates = _validate_substrates(root["substrates"], errors)
-    suites = _validate_suites(root["suites"], errors)
-    traces = _validate_traces(root["traces"], substrates, suites, errors, base_dir)
-    models = _validate_models(root["models"], errors)
+    document = _read(data, _ROOT, "", errors)
+    n_models = 0 if document["models"] is _INVALID else len(document["models"])
+    sim = _validate_sim(document, errors, n_models)
+    substrates = _validate_substrates(document, errors)
+    suites = _validate_suites(document, errors)
+    traces = _validate_traces(document, substrates, suites, errors, base_dir)
+    models = _validate_models(document, errors)
     if errors:
         raise ConfigError(errors)
 
@@ -224,6 +230,7 @@ def config_from_dict(data: Any, base_dir: Path | None = None) -> ExperimentConfi
         traces=traces,
         models=tuple(models),
         sim=sim,
+        document=document,
     )
 
 
@@ -233,54 +240,16 @@ def override_sim(config: ExperimentConfig, **overrides) -> ExperimentConfig:
     Raises :class:`~wpi.errors.ConfigError` listing every invalid value.
     """
     errors: list[tuple[str, str]] = []
-    fields = _read({**_sim_dict(config.sim), **overrides}, _SIM, "", errors)
+    fields = _read({**{key: config.document[key] for key in _SIM}, **overrides}, _SIM, "", errors)
     sim = _validate_sim(fields, errors, len(config.models))
     if errors:
         raise ConfigError(errors)
-    return replace(config, sim=sim)
+    return replace(config, sim=sim, document={**config.document, **fields})
 
 
 def serialize_config(config: ExperimentConfig) -> dict:
-    """Dict form of a config; ``config_from_dict`` of the result round-trips.
-
-    A trace's ``telemetry`` is not written: its integral is the trace's
-    ``measured_energy``.
-    """
-    return {
-        **_sim_dict(config.sim),
-        "substrates": [_entry(s, _SUBSTRATE) for s in config.substrates],
-        "suites": [
-            {"id": suite_id, "tasks": [_entry(t, _TASK) for t in suite.tasks]}
-            for suite_id, suite in config.suites.items()
-        ],
-        "traces": [
-            {"substrate": substrate, "suite": suite,
-             **_entry(trace, _TRACE, skip=("substrate", "suite", "telemetry"))}
-            for (substrate, suite), trace in config.traces.items()
-        ],
-        # a model's fields are per-state arrays, so _MODEL does not lay it out
-        "models": [
-            {
-                "name": m.name,
-                "states": [s.bits for s in m.states],
-                "labels": [s.label for s in m.states],
-                "kernel": [[float(v) for v in row] for row in m.kernel],
-                "measure": [float(m.measure.weights[s]) for s in m.states],
-                "initial": [float(v) for v in m.initial],
-            }
-            for m in config.models
-        ],
-    }
-
-
-def _sim_dict(sim: SimSettings) -> dict:
-    return {**_entry(sim, _SIM), "estimator": sim.estimator.value}
-
-
-def _entry(obj: Any, table: dict, skip: tuple[str, ...] = ()) -> dict:
-    """Attribute ``key`` of ``obj`` for each key of ``table`` not in ``skip``, dicts copied."""
-    values = {key: getattr(obj, key) for key in table if key not in skip}
-    return {key: dict(v) if isinstance(v, dict) else v for key, v in values.items()}
+    """A copy of the config's validated document; ``config_from_dict`` of it round-trips."""
+    return copy.deepcopy(config.document)
 
 
 def _read(obj: Any, table: dict, ptr: str, errors: list) -> dict:
@@ -346,27 +315,33 @@ def _child(ptr: str, key: Any) -> str:
     return f"{ptr}/" + str(key).replace("~", "~0").replace("/", "~1")
 
 
-def _entries(raw: Any, table: dict, ptr: str, errors: list, unique: tuple[str, ...] = ()):
-    """``(pointer, fields)`` of each entry of list ``raw`` whose fields all read.
+def _entries(parent: dict, key: str, table: dict, ptr: str, errors: list,
+             unique: tuple[str, ...] = ()):
+    """``(pointer, fields)`` of each entry of list ``parent[key]`` whose fields all read.
 
-    The ``unique`` fields of an entry, if any, together must differ from
-    every earlier entry's, whether or not either entry's other fields read
-    or build; a repeat is reported at its one key (or at the entry) and
-    skipped.  An entry with an unknown key is still read.  ``raw`` is
-    ``_INVALID`` when the list itself was reported.
+    ``ptr`` is the pointer of ``parent``, and ``parent[key]`` becomes the
+    list of the fields yielded, so that once no problem is reported it is
+    the validated list.  The ``unique`` fields of an entry, if any, together
+    must differ from every earlier entry's, whether or not either entry's
+    other fields read or build; a repeat is reported at its one key (or at
+    the entry) and skipped.  An entry with an unknown key is still read.
+    ``parent[key]`` is ``_INVALID`` when the list itself was reported.
     """
+    raw, read, ptr = parent[key], [], _child(ptr, key)
+    parent[key] = read
     seen: dict[tuple, str] = {}
     for i, entry in enumerate([] if raw is _INVALID else raw):
         fields = _read(entry, table, f"{ptr}/{i}", errors)
-        key = tuple(fields[k] for k in unique)
-        if unique and _INVALID not in key:
-            if key in seen:
+        ident = tuple(fields[k] for k in unique)
+        if unique and _INVALID not in ident:
+            if ident in seen:
                 at = f"{ptr}/{i}/{unique[0]}" if len(unique) == 1 else f"{ptr}/{i}"
-                errors.append((at, f"duplicate {' and '.join(unique)} {', '.join(map(repr, key))}"
-                                   f", as at {seen[key]}"))
+                errors.append((at, f"duplicate {' and '.join(unique)} {', '.join(map(repr, ident))}"
+                                   f", as at {seen[ident]}"))
                 continue
-            seen[key] = f"{ptr}/{i}"
+            seen[ident] = f"{ptr}/{i}"
         if _INVALID not in fields.values():
+            read.append(fields)
             yield f"{ptr}/{i}", fields
 
 
@@ -394,9 +369,9 @@ def _validate_sim(fields: dict, errors: list, n_models: int) -> SimSettings:
     return SimSettings(seed=seed, samples=samples, delta=delta, estimator=estimator)
 
 
-def _validate_substrates(raw: Any, errors: list) -> dict[str, Substrate]:
+def _validate_substrates(document: dict, errors: list) -> dict[str, Substrate]:
     out: dict[str, Substrate] = {}
-    for ptr, fields in _entries(raw, _SUBSTRATE, "/substrates", errors, ("name",)):
+    for ptr, fields in _entries(document, "substrates", _SUBSTRATE, "", errors, ("name",)):
         try:
             out[fields["name"]] = Substrate(**fields)
         except ValidationError as exc:
@@ -404,20 +379,20 @@ def _validate_substrates(raw: Any, errors: list) -> dict[str, Substrate]:
     return out
 
 
-def _validate_suites(raw: Any, errors: list) -> dict[str, TaskSuite]:
+def _validate_suites(document: dict, errors: list) -> dict[str, TaskSuite]:
     out: dict[str, TaskSuite] = {}
-    for ptr, fields in _entries(raw, _SUITE, "/suites", errors, ("id",)):
+    for ptr, fields in _entries(document, "suites", _SUITE, "", errors, ("id",)):
         suite_id = fields["id"]
         if not suite_id:
             errors.append((f"{ptr}/id", "suite id must be non-empty"))
             continue
-        records = []
-        for task_ptr, task in _entries(fields["tasks"], _TASK, f"{ptr}/tasks", errors):
+        n_tasks, records = len(fields["tasks"]), []
+        for task_ptr, task in _entries(fields, "tasks", _TASK, ptr, errors):
             try:
                 records.append(TaskRecord(**task))
             except ValidationError as exc:
                 errors.append((task_ptr, str(exc)))
-        if len(records) < len(fields["tasks"]):
+        if len(records) < n_tasks:
             continue
         try:
             out[suite_id] = TaskSuite(records)
@@ -427,16 +402,16 @@ def _validate_suites(raw: Any, errors: list) -> dict[str, TaskSuite]:
 
 
 def _validate_traces(
-    raw: Any,
+    document: dict,
     substrates: dict[str, Substrate],
     suites: dict[str, TaskSuite],
     errors: list,
     base_dir: Path | None,
 ) -> dict[tuple[str, str], ExecutionTrace]:
     out: dict[tuple[str, str], ExecutionTrace] = {}
-    for ptr, fields in _entries(raw, _TRACE, "/traces", errors, ("substrate", "suite")):
-        substrate, suite = key = (fields.pop("substrate"), fields.pop("suite"))
-        telemetry = fields.pop("telemetry")
+    for ptr, fields in _entries(document, "traces", _TRACE, "", errors, ("substrate", "suite")):
+        substrate, suite = key = (fields["substrate"], fields["suite"])
+        telemetry = fields.pop("telemetry")  # the document keeps its integral
         before = len(errors)
         if substrate not in substrates:
             errors.append((f"{ptr}/substrate", f"trace names unknown substrate {substrate!r}"))
@@ -455,23 +430,26 @@ def _validate_traces(
         if len(errors) > before:
             continue
         try:
-            out[key] = ExecutionTrace(**fields)
+            out[key] = ExecutionTrace(
+                fields["irreversible_ops"], fields["duration"], fields["measured_energy"]
+            )
         except ValidationError as exc:
             errors.append((ptr, str(exc)))
     return out
 
 
-def _validate_models(raw: Any, errors: list) -> list[MarkovModel]:
+def _validate_models(document: dict, errors: list) -> list[MarkovModel]:
     out: list[MarkovModel] = []
-    for ptr, fields in _entries(raw, _MODEL, "/models", errors, ("name",)):
-        bits, labels, kernel = fields["states"], fields["labels"], fields["kernel"]
+    for ptr, fields in _entries(document, "models", _MODEL, "", errors, ("name",)):
+        bits, kernel = fields["states"], fields["kernel"]
         measure, initial = fields["measure"], fields["initial"]
         n = len(bits)
         if not n:
             errors.append((f"{ptr}/states", "must list at least one state"))
             continue
-        labels = [None] * n if labels is None else labels
-        sized = {"labels": labels, "kernel": kernel, "measure": measure, "initial": initial}
+        if fields["labels"] is None:
+            fields["labels"] = [None] * n
+        sized = {key: fields[key] for key in ("labels", "kernel", "measure", "initial")}
         sized.update((f"kernel/{j}", row) for j, row in enumerate(kernel))
         before = len(errors)
         for key, values in sized.items():
@@ -481,9 +459,9 @@ def _validate_models(raw: Any, errors: list) -> list[MarkovModel]:
             continue
 
         states = []
-        for j, (state_bits, label) in enumerate(zip(bits, labels)):
+        for j, state_bits in enumerate(bits):
             try:
-                states.append(CoarseState(state_bits, label=label))
+                states.append(CoarseState(state_bits))
             except ValidationError as exc:
                 errors.append((f"{ptr}/states/{j}", str(exc)))
         laws = [(f"kernel/{j}", "kernel row", row) for j, row in enumerate(kernel)]
@@ -493,9 +471,13 @@ def _validate_models(raw: Any, errors: list) -> list[MarkovModel]:
                 errors.append((f"{ptr}/{key}", f"{what} {problem}"))
         if len(errors) > before:
             continue
+        bad = [(state, weight) for state, weight in zip(bits, measure) if not weight > 0.0]
+        if bad:
+            state, weight = bad[0]
+            errors.append((ptr, f"measure weight for state {state!r} must be > 0, got {weight}"))
+            continue
         try:
-            measure = StateMeasure(dict(zip(states, measure)))
-            out.append(MarkovModel(states, kernel, measure, initial, name=fields["name"]))
+            out.append(MarkovModel(states, kernel, initial, name=fields["name"]))
         except ValidationError as exc:
             errors.append((ptr, str(exc)))
     return out

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import CoarseState
-from .entropy import StateMeasure
 from .errors import NonErgodicChainError, ValidationError
 
 #: Tolerance on kernel row sums and the initial distribution, and, times the
@@ -32,11 +31,10 @@ MAX_SEED = 2**63 - 1
 
 @dataclass(frozen=True, eq=False)
 class MarkovModel:
-    """Finite state space, transition kernel, measure, and initial law."""
+    """Finite state space, transition kernel, and initial law."""
 
     states: tuple[CoarseState, ...]
     kernel: np.ndarray
-    measure: StateMeasure
     initial: np.ndarray
     name: str = "model"
 
@@ -46,13 +44,11 @@ class MarkovModel:
         return (
             self.name == other.name
             and self.states == other.states
-            and [s.label for s in self.states] == [s.label for s in other.states]
             and np.array_equal(self.kernel, other.kernel)
-            and self.measure == other.measure
             and np.array_equal(self.initial, other.initial)
         )
 
-    def __init__(self, states, kernel, measure, initial, name="model"):
+    def __init__(self, states, kernel, initial, name="model"):
         if not name:
             raise ValidationError("model name must be non-empty")
         states = tuple(states)
@@ -77,15 +73,10 @@ class MarkovModel:
         if problem:
             raise ValidationError(f"initial distribution {problem}")
 
-        for s in states:
-            if s not in measure:
-                raise ValidationError(f"measure is missing state {s.bits!r}")
-
         kernel.setflags(write=False)
         initial.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "measure", measure)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "name", name)
 
@@ -187,11 +178,14 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int) -
     draws its ``steps + 1`` uniforms from ``Philox(key=(seed, i))``: the
     first picks the initial state, the others one transition each.
     """
+    for name, value in (("steps", steps), ("count", count), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed <= MAX_SEED:
+    if not 0 <= seed <= MAX_SEED:
         raise ValidationError(f"seed must be an integer in [0, 2**63 - 1], got {seed!r}")
     seed = int(seed)
 

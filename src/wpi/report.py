@@ -1,9 +1,10 @@
 """Report bundles: deterministic JSON plus plot-ready TSV tables.
 
 A bundle binds every number to its inputs through a sha256 hash of the
-canonical config serialization.  Output is byte-identical for identical
-(config, seed) runs except for the ``generated_at`` timestamp; file writes
-are atomic (write to a temp file, then rename).
+validated config document (:func:`~wpi.config.serialize_config`).  Output
+is byte-identical for identical (config, seed) runs except for the
+``generated_at`` timestamp; file writes are atomic (write to a temp file,
+then rename).
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from wpi import (
     default_substrates,
     entropy_decomposition,
     four_state_chain,
-    four_state_structural_chain,
     ift_check,
     intelligence_score,
     landauer_constant,
@@ -211,7 +210,7 @@ def test_criterion_7_coupled_bounds():
     threshold = 1.0 - delta - 3.0 * efficiency.rate_standard_error
     assert efficiency.holds_rate >= threshold
 
-    structural_model = four_state_structural_chain()
+    structural_model = four_state_chain()
     structural_paths = sample_trajectories(structural_model, 1, 10_000, seed=708)
     adaptivity = coupled_bound_suite(
         structural_model, transition_counts(structural_model, structural_paths),

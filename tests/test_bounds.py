@@ -13,7 +13,6 @@ from wpi import (
     ImpossibleTransitionError,
     MarkovModel,
     NonErgodicChainError,
-    StateMeasure,
     ValidationError,
     adaptivity_bound_check,
     complexity_exact,
@@ -21,7 +20,6 @@ from wpi import (
     efficiency_bound_check,
     estimate_complexity,
     four_state_chain,
-    four_state_structural_chain,
     ift_check,
     markov_tail_check,
     sample_trajectories,
@@ -55,9 +53,7 @@ def analytic_surprisal_expectation(model) -> float:
 class TestIftCheck:
     def test_identity_kernel_mean_is_exactly_one(self):
         states = [CoarseState("0"), CoarseState("1")]
-        model = MarkovModel(
-            states, [[1.0, 0.0], [0.0, 1.0]], StateMeasure.uniform(states), [0.5, 0.5]
-        )
+        model = MarkovModel(states, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
         counts = sampled_counts(model, 2, 200, seed=5)
         result = ift_check(model, counts, Estimator.EXACT_ENUM)
         assert result.complexity_mean == 1.0
@@ -77,9 +73,7 @@ class TestIftCheck:
 
     def test_non_ergodic_chain_rejected_for_control(self):
         states = [CoarseState("0"), CoarseState("1")]
-        model = MarkovModel(
-            states, [[1.0, 0.0], [0.0, 1.0]], StateMeasure.uniform(states), [0.5, 0.5]
-        )
+        model = MarkovModel(states, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
         counts = sampled_counts(model, 1, 10, seed=2)
         result = ift_check(model, counts, Estimator.EXACT_ENUM)
         assert result.surprisal_mean is None
@@ -123,6 +117,32 @@ class TestIftCheck:
             coupled_bound_suite(model, np.ones((4, 2), dtype=np.int64), Estimator.EXACT_ENUM, 0.05)
         with pytest.raises(ValidationError, match="no transitions"):
             ift_check(model, np.zeros((4, 4), dtype=np.int64), Estimator.EXACT_ENUM)
+        with pytest.raises(ValidationError, match="must be numbers"):
+            ift_check(model, np.full((4, 4), "1"), Estimator.EXACT_ENUM)
+
+    @pytest.mark.parametrize("bad, shown", [
+        (-3, "-3"), (0.5, "0.5"), (math.nan, "nan"), (math.inf, "inf"),
+    ])
+    def test_counts_must_be_non_negative_integers(self, bad, shown):
+        # a negative entry ended in a bare math domain error; a suite reported
+        # more valid samples than transitions, or truncated a fraction to 0
+        model = four_state_chain()
+        counts = np.ones((4, 4), dtype=type(bad))
+        counts[1, 2] = bad
+        message = rf"counts\[1, 2\] must be a non-negative integer, got {shown}"
+        for check in (
+            lambda: ift_check(model, counts, Estimator.EXACT_ENUM),
+            lambda: markov_tail_check(model, counts, Estimator.EXACT_ENUM, 0.05),
+            lambda: coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                check()
+
+    def test_integer_valued_float_counts_accepted(self):
+        model = four_state_chain()
+        counts = sampled_counts(model, 1, 500, seed=3)
+        suite = coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05)
+        assert coupled_bound_suite(model, counts.astype(float), Estimator.EXACT_ENUM, 0.05) == suite
 
 
 class TestSurprisalTable:
@@ -134,6 +154,20 @@ class TestSurprisalTable:
                 if kernel[i, j] > 0 and kernel[j, i] > 0:
                     assert table[i, j] == pytest.approx(-table[j, i], abs=1e-12)
 
+    def test_one_way_edge_has_infinite_surprisal(self):
+        # ergodic, but 1 -> 2 has no reverse: its 2**-sigma is 0, so the
+        # mean falls below 1
+        states = [CoarseState("0"), CoarseState("10"), CoarseState("110")]
+        kernel = [[0.5, 0.25, 0.25], [0.5, 0.0, 0.5], [0.5, 0.0, 0.5]]
+        model = MarkovModel(states, kernel, [1 / 3] * 3)
+        table = surprisal_table(model)
+        assert table[1, 2] == math.inf
+        assert np.isfinite(np.delete(table.ravel(), 5)).all()
+        analytic = analytic_surprisal_expectation(model)
+        assert analytic < 1.0
+        result = ift_check(model, sampled_counts(model, 1, 20_000, seed=17), Estimator.EXACT_ENUM)
+        assert abs(result.surprisal_mean - analytic) <= 3.0 * result.surprisal_se
+
     def test_self_transitions_have_zero_surprisal(self):
         table = surprisal_table(four_state_chain())
         assert all(table[i, i] == 0.0 for i in range(4))
@@ -142,8 +176,7 @@ class TestSurprisalTable:
 def uniform_model(bits):
     states = [CoarseState(b) for b in bits]
     n = len(states)
-    return MarkovModel(states, np.full((n, n), 1.0 / n), StateMeasure.uniform(states),
-                       np.full(n, 1.0 / n))
+    return MarkovModel(states, np.full((n, n), 1.0 / n), np.full(n, 1.0 / n))
 
 
 def ring_of_long_states(n_states=12, seed=8):
@@ -165,8 +198,7 @@ def ring_of_long_states(n_states=12, seed=8):
         kernel[i, i] = 0.75
         kernel[i, (i + 1) % n_states] = 0.1875
         kernel[i, (i - 1) % n_states] = 0.0625
-    return MarkovModel(states, kernel, StateMeasure.uniform(states),
-                       np.full(n_states, 1.0 / n_states), name="ring")
+    return MarkovModel(states, kernel, np.full(n_states, 1.0 / n_states), name="ring")
 
 
 class TestMarkovTail:
@@ -247,9 +279,7 @@ class TestEfficiencyBound:
         # transition with probability 1 whose source is free given anything:
         # the bracket vanishes and the bound is exactly log2(1/delta)
         states = [CoarseState(""), CoarseState("1")]
-        model = MarkovModel(
-            states, [[0.0, 1.0], [1.0, 0.0]], StateMeasure.uniform(states), [1.0, 0.0]
-        )
+        model = MarkovModel(states, [[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0])
         delta = 0.05
         result = efficiency_bound_check(
             model, states[0], states[1], (1.0, 1.0, 1.0), delta,
@@ -268,9 +298,7 @@ class TestEfficiencyBound:
 
     def test_impossible_transition_is_typed_error(self):
         states = [CoarseState("0"), CoarseState("1")]
-        model = MarkovModel(
-            states, [[1.0, 0.0], [0.0, 1.0]], StateMeasure.uniform(states), [0.5, 0.5]
-        )
+        model = MarkovModel(states, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
         with pytest.raises(ImpossibleTransitionError):
             efficiency_bound_check(
                 model, states[0], states[1], (1.0, 1.0, 1.0), 0.05,
@@ -298,7 +326,7 @@ class TestEfficiencyBound:
 
 class TestAdaptivityBound:
     def test_zero_gain_holds_when_rhs_nonnegative(self):
-        model = four_state_structural_chain()
+        model = four_state_chain()
         result = adaptivity_bound_check(
             model, model.states[0], model.states[1], (0.0, 1.0, 1.0), 0.05,
             Estimator.EXACT_ENUM,
@@ -310,14 +338,14 @@ class TestAdaptivityBound:
         # self-transition with probability 1 on a zero-complexity state:
         # rhs is exactly log2(1/delta)
         states = [CoarseState("")]
-        model = MarkovModel(states, [[1.0]], StateMeasure.uniform(states), [1.0])
+        model = MarkovModel(states, [[1.0]], [1.0])
         result = adaptivity_bound_check(
             model, states[0], states[0], (0.5, 1.0, 1.0), 0.05, Estimator.EXACT_ENUM
         )
         assert result.rhs == pytest.approx(math.log2(1 / 0.05), abs=1e-12)
 
     def test_non_positive_energy_rejected(self):
-        model = four_state_structural_chain()
+        model = four_state_chain()
         with pytest.raises(ValidationError, match="adaptation energy"):
             adaptivity_bound_check(
                 model, model.states[0], model.states[1], (1.0, 0.0, 1.0), 0.05,
@@ -365,7 +393,7 @@ class TestCoupledSuites:
         assert suite.holds_rate >= threshold
 
     def test_adaptivity_mirror(self):
-        model = four_state_structural_chain()
+        model = four_state_chain()
         counts = sampled_counts(model, 1, 20_000, seed=37)
         suite = coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05)
         threshold = 1.0 - suite.delta - 3.0 * suite.rate_standard_error

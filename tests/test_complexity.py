@@ -249,10 +249,6 @@ class TestCoarseState:
     def test_empty_state_is_valid(self):
         assert len(CoarseState("")) == 0
 
-    def test_label_does_not_affect_identity(self):
-        assert CoarseState("0101", label="a") == CoarseState("0101", label="b")
-        assert hash(CoarseState("01")) == hash(CoarseState("01", label="x"))
-
 
 class TestCorpusFile:
     def test_corpus_reads_and_is_binary(self):

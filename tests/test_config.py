@@ -20,6 +20,8 @@ from wpi import (
     two_state_chain,
 )
 from wpi.cli import default_config_path
+from wpi.config import override_sim
+from wpi.report import config_hash
 
 
 def minimal_config(**overrides):
@@ -98,6 +100,15 @@ BAD_INPUTS = [
      "/substrates/1/name"),
     (("suites",), [entry("suites", tasks=[]), entry("suites")], "/suites/1/id"),
     (("traces",), [entry("traces", duration="x"), entry("traces")], "/traces/1"),
+    # the model rules the config applies itself, each with its message
+    (("models", 0, "measure"), [0.0, 1.0],
+     ("/models/0", "measure weight for state '0' must be > 0, got 0.0")),
+    (("models", 0, "labels"), ["a"], ("/models/0/labels", "must have 2 entries, got 1")),
+    (("models", 0, "measure"), [1.0, 1.0, 1.0],
+     ("/models/0/measure", "must have 2 entries, got 3")),
+    (("models", 0, "initial"), [1.0], ("/models/0/initial", "must have 2 entries, got 1")),
+    (("models", 0, "kernel"), [[1.0], [0.5, 0.5]],
+     ("/models/0/kernel/0", "must have 2 entries, got 1")),
 ]
 
 
@@ -211,12 +222,17 @@ class TestValidation:
             config_from_dict(data)
         assert "/models/0/states/1" in pointers(info)
 
-    @pytest.mark.parametrize("path, value, pointer", BAD_INPUTS,
-                             ids=[f"{i}:{ptr}" for i, (_, _, ptr) in enumerate(BAD_INPUTS)])
+    @pytest.mark.parametrize("path, value, pointer", BAD_INPUTS, ids=[
+        f"{i}:{ptr if isinstance(ptr, str) else ptr[0]}" for i, (_, _, ptr) in enumerate(BAD_INPUTS)
+    ])
     def test_bad_input_pointed_at(self, path, value, pointer):
+        # ``pointer`` is a pointer, or a (pointer, message) issue
         with pytest.raises(ConfigError) as info:
             config_from_dict(with_value(path, value))
-        assert pointer in pointers(info)
+        if isinstance(pointer, str):
+            assert pointer in pointers(info)
+        else:
+            assert pointer in info.value.issues
 
     def test_unknown_keys_pointed_at_everywhere(self):
         data = minimal_config(sed=7)
@@ -288,7 +304,7 @@ class TestValidation:
         data["models"][0]["labels"] = None
         config = config_from_dict(data)
         assert config.traces[("cpu", "s")].measured_energy is None
-        assert [s.label for s in config.models[0].states] == [None, None]
+        assert config.document["models"][0]["labels"] == [None, None]
 
 
 class TestTelemetryAttachment:
@@ -326,6 +342,34 @@ class TestTelemetryAttachment:
         with pytest.raises(ConfigError) as info:
             ingest_config(path)
         assert pointers(info) == ["/traces/0/telemetry"]
+
+
+class TestConfigHash:
+    """``config_sha256`` binds a bundle to its config; a new value is a new layout."""
+
+    def test_shipped_config_hash_is_pinned(self):
+        assert config_hash(ingest_config(default_config_path())) == (
+            "7a3e955facb77b782ec6f7c3cef7864d06c0a88bd9f4f0e6b451a5b33c478034"
+        )
+
+    def test_filled_in_config_hash_is_pinned(self, tmp_path):
+        # integer numbers, omitted defaults, null labels and a telemetry trace
+        # hash as their validated values: floats, defaults, nulls, the integral
+        (tmp_path / "power.csv").write_text("t_s,power_w\n0,2\n1,3\n2.5,1\n")
+        data = minimal_config()
+        data["substrates"][0].update(temperature=300, overhead_mem=2)
+        data["traces"][0]["telemetry"] = "power.csv"
+        data["models"][0].update(labels=None, measure=[1, 2], initial=[1, 0])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        config = ingest_config(path)
+        assert config_hash(config) == (
+            "7a75932a46c1b4d07ee79c9280e0c57ec68705197405ccaa54afcc2373afaa30"
+        )
+        overridden = override_sim(config, seed=5, delta=0.25, estimator="lz-proxy")
+        assert config_hash(overridden) == (
+            "9ec7cdf41b07a927714581a04ffdaae8c79f4d2bd4df5bfb6545e5e961e99e68"
+        )
 
 
 class TestRoundTrip:

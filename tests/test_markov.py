@@ -8,11 +8,9 @@ from wpi import (
     MarkovModel,
     NonErgodicChainError,
     MAX_SEED,
-    StateMeasure,
     ValidationError,
     eight_state_chain,
     four_state_chain,
-    four_state_structural_chain,
     is_ergodic,
     sample_trajectories,
     shipped_chains,
@@ -25,8 +23,7 @@ from wpi.markov import _CHUNK, _philox_uniforms, _row_searchsorted
 
 def simple_model(kernel, n=2, initial=None):
     states = [CoarseState(f"{i:0{max(1, (n - 1).bit_length())}b}") for i in range(n)]
-    measure = StateMeasure.uniform(states)
-    return MarkovModel(states, kernel, measure, initial or [1.0 / n] * n)
+    return MarkovModel(states, kernel, initial or [1.0 / n] * n)
 
 
 class TestModelValidation:
@@ -59,13 +56,24 @@ class TestModelValidation:
     def test_duplicate_states_rejected(self):
         states = [CoarseState("0"), CoarseState("0")]
         with pytest.raises(ValidationError, match="distinct"):
-            MarkovModel(states, [[0.5, 0.5]] * 2, StateMeasure.uniform(states[:1]), [0.5, 0.5])
+            MarkovModel(states, [[0.5, 0.5]] * 2, [0.5, 0.5])
 
-    def test_measure_must_cover_states(self):
-        states = [CoarseState("0"), CoarseState("1")]
-        measure = StateMeasure({states[0]: 1.0})
-        with pytest.raises(ValidationError, match="measure"):
-            MarkovModel(states, [[0.5, 0.5]] * 2, measure, [0.5, 0.5])
+    def test_empty_name_rejected(self):
+        states = [CoarseState("0")]
+        with pytest.raises(ValidationError, match="name must be non-empty"):
+            MarkovModel(states, [[1.0]], [1.0], name="")
+
+    def test_no_states_rejected(self):
+        with pytest.raises(ValidationError, match="at least one state"):
+            MarkovModel([], np.zeros((0, 0)), [])
+
+    def test_non_square_kernel_rejected(self):
+        with pytest.raises(ValidationError, match=r"kernel must be 2x2, got \(2, 3\)"):
+            simple_model([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
+
+    def test_wrong_length_initial_rejected(self):
+        with pytest.raises(ValidationError, match="initial distribution must have length 2"):
+            simple_model([[0.5, 0.5], [0.5, 0.5]], initial=[0.5, 0.25, 0.25])
 
     def test_kernel_not_shared_with_caller(self):
         kernel = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -171,6 +179,19 @@ class TestSampling:
         for seed in (-1, MAX_SEED + 1, 1.5):
             with pytest.raises(ValidationError, match="seed"):
                 sample_trajectories(model, 1, 10, seed=seed)
+
+    @pytest.mark.parametrize("name", ["steps", "count", "seed"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, np.True_, "2", None])
+    def test_non_integer_arguments_rejected(self, name, value):
+        # a float steps or count raised numpy's TypeError; seed=True sampled seed 1
+        arguments = {"steps": 1, "count": 10, "seed": 1, name: value}
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            sample_trajectories(two_state_chain(), **arguments)
+
+    def test_numpy_integer_arguments_accepted(self):
+        model = two_state_chain()
+        paths = sample_trajectories(model, np.int64(2), np.int32(10), seed=np.uint64(1))
+        assert np.array_equal(paths, sample_trajectories(model, 2, 10, seed=1))
 
 
 class TestPhiloxStreams:
@@ -296,10 +317,3 @@ class TestShippedChains:
             assert kernel[i, (i + 1) % n] == 0.5
             assert kernel[i, i] == 0.3125
             assert kernel[i, (i - 1) % n] == 0.1875
-
-    def test_structural_chain_mirrors_four_state(self):
-        structural = four_state_structural_chain()
-        base = four_state_chain()
-        assert np.array_equal(structural.kernel, base.kernel)
-        assert [s.bits for s in structural.states] == [s.bits for s in base.states]
-        assert all(s.label and s.label.startswith("arch-") for s in structural.states)
