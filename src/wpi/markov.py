@@ -4,9 +4,11 @@ Trajectory ``i`` of a sample draws all its randomness from the Philox4x64-10
 counter-based stream keyed ``(seed, i)``: the same doubles that
 ``numpy.random.Generator(numpy.random.Philox(key=[seed, i])).random()``
 returns.  Because the generator is counter-based, the sampler computes those
-streams as array arithmetic over all trajectory indices at once, in fixed
-chunks of trajectories, and returns the paths as one integer array.  A
-stream's first draws do not depend on how many follow, so a path sampled
+streams as array arithmetic over the trajectory indices of one chunk at a
+time, and returns the paths as one integer array.  The Philox rounds and
+the row search run in place in buffers of one chunk, so the working memory
+beyond that array is set by ``_CHUNK``, not by the number of trajectories.
+A stream's first draws do not depend on how many follow, so a path sampled
 with more steps extends the shorter one.  Seeds range over
 ``[0, MAX_SEED]``.
 """
@@ -189,17 +191,23 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int) -
         raise ValidationError(f"seed must be an integer in [0, 2**63 - 1], got {seed!r}")
     seed = int(seed)
 
-    kernel_cdf = np.cumsum(model.kernel, axis=1)
+    table = _search_table(model.kernel)
     initial_cdf = np.cumsum(model.initial)
     last = model.n_states - 1
-    paths = np.empty((count, steps + 1), dtype=np.int64)
+    try:
+        paths = np.empty((count, steps + 1), dtype=np.int64)
+    except (MemoryError, ValueError):  # ValueError: more bytes than numpy can address
+        raise ValidationError(
+            f"cannot allocate the sampled paths: an int64 array of shape "
+            f"({count}, {steps + 1}) needs {count * (steps + 1) * 8} bytes"
+        ) from None
     for lo in range(0, count, _CHUNK):
         index = np.arange(lo, min(lo + _CHUNK, count), dtype=np.uint64)
         path = paths[lo:lo + len(index)]
         u = _philox_uniforms(seed, index, steps + 1)
-        path[:, 0] = np.minimum(np.searchsorted(initial_cdf, u[:, 0], side="right"), last)
+        np.minimum(np.searchsorted(initial_cdf, u[:, 0], side="right"), last, out=path[:, 0])
         for k in range(steps):
-            path[:, k + 1] = _row_searchsorted(kernel_cdf, path[:, k], u[:, k + 1])
+            _row_searchsorted(table, path[:, k], u[:, k + 1], out=path[:, k + 1])
     return paths
 
 
@@ -210,21 +218,41 @@ def transition_counts(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
     return np.bincount(pairs.ravel(), minlength=n * n).reshape(n, n)
 
 
-def _row_searchsorted(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Number of entries <= ``u`` in ``cdf[rows]``, clipped to n - 1.
+def _search_table(kernel: np.ndarray) -> np.ndarray:
+    """The kernel's row CDFs for :func:`_row_searchsorted`, padded with ``+inf``.
 
-    A binary search run in lockstep over all rows; it equals
-    ``searchsorted(cdf[row], u, side="right")`` for every nondecreasing row.
+    Row ``r`` holds ``cumsum(kernel[r])[:n - 1]`` and then ``+inf`` up to a
+    width that is the least power of two >= n.  A search clipped to ``n - 1``
+    never needs the last entry: if ``u`` passes all ``n - 1`` others, the
+    answer is ``n - 1`` whatever that entry is.
     """
-    n = cdf.shape[1]
-    lo = np.zeros(len(u), dtype=np.int64)
-    hi = np.full(len(u), n, dtype=np.int64)
-    for _ in range(n.bit_length()):
-        mid = (lo + hi) >> 1
-        right = cdf[rows, np.minimum(mid, n - 1)] <= u
-        lo = np.where(right & (lo < hi), mid + 1, lo)
-        hi = np.where(right, hi, mid)
-    return np.minimum(lo, n - 1)
+    n = kernel.shape[1]
+    table = np.full((n, 1 << (n - 1).bit_length()), np.inf)
+    np.cumsum(kernel[:, :n - 1], axis=1, out=table[:, :n - 1])
+    return table
+
+
+def _row_searchsorted(table: np.ndarray, rows: np.ndarray, u: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """``min(searchsorted(cumsum(kernel[row]), u, side="right"), n - 1)`` per (row, u).
+
+    ``table`` is :func:`_search_table` of a kernel with nonnegative rows.  A
+    binary search runs in lockstep over all rows as a gather from the flat
+    table at ``row * width + pos + step - 1``: it adds ``step`` to ``pos``
+    where that entry is ``<= u``, for ``step = width / 2, ..., 1``.
+    """
+    width = table.shape[1]
+    flat = table.ravel()
+    at = rows * width
+    value = np.empty(len(u))
+    below = np.empty(len(u), dtype=bool)
+    step = width >> 1
+    while step:
+        np.take(flat[step - 1:], at, out=value, mode="clip")  # every index is in range
+        np.less_equal(value, u, out=below)
+        np.add(at, step, out=at, where=below)
+        step >>= 1
+    return np.bitwise_and(at, width - 1, out=out)
 
 
 # Philox4x64-10 (Salmon et al., SC'11) as numpy draws it: block b of the
@@ -236,37 +264,81 @@ _MASK64 = (1 << 64) - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
-#: Trajectories sampled together; bounds the sampler's working memory.
-_CHUNK = 1 << 16
+#: Trajectories sampled together.  Besides the paths it returns, the sampler
+#: holds one chunk's ten uint64 Philox buffers, ``steps + 1`` doubles and the
+#: row search's scratch: about ``100 + 8 * (steps + 1)`` bytes per trajectory,
+#: 1.9 MB for one-step paths.  16,384 was the fastest of 4,096 to 65,536 on
+#: the shipped chains, for one-step and for 16-step paths.
+_CHUNK = 1 << 14
 
 
 def _philox_uniforms(seed: int, index: np.ndarray, k: int) -> np.ndarray:
-    """First ``k`` doubles of ``Generator(Philox(key=[seed, i])).random`` per index."""
-    blocks = [_philox_block(seed, index, b + 1) for b in range(-(-k // 4))]
-    words = np.stack([w for block in blocks for w in block], axis=1)[:, :k]
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    """First ``k`` doubles of ``Generator(Philox(key=[seed, i])).random`` per index.
+
+    Row ``i`` of the ``(len(index), k)`` result belongs to ``index[i]``.  The
+    result is the transpose of a C-ordered array, so each column is contiguous.
+    """
+    uniforms = np.empty((k, len(index)))
+    buffers = [np.empty(len(index), dtype=np.uint64) for _ in range(10)]
+    for first in range(0, k, 4):
+        need = min(4, k - first)
+        for word, row in zip(_philox_block(seed, index, first // 4 + 1, need, buffers),
+                             uniforms[first:first + need]):
+            word >>= np.uint64(11)
+            np.multiply(word, 2.0**-53, out=row)
+    return uniforms.T
 
 
-def _philox_block(seed: int, index: np.ndarray, counter: int) -> tuple[np.ndarray, ...]:
-    """One 4-word output block for key ``(seed, index)`` at ``counter``."""
-    zero = np.zeros_like(index)
-    c0, c1, c2, c3 = zero + np.uint64(counter), zero, zero, zero
-    k0, k1 = seed, index
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) & _MASK64
-            k1 = k1 + np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+def _philox_block(seed: int, index: np.ndarray, counter: int, need: int,
+                  buffers: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Words ``0 .. need - 1`` of the output block for key ``(seed, index)`` at ``counter``.
+
+    The rounds run in place in ``buffers``, ten uint64 arrays of
+    ``len(index)`` entries; the words returned are among them.
+    """
+    c0, c1, c2, c3, h0, h1, k1, *scratch = buffers
+    # round 0 maps (counter, 0, 0, 0) to (k0, 0, hi(M0 counter) ^ k1, lo(M0 counter)):
+    # scalars but for the key word k1 = index
+    product = _PHILOX_M[0] * counter
+    c0.fill(seed)
+    c1.fill(0)
+    np.bitwise_xor(index, np.uint64(product >> 64), out=c2)
+    c3.fill(np.uint64(product & _MASK64))
+    np.copyto(k1, index)
+    k0 = seed
+    for r in range(1, _PHILOX_ROUNDS):
+        k0 = (k0 + _PHILOX_W[0]) & _MASK64
+        k1 += np.uint64(_PHILOX_W[1])
+        # (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))
+        _mulhi(_PHILOX_M[1], c2, h1, scratch)
+        h1 ^= c1
+        h1 ^= np.uint64(k0)
+        np.multiply(c2, np.uint64(_PHILOX_M[1]), out=c1)
+        if r == _PHILOX_ROUNDS - 1 and need <= 2:
+            return h1, c1
+        _mulhi(_PHILOX_M[0], c0, h0, scratch)
+        h0 ^= c3
+        h0 ^= k1
+        np.multiply(c0, np.uint64(_PHILOX_M[0]), out=c3)
+        c0, c2, h1, h0 = h1, h0, c0, c2
     return c0, c1, c2, c3
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of ``m * x``, via 32-bit halves."""
+def _mulhi(m: int, x: np.ndarray, out: np.ndarray, scratch: list[np.ndarray]) -> None:
+    """High 64-bit word of ``m * x`` into ``out``, via 32-bit halves."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    lo_lo, hi_lo = x_lo * m_lo, x_hi * m_lo
-    cross = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + x_lo * m_hi
-    hi = x_hi * m_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32)
-    return hi, x * np.uint64(m)
+    x_lo, x_hi, part = scratch
+    np.bitwise_and(x, _LOW32, out=x_lo)
+    np.right_shift(x, _SHIFT32, out=x_hi)
+    np.multiply(x_lo, m_lo, out=part)
+    part >>= _SHIFT32
+    x_lo *= m_hi
+    x_lo += part  # x_lo m_hi + (x_lo m_lo >> 32)
+    np.multiply(x_hi, m_lo, out=part)
+    x_hi *= m_hi
+    np.right_shift(part, _SHIFT32, out=out)
+    out += x_hi  # x_hi m_hi + (x_hi m_lo >> 32)
+    part &= _LOW32
+    x_lo += part  # the middle 32-bit column with its carry; < 2**64
+    x_lo >>= _SHIFT32
+    out += x_lo

@@ -186,12 +186,15 @@ def simulate_section(config: ExperimentConfig, paths: Sequence[np.ndarray]) -> l
 
 def _path_digest(paths: np.ndarray, n_states: int) -> str:
     """sha256 of the paths written as ``"a,b,...;"`` per row, rows in order."""
-    # token s (or n_states + s) is state s followed by "," (or by ";", row end)
+    # token s (or n_states + s) is state s followed by "," (or by ";", row end),
+    # NUL-padded to the widest token; the text has no NUL, so dropping them
+    # after the gather leaves the tokens joined
+    width = len(str(n_states - 1)) + 1
     tokens = np.array([f"{s}{end}".encode() for end in ",;" for s in range(n_states)],
-                      dtype=object)
+                      dtype=f"S{width}")
     codes = paths.copy()
     codes[:, -1] += n_states
-    return hashlib.sha256(b"".join(tokens[codes.ravel()])).hexdigest()
+    return hashlib.sha256(tokens[codes].tobytes().replace(b"\0", b"")).hexdigest()
 
 
 def bounds_section(

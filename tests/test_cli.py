@@ -15,7 +15,7 @@ import pytest
 
 from wpi import ingest_config, phi_lower_bound, sample_trajectories
 from wpi.cli import default_config_path, main
-from wpi.report import compare_section, score_section, write_bundle
+from wpi.report import _path_digest, compare_section, score_section, write_bundle
 
 
 def load_report(out_dir):
@@ -130,6 +130,16 @@ class TestSubcommands:
         text = "".join(",".join(map(str, row)) + ";" for row in rows)
         assert sim["trajectory_digest"] == hashlib.sha256(text.encode()).hexdigest()
         assert sim["first_trajectory"] == rows[0]
+
+    @pytest.mark.parametrize("n_states", [1, 9, 10, 11, 100, 150])
+    def test_path_digest_hashes_multi_width_tokens_as_text(self, n_states):
+        # state numbers of one, two and three digits in one path array
+        rng = np.random.default_rng(n_states)
+        for shape in ((1, 2), (300, 2), (40, 17)):
+            rows = rng.integers(0, n_states, shape).tolist()
+            text = "".join(",".join(map(str, row)) + ";" for row in rows)
+            expected = hashlib.sha256(text.encode()).hexdigest()
+            assert _path_digest(np.array(rows, dtype=np.int64), n_states) == expected
 
     def test_check_bounds_writes_tsv_and_gates(self, tmp_path):
         config = small_config(tmp_path)
@@ -334,6 +344,15 @@ class TestExitCodes:
         args = ["simulate", "--config", config, "--out", tmp_path / "out", flag, value]
         assert run(args) == 1
         assert flag.lstrip("-") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unallocatable_sample_exits_one(self, tmp_path, capsys):
+        # was a ValueError traceback out of np.empty
+        config = small_config(tmp_path)
+        args = ["simulate", "--config", config, "--out", tmp_path / "out", "--samples", 2**60]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert "cannot allocate" in err and f"({2**60}, 2)" in err
         assert not (tmp_path / "out").exists()
 
     def test_mistyped_field_exits_one_with_pointer(self, tmp_path, capsys):

@@ -18,7 +18,7 @@ from wpi import (
     transition_counts,
     two_state_chain,
 )
-from wpi.markov import _CHUNK, _philox_uniforms, _row_searchsorted
+from wpi.markov import _CHUNK, _philox_uniforms, _row_searchsorted, _search_table
 
 
 def simple_model(kernel, n=2, initial=None):
@@ -156,19 +156,35 @@ class TestSampling:
 
     def test_row_search_equals_searchsorted_right(self):
         # u landing exactly on a CDF entry, and rows with repeated entries
-        # (zero-probability states), are where "<=" and "<" part ways
+        # (zero-probability states), are where "<=" and "<" part ways; n
+        # around powers of two changes the number of search rounds; a row
+        # whose sum ends just above 1 (within the kernel tolerance) and
+        # u = 1 - 2**-53, the largest uniform, probe the last entry
         rng = np.random.default_rng(3)
-        for n in (1, 2, 3, 7, 8, 40):
+        for n in (1, 2, 3, 7, 8, 40, 63, 64, 65, 256, 257):
             kernel = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
             kernel[:, -1] += 1e-3
-            cdf = np.cumsum(kernel / kernel.sum(axis=1, keepdims=True), axis=1)
+            kernel /= kernel.sum(axis=1, keepdims=True)
+            kernel[0] *= 1.0 + 1e-13
+            cdf = np.cumsum(kernel, axis=1)
+            assert cdf[0, -1] > 1.0
             rows = rng.integers(0, n, 500)
             u = np.where(rng.random(500) < 0.5, cdf[rows, rng.integers(0, n, 500)],
                          rng.random(500))
             u[:3] = 0.0, 1.0, np.nextafter(1.0, 0.0)
+            rows[3:6] = 0
+            u[3:6] = 1.0 - 2.0**-53, cdf[0, -1], cdf[0, -2] if n > 1 else 0.5
             expected = [min(int(np.searchsorted(cdf[r], x, side="right")), n - 1)
                         for r, x in zip(rows, u)]
-            assert _row_searchsorted(cdf, rows, u).tolist() == expected
+            assert _row_searchsorted(_search_table(kernel), rows, u).tolist() == expected
+
+    def test_unallocatable_paths_raise_a_validation_error(self):
+        # numpy refuses an array of 2**61 int64 entries before any malloc;
+        # that was a bare ValueError from np.empty
+        count = 2**60
+        with pytest.raises(ValidationError,
+                           match=rf"shape \({count}, 2\).*{count * 16} bytes"):
+            sample_trajectories(two_state_chain(), 1, count, seed=1)
 
     def test_parameter_validation(self):
         model = two_state_chain()
@@ -198,7 +214,7 @@ class TestPhiloxStreams:
     """The vectorised kernel against ``Generator(Philox(key=[seed, i]))``."""
 
     @pytest.mark.parametrize("seed", [0, 42, 2**53 + 1, MAX_SEED])
-    @pytest.mark.parametrize("k", [1, 4, 5, 17])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 17])
     def test_uniforms_match_numpy(self, seed, k):
         index = [0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2**40 + 3]
         got = _philox_uniforms(seed, np.array(index, dtype=np.uint64), k)
@@ -211,6 +227,14 @@ class TestPhiloxStreams:
         paths = sample_trajectories(model, 4, _CHUNK + 2, seed=seed)
         for i in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1):
             assert paths[i].tolist() == oracle_path(model, 4, seed, i)
+
+    @pytest.mark.parametrize("seed", [0, 2**53 + 1])
+    def test_one_step_paths_match_numpy_across_a_chunk_boundary(self, seed):
+        # a one-step path reads only the first two words of its Philox block
+        model = eight_state_chain()
+        paths = sample_trajectories(model, 1, _CHUNK + 2, seed=seed)
+        for i in (0, _CHUNK - 1, _CHUNK, _CHUNK + 1):
+            assert paths[i].tolist() == oracle_path(model, 1, seed, i)
 
 
 class TestStationary:
