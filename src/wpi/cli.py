@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .complexity import Estimator
-from .config import ExperimentConfig, default_config_path, ingest_config, override_sim
+from .config import ExperimentConfig, default_config_path, ingest_config
 from .errors import ValidationError
 from .report import (
     bounds_section,
@@ -39,52 +39,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wpi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, simulation=False):
+    score = sub.add_parser("score", help="intelligence scores and phi per trace")
+    compare = sub.add_parser("compare", help="rank substrates by phi at fixed algorithm")
+    simulate = sub.add_parser("simulate", help="sample Markov trajectories")
+    check = sub.add_parser("check-bounds", help="fluctuation and efficiency bound checks")
+    full = sub.add_parser("report", help="full bundle: score, compare, simulate, bounds")
+
+    for p in (score, compare, simulate, check, full):
         p.add_argument("--config", type=Path, default=None,
                        help="experiment config JSON (default: packaged demo config)")
         p.add_argument("--out", type=Path, default=Path("wpi-out"),
                        help="output directory (default: wpi-out)")
         p.add_argument("--format", choices=["json", "tsv"], default=None,
                        help="restrict output to one format (default: both)")
-        if simulation:
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the config seed")
-            p.add_argument("--samples", type=int, default=None,
-                           help="override the config sample count")
-            p.add_argument("--delta", type=float, default=None,
-                           help="override the config confidence parameter")
-            p.add_argument("--estimator", choices=[e.value for e in Estimator],
-                           default=None, help="override the config estimator")
-
-    common(sub.add_parser("score", help="intelligence scores and phi per trace"))
-    common(sub.add_parser("compare", help="rank substrates by phi at fixed algorithm"))
-
-    simulate = sub.add_parser("simulate", help="sample Markov trajectories")
-    common(simulate, simulation=True)
-    simulate.add_argument("--steps", type=int, default=1,
-                          help="transitions per trajectory (default: 1)")
-
-    check = sub.add_parser("check-bounds", help="fluctuation and efficiency bound checks")
-    common(check, simulation=True)
-    check.add_argument("--assert", dest="assert_mode", action="store_true",
+    for p in (simulate, check, full):
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the config seed")
+        p.add_argument("--samples", type=int, default=None,
+                       help="override the config sample count")
+        p.add_argument("--delta", type=float, default=None,
+                       help="override the config confidence parameter")
+        p.add_argument("--estimator", choices=[e.value for e in Estimator],
+                       default=None, help="override the config estimator")
+    for p in (simulate, full):
+        p.add_argument("--steps", type=int, default=1,
+                       help="transitions per trajectory (default: 1)")
+    for p in (check, full):
+        p.add_argument("--assert", dest="assert_mode", action="store_true",
                        help="exit 2 if a gated check fails its 3-sigma allowance")
-
-    full = sub.add_parser("report", help="full bundle: score, compare, simulate, bounds")
-    common(full, simulation=True)
-    full.add_argument("--steps", type=int, default=1)
-    full.add_argument("--assert", dest="assert_mode", action="store_true")
     return parser
 
 
 def _load(args) -> ExperimentConfig:
     path = args.config if args.config is not None else default_config_path()
-    config = ingest_config(path)
-    overrides = {}
-    for attr in ("seed", "samples", "delta", "estimator"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[attr] = value
-    return override_sim(config, **overrides) if overrides else config
+    flags = ("seed", "samples", "delta", "estimator")
+    overrides = {key: getattr(args, key) for key in flags if getattr(args, key, None) is not None}
+    return ingest_config(path, **overrides)
 
 
 def _empty_bundle(config) -> dict:
@@ -126,7 +116,7 @@ def main(argv=None) -> int:
         if args.command in ("simulate", "report"):
             bundle["simulations"] = simulate_section(config, paths)
         if args.command in ("check-bounds", "report"):
-            sections, gates = bounds_section(config, [p[:, :2] for p in paths])
+            sections, gates = bounds_section(config, paths)
             bundle["bound_checks"] = sections
             bundle["gates"] = gates
 

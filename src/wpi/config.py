@@ -48,7 +48,7 @@ import copy
 import json
 import reprlib
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from types import NoneType, UnionType
@@ -107,14 +107,11 @@ _INVALID = object()
 # Field tables: key -> (JSON type, default).  A type is float (a number),
 # int, str, None, list[T], dict[str, T] (an object of T values) or a union;
 # a bare list is read entry by entry by the section that owns it.
-_SIM = {
+_ROOT = {
     "seed": (int, _REQUIRED),
     "samples": (int, DEFAULT_SAMPLES),
     "delta": (float, DEFAULT_DELTA),
     "estimator": (str, DEFAULT_ESTIMATOR.value),
-}
-_ROOT = {
-    **_SIM,
     "substrates": (list, []),
     "suites": (list, []),
     "traces": (list, []),
@@ -153,8 +150,13 @@ _TYPE_NAMES = {
 }
 
 
-def ingest_config(path: str | Path) -> ExperimentConfig:
+def ingest_config(path: str | Path, **overrides) -> ExperimentConfig:
     """Parse and fully validate a config file.
+
+    Each of ``overrides`` (``seed``, ``samples``, ``delta``, ``estimator``,
+    as the command line sets them) replaces the file's top-level key of
+    that name before validation, so a replaced file value is not checked
+    and the overrides are validated and hashed as if the file held them.
 
     Raises :class:`~wpi.errors.ConfigError` carrying the complete list of
     validation problems; a JSON parse failure reports line and column, and
@@ -174,6 +176,8 @@ def ingest_config(path: str | Path) -> ExperimentConfig:
         ) from exc
     except (ValueError, RecursionError) as exc:  # an integer over 4,300 digits; deep nesting
         raise ConfigError([("", f"JSON parse error: {exc}")]) from exc
+    if isinstance(data, dict):
+        data.update(overrides)
     return config_from_dict(data, base_dir=path.parent)
 
 
@@ -232,19 +236,6 @@ def config_from_dict(data: Any, base_dir: Path | None = None) -> ExperimentConfi
         sim=sim,
         document=document,
     )
-
-
-def override_sim(config: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """``config`` with simulation settings replaced, validated as in a config file.
-
-    Raises :class:`~wpi.errors.ConfigError` listing every invalid value.
-    """
-    errors: list[tuple[str, str]] = []
-    fields = _read({**{key: config.document[key] for key in _SIM}, **overrides}, _SIM, "", errors)
-    sim = _validate_sim(fields, errors, len(config.models))
-    if errors:
-        raise ConfigError(errors)
-    return replace(config, sim=sim, document={**config.document, **fields})
 
 
 def serialize_config(config: ExperimentConfig) -> dict:

@@ -1,8 +1,8 @@
 """Report bundles: deterministic JSON plus plot-ready TSV tables.
 
 A bundle binds every number to its inputs through a sha256 hash of the
-validated config document (:func:`~wpi.config.serialize_config`).  Output
-is byte-identical for identical (config, seed) runs except for the
+validated config document (:attr:`~wpi.config.ExperimentConfig.document`).
+Output is byte-identical for identical (config, seed) runs except for the
 ``generated_at`` timestamp; file writes are atomic (write to a temp file,
 then rename).
 """
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import BoundCheckResult, coupled_bound_suite, ift_check, markov_tail_check
-from .config import ExperimentConfig, serialize_config
+from .config import ExperimentConfig
 from .errors import ValidationError
 from .markov import sample_trajectories, transition_counts
 from .metrics import intelligence_score
@@ -82,7 +82,7 @@ _COMPARISON_FIELDS = {
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    canonical = json.dumps(serialize_config(config), sort_keys=True,
+    canonical = json.dumps(config.document, sort_keys=True,
                            separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -200,8 +200,9 @@ def _path_digest(paths: np.ndarray, n_states: int) -> str:
 def bounds_section(
     config: ExperimentConfig, paths: Sequence[np.ndarray]
 ) -> tuple[list[dict], list[dict]]:
-    """Bound checks per model on one-step paths, plus the gate verdicts for --assert.
+    """Bound checks per model on each path's first step, plus the --assert gate verdicts.
 
+    ``paths`` holds one sample per model, as :func:`sample_models` draws it.
     Every check runs at ``config.sim.delta`` with ``config.sim.estimator``.
     The gates are the verdicts of :func:`_verdicts` that are not vacuous.
     """
@@ -210,7 +211,7 @@ def bounds_section(
     gates = []
     for index, (model, model_paths) in enumerate(zip(config.models, paths)):
         seed = config.sim.seed + index
-        counts = transition_counts(model, model_paths)
+        counts = transition_counts(model, model_paths[:, :2])
 
         ift = ift_check(model, counts, estimator)
         surprisal = {"mean": ift.surprisal_mean, "se": ift.surprisal_se, "expected": 1.0}

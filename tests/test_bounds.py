@@ -392,13 +392,6 @@ class TestCoupledSuites:
         threshold = 1.0 - suite.delta - 3.0 * suite.rate_standard_error
         assert suite.holds_rate >= threshold
 
-    def test_adaptivity_mirror(self):
-        model = four_state_chain()
-        counts = sampled_counts(model, 1, 20_000, seed=37)
-        suite = coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05)
-        threshold = 1.0 - suite.delta - 3.0 * suite.rate_standard_error
-        assert suite.holds_rate >= threshold
-
     def test_weights_count_valid_transitions(self):
         model = four_state_chain()
         counts = sampled_counts(model, 1, 5_000, seed=41)

@@ -346,6 +346,29 @@ class TestExitCodes:
         assert flag.lstrip("-") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_flag_replaces_file_value_before_validation(self, tmp_path):
+        # the file's seed is out of range, but the run uses the flag's
+        data = json.loads(default_config_path().read_text())
+        flagged, filed = tmp_path / "flagged.json", tmp_path / "filed.json"
+        flagged.write_text(json.dumps({**data, "seed": -1}))
+        filed.write_text(json.dumps({**data, "seed": 3, "samples": 10}))
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        args = ["simulate", "--config", flagged, "--out", out_a, "--seed", 3, "--samples", 10]
+        assert run(args) == 0
+        assert run(["simulate", "--config", filed, "--out", out_b]) == 0
+        assert stripped(load_report(out_a)) == stripped(load_report(out_b))
+
+    def test_flag_and_file_problems_reported_together(self, tmp_path, capsys):
+        config = small_config(tmp_path)
+        data = json.loads(config.read_text())
+        data["substrates"][0]["temperature"] = -5
+        config.write_text(json.dumps(data))
+        args = ["simulate", "--config", config, "--out", tmp_path / "out", "--seed", -4]
+        assert run(args) == 1
+        listed = re.findall(r"^  (\S+): ", capsys.readouterr().err, re.MULTILINE)
+        assert listed == ["/seed", "/substrates/0", "/traces/0/substrate"]
+        assert not (tmp_path / "out").exists()
+
     def test_unallocatable_sample_exits_one(self, tmp_path, capsys):
         # was a ValueError traceback out of np.empty
         config = small_config(tmp_path)

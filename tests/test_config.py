@@ -20,7 +20,6 @@ from wpi import (
     two_state_chain,
 )
 from wpi.cli import default_config_path
-from wpi.config import override_sim
 from wpi.report import config_hash
 
 
@@ -362,13 +361,18 @@ class TestConfigHash:
         data["models"][0].update(labels=None, measure=[1, 2], initial=[1, 0])
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
-        config = ingest_config(path)
-        assert config_hash(config) == (
+        assert config_hash(ingest_config(path)) == (
             "7a75932a46c1b4d07ee79c9280e0c57ec68705197405ccaa54afcc2373afaa30"
         )
-        overridden = override_sim(config, seed=5, delta=0.25, estimator="lz-proxy")
+        overridden = ingest_config(path, seed=5, delta=0.25, estimator="lz-proxy")
         assert config_hash(overridden) == (
             "9ec7cdf41b07a927714581a04ffdaae8c79f4d2bd4df5bfb6545e5e961e99e68"
+        )
+
+    def test_overridden_shipped_config_hash_is_pinned(self):
+        overridden = ingest_config(default_config_path(), seed=5, delta=0.25, estimator="lz-proxy")
+        assert config_hash(overridden) == (
+            "e9da1fac7b7fa0e59a222ca7171baeb69f81ae6f0e7c026861facb42a1f03db2"
         )
 
 
