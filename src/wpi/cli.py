@@ -15,15 +15,7 @@ from pathlib import Path
 from .complexity import Estimator
 from .config import ExperimentConfig, default_config_path, ingest_config
 from .errors import ValidationError
-from .report import (
-    bounds_section,
-    build_metadata,
-    compare_section,
-    sample_models,
-    score_section,
-    simulate_section,
-    write_bundle,
-)
+from .report import build_metadata, compare_section, model_sections, score_section, write_bundle
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,7 +91,6 @@ def main(argv=None) -> int:
     try:
         config = _load(args)
         bundle = _empty_bundle(config)
-        gates = None
 
         if args.command in ("score", "report"):
             section = score_section(config)
@@ -110,15 +101,11 @@ def main(argv=None) -> int:
             if args.command == "compare" and not bundle["comparison"]:
                 raise ValidationError("comparison requires at least 2 traces sharing one suite")
         if args.command in ("simulate", "check-bounds", "report"):
-            # one sample per model serves both sections: a Philox stream's
-            # first two draws do not depend on how many follow
-            paths = sample_models(config, getattr(args, "steps", 1))
-        if args.command in ("simulate", "report"):
-            bundle["simulations"] = simulate_section(config, paths)
-        if args.command in ("check-bounds", "report"):
-            sections, gates = bounds_section(config, paths)
-            bundle["bound_checks"] = sections
-            bundle["gates"] = gates
+            # one sample per model serves both sections, and one model's
+            # paths are held at a time
+            bundle["simulations"], bundle["bound_checks"], bundle["gates"] = model_sections(
+                config, getattr(args, "steps", 1),
+                simulate=args.command != "check-bounds", check=args.command != "simulate")
 
         try:
             written = write_bundle(args.out, bundle, fmt=args.format)
@@ -128,8 +115,8 @@ def main(argv=None) -> int:
         for path in written:
             print(path)
 
-        if getattr(args, "assert_mode", False) and gates is not None:
-            failed = [g for g in gates if not g["passed"]]
+        if getattr(args, "assert_mode", False):
+            failed = [g for g in bundle["gates"] if not g["passed"]]
             for gate in failed:
                 print(f"GATE FAIL {gate['model']}/{gate['gate']}: {gate['detail']}",
                       file=sys.stderr)

@@ -7,7 +7,8 @@ returns.  Because the generator is counter-based, the sampler computes those
 streams as array arithmetic over the trajectory indices of one chunk at a
 time, and returns the paths as one integer array.  The Philox rounds and
 the row search run in place in buffers of one chunk, so the working memory
-beyond that array is set by ``_CHUNK``, not by the number of trajectories.
+beyond that array is set by ``_CHUNK``, not by the number of trajectories;
+:func:`transition_counts` counts a path array in chunks of the same rows.
 A stream's first draws do not depend on how many follow, so a path sampled
 with more steps extends the shorter one.  Seeds range over
 ``[0, MAX_SEED]``.
@@ -212,10 +213,19 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int) -
 
 
 def transition_counts(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
-    """Count matrix of observed (source, target) transitions in ``paths``."""
+    """Count matrix of observed (source, target) transitions in ``paths``.
+
+    The pairs are coded and counted ``_CHUNK`` rows at a time, so no
+    temporary is as large as ``paths``.
+    """
     n = model.n_states
-    pairs = paths[:, :-1] * n + paths[:, 1:]
-    return np.bincount(pairs.ravel(), minlength=n * n).reshape(n, n)
+    counts = np.zeros(n * n, dtype=np.intp)
+    for lo in range(0, len(paths), _CHUNK):
+        rows = paths[lo:lo + _CHUNK]
+        pairs = rows[:, :-1] * n
+        pairs += rows[:, 1:]
+        counts += np.bincount(pairs.ravel(), minlength=n * n)
+    return counts.reshape(n, n)
 
 
 def _search_table(kernel: np.ndarray) -> np.ndarray:
@@ -268,7 +278,8 @@ _SHIFT32 = np.uint64(32)
 #: holds one chunk's ten uint64 Philox buffers, ``steps + 1`` doubles and the
 #: row search's scratch: about ``100 + 8 * (steps + 1)`` bytes per trajectory,
 #: 1.9 MB for one-step paths.  16,384 was the fastest of 4,096 to 65,536 on
-#: the shipped chains, for one-step and for 16-step paths.
+#: the shipped chains, for one-step and for 16-step paths.  Paths are counted,
+#: and digested in ``wpi.report``, in chunks of as many rows.
 _CHUNK = 1 << 14
 
 

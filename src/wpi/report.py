@@ -17,7 +17,6 @@ import platform
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from . import __version__
 from .bounds import BoundCheckResult, coupled_bound_suite, ift_check, markov_tail_check
 from .config import ExperimentConfig
 from .errors import ValidationError
-from .markov import sample_trajectories, transition_counts
+from .markov import _CHUNK, MarkovModel, sample_trajectories, transition_counts
 from .metrics import intelligence_score
 from .substrate import ComparisonRow, SubstrateRun, account_run, run_comparison
 
@@ -153,99 +152,121 @@ def _fields(row: ComparisonRow, table: dict[str, str]) -> dict:
     return {key: getattr(row, name) for key, name in table.items()}
 
 
-def sample_models(config: ExperimentConfig, steps: int) -> list[np.ndarray]:
-    """Sample every model once: ``config.sim.samples`` paths of ``steps`` each.
+def model_sections(
+    config: ExperimentConfig, steps: int, simulate: bool, check: bool
+) -> tuple[list[dict] | None, list[dict] | None, list[dict] | None]:
+    """Sample, summarize and check each model in turn.
 
-    Model ``index`` uses seed ``config.sim.seed + index``.
+    Model ``index`` draws ``config.sim.samples`` paths of ``steps`` each
+    with seed ``config.sim.seed + index``, and its paths are dropped before
+    the next model is sampled.  Returns the ``simulations`` entries of
+    :func:`simulate_section` if ``simulate``, and the ``bound_checks``
+    entries and gates of :func:`bounds_section` if ``check``, in model
+    order; each list not asked for is None.
     """
     if not config.models:
         raise ValidationError("config has no models to sample")
-    return [
-        sample_trajectories(model, steps, config.sim.samples, config.sim.seed + index)
-        for index, model in enumerate(config.models)
-    ]
+    simulations = [] if simulate else None
+    checks, gates = ([], []) if check else (None, None)
+    for index, model in enumerate(config.models):
+        seed = config.sim.seed + index
+        paths = sample_trajectories(model, steps, config.sim.samples, seed)
+        # the bound checks read each path's first step; a Philox stream's
+        # first two draws do not depend on how many follow
+        first = transition_counts(model, paths[:, :2])
+        if simulate:
+            simulations.append(simulate_section(model, seed, paths, first))
+        del paths  # before the next model is sampled
+        if check:
+            section, section_gates = bounds_section(config, model, seed, first)
+            checks.append(section)
+            gates += section_gates
+    return simulations, checks, gates
 
 
-def simulate_section(config: ExperimentConfig, paths: Sequence[np.ndarray]) -> list[dict]:
-    """Summarize each model's sampled paths deterministically."""
-    sections = []
-    for index, (model, model_paths) in enumerate(zip(config.models, paths)):
-        count, length = model_paths.shape
-        sections.append({
-            "model": model.name,
-            "seed": config.sim.seed + index,
-            "count": count,
-            "steps": length - 1,
-            "states": [s.bits for s in model.states],
-            "transition_counts": transition_counts(model, model_paths).tolist(),
-            "trajectory_digest": _path_digest(model_paths, model.n_states),
-            "first_trajectory": model_paths[0].tolist(),
-        })
-    return sections
+def simulate_section(model: MarkovModel, seed: int, paths: np.ndarray,
+                     first_counts: np.ndarray) -> dict:
+    """Summarize one model's sampled paths deterministically.
+
+    ``first_counts`` are the counts of each path's first step; the others
+    are counted on top of them.
+    """
+    count, length = paths.shape
+    counts = first_counts + transition_counts(model, paths[:, 1:])
+    return {
+        "model": model.name,
+        "seed": seed,
+        "count": count,
+        "steps": length - 1,
+        "states": [s.bits for s in model.states],
+        "transition_counts": counts.tolist(),
+        "trajectory_digest": _path_digest(paths, model.n_states),
+        "first_trajectory": paths[0].tolist(),
+    }
 
 
 def _path_digest(paths: np.ndarray, n_states: int) -> str:
-    """sha256 of the paths written as ``"a,b,...;"`` per row, rows in order."""
+    """sha256 of the paths written as ``"a,b,...;"`` per row, rows in order.
+
+    The rows are hashed ``_CHUNK`` at a time, so no temporary is as large
+    as ``paths``.
+    """
     # token s (or n_states + s) is state s followed by "," (or by ";", row end),
     # NUL-padded to the widest token; the text has no NUL, so dropping them
     # after the gather leaves the tokens joined
     width = len(str(n_states - 1)) + 1
     tokens = np.array([f"{s}{end}".encode() for end in ",;" for s in range(n_states)],
                       dtype=f"S{width}")
-    codes = paths.copy()
-    codes[:, -1] += n_states
-    return hashlib.sha256(tokens[codes].tobytes().replace(b"\0", b"")).hexdigest()
+    digest = hashlib.sha256()
+    for lo in range(0, len(paths), _CHUNK):
+        codes = paths[lo:lo + _CHUNK].copy()
+        codes[:, -1] += n_states
+        digest.update(tokens[codes].tobytes().replace(b"\0", b""))
+    return digest.hexdigest()
 
 
 def bounds_section(
-    config: ExperimentConfig, paths: Sequence[np.ndarray]
-) -> tuple[list[dict], list[dict]]:
-    """Bound checks per model on each path's first step, plus the --assert gate verdicts.
+    config: ExperimentConfig, model: MarkovModel, seed: int, counts: np.ndarray
+) -> tuple[dict, list[dict]]:
+    """Bound checks of one model on the first-step ``counts`` of its paths, plus its gates.
 
-    ``paths`` holds one sample per model, as :func:`sample_models` draws it.
-    Every check runs at ``config.sim.delta`` with ``config.sim.estimator``.
-    The gates are the verdicts of :func:`_verdicts` that are not vacuous.
+    ``seed`` is the model's sampling seed.  Every check runs at
+    ``config.sim.delta`` with ``config.sim.estimator``.  The gates are the
+    --assert verdicts of :func:`_verdicts` that are not vacuous.
     """
     delta, estimator = config.sim.delta, config.sim.estimator
-    sections = []
-    gates = []
-    for index, (model, model_paths) in enumerate(zip(config.models, paths)):
-        seed = config.sim.seed + index
-        counts = transition_counts(model, model_paths[:, :2])
+    ift = ift_check(model, counts, estimator)
+    surprisal = {"mean": ift.surprisal_mean, "se": ift.surprisal_se, "expected": 1.0}
+    if ift.surprisal_note is not None:
+        surprisal["note"] = ift.surprisal_note
 
-        ift = ift_check(model, counts, estimator)
-        surprisal = {"mean": ift.surprisal_mean, "se": ift.surprisal_se, "expected": 1.0}
-        if ift.surprisal_note is not None:
-            surprisal["note"] = ift.surprisal_note
+    excursion = ift.complexity_mean > 1.0 + 3.0 * ift.complexity_se
 
-        excursion = ift.complexity_mean > 1.0 + 3.0 * ift.complexity_se
+    deltas = sorted(set(TAIL_DELTAS) | {delta})
+    tails = [markov_tail_check(model, counts, estimator, d) for d in deltas]
 
-        deltas = sorted(set(TAIL_DELTAS) | {delta})
-        tails = [markov_tail_check(model, counts, estimator, d) for d in deltas]
+    coupled = _suite_dict(coupled_bound_suite(model, counts, estimator, delta))
 
-        coupled = _suite_dict(coupled_bound_suite(model, counts, estimator, delta))
-
-        sections.append({
-            "model": model.name,
-            "seed": seed,
-            "samples": ift.samples,
-            "estimator": ift.estimator.value,
-            "complexity_ift": {
-                "mean": ift.complexity_mean,
-                "se": ift.complexity_se,
-                "excursion_above_one": bool(excursion),
-            },
-            "surprisal_ift": surprisal,
-            "markov_tail": [bound_check_dict(t) for t in tails],
-            **{f"coupled_{kind}": {**coupled, "kind": kind} for kind in _COUPLED_KINDS},
-        })
-
-        gates += [
-            {"gate": row["gate"], "model": row["model"],
-             "passed": row["status"] == "pass", "detail": row["detail"]}
-            for row in _verdicts(sections[-1]) if row["status"] != "vacuous"
-        ]
-    return sections, gates
+    section = {
+        "model": model.name,
+        "seed": seed,
+        "samples": ift.samples,
+        "estimator": ift.estimator.value,
+        "complexity_ift": {
+            "mean": ift.complexity_mean,
+            "se": ift.complexity_se,
+            "excursion_above_one": bool(excursion),
+        },
+        "surprisal_ift": surprisal,
+        "markov_tail": [bound_check_dict(t) for t in tails],
+        **{f"coupled_{kind}": {**coupled, "kind": kind} for kind in _COUPLED_KINDS},
+    }
+    gates = [
+        {"gate": row["gate"], "model": row["model"],
+         "passed": row["status"] == "pass", "detail": row["detail"]}
+        for row in _verdicts(section) if row["status"] != "vacuous"
+    ]
+    return section, gates
 
 
 def write_bundle(

@@ -8,13 +8,15 @@ import os
 import platform
 import re
 import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wpi import ingest_config, phi_lower_bound, sample_trajectories
+from wpi import ingest_config, phi_lower_bound, sample_trajectories, transition_counts
 from wpi.cli import default_config_path, main
+from wpi.markov import _CHUNK
 from wpi.report import _path_digest, compare_section, score_section, write_bundle
 
 
@@ -133,9 +135,10 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("n_states", [1, 9, 10, 11, 100, 150])
     def test_path_digest_hashes_multi_width_tokens_as_text(self, n_states):
-        # state numbers of one, two and three digits in one path array
+        # state numbers of one, two and three digits in one path array; the
+        # last array is hashed in two chunks
         rng = np.random.default_rng(n_states)
-        for shape in ((1, 2), (300, 2), (40, 17)):
+        for shape in ((1, 2), (300, 2), (40, 17), (_CHUNK + 3, 3)):
             rows = rng.integers(0, n_states, shape).tolist()
             text = "".join(",".join(map(str, row)) + ";" for row in rows)
             expected = hashlib.sha256(text.encode()).hexdigest()
@@ -295,6 +298,35 @@ class TestSubcommands:
         out = tmp_path / "out"
         assert run(["score", "--out", out]) == 0
         assert load_report(out)["scores"][0]["suite"] == "default-suite"
+
+    @pytest.mark.parametrize("steps", [1, 4])
+    def test_report_counts_each_transition_once(self, tmp_path, monkeypatch, steps):
+        # the bound checks' first-step counts are part of the simulation's
+        counted = []
+
+        def counting(model, paths):
+            counted.append(paths.shape[0] * (paths.shape[1] - 1))
+            return transition_counts(model, paths)
+
+        monkeypatch.setattr("wpi.report.transition_counts", counting)
+        out = tmp_path / "out"
+        assert run(["report", "--samples", 500, "--steps", steps, "--out", out]) == 0
+        bundle = load_report(out)
+        assert sum(counted) == len(bundle["simulations"]) * 500 * steps
+        for sim in bundle["simulations"]:
+            assert sum(map(sum, sim["transition_counts"])) == 500 * steps
+
+    def test_report_holds_one_model_of_paths_at_a_time(self, tmp_path):
+        # one model's paths are 200,000 x 2 int64 (3.2 MB); holding two of
+        # the shipped config's three models, or one and a full-size copy,
+        # passes the limit
+        tracemalloc.start()
+        try:
+            assert run(["report", "--samples", 200_000, "--out", tmp_path / "out"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 200_000 * 2 * 8
 
 
 class TestExitCodes:

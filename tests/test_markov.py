@@ -1,5 +1,7 @@
 """Markov model validation, deterministic sampling, stationary laws."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,14 @@ class TestSampling:
             for a, b in zip(row, row[1:]):
                 expected[a, b] += 1
         assert np.array_equal(transition_counts(model, paths), expected)
+
+    def test_transition_counts_across_chunks_match_a_counter(self):
+        # the pairs are counted in chunks of _CHUNK rows
+        model = eight_state_chain()
+        paths = np.random.default_rng(4).integers(0, 8, (_CHUNK + 3, 5))
+        oracle = Counter(pair for row in paths.tolist() for pair in zip(row, row[1:]))
+        expected = [[oracle[a, b] for b in range(8)] for a in range(8)]
+        assert transition_counts(model, paths).tolist() == expected
 
     def test_row_search_equals_searchsorted_right(self):
         # u landing exactly on a CDF entry, and rows with repeated entries
