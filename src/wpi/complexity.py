@@ -25,19 +25,24 @@ a final (index, no-symbol) pair.  Each emitted pair costs
 moment the pair is emitted.  Conditional estimates encode ``y``, a
 separator symbol outside the binary alphabet, then ``x``, and charge the
 codelength difference.  The coder's alphabet is ``"0"``, ``"1"`` and the
-separator; any other symbol is a validation error.
+separator; any other symbol is a validation error.  A :class:`CoarseState`
+checks its bits once, when it is built, with
+:func:`wpi.machine.is_binary`, the check that the reference machine and
+:func:`read_corpus` use too; :func:`lz78_codelength` takes a raw string, so
+the coder checks its own symbols as it maps them to trie symbols.
 
-The parse walks a flat phrase trie: a Python list in which the row of a
-node is three entries, one per symbol, holding the row offset of the
-child (three times its insertion number) or 0 if there is none.  The
-root is row 0, so the trie size is the dictionary size plus one, and the
-codelength follows in closed form from the dictionary size and whether
-the parse stopped inside a phrase (a non-empty remainder).  LZ78 is a
-greedy online parse: the phrases of ``y`` do not depend on what follows
-``y``.  So a conditional estimate parses ``y`` once, reads the codelength
-of ``y`` from that state, and continues the same parse over the separator
-and ``x`` from the node where ``y`` stopped; the result equals parsing the
-concatenation from scratch.
+The parse walks a phrase trie held as three lists of child numbers, one
+per symbol: ``trie[sym][node]`` is the insertion number of the child of
+``node`` on ``sym``, or 0 if there is none.  A node is its insertion
+number, the root is 0, and a new phrase appends one 0 to each list, so
+the walk reads a list and adds no integers.  Each list is the dictionary
+size plus one long, and the codelength follows in closed form from the
+dictionary size and whether the parse stopped inside a phrase (a
+non-empty remainder).  LZ78 is a greedy online parse: the phrases of ``y``
+do not depend on what follows ``y``.  So a conditional estimate parses
+``y`` once, reads the codelength of ``y`` from that state, and continues
+the same parse over the separator and ``x`` from the node where ``y``
+stopped; the result equals parsing the concatenation from scratch.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ValidationError
-from .machine import cached_shortest_length
+from .machine import cached_shortest_length, is_binary
 
 #: Separator used when concatenating strings for conditional estimates.
 SEPARATOR = "|"
@@ -57,8 +62,6 @@ _ALPHABET = "01" + SEPARATOR
 #: Maps each alphabet byte to its trie symbol 0, 1 or 2.  Other bytes map to
 #: themselves, so ``_symbol_codes`` rejects them before translating.
 _SYMBOL_CODES = bytes.maketrans(_ALPHABET.encode(), bytes(range(len(_ALPHABET))))
-#: One trie row: no child for any symbol.
-_EMPTY_ROW = (0,) * len(_ALPHABET)
 
 
 class Estimator(str, enum.Enum):
@@ -75,7 +78,7 @@ class CoarseState:
     bits: str
 
     def __post_init__(self):
-        if self.bits.strip("01") != "":
+        if not is_binary(self.bits):
             raise ValidationError(f"state bits must contain only '0'/'1', got {self.bits!r}")
 
     def __len__(self):
@@ -97,7 +100,7 @@ class ComplexityEstimate:
 
 def lz78_codelength(symbols: str) -> int:
     """Total emitted bits for the declared LZ78 coder."""
-    trie = list(_EMPTY_ROW)
+    trie = ([0], [0], [0])
     node = _lz78_parse(_symbol_codes(symbols), trie, 0)
     return _lz78_bits(trie, node)
 
@@ -146,14 +149,14 @@ def read_corpus(path: str | Path) -> list[str]:
         line = raw.strip()
         if not line:
             continue
-        if line.strip("01") != "":
+        if not is_binary(line):
             raise ValidationError(f"{path}: line {lineno} is not a binary string: {raw!r}")
         strings.append(line)
     return strings
 
 
 def _lz_conditional(x_bits: str, y_bits: str) -> int:
-    trie = list(_EMPTY_ROW)
+    trie = ([0], [0], [0])
     node = _lz78_parse(_symbol_codes(y_bits), trie, 0)
     alone = _lz78_bits(trie, node)
     node = _lz78_parse(_symbol_codes(SEPARATOR + x_bits), trie, node)
@@ -168,24 +171,26 @@ def _symbol_codes(symbols: str) -> bytes:
     return raw.translate(_SYMBOL_CODES)
 
 
-def _lz78_parse(codes: bytes, trie: list[int], node: int) -> int:
+def _lz78_parse(codes: bytes, trie: tuple[list[int], ...], node: int) -> int:
     """Continue the greedy parse of ``codes`` from ``node``, growing ``trie``.
 
     Returns the node where the parse stops: 0 when the last phrase was
-    completed, else the node of the remainder.  Nodes are row offsets.
+    completed, else the node of the remainder.  Nodes are insertion numbers.
     """
+    zero, one, sep = trie
     for sym in codes:
-        child = trie[node + sym]
-        if child:
+        if child := trie[sym][node]:
             node = child
         else:
-            trie[node + sym] = len(trie)
-            trie += _EMPTY_ROW
+            trie[sym][node] = len(zero)
+            zero.append(0)
+            one.append(0)
+            sep.append(0)
             node = 0
     return node
 
 
-def _lz78_bits(trie: list[int], node: int) -> int:
+def _lz78_bits(trie: tuple[list[int], ...], node: int) -> int:
     """Bits emitted by a parse that built ``trie`` and stopped at ``node``.
 
     The pair emitted at dictionary size d costs ``d.bit_length() + 1``
@@ -193,7 +198,7 @@ def _lz78_bits(trie: list[int], node: int) -> int:
     L = (n - 1).bit_length(), that sum is ``(L + 1) * n - 2**L + 1``; a
     remainder adds one pair at size n.
     """
-    phrases = len(trie) // len(_EMPTY_ROW) - 1
+    phrases = len(trie[0]) - 1
     if phrases == 0:
         return 0
     width = (phrases - 1).bit_length()

@@ -205,6 +205,16 @@ def _check_target(target: str, aux: str) -> None:
         )
 
 
+def is_binary(s: str) -> bool:
+    """Whether ``s`` holds only the ASCII characters '0' and '1'.
+
+    Checked in C with no per-character Python work: ``isascii`` reads a
+    flag of the string, and deleting every '0' and '1' from its bytes must
+    leave nothing.
+    """
+    return s.isascii() and not s.encode().translate(None, b"01")
+
+
 def _check_bits(s: str, label: str) -> None:
-    if s.strip("01") != "":
+    if not is_binary(s):
         raise ValidationError(f"{label} must contain only '0'/'1', got {s!r}")

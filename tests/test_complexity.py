@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,17 @@ from wpi.machine import DEFAULT_MACHINE
 
 CORPUS_PATH = Path(__file__).parent / "data" / "corpus.txt"
 CORPUS = read_corpus(CORPUS_PATH)
+
+
+#: Strings that only look binary: non-ASCII digits and a superscript one,
+#: and 64,000-bit strings spoiled at their last character.
+NOT_BINARY = {
+    "fullwidth-one": "0\uff11",
+    "arabic-indic-one": "01\u0661",
+    "superscript-one": "\u00b9",
+    "64000-bits-last-2": "01" * 31_999 + "02",
+    "64000-bits-last-fullwidth-one": "01" * 31_999 + "0\uff11",
+}
 
 
 def rand_bits(n, seed):
@@ -190,6 +203,51 @@ class TestLzOracle:
         self.assert_pair_matches(x, y)
 
 
+class TestLzGolden:
+    """Codelengths of long seeded strings, pinned from the declared coder."""
+
+    N = 64_000
+
+    @classmethod
+    def uniform(cls, seed):
+        return format(random.Random(seed).getrandbits(cls.N), f"0{cls.N}b")
+
+    @classmethod
+    def biased(cls, seed):
+        rng = random.Random(seed)
+        return "".join("1" if rng.random() < 0.1 else "0" for _ in range(cls.N))
+
+    @classmethod
+    def noisy_periodic(cls, seed):
+        # a period of 7 with each bit flipped with probability 0.05
+        rng = random.Random(seed)
+        clean = ("0010111" * (cls.N // 7 + 1))[:cls.N]
+        return "".join("10"[int(b)] if rng.random() < 0.05 else b for b in clean)
+
+    @pytest.mark.parametrize("source, k_x, k_y, k_x_given_y", [
+        ("uniform", 74647, 74591, 73081),
+        ("biased", 37635, 38246, 36429),
+        ("noisy_periodic", 35074, 35464, 31315),
+    ])
+    def test_seeded_64000_bit_pairs(self, source, k_x, k_y, k_x_given_y):
+        x, y = getattr(self, source)(7), getattr(self, source)(8)
+        assert (lz78_codelength(x), lz78_codelength(y)) == (k_x, k_y)
+        assert complexity_lz(CoarseState(x)).bits == k_x
+        estimate = conditional_complexity(CoarseState(x), CoarseState(y), Estimator.LZ_PROXY)
+        assert estimate.bits == k_x_given_y
+
+    def test_conditional_parse_memory(self):
+        # one 128,000-symbol parse (y, the separator, x) peaks at 0.62 MiB
+        x, y = CoarseState(self.uniform(7)), CoarseState(self.uniform(8))
+        tracemalloc.start()
+        try:
+            conditional_complexity(x, y, Estimator.LZ_PROXY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.7 * 2**20
+
+
 class TestExactEstimator:
     def test_known_small_values(self):
         assert complexity_exact(CoarseState("")).bits == 0
@@ -246,6 +304,11 @@ class TestCoarseState:
         with pytest.raises(ValidationError):
             CoarseState("01a")
 
+    @pytest.mark.parametrize("bits", NOT_BINARY.values(), ids=NOT_BINARY.keys())
+    def test_rejects_look_alikes_and_long_spoilt_strings(self, bits):
+        with pytest.raises(ValidationError, match="only '0'/'1'"):
+            CoarseState(bits)
+
     def test_empty_state_is_valid(self):
         assert len(CoarseState("")) == 0
 
@@ -259,4 +322,11 @@ class TestCorpusFile:
         bad = tmp_path / "corpus.txt"
         bad.write_text("0101\nhello\n")
         with pytest.raises(ValidationError, match="line 2"):
+            read_corpus(bad)
+
+    @pytest.mark.parametrize("line", NOT_BINARY.values(), ids=NOT_BINARY.keys())
+    def test_rejects_look_alikes_and_long_spoilt_lines(self, tmp_path, line):
+        bad = tmp_path / "corpus.txt"
+        bad.write_text(f"0101\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 3 is not a binary string"):
             read_corpus(bad)

@@ -7,6 +7,16 @@ import pytest
 from wpi import CoarseState, EnumerationBudgetExceeded, ValidationError, complexity_exact
 from wpi.machine import DEFAULT_MACHINE, STEP_BUDGET, ReferenceMachine, cached_shortest_length
 
+#: Strings that only look binary: non-ASCII digits and a superscript one,
+#: and 64,000-bit strings spoiled at their last character.
+NOT_BINARY = {
+    "fullwidth-one": "0\uff11",
+    "arabic-indic-one": "01\u0661",
+    "superscript-one": "\u00b9",
+    "64000-bits-last-2": "01" * 31_999 + "02",
+    "64000-bits-last-fullwidth-one": "01" * 31_999 + "0\uff11",
+}
+
 
 class TestExecution:
     def test_writes(self):
@@ -142,6 +152,14 @@ class TestPrefixShortestPath:
     def test_rejects_non_binary(self, target, aux):
         with pytest.raises(ValidationError):
             cached_shortest_length(target, aux)
+
+    @pytest.mark.parametrize("bits", NOT_BINARY.values(), ids=NOT_BINARY.keys())
+    def test_rejects_look_alikes_and_long_spoilt_strings(self, bits):
+        # the alphabet is checked before the 16-bit limit on the target
+        with pytest.raises(ValidationError, match="target must contain only"):
+            cached_shortest_length(bits)
+        with pytest.raises(ValidationError, match="aux must contain only"):
+            cached_shortest_length("01", bits)
 
     def test_estimator_runs_no_program(self, monkeypatch):
         def refuse(*args, **kwargs):
