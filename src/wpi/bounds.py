@@ -4,20 +4,23 @@ All logarithms are base 2 so that complexities, surprisals, and the
 ``log2(1/delta)`` confidence term share units (bits).  Every sample-based
 check (:func:`ift_check`, :func:`markov_tail_check`,
 :func:`coupled_bound_suite`) reads the sampled transitions as one
-``(source, target)`` count matrix from :func:`~wpi.markov.transition_counts`.
-The checks record both sides of their inequality and the sample
-statistics; pass/fail policies (such as a three-sigma sampling allowance)
-belong to the caller, not to the arithmetic here: ``wpi.report`` turns each
-check into one verdict for both ``report.json`` and ``bounds.tsv``, and
-writes each result's dataclass fields as they are.
+``(source, target)`` count matrix from :func:`~wpi.markov.transition_counts`;
+a count on a transition of kernel probability 0 is an
+:class:`~wpi.errors.ImpossibleTransitionError`.  The checks record both
+sides of their inequality and the sample statistics; pass/fail policies
+(such as a three-sigma sampling allowance) belong to the caller, not to
+the arithmetic here: ``wpi.report`` turns each check into one verdict for
+both ``report.json`` and ``bounds.tsv``, and writes each result's
+dataclass fields as they are.
 
-The coupled suite constructs the agent the way the bound's own derivation
-does: intelligence equal to the irreversible complexity change and energy
-equal to its Landauer floor, over unit duration.  It works in natural
-units only: energy is counted in bits, one Landauer quantum per bit, so
-both sides of the bound are in bits and the lhs is 1.  For that agent the
-efficiency bound (I/P) and the adaptivity bound (dI/dE) are the same
-inequality, so one suite serves both.
+Each check of the coupled suite is :func:`efficiency_bound_check`, the one
+per-transition bound arithmetic, on one sampled pair with the agent of the
+bound's own derivation, ``(d, d, 1)``: intelligence equal to the
+irreversible complexity change d and energy equal to its Landauer floor,
+over unit duration.  Energy is counted in bits, one Landauer quantum per
+bit, so both sides of the bound are in bits and the lhs is 1.  For that
+agent the efficiency bound (I/P) and the adaptivity bound (dI/dE) are the
+same inequality, so one suite serves both.
 """
 
 from __future__ import annotations
@@ -139,20 +142,14 @@ def surprisal_table(model: MarkovModel) -> np.ndarray:
     are set to 0; a positive forward transition whose reverse has zero
     probability gets sigma = +inf (its 2**(-sigma) contribution is 0).
     """
-    pi = stationary_distribution(model.kernel)
-    kernel = model.kernel
-    n = model.n_states
-    table = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            forward = kernel[i, j]
-            if forward == 0.0:
-                continue
-            backward = kernel[j, i]
-            if backward == 0.0:
-                table[i, j] = math.inf
-            else:
-                table[i, j] = math.log2(forward * pi[i]) - math.log2(backward * pi[j])
+    weighted = model.kernel * stationary_distribution(model.kernel)[:, None]
+    positive = model.kernel > 0.0
+    logs = np.zeros_like(weighted)
+    # scalar math.log2: numpy's log2 can differ from it in the last bit
+    logs[positive] = [math.log2(w) for w in weighted[positive].tolist()]
+    table = logs - logs.T
+    table[~positive.T] = math.inf
+    table[~positive] = 0.0
     return table
 
 
@@ -203,11 +200,30 @@ def efficiency_bound_check(
     ``I / P <= (1/tau) * (log2(1/p) - K(x|y)) + log2(1/delta)``.
     """
     intelligence, power, duration = agent
-    if not (power > 0.0):
-        raise ValidationError(f"agent power (adaptation energy) must be > 0, got {power}")
-    i, j = model.index_of(x), model.index_of(y)
+    if not math.isfinite(intelligence):
+        raise ValidationError(f"agent intelligence must be finite, got {intelligence}")
+    if not 0.0 < power < math.inf:
+        raise ValidationError(f"agent power (adaptation energy) must be finite and > 0, got {power}")
+    if not 0.0 < duration < math.inf:
+        raise ValidationError(f"agent duration tau must be finite and > 0, got {duration}")
+    _check_delta(delta)  # before log2(1/delta)
+    probability = float(model.kernel[model.index_of(x), model.index_of(y)])
+    if probability == 0.0:
+        raise ImpossibleTransitionError(f"impossible transition: P({y.bits!r} | {x.bits!r}) = 0")
     k_change = estimate_complexity(y, estimator).bits - estimate_complexity(x, estimator).bits
-    return _pair_check(model, i, j, intelligence / power, duration, delta, estimator, k_change)
+    k_cond = conditional_complexity(x, y, estimator).bits
+    lhs = intelligence / power
+    rhs = (math.log2(1.0 / probability) - k_cond) / duration + math.log2(1.0 / delta)
+    return BoundCheckResult(
+        lhs=lhs,
+        rhs=rhs,
+        holds=lhs <= rhs,
+        slack=rhs - lhs,
+        delta=delta,
+        samples=1,
+        estimator=Estimator(estimator),
+        empirical_ift=2.0 ** (-k_change),
+    )
 
 
 adaptivity_bound_check = efficiency_bound_check
@@ -221,25 +237,27 @@ def coupled_bound_suite(
 ) -> CoupledSuiteResult:
     """Run a bound check on every sampled transition with the coupled agent.
 
-    For each observed transition x -> y with a positive irreversible
-    complexity change ``d = K(y) - K(x)``, the agent is built exactly as in
-    the bound's derivation: intelligence ``d`` and energy equal to the
-    Landauer floor ``d`` in natural units, over duration 1, so the lhs is 1.
-    Transitions with ``d <= 0`` admit no such agent (the floor is not
-    positive) and are excluded from the rate.  Distinct (x, y) pairs are
-    checked once, in row-major order, and weighted by their observed counts,
-    the ``(source, target)`` matrix of :func:`~wpi.markov.transition_counts`.
+    Each observed transition x -> y with a positive irreversible complexity
+    change ``d = K(y) - K(x)`` is checked by :func:`efficiency_bound_check`
+    with the agent ``(d, d, 1.0)`` of the bound's derivation: intelligence
+    ``d`` and energy its Landauer floor ``d`` in natural units, over duration
+    1, so the lhs is 1.  Transitions with ``d <= 0`` admit no such agent (the
+    floor is not positive) and are excluded from the rate.  Distinct (x, y)
+    pairs are checked once, in row-major order, and weighted by their
+    observed counts, the ``(source, target)`` matrix of
+    :func:`~wpi.markov.transition_counts`.
     """
     counts = _check_counts(model, counts)
-    k = _complexity_by_index(model, estimator)
+    k = np.array(_complexity_by_index(model, estimator))
 
     checks: list[BoundCheckResult] = []
     weights: list[int] = []
-    for i, j in zip(*np.nonzero(counts)):
-        d = k[j] - k[i]
-        if d <= 0:
-            continue
-        checks.append(_pair_check(model, i, j, 1.0, 1.0, delta, estimator, d))
+    # flat indices of the checked pairs: ascending, so in row-major order
+    for pair in np.flatnonzero((counts != 0) & (k[:, None] < k)).tolist():
+        i, j = divmod(pair, model.n_states)
+        d = int(k[j] - k[i])
+        x, y = model.states[i], model.states[j]
+        checks.append(efficiency_bound_check(model, x, y, (d, d, 1.0), delta, estimator))
         weights.append(int(counts[i, j]))
 
     valid = sum(weights)
@@ -252,44 +270,6 @@ def coupled_bound_suite(
         estimator=Estimator(estimator),
         checks=tuple(checks),
         check_weights=tuple(weights),
-    )
-
-
-def _pair_check(
-    model: MarkovModel,
-    i: int,
-    j: int,
-    lhs: float,
-    tau: float,
-    delta: float,
-    estimator: Estimator,
-    k_change: int,
-) -> BoundCheckResult:
-    """``lhs <= (log2(1/P(y|x)) - K(x|y)) / tau + log2(1/delta)`` for states i -> j.
-
-    P is read from the kernel and K(x|y) estimated here; ``k_change`` is
-    ``K(y) - K(x)``, and ``empirical_ift`` is ``2**-k_change``.
-    """
-    if not (tau > 0.0):
-        raise ValidationError(f"duration tau must be > 0, got {tau}")
-    _check_delta(delta)  # before log2(1/delta)
-    x, y = model.states[i], model.states[j]
-    probability = float(model.kernel[i, j])
-    if probability == 0.0:
-        raise ImpossibleTransitionError(
-            f"impossible transition: P({y.bits!r} | {x.bits!r}) = 0"
-        )
-    k_cond = conditional_complexity(x, y, estimator).bits
-    rhs = (math.log2(1.0 / probability) - k_cond) / tau + math.log2(1.0 / delta)
-    return BoundCheckResult(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        slack=rhs - lhs,
-        delta=delta,
-        samples=1,
-        estimator=Estimator(estimator),
-        empirical_ift=2.0 ** (-k_change),
     )
 
 
@@ -312,6 +292,13 @@ def _check_counts(model: MarkovModel, counts: np.ndarray) -> np.ndarray:
         i, j = np.argwhere(bad)[0]
         raise ValidationError(
             f"counts[{i}, {j}] must be a non-negative integer, got {counts[i, j].item()!r}"
+        )
+    impossible = (counts != 0) & (model.kernel == 0.0)
+    if impossible.any():
+        i, j = np.argwhere(impossible)[0]
+        raise ImpossibleTransitionError(
+            f"counts[{i}, {j}] = {counts[i, j].item()!r} on an impossible transition: "
+            f"P({model.states[j].bits!r} | {model.states[i].bits!r}) = 0"
         )
     return counts
 

@@ -57,7 +57,8 @@ class MarkovModel:
         states = tuple(states)
         if not states:
             raise ValidationError("model needs at least one state")
-        if len({s.bits for s in states}) != len(states):
+        index = {s: i for i, s in enumerate(states)}
+        if len(index) != len(states):
             raise ValidationError("model states must be distinct")
         n = len(states)
 
@@ -82,16 +83,17 @@ class MarkovModel:
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_index", index)
 
     @property
     def n_states(self) -> int:
         return len(self.states)
 
     def index_of(self, state: CoarseState) -> int:
-        for i, s in enumerate(self.states):
-            if s == state:
-                return i
-        raise ValidationError(f"state {state.bits!r} is not in the model")
+        try:
+            return self._index[state]
+        except KeyError:
+            raise ValidationError(f"state {state.bits!r} is not in the model") from None
 
 
 def distribution_problem(vector) -> str | None:
@@ -215,13 +217,23 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int) -
 def transition_counts(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
     """Count matrix of observed (source, target) transitions in ``paths``.
 
-    The pairs are coded and counted ``_CHUNK`` rows at a time, so no
-    temporary is as large as ``paths``.
+    ``paths`` is a 2-D integer array of state indices in ``[0, n_states)``.
+    The pairs are checked, coded and counted ``_CHUNK`` rows at a time, so
+    no temporary is as large as ``paths``.
     """
+    paths = np.asarray(paths)
+    if paths.ndim != 2 or paths.dtype.kind not in "iu":
+        raise ValidationError(f"paths must be a 2-D integer array, got {paths.ndim}-D {paths.dtype}")
+    unsigned = paths.view(paths.dtype.str.replace("i", "u"))  # a negative index reads as >= n
     n = model.n_states
     counts = np.zeros(n * n, dtype=np.intp)
     for lo in range(0, len(paths), _CHUNK):
         rows = paths[lo:lo + _CHUNK]
+        if unsigned[lo:lo + _CHUNK].max(initial=0) >= n:
+            r, c = np.argwhere((rows < 0) | (rows >= n))[0]
+            raise ValidationError(
+                f"paths[{lo + r}, {c}] = {rows[r, c]} is not a state index in [0, {n})"
+            )
         pairs = rows[:, :-1] * n
         pairs += rows[:, 1:]
         counts += np.bincount(pairs.ravel(), minlength=n * n)

@@ -17,12 +17,14 @@ from wpi import (
     adaptivity_bound_check,
     complexity_exact,
     coupled_bound_suite,
+    eight_state_chain,
     efficiency_bound_check,
     estimate_complexity,
     four_state_chain,
     ift_check,
     markov_tail_check,
     sample_trajectories,
+    shipped_chains,
     stationary_distribution,
     surprisal_table,
     transition_counts,
@@ -144,8 +146,69 @@ class TestIftCheck:
         suite = coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05)
         assert coupled_bound_suite(model, counts.astype(float), Estimator.EXACT_ENUM, 0.05) == suite
 
+    @pytest.mark.parametrize("estimator", list(Estimator))
+    def test_counts_on_impossible_transitions_rejected(self, estimator):
+        # 000 -> 011 has P = 0 on the eight-state ring; such counts read as
+        # sigma = 0 (a surprisal mean of exactly 1.0), and the suite skipped
+        # them because every state there has the same K
+        model = eight_state_chain()
+        counts = np.zeros((8, 8), dtype=np.int64)
+        counts[0, 2] = 10
+        counts[0, 0] = 5
+        assert model.states[2].bits == "011" and model.kernel[0, 2] == 0.0
+        message = r"counts\[0, 2\] = 10 on an impossible transition: P\('011' \| '000'\) = 0"
+        for check in (
+            lambda: ift_check(model, counts, estimator),
+            lambda: markov_tail_check(model, counts, estimator, 0.05),
+            lambda: coupled_bound_suite(model, counts, estimator, 0.05),
+        ):
+            with pytest.raises(ImpossibleTransitionError, match=message):
+                check()
+
+
+def scalar_surprisal_table(model):
+    """sigma(x, y) entry by entry, with scalar ``math.log2``."""
+    pi = stationary_distribution(model.kernel)
+    n = model.n_states
+    table = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            forward, backward = model.kernel[i, j], model.kernel[j, i]
+            if forward == 0.0:
+                continue
+            if backward == 0.0:
+                table[i, j] = math.inf
+            else:
+                table[i, j] = math.log2(forward * pi[i]) - math.log2(backward * pi[j])
+    return table
+
+
+def random_sparse_chain(n, seed):
+    """An ergodic chain on n states with random one-way and two-way edges."""
+    rng = np.random.default_rng(seed)
+    kernel = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+    kernel[np.arange(n), (np.arange(n) + 1) % n] += rng.random(n)  # a one-way cycle
+    kernel[0, 0] += 0.5  # aperiodic
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    width = max(1, (n - 1).bit_length())
+    states = [CoarseState(format(i, f"0{width}b")) for i in range(n)]
+    return MarkovModel(states, kernel, np.full(n, 1.0 / n), name=f"sparse-{n}")
+
 
 class TestSurprisalTable:
+    @pytest.mark.parametrize("model", [
+        *shipped_chains(),
+        MarkovModel([CoarseState("0"), CoarseState("10"), CoarseState("110")],
+                    [[0.5, 0.25, 0.25], [0.5, 0.0, 0.5], [0.5, 0.0, 0.5]], [1 / 3] * 3,
+                    name="one-way"),
+        *(random_sparse_chain(n, seed) for n, seed in ((5, 1), (17, 2), (40, 3))),
+    ], ids=lambda m: m.name)
+    def test_equals_the_scalar_table_bit_for_bit(self, model):
+        table = surprisal_table(model)
+        assert table.tobytes() == scalar_surprisal_table(model).tobytes()
+        if model.name == "one-way" or model.name.startswith("sparse"):
+            assert np.isinf(table).any()
+
     def test_reverse_pair_antisymmetry(self):
         table = surprisal_table(four_state_chain())
         kernel = four_state_chain().kernel
@@ -323,6 +386,23 @@ class TestEfficiencyBound:
                 0.05, Estimator.EXACT_ENUM,
             )
 
+    @pytest.mark.parametrize("agent, entry", [
+        ((math.nan, 1.0, 1.0), "intelligence"),
+        ((math.inf, 1.0, 1.0), "intelligence"),
+        ((1.0, math.inf, 1.0), "power"),
+        ((1.0, math.nan, 1.0), "power"),
+        ((1.0, 1.0, math.inf), "duration"),
+        ((1.0, 1.0, -math.inf), "duration"),
+    ])
+    def test_agent_entries_must_be_finite(self, agent, entry):
+        # a NaN gain returned lhs and slack NaN; an infinite duration dropped
+        # the probability term and an infinite power passed with lhs 0
+        model = four_state_chain()
+        with pytest.raises(ValidationError, match=f"agent {entry}.* must be finite"):
+            efficiency_bound_check(
+                model, model.states[0], model.states[1], agent, 0.05, Estimator.EXACT_ENUM
+            )
+
 
 class TestAdaptivityBound:
     def test_zero_gain_holds_when_rhs_nonnegative(self):
@@ -444,6 +524,27 @@ class TestCoupledSuites:
             assert check == adaptivity_bound_check(model, x, y, (d, d, 1.0), 0.05, estimator)
         if model.name == "ring":
             assert any(check.rhs < 0.0 for check in suite.checks)
+
+    @pytest.mark.parametrize("estimator", list(Estimator))
+    def test_each_check_is_one_per_pair_check_call(self, monkeypatch, estimator):
+        # the suite has no arithmetic of its own: every entry of suite.checks
+        # is what the public per-pair check returned for the coupled agent
+        model = ring_of_long_states()
+        counts = sampled_counts(model, 1, 4_000, seed=47)
+        calls = []
+
+        def counted(model, x, y, agent, delta, estimator):
+            result = efficiency_bound_check(model, x, y, agent, delta, estimator)
+            calls.append(((x, y, agent), result))
+            return result
+
+        monkeypatch.setattr("wpi.bounds.efficiency_bound_check", counted)
+        suite = coupled_bound_suite(model, counts, estimator, 0.05)
+        assert suite.checks
+        assert [result for _, result in calls] == list(suite.checks)
+        for (x, y, agent), _ in calls:
+            d = (estimate_complexity(y, estimator).bits - estimate_complexity(x, estimator).bits)
+            assert agent == (d, d, 1.0)
 
     @pytest.mark.parametrize("estimator", list(Estimator))
     @pytest.mark.parametrize("delta", [1.5, math.nan, 0.0])

@@ -164,6 +164,34 @@ class TestSampling:
         expected = [[oracle[a, b] for b in range(8)] for a in range(8)]
         assert transition_counts(model, paths).tolist() == expected
 
+    @pytest.mark.parametrize("paths, message", [
+        (np.array([[0, 2]]), r"paths\[0, 1\] = 2 is not a state index in \[0, 2\)"),
+        (np.array([[0, -1]]), r"paths\[0, 1\] = -1 is not a state index in \[0, 2\)"),
+        (np.array([[1, 0], [0, 1], [1, 7]], dtype=np.int8), r"paths\[2, 1\] = 7"),
+        (np.array([[True, False]]), "2-D integer array, got 2-D bool"),
+        (np.array([[0.0, 1.0]]), "2-D integer array, got 2-D float64"),
+        (np.array([0, 1]), "2-D integer array, got 1-D int64"),
+    ])
+    def test_transition_counts_rejects_what_is_not_a_path_array(self, paths, message):
+        # [[0, 2]] and [[True, False]] each counted a 1 -> 0 transition; -1, a
+        # float array and a 1-D array raised bare numpy errors
+        with pytest.raises(ValidationError, match=message):
+            transition_counts(two_state_chain(), paths)
+
+    def test_transition_counts_checks_every_chunk(self):
+        paths = np.zeros((_CHUNK + 3, 3), dtype=np.int64)
+        paths[_CHUNK + 1, 2] = 2
+        with pytest.raises(ValidationError, match=rf"paths\[{_CHUNK + 1}, 2\] = 2"):
+            transition_counts(two_state_chain(), paths)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64, ">i8"])
+    def test_transition_counts_accepts_every_integer_dtype(self, dtype):
+        model = four_state_chain()
+        paths = sample_trajectories(model, 3, 500, seed=6)
+        expected = transition_counts(model, paths)
+        assert np.array_equal(transition_counts(model, paths.astype(dtype)), expected)
+        assert transition_counts(model, paths[:0]).sum() == 0
+
     def test_row_search_equals_searchsorted_right(self):
         # u landing exactly on a CDF entry, and rows with repeated entries
         # (zero-probability states), are where "<=" and "<" part ways; n
