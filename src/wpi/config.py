@@ -280,6 +280,9 @@ def _typed(value: Any, kind: Any, ptr: str, errors: list) -> Any:
         return float(value)
     if get_origin(match) is list:
         (item,) = get_args(match)
+        read = _floats(value) if item is float else None
+        if read is not None:
+            return read
         read = [_typed(v, item, f"{ptr}/{i}", errors) for i, v in enumerate(value)]
         return _INVALID if _INVALID in read else read
     if get_origin(match) is dict:
@@ -289,6 +292,25 @@ def _typed(value: Any, kind: Any, ptr: str, errors: list) -> Any:
     return value
 
 
+def _floats(values: list) -> list[float] | None:
+    """``values`` read as floats when each entry passes ``_has_type(v, float)``; else None.
+
+    Three C-level passes over the list stand in for a ``_typed`` call per
+    entry: the entry types are exactly int or float, each converts, and no
+    magnitude reaches the float maximum (NaN reads as NaN, as it does entry
+    by entry).  None sends the list to the per-entry path, which reports
+    each bad entry and also rules on what this test cannot, such as an int
+    that rounds down to the float maximum.
+    """
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        read = list(map(float, values))
+    except OverflowError:  # an int past the float range
+        return None
+    return read if max(map(abs, read), default=0.0) < sys.float_info.max else None
+
+
 def _has_type(value: Any, kind: Any) -> bool:
     """Whether ``value`` is of JSON type ``kind``, its entries not yet checked."""
     kind = get_origin(kind) or kind
@@ -296,7 +318,10 @@ def _has_type(value: Any, kind: Any) -> bool:
         return False
     if kind is float and isinstance(value, (int, float)):
         # it is read as a float, so it must fit one, and no infinity does;
-        # NaN is left to the range rules, which all reject it
+        # NaN is left to the range rules, which all reject it.  ``_floats``
+        # applies this rule to a whole list at once, so a change here must be
+        # made there too (test_numeric_rows_read_as_entry_by_entry holds the
+        # two equal)
         return not abs(value) > sys.float_info.max
     return isinstance(value, kind)
 

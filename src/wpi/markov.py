@@ -5,9 +5,14 @@ counter-based stream keyed ``(seed, i)``: the same doubles that
 ``numpy.random.Generator(numpy.random.Philox(key=[seed, i])).random()``
 returns.  Because the generator is counter-based, the sampler computes those
 streams as array arithmetic over the trajectory indices of one chunk at a
-time, and returns the paths as one integer array.  The Philox rounds and
-the row search run in place in buffers of one chunk, so the working memory
-beyond that array is set by ``_CHUNK``, not by the number of trajectories;
+time, and returns the paths as one integer array.  Each double is a 53-bit
+integer key times ``2**-53``, and the sampler works on the keys: a state is
+picked by an exact guide-table lookup (a shift and a gather, and a binary
+search within the bucket where CDF entries fall inside it; see
+:class:`_GuideTable`), whose answers are those of a binary search of the
+row's CDF for the double.  The Philox rounds and the lookups run in place
+in buffers of one chunk, so the working memory beyond the path array and
+the tables is set by ``_CHUNK``, not by the number of trajectories;
 :func:`transition_counts` counts a path array in chunks of the same rows.
 A stream's first draws do not depend on how many follow, so a path sampled
 with more steps extends the shorter one.  Seeds range over
@@ -194,9 +199,8 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int) -
         raise ValidationError(f"seed must be an integer in [0, 2**63 - 1], got {seed!r}")
     seed = int(seed)
 
-    table = _search_table(model.kernel)
-    initial_cdf = np.cumsum(model.initial)
-    last = model.n_states - 1
+    initial = _guide_table(model.initial[None, :])
+    kernel = _guide_table(model.kernel)
     try:
         paths = np.empty((count, steps + 1), dtype=np.int64)
     except (MemoryError, ValueError):  # ValueError: more bytes than numpy can address
@@ -204,13 +208,20 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int) -
             f"cannot allocate the sampled paths: an int64 array of shape "
             f"({count}, {steps + 1}) needs {count * (steps + 1) * 8} bytes"
         ) from None
+    chunk_rows = min(count, _CHUNK)
+    buffers = [np.empty(chunk_rows, dtype=np.uint64) for _ in range(10)]
+    keys = np.empty((steps + 1, chunk_rows), dtype=np.uint64)
+    below = np.empty(chunk_rows, dtype=bool)
     for lo in range(0, count, _CHUNK):
         index = np.arange(lo, min(lo + _CHUNK, count), dtype=np.uint64)
         path = paths[lo:lo + len(index)]
-        u = _philox_uniforms(seed, index, steps + 1)
-        np.minimum(np.searchsorted(initial_cdf, u[:, 0], side="right"), last, out=path[:, 0])
+        chunk = [b[:len(index)] for b in buffers]
+        key = _philox_keys(seed, index, chunk, keys[:, :len(index)])
+        # the Philox words are in ``key`` now
+        scratch = [*(b.view(np.int64) for b in chunk[:2]), below[:len(index)]]
+        initial.search(0, key[0], path[:, 0], scratch)
         for k in range(steps):
-            _row_searchsorted(table, path[:, k], u[:, k + 1], out=path[:, k + 1])
+            kernel.search(path[:, k], key[k + 1], path[:, k + 1], scratch)
     return paths
 
 
@@ -240,41 +251,131 @@ def transition_counts(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
     return counts.reshape(n, n)
 
 
-def _search_table(kernel: np.ndarray) -> np.ndarray:
-    """The kernel's row CDFs for :func:`_row_searchsorted`, padded with ``+inf``.
+#: Bits of a key: Philox word ``w`` gives key ``w >> 11``, the uniform ``key * 2**-53``.
+_KEY_BITS = 53
 
-    Row ``r`` holds ``cumsum(kernel[r])[:n - 1]`` and then ``+inf`` up to a
-    width that is the least power of two >= n.  A search clipped to ``n - 1``
-    never needs the last entry: if ``u`` passes all ``n - 1`` others, the
-    answer is ``n - 1`` whatever that entry is.
+#: Most entries in a guide table, unless ``2**ceil(log2 n)`` buckets a row take more.
+_GUIDE_ENTRIES = 1 << 20
+
+#: Entries of the work arrays with which :func:`_guide_table` reads a block of rows.
+_BUILD_BLOCK = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class _GuideTable:
+    """Row-wise inverse CDFs of a stochastic matrix on 53-bit integer keys.
+
+    For row ``r`` and key ``v`` in ``[0, 2**53)``, :meth:`search` gives
+    ``min(searchsorted(cumsum(p[r]), v * 2**-53, side="right"), n - 1)``:
+    the number of the row's first ``n - 1`` CDF entries ``c`` with
+    ``c <= v * 2**-53``.  Entry ``c`` becomes the threshold
+    ``ceil(c * 2**53)``, and ``c <= v * 2**-53`` exactly when
+    ``v >= ceil(c * 2**53)``, since scaling by a power of two is exact.
+    Each row's keys fall into ``2**bits`` equal buckets (Chen & Asau's guide
+    table), and ``guide`` holds the answer for each bucket's lowest key.
+    Where no threshold falls strictly inside a bucket, that is the answer,
+    and ``depth`` is 0.  Otherwise ``depth`` is the most thresholds below
+    ``2**53`` in one bucket's range ``(b, b + 1] * 2**(53 - bits)``, and a
+    key is finished by a binary search of its bucket's range in
+    ``depth.bit_length()`` rounds.
     """
-    n = kernel.shape[1]
-    table = np.full((n, 1 << (n - 1).bit_length()), np.inf)
-    np.cumsum(kernel[:, :n - 1], axis=1, out=table[:, :n - 1])
-    return table
+
+    bits: int
+    depth: int
+    #: row r's bucket b at r * 2**bits + b; with depth > 0, the answer's index
+    #: in ``thresholds``, r * stride + answer
+    guide: np.ndarray
+    #: with depth > 0, row r's thresholds at r * stride (2**53 + 1 for one that
+    #: no key reaches), then as many entries of 2**53 + 1 as a search reads past them
+    thresholds: np.ndarray
+    stride: int
+
+    def search(self, rows: np.ndarray | int, keys: np.ndarray, out: np.ndarray,
+               scratch: list[np.ndarray]) -> None:
+        """``out[i]`` is the answer for ``keys[i]`` in row ``rows[i]``.
+
+        ``keys`` and ``rows`` are int64 arrays, or ``rows`` is 0 for every
+        key; ``scratch`` is two int64 and one bool array of ``len(keys)``
+        entries.
+        """
+        at, value, below = scratch
+        np.right_shift(keys, _KEY_BITS - self.bits, out=at)
+        np.multiply(rows, 1 << self.bits, out=value)
+        at += value
+        np.take(self.guide, at, out=value, mode="clip")  # every index is in range
+        if not self.depth:
+            np.copyto(out, value)  # np.take would copy through a temporary into a strided ``out``
+            return
+        # a lockstep binary search over all rows: a threshold at or below its
+        # key moves ``at`` past it, so the passed ones start the step's gather
+        at, value = value, at
+        step = 1 << (self.depth.bit_length() - 1)
+        while step:
+            np.take(self.thresholds[step - 1:], at, out=value, mode="clip")
+            np.less_equal(value, keys, out=below)
+            np.add(at, step, out=at, where=below)
+            step >>= 1
+        np.multiply(rows, self.stride, out=value)
+        np.subtract(at, value, out=out)
 
 
-def _row_searchsorted(table: np.ndarray, rows: np.ndarray, u: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """``min(searchsorted(cumsum(kernel[row]), u, side="right"), n - 1)`` per (row, u).
+def _guide_table(probabilities: np.ndarray) -> _GuideTable:
+    """The :class:`_GuideTable` of the rows of ``probabilities``.
 
-    ``table`` is :func:`_search_table` of a kernel with nonnegative rows.  A
-    binary search runs in lockstep over all rows as a gather from the flat
-    table at ``row * width + pos + step - 1``: it adds ``step`` to ``pos``
-    where that entry is ``<= u``, for ``step = width / 2, ..., 1``.
+    ``bits`` is the least number for which every threshold below ``2**53``
+    is a multiple of ``2**(53 - bits)``, so that no bucket needs a search,
+    but at most ``ceil(log2 n) + 4``, lowered towards ``ceil(log2 n)`` while
+    the table would exceed ``_GUIDE_ENTRIES`` entries.  Each threshold is
+    counted into the first bucket whose lowest key reaches it, and a
+    bucket's answer is the running count.  The rows are read in blocks of
+    about ``_BUILD_BLOCK`` entries, so that the work arrays stay small; the
+    table itself is written once.
     """
-    width = table.shape[1]
-    flat = table.ravel()
-    at = rows * width
-    value = np.empty(len(u))
-    below = np.empty(len(u), dtype=bool)
-    step = width >> 1
-    while step:
-        np.take(flat[step - 1:], at, out=value, mode="clip")  # every index is in range
-        np.less_equal(value, u, out=below)
-        np.add(at, step, out=at, where=below)
-        step >>= 1
-    return np.bitwise_and(at, width - 1, out=out)
+    rows, n = probabilities.shape
+    block = min(rows, max(1, _BUILD_BLOCK // n))
+    wide = (n - 1).bit_length()  # ceil(log2 n)
+    # room for the entries that a search of depth n - 1 reads past a row's last
+    stride = n + max((1 << wide >> 1) - 1, 0)
+    thresholds = np.empty((rows, stride), dtype=np.int64)
+    cdf = np.empty((block, n))
+    union = 0  # its lowest bit is the finest of any threshold
+    for lo in range(0, rows, block):
+        part = cdf[:min(block, rows - lo)]
+        np.cumsum(probabilities[lo:lo + len(part), :n - 1], axis=1, out=part[:, :n - 1])
+        part[:, n - 1] = 1.0
+        part *= 2.0**_KEY_BITS
+        np.ceil(part, out=part)
+        np.minimum(part, 2.0**_KEY_BITS, out=part)  # a row may sum to just above 1
+        done = thresholds[lo:lo + len(part), :n]
+        np.copyto(done, part, casting="unsafe")
+        union |= int(np.bitwise_or.reduce(done, axis=None))
+        done |= done >> _KEY_BITS  # 2**53, which no key reaches, is kept as 2**53 + 1
+    exact_bits = _KEY_BITS + 1 - (union & -union).bit_length()
+    cap = min(wide + 4, (_GUIDE_ENTRIES // rows).bit_length() - 1)
+    bits = min(exact_bits, max(wide, cap))
+
+    # column 0 of a row's counts is its thresholds at 0, column b + 1 those in
+    # (b, b + 1] * 2**shift, and the last column those at 2**53 + 1
+    shift, columns = _KEY_BITS - bits, (1 << bits) + 2
+    guide = np.empty((rows, 1 << bits), dtype=np.int64)
+    first = np.empty((block, n), dtype=np.int64)
+    offsets = np.arange(0, block * columns, columns)[:, None]
+    depth = 0
+    for lo in range(0, rows, block):
+        hi = min(lo + block, rows)
+        part, at = thresholds[lo:hi, :n], first[:hi - lo]
+        np.add(part, (1 << shift) - 1, out=at)
+        at >>= shift  # the first bucket whose lowest key reaches the threshold
+        at += offsets[:hi - lo]
+        counts = np.bincount(at.ravel(), minlength=(hi - lo) * columns).reshape(hi - lo, columns)
+        if bits < exact_bits:
+            depth = max(depth, int(counts[:, 1:-1].max()))
+            counts[:, 0] += np.arange(lo * stride, hi * stride, stride)  # answers as indices
+        np.cumsum(counts[:, :-2], axis=1, out=guide[lo:hi])
+    if not depth:
+        return _GuideTable(bits, 0, guide.ravel(), np.empty(0, dtype=np.int64), 0)
+    thresholds[:, n:n + (1 << depth.bit_length() >> 1) - 1] = (1 << _KEY_BITS) + 1
+    return _GuideTable(bits, depth, guide.ravel(), thresholds.ravel(), stride)
 
 
 # Philox4x64-10 (Salmon et al., SC'11) as numpy draws it: block b of the
@@ -287,29 +388,37 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 #: Trajectories sampled together.  Besides the paths it returns, the sampler
-#: holds one chunk's ten uint64 Philox buffers, ``steps + 1`` doubles and the
-#: row search's scratch: about ``100 + 8 * (steps + 1)`` bytes per trajectory,
-#: 1.9 MB for one-step paths.  16,384 was the fastest of 4,096 to 65,536 on
-#: the shipped chains, for one-step and for 16-step paths.  Paths are counted,
-#: and digested in ``wpi.report``, in chunks of as many rows.
+#: holds ten uint64 Philox buffers of one chunk, two of which are the lookups'
+#: scratch once a block's words are keys, one bool per trajectory and
+#: ``steps + 1`` int64 keys: about ``81 + 8 * (steps + 1)`` bytes per
+#: trajectory, 1.6 MB for one-step paths.  Its guide tables add ``2**bits``
+#: answers a row, at most ``_GUIDE_ENTRIES`` unless ``2**ceil(log2 n)`` a row
+#: take more, and, for a kernel that needs the search, one int64 threshold
+#: per kernel entry and less than as many again of padding.
+#: 16,384 was the fastest of 4,096 to 65,536 on the shipped chains, for
+#: one-step and for 16-step paths, with a binary search for the lookup; with
+#: the guide table, 8,192 to 32,768 are within 10% of one another.  Paths are
+#: counted, and digested in ``wpi.report``, in chunks of as many rows.
 _CHUNK = 1 << 14
 
 
-def _philox_uniforms(seed: int, index: np.ndarray, k: int) -> np.ndarray:
-    """First ``k`` doubles of ``Generator(Philox(key=[seed, i])).random`` per index.
+def _philox_keys(seed: int, index: np.ndarray, buffers: list[np.ndarray],
+                 out: np.ndarray) -> np.ndarray:
+    """First ``len(out)`` 53-bit keys of ``Philox(key=[seed, i])`` per index.
 
-    Row ``i`` of the ``(len(index), k)`` result belongs to ``index[i]``.  The
-    result is the transpose of a C-ordered array, so each column is contiguous.
+    ``Generator(Philox(key=[seed, i])).random(k)`` is exactly these keys
+    times ``2**-53``.  ``out`` is a uint64 array of shape ``(k, len(index))``
+    whose column ``i`` receives the keys of ``index[i]``; it is returned as
+    int64.  The rounds run in ``buffers``, ten uint64 arrays of
+    ``len(index)`` entries.
     """
-    uniforms = np.empty((k, len(index)))
-    buffers = [np.empty(len(index), dtype=np.uint64) for _ in range(10)]
+    k = len(out)
     for first in range(0, k, 4):
         need = min(4, k - first)
         for word, row in zip(_philox_block(seed, index, first // 4 + 1, need, buffers),
-                             uniforms[first:first + need]):
-            word >>= np.uint64(11)
-            np.multiply(word, 2.0**-53, out=row)
-    return uniforms.T
+                             out[first:first + need]):
+            np.right_shift(word, np.uint64(64 - _KEY_BITS), out=row)
+    return out.view(np.int64)
 
 
 def _philox_block(seed: int, index: np.ndarray, counter: int, need: int,

@@ -297,6 +297,30 @@ class TestValidation:
         assert type(config.substrates[0].extra_overheads["io"]) is float
         assert type(config.traces[("cpu", "s")].measured_energy) is float
 
+    @pytest.mark.parametrize("row", [
+        [], [1, 2.5, 0, -0.0], [True, 1.0], [1.0, False], [1, None], ["1", 1.0], [[1.0]],
+        [math.nan, 1.0], [1.0, math.inf], [math.nan, -math.inf], [-math.inf, math.nan],
+        [1e308, 5e-324], [sys.float_info.max], [0.5, -sys.float_info.max],
+        [int(sys.float_info.max)], [int(sys.float_info.max) + 1], [-2**1024], [10**400, 1],
+        [np.float64(0.5), 1], [np.int64(3)],
+    ], ids=repr)
+    def test_numeric_rows_read_as_entry_by_entry(self, row):
+        # a list of numbers is read in C-level passes; each outcome, error and
+        # pointer must be what reading it one entry at a time gives
+        from wpi.config import _INVALID, _typed
+
+        errors, entry_errors = [], []
+        got = _typed(row, list[float], "/k", errors)
+        entries = [_typed(v, float, f"/k/{i}", entry_errors) for i, v in enumerate(row)]
+        expected = _INVALID if _INVALID in entries else entries
+        assert errors == entry_errors
+        assert repr(got) == repr(expected)
+        assert got is _INVALID or all(type(v) is float for v in got)
+        rows_errors = []
+        assert repr(_typed([row, row], list[list[float]], "/k", rows_errors)) == repr(
+            _INVALID if expected is _INVALID else [expected, expected])
+        assert rows_errors == [(f"/k/{i}{p[2:]}", m) for i in (0, 1) for p, m in entry_errors]
+
     def test_optional_fields_may_be_null(self):
         data = minimal_config()
         data["traces"][0].update(measured_energy=None, telemetry=None)

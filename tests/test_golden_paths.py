@@ -4,15 +4,20 @@ Each model's ``trajectory_digest``, ``transition_counts`` and
 ``first_trajectory`` are pinned for ``wpi report`` (one-step paths, 100,000
 samples) and for ``wpi simulate --steps 16 --samples 70001``: 17 uniforms
 per path span 5 Philox blocks, and 70,001 rows cross a sampling chunk
-boundary.  A change to the sampler or to the digest that moves any path or
-any hashed byte fails here.
+boundary.  The shipped kernels are dyadic, so two non-dyadic models are
+pinned as well: the slow chain's ``1 - 1e-6`` and a seeded dense 40-state
+kernel, each for ``wpi simulate --steps 16 --samples 20001``.  A change to
+the sampler or to the digest that moves any path or any hashed byte fails
+here.
 """
 
+import hashlib
 import json
+import random
 
 import pytest
 
-from wpi.cli import main
+from wpi.cli import default_config_path, main
 
 REPORT = {
     "two-state": (
@@ -77,3 +82,57 @@ def test_shipped_paths_are_pinned(tmp_path, argv, pinned):
         assert sims[name]["trajectory_digest"] == digest, name
         assert sims[name]["transition_counts"] == counts, name
         assert sims[name]["first_trajectory"] == first, name
+
+
+# Non-dyadic kernels: a CDF entry such as 1 - 1e-6 is no multiple of 2**-k
+# for a small k, so it falls strictly inside a bucket of the sampler's guide
+# table and is reached by its correction steps.
+# Both runs sample 16-step paths over 20,001 rows, across a chunk boundary.
+SLOW_KERNEL = [[1 - 1e-6, 1e-6], [3e-6, 1 - 3e-6]]
+
+
+def dense_model(n=40, seed=2024):
+    """A seeded dense kernel and initial law, every row normalised random weights."""
+    rng = random.Random(seed)
+
+    def law():
+        weights = [rng.random() for _ in range(n)]
+        total = sum(weights)
+        return [w / total for w in weights]
+
+    return {"name": "dense", "states": [format(i, "06b") for i in range(n)],
+            "kernel": [law() for _ in range(n)], "measure": [1.0] * n, "initial": law()}
+
+
+NON_DYADIC = {
+    "slow": (
+        {"name": "slow", "states": ["0", "1"], "kernel": SLOW_KERNEL,
+         "measure": [1.0, 1.0], "initial": [0.75, 0.25]},
+        "ba42461ad0b41b299a048ee1216fab09951064f745c522b3619781d1bee66d5e",
+        [[239264, 0], [0, 80752]],
+        [1] * 17,
+    ),
+    "dense": (
+        dense_model(),
+        "a3b6c2e7bda17f345f0f5fe9343682c4c4d954374694d6533a186d5abd8bf91e",
+        "a871f38305a58ef2997013b235f953dda579e083d3b5a07e757a139077700f35",  # sha256 of the counts as JSON
+        [32, 8, 35, 18, 14, 20, 11, 5, 34, 32, 13, 2, 2, 22, 31, 15, 39],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_DYADIC))
+def test_non_dyadic_paths_are_pinned(tmp_path, name):
+    model, digest, counts, first = NON_DYADIC[name]
+    config = json.loads(default_config_path().read_text())
+    config["models"] = [model]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    sim = simulations(tmp_path, ["simulate", "--config", str(path),
+                                 "--steps", "16", "--samples", "20001"])[name]
+    got_counts = sim["transition_counts"]
+    if isinstance(counts, str):
+        got_counts = hashlib.sha256(json.dumps(got_counts).encode()).hexdigest()
+    assert sim["trajectory_digest"] == digest
+    assert got_counts == counts
+    assert sim["first_trajectory"] == first

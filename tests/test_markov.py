@@ -20,7 +20,7 @@ from wpi import (
     transition_counts,
     two_state_chain,
 )
-from wpi.markov import _CHUNK, _philox_uniforms, _row_searchsorted, _search_table
+from wpi.markov import _CHUNK, _guide_table, _philox_keys
 
 
 def simple_model(kernel, n=2, initial=None):
@@ -82,6 +82,36 @@ class TestModelValidation:
         model = simple_model(kernel)
         kernel[0, 0] = 0.9
         assert model.kernel[0, 0] == 0.5
+
+
+def guide_search(table, rows, keys):
+    keys = np.asarray(keys, dtype=np.int64)
+    out = np.empty(len(keys), dtype=np.int64)
+    scratch = [*np.empty((2, len(keys)), dtype=np.int64), np.empty(len(keys), dtype=bool)]
+    table.search(rows, keys, out, scratch)
+    return out.tolist()
+
+
+def dense_model(n, seed):
+    """A seeded dense kernel and initial law with no dyadic CDF entries."""
+    rng = np.random.default_rng(seed)
+    laws = rng.random((n + 1, n)) + 0.01
+    laws /= laws.sum(axis=1, keepdims=True)
+    return simple_model(laws[:n], n, laws[n].tolist())
+
+
+def shallow_model(n):
+    """Every row puts 1e-9 / 3 on each state but the last: all its thresholds share a bucket."""
+    kernel = np.full((n, n), 1e-9 / 3)
+    kernel[:, -1] = 1.0 - (n - 1) * 1e-9 / 3
+    return simple_model(kernel, n)
+
+
+def metastable_model(n):
+    """Each row stays with 1 - 1e-6 and spreads 1e-6 over the other states."""
+    kernel = np.full((n, n), 1e-6 / (n - 1))
+    np.fill_diagonal(kernel, 1.0 - 1e-6)
+    return simple_model(kernel, n)
 
 
 def oracle_path(model, steps, seed, index):
@@ -192,12 +222,15 @@ class TestSampling:
         assert np.array_equal(transition_counts(model, paths.astype(dtype)), expected)
         assert transition_counts(model, paths[:0]).sum() == 0
 
-    def test_row_search_equals_searchsorted_right(self):
-        # u landing exactly on a CDF entry, and rows with repeated entries
-        # (zero-probability states), are where "<=" and "<" part ways; n
-        # around powers of two changes the number of search rounds; a row
-        # whose sum ends just above 1 (within the kernel tolerance) and
-        # u = 1 - 2**-53, the largest uniform, probe the last entry
+    def test_guide_search_equals_searchsorted_right(self):
+        # a key equal to a CDF entry's threshold ceil(c * 2**53), or one below
+        # it, and rows with repeated entries (zero-probability states), are
+        # where "<=" and "<" part ways; n around powers of two changes the
+        # bucket count; a row whose sum ends just above 1 (within the kernel
+        # tolerance) and key 2**53 - 1, the largest Philox gives, probe the
+        # last entry.  The random rows are not dyadic, so the buckets need
+        # correction steps.  Keys stop at 2**53 - 1: u = 1.0 is not a value
+        # Philox produces.
         rng = np.random.default_rng(3)
         for n in (1, 2, 3, 7, 8, 40, 63, 64, 65, 256, 257):
             kernel = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
@@ -206,15 +239,56 @@ class TestSampling:
             kernel[0] *= 1.0 + 1e-13
             cdf = np.cumsum(kernel, axis=1)
             assert cdf[0, -1] > 1.0
+            on_entry = np.ceil(cdf * 2.0**53).astype(np.int64)
             rows = rng.integers(0, n, 500)
-            u = np.where(rng.random(500) < 0.5, cdf[rows, rng.integers(0, n, 500)],
-                         rng.random(500))
-            u[:3] = 0.0, 1.0, np.nextafter(1.0, 0.0)
+            keys = np.where(rng.random(500) < 0.5,
+                            on_entry[rows, rng.integers(0, n, 500)] - rng.integers(0, 2, 500),
+                            rng.integers(0, 2**53, 500))
+            keys[:3] = 0, 2**53 - 1, 2**53 - 2
             rows[3:6] = 0
-            u[3:6] = 1.0 - 2.0**-53, cdf[0, -1], cdf[0, -2] if n > 1 else 0.5
-            expected = [min(int(np.searchsorted(cdf[r], x, side="right")), n - 1)
-                        for r, x in zip(rows, u)]
-            assert _row_searchsorted(_search_table(kernel), rows, u).tolist() == expected
+            keys[3:6] = 2**53 - 1, on_entry[0, -1], on_entry[0, max(n - 2, 0)]
+            keys = np.clip(keys, 0, 2**53 - 1)
+            expected = [min(int(np.searchsorted(cdf[r], k * 2.0**-53, side="right")), n - 1)
+                        for r, k in zip(rows, keys)]
+            assert guide_search(_guide_table(kernel), rows, keys) == expected
+            # the initial law's table has one row, searched with row 0
+            assert guide_search(_guide_table(kernel[:1]), 0, keys) == [
+                min(int(np.searchsorted(cdf[0], k * 2.0**-53, side="right")), n - 1)
+                for k in keys]
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 257])
+    @pytest.mark.parametrize("make", [shallow_model, metastable_model])
+    def test_guide_search_at_full_correction_depth(self, make, n):
+        # n - 1 thresholds of a row share one bucket, so a key there takes
+        # every round of the binary search, and a table row too short to hold
+        # them would read the next row's; every row is probed at each of its
+        # thresholds, one below it, and at keys 0 and 2**53 - 1
+        kernel = make(n).kernel
+        table = _guide_table(kernel)
+        assert table.depth == n - 1
+        cdf = np.cumsum(kernel, axis=1)
+        on_entry = np.ceil(cdf * 2.0**53).astype(np.int64)
+        keys = np.concatenate([on_entry - 1, on_entry, np.full((n, 1), 0),
+                               np.full((n, 1), 2**53 - 1)], axis=1)
+        keys = np.clip(keys, 0, 2**53 - 1)
+        rows = np.repeat(np.arange(n), keys.shape[1])
+        expected = np.minimum([np.searchsorted(c, k * 2.0**-53, side="right")
+                               for c, k in zip(cdf, keys)], n - 1).ravel()
+        assert guide_search(table, rows, keys.ravel()) == expected.tolist()
+        assert set(expected.tolist()) == set(range(n))
+
+    def test_dyadic_kernels_need_no_correction(self):
+        # a threshold on a bucket boundary is answered by the guide alone
+        tables = {m.name: _guide_table(m.kernel) for m in shipped_chains()}
+        assert {name: (t.bits, t.depth) for name, t in tables.items()} == {
+            "two-state": (3, 0), "four-state": (6, 0), "eight-state": (4, 0)}
+
+    def test_one_state_model(self):
+        model = MarkovModel([CoarseState("0")], [[1.0]], [1.0])
+        table = _guide_table(model.kernel)
+        assert (table.bits, table.depth) == (0, 0)
+        paths = sample_trajectories(model, 3, 40, seed=2)
+        assert paths.shape == (40, 4) and not paths.any()
 
     def test_unallocatable_paths_raise_a_validation_error(self):
         # numpy refuses an array of 2**61 int64 entries before any malloc;
@@ -254,14 +328,28 @@ class TestPhiloxStreams:
     @pytest.mark.parametrize("seed", [0, 42, 2**53 + 1, MAX_SEED])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 17])
     def test_uniforms_match_numpy(self, seed, k):
+        # each uniform is its 53-bit key times 2**-53
         index = [0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2**40 + 3]
-        got = _philox_uniforms(seed, np.array(index, dtype=np.uint64), k)
+        buffers = [np.empty(len(index), dtype=np.uint64) for _ in range(10)]
+        got = _philox_keys(seed, np.array(index, dtype=np.uint64), buffers,
+                           np.empty((k, len(index)), dtype=np.uint64)).T
         expected = [np.random.Generator(np.random.Philox(key=[seed, i])).random(k) for i in index]
-        assert np.array_equal(got, np.array(expected))
+        assert got.dtype == np.int64 and got.min() >= 0 and got.max() < 2**53
+        assert np.array_equal(got * 2.0**-53, np.array(expected))
 
     @pytest.mark.parametrize("seed", [0, 42, 2**53 + 1, MAX_SEED])
     def test_paths_match_numpy_across_a_chunk_boundary(self, seed):
         model = eight_state_chain()
+        paths = sample_trajectories(model, 4, _CHUNK + 2, seed=seed)
+        for i in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1):
+            assert paths[i].tolist() == oracle_path(model, 4, seed, i)
+
+    @pytest.mark.parametrize("seed", [0, MAX_SEED])
+    @pytest.mark.parametrize("model", [dense_model(40, 5), shallow_model(9), metastable_model(65)],
+                             ids=["dense-40", "shallow-9", "metastable-65"])
+    def test_non_dyadic_paths_match_numpy_across_a_chunk_boundary(self, seed, model):
+        # every threshold of these kernels lies strictly inside a bucket
+        assert _guide_table(model.kernel).depth > 0
         paths = sample_trajectories(model, 4, _CHUNK + 2, seed=seed)
         for i in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1):
             assert paths[i].tolist() == oracle_path(model, 4, seed, i)
