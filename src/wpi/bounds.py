@@ -213,7 +213,8 @@ def efficiency_bound_check(
     k_change = estimate_complexity(y, estimator).bits - estimate_complexity(x, estimator).bits
     k_cond = conditional_complexity(x, y, estimator).bits
     lhs = intelligence / power
-    rhs = (math.log2(1.0 / probability) - k_cond) / duration + math.log2(1.0 / delta)
+    # -log2(x), not log2(1/x): 1/x overflows to inf for x below 2**-1024
+    rhs = (-math.log2(probability) - k_cond) / duration - math.log2(delta)
     return BoundCheckResult(
         lhs=lhs,
         rhs=rhs,

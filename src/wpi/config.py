@@ -19,7 +19,9 @@ Keys marked ``?`` are optional.  One field table per kind of object gives
 each key's JSON type and default, and any other key is an error.  A number
 is an integer or a float but not a boolean, and is read as a float, so it
 must be finite; only ``measured_energy``, ``telemetry``, ``labels`` and a
-label may be ``null``.
+label may be ``null``.  One rule checks each property: ``_floats`` reads
+numbers, alone or in a list, and :func:`~wpi.markov.distribution_problems`
+checks kernel rows and initial laws, here and in ``MarkovModel``.
 Range rules are the constructors' (``Substrate``, ``MarkovModel``, ...).
 This module checks only the sampling settings' ranges and what no
 constructor sees: unique names, trace references, per-model lengths and
@@ -54,9 +56,11 @@ from pathlib import Path
 from types import NoneType, UnionType
 from typing import Any, get_args, get_origin
 
+import numpy as np
+
 from .complexity import CoarseState, Estimator
 from .errors import ConfigError, ValidationError
-from .markov import MAX_SEED, MarkovModel, distribution_problem
+from .markov import MAX_SEED, MarkovModel, distribution_problems
 from .metrics import ExecutionTrace, TaskRecord, TaskSuite
 from .substrate import Substrate
 from .telemetry import integrate_power, read_power_csv
@@ -293,37 +297,27 @@ def _typed(value: Any, kind: Any, ptr: str, errors: list) -> Any:
 
 
 def _floats(values: list) -> list[float] | None:
-    """``values`` read as floats when each entry passes ``_has_type(v, float)``; else None.
+    """``values`` read as floats if each is a number that fits a float; else None.
 
-    Three C-level passes over the list stand in for a ``_typed`` call per
-    entry: the entry types are exactly int or float, each converts, and no
-    magnitude reaches the float maximum (NaN reads as NaN, as it does entry
-    by entry).  None sends the list to the per-entry path, which reports
-    each bad entry and also rules on what this test cannot, such as an int
-    that rounds down to the float maximum.
+    The config's one float rule, for a list and (through ``_has_type``) a
+    single value.  A number is an int or a float (a subclass too) but not a
+    bool, and its magnitude, compared as given and not as rounded, must not
+    exceed the float maximum, so no infinity passes.  NaN passes and is left
+    to the range rules, which all reject it.
     """
-    if not set(map(type, values)) <= {int, float}:
+    if not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, values))):
         return None
-    try:
-        read = list(map(float, values))
-    except OverflowError:  # an int past the float range
+    if any(map(sys.float_info.max.__lt__, map(abs, values))):
         return None
-    return read if max(map(abs, read), default=0.0) < sys.float_info.max else None
+    return list(map(float, values))
 
 
 def _has_type(value: Any, kind: Any) -> bool:
     """Whether ``value`` is of JSON type ``kind``, its entries not yet checked."""
     kind = get_origin(kind) or kind
-    if isinstance(value, bool):
-        return False
-    if kind is float and isinstance(value, (int, float)):
-        # it is read as a float, so it must fit one, and no infinity does;
-        # NaN is left to the range rules, which all reject it.  ``_floats``
-        # applies this rule to a whole list at once, so a change here must be
-        # made there too (test_numeric_rows_read_as_entry_by_entry holds the
-        # two equal)
-        return not abs(value) > sys.float_info.max
-    return isinstance(value, kind)
+    if kind is float:
+        return _floats([value]) is not None
+    return not isinstance(value, bool) and isinstance(value, kind)
 
 
 def _child(ptr: str, key: Any) -> str:
@@ -480,11 +474,11 @@ def _validate_models(document: dict, errors: list) -> list[MarkovModel]:
                 states.append(CoarseState(state_bits))
             except ValidationError as exc:
                 errors.append((f"{ptr}/states/{j}", str(exc)))
-        laws = [(f"kernel/{j}", "kernel row", row) for j, row in enumerate(kernel)]
-        for key, what, vector in [*laws, ("initial", "initial distribution", initial)]:
-            problem = distribution_problem(vector)
-            if problem:
-                errors.append((f"{ptr}/{key}", f"{what} {problem}"))
+        kernel, initial = np.array(kernel, dtype=float), np.array(initial, dtype=float)
+        for j, problem in distribution_problems(kernel):
+            errors.append((f"{ptr}/kernel/{j}", f"kernel row {problem}"))
+        for _, problem in distribution_problems(initial[None, :]):
+            errors.append((f"{ptr}/initial", f"initial distribution {problem}"))
         if len(errors) > before:
             continue
         bad = [(state, weight) for state, weight in zip(bits, measure) if not weight > 0.0]

@@ -70,17 +70,14 @@ class MarkovModel:
         kernel = np.array(kernel, dtype=float)
         if kernel.shape != (n, n):
             raise ValidationError(f"kernel must be {n}x{n}, got {kernel.shape}")
-        for row, entries in enumerate(kernel):
-            problem = distribution_problem(entries)
-            if problem:
-                raise ValidationError(f"kernel row {row} {problem}")
+        if problems := distribution_problems(kernel):
+            raise ValidationError("kernel row {} {}".format(*problems[0]))
 
         initial = np.array(initial, dtype=float)
         if initial.shape != (n,):
             raise ValidationError(f"initial distribution must have length {n}")
-        problem = distribution_problem(initial)
-        if problem:
-            raise ValidationError(f"initial distribution {problem}")
+        if problems := distribution_problems(initial[None, :]):
+            raise ValidationError(f"initial distribution {problems[0][1]}")
 
         kernel.setflags(write=False)
         initial.setflags(write=False)
@@ -101,19 +98,21 @@ class MarkovModel:
             raise ValidationError(f"state {state.bits!r} is not in the model") from None
 
 
-def distribution_problem(vector) -> str | None:
-    """Why a kernel row or an initial law is not a probability vector, or None.
+def distribution_problems(rows: np.ndarray) -> list[tuple[int, str]]:
+    """``(row, why)`` for each row of ``rows`` that is not a probability vector.
 
-    Entries must be >= 0 and sum to 1 within ``DISTRIBUTION_TOL``; a NaN
-    sum fails the tolerance test.
+    ``rows`` is a 2-D float array of kernel rows or initial laws.  Entries
+    must be >= 0 and sum to 1 within ``DISTRIBUTION_TOL``; a NaN sum fails
+    the tolerance test.  Rows are listed in order.
     """
-    vector = np.asarray(vector, dtype=float)
-    if np.any(vector < 0.0):
-        return "has a negative entry; entries must be >= 0"
-    total = float(vector.sum())
-    if not abs(total - 1.0) <= DISTRIBUTION_TOL:
-        return f"sums to {total!r}, expected 1 within {DISTRIBUTION_TOL}"
-    return None
+    negative = (rows < 0.0).any(axis=1)
+    totals = rows.sum(axis=1)
+    bad = negative | ~(np.abs(totals - 1.0) <= DISTRIBUTION_TOL)
+    return [
+        (int(row), "has a negative entry; entries must be >= 0" if negative[row]
+         else f"sums to {float(totals[row])!r}, expected 1 within {DISTRIBUTION_TOL}")
+        for row in np.flatnonzero(bad)
+    ]
 
 
 def is_ergodic(kernel: np.ndarray) -> bool:

@@ -16,6 +16,7 @@ from wpi import (
     ValidationError,
     adaptivity_bound_check,
     complexity_exact,
+    conditional_complexity,
     coupled_bound_suite,
     eight_state_chain,
     efficiency_bound_check,
@@ -358,6 +359,26 @@ class TestEfficiencyBound:
         loose = efficiency_bound_check(model, x, y, agent, 0.2, Estimator.EXACT_ENUM)
         tight = efficiency_bound_check(model, x, y, agent, 0.01, Estimator.EXACT_ENUM)
         assert tight.rhs > loose.rhs
+
+    def test_tiny_probability_gives_finite_rhs(self):
+        # log2(1/p) overflowed to inf for p below 2**-1024; -log2(p) is about 1,030 bits
+        states = [CoarseState("0"), CoarseState("1")]
+        model = MarkovModel(states, [[1.0, 1e-310], [0.5, 0.5]], [0.5, 0.5])
+        agent, delta = (1.0, 1.0, 1.0), 0.05
+        tiny = efficiency_bound_check(model, *states, agent, delta, Estimator.EXACT_ENUM)
+        assert math.isfinite(tiny.rhs) and math.isfinite(tiny.slack)
+        k_cond = conditional_complexity(*states, Estimator.EXACT_ENUM).bits
+        assert tiny.rhs == pytest.approx(-math.log2(1e-310) - k_cond + math.log2(1 / delta))
+
+    def test_tiny_delta_gives_finite_rhs(self):
+        # log2(1/delta) overflowed to inf for delta below 2**-1024
+        model = four_state_chain()
+        x, y = model.states[0], model.states[1]
+        agent = (1.0, 1.0, 1.0)
+        tiny = efficiency_bound_check(model, x, y, agent, 1e-310, Estimator.EXACT_ENUM)
+        half = efficiency_bound_check(model, x, y, agent, 0.5, Estimator.EXACT_ENUM)
+        assert math.isfinite(tiny.rhs) and math.isfinite(tiny.slack)
+        assert tiny.rhs - half.rhs == pytest.approx(-math.log2(1e-310) - 1.0)
 
     def test_impossible_transition_is_typed_error(self):
         states = [CoarseState("0"), CoarseState("1")]

@@ -302,7 +302,8 @@ class TestValidation:
         [math.nan, 1.0], [1.0, math.inf], [math.nan, -math.inf], [-math.inf, math.nan],
         [1e308, 5e-324], [sys.float_info.max], [0.5, -sys.float_info.max],
         [int(sys.float_info.max)], [int(sys.float_info.max) + 1], [-2**1024], [10**400, 1],
-        [np.float64(0.5), 1], [np.int64(3)],
+        [np.float64(0.5), 1], [np.int64(3)], [math.nan, 10**400], [math.nan, math.inf],
+        [math.inf, math.nan], [np.float64(math.inf)], [True], [-(10**400), math.nan, 1],
     ], ids=repr)
     def test_numeric_rows_read_as_entry_by_entry(self, row):
         # a list of numbers is read in C-level passes; each outcome, error and
@@ -393,11 +394,47 @@ class TestConfigHash:
             "9ec7cdf41b07a927714581a04ffdaae8c79f4d2bd4df5bfb6545e5e961e99e68"
         )
 
+    def test_generated_ring_hash_is_pinned(self):
+        # the non-dyadic 1024-state ring that CI also runs: stay 0.7, forward 0.2, back 0.1
+        assert config_hash(config_from_dict(ring_config(0.7, 0.2, 0.1))) == (
+            "8d2903db08e7f7b18360826da8730a118ac29768f84f99b12811983031a67f42"
+        )
+
     def test_overridden_shipped_config_hash_is_pinned(self):
         overridden = ingest_config(default_config_path(), seed=5, delta=0.25, estimator="lz-proxy")
         assert config_hash(overridden) == (
             "e9da1fac7b7fa0e59a222ca7171baeb69f81ae6f0e7c026861facb42a1f03db2"
         )
+
+
+def ring_config(stay, forward, back, n=1024):
+    """The shipped config with its models replaced by one n-state ring of 12-bit states."""
+    data = json.loads(default_config_path().read_text())
+    kernel = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j, p in ((i, stay), (i + 1, forward), (i - 1, back)):
+            kernel[i][j % n] = p
+    data["models"] = [{"name": "ring", "states": [format(i, "012b") for i in range(n)],
+                       "kernel": kernel, "measure": [1.0] * n, "initial": [1.0 / n] * n}]
+    return data
+
+
+def test_each_law_is_checked_once(monkeypatch):
+    # the kernel and the initial law are each checked by one call of the
+    # vectorised rule in the config and one in MarkovModel, not row by row
+    import wpi.config
+    import wpi.markov
+
+    calls = {"config": 0, "markov": 0}
+    for caller, module in (("config", wpi.config), ("markov", wpi.markov)):
+        def counted(rows, caller=caller, rule=module.distribution_problems):
+            calls[caller] += 1
+            return rule(rows)
+
+        monkeypatch.setattr(module, "distribution_problems", counted)
+    config = config_from_dict(ring_config(0.75, 0.1875, 0.0625))
+    assert config.models[0].n_states == 1024
+    assert calls == {"config": 2, "markov": 2}
 
 
 class TestRoundTrip:

@@ -20,7 +20,7 @@ from wpi import (
     transition_counts,
     two_state_chain,
 )
-from wpi.markov import _CHUNK, _guide_table, _philox_keys
+from wpi.markov import DISTRIBUTION_TOL, _CHUNK, _guide_table, _philox_keys, distribution_problems
 
 
 def simple_model(kernel, n=2, initial=None):
@@ -82,6 +82,33 @@ class TestModelValidation:
         model = simple_model(kernel)
         kernel[0, 0] = 0.9
         assert model.kernel[0, 0] == 0.5
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 1024])
+    def test_problems_match_the_per_row_rule(self, n):
+        # rows scaled to sums just inside and just outside the tolerance, down
+        # to the last bits, so a sum that differed from the row's own would show
+        rng = np.random.default_rng(n)
+        base = rng.uniform(0.0, 1.0, (6, n))
+        base /= base.sum(axis=1, keepdims=True)
+        rows = [row * (1.0 + f * DISTRIBUTION_TOL) for row in base for f in (-1.1, -0.9, 0.9, 1.1)]
+        rows += [row * ((1.0 + f * DISTRIBUTION_TOL) / row.sum()) for row in base for f in (-1, 1)]
+        for value in (np.nan, -0.0, -0.25, np.inf):
+            rows.append(base[0].copy())
+            rows[-1][n // 2] = value
+        rows = np.array(rows)
+        expected = [(i, problem) for i, row in enumerate(rows) if (problem := row_problem(row))]
+        assert 0 < len(expected) < len(rows)
+        assert distribution_problems(rows) == expected
+
+
+def row_problem(vector):
+    """Why one row is not a probability vector, or None: the per-row rule, as an oracle."""
+    if np.any(vector < 0.0):
+        return "has a negative entry; entries must be >= 0"
+    total = float(vector.sum())
+    if not abs(total - 1.0) <= DISTRIBUTION_TOL:
+        return f"sums to {total!r}, expected 1 within {DISTRIBUTION_TOL}"
+    return None
 
 
 def guide_search(table, rows, keys):
