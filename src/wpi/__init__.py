@@ -12,11 +12,13 @@ from .bounds import (
     BoundCheckResult,
     CoupledSuiteResult,
     IftCheckResult,
+    ModelTable,
     adaptivity_bound_check,
     coupled_bound_suite,
     efficiency_bound_check,
     ift_check,
     markov_tail_check,
+    model_table,
     surprisal_table,
 )
 from .complexity import (

@@ -1,17 +1,18 @@
 """Fluctuation-theorem and efficiency bound checks over Markov dynamics.
 
 All logarithms are base 2 so that complexities, surprisals, and the
-``log2(1/delta)`` confidence term share units (bits).  Every sample-based
-check (:func:`ift_check`, :func:`markov_tail_check`,
-:func:`coupled_bound_suite`) reads the sampled transitions as one
-``(source, target)`` count matrix from :func:`~wpi.markov.transition_counts`;
-a count on a transition of kernel probability 0 is an
-:class:`~wpi.errors.ImpossibleTransitionError`.  The checks record both
-sides of their inequality and the sample statistics; pass/fail policies
-(such as a three-sigma sampling allowance) belong to the caller, not to
-the arithmetic here: ``wpi.report`` turns each check into one verdict for
-both ``report.json`` and ``bounds.tsv``, and writes each result's
-dataclass fields as they are.
+``log2(1/delta)`` confidence term share units (bits).  Every check reads
+the :class:`ModelTable` that :func:`model_table` builds once per model and
+estimator.  Each sample-based check (:func:`ift_check`,
+:func:`markov_tail_check`, :func:`coupled_bound_suite`) reads it with the
+sampled transitions as one ``(source, target)`` count matrix from
+:func:`~wpi.markov.transition_counts`; a count on a transition of kernel
+probability 0 is an :class:`~wpi.errors.ImpossibleTransitionError`.  The
+checks record both sides of their inequality and the sample statistics;
+pass/fail policies (such as a three-sigma sampling allowance) belong to
+the caller, not to the arithmetic here: ``wpi.report`` turns each check
+into one verdict for both ``report.json`` and ``bounds.tsv``, and writes
+each result's dataclass fields as they are.
 
 Each check of the coupled suite is :func:`efficiency_bound_check`, the one
 per-transition bound arithmetic, on one sampled pair with the agent of the
@@ -105,33 +106,60 @@ class CoupledSuiteResult:
         return math.sqrt(self.delta * (1.0 - self.delta) / self.valid_samples)
 
 
-def ift_check(model: MarkovModel, counts: np.ndarray, estimator: Estimator) -> IftCheckResult:
-    """Sample mean of 2**(-delta_i_k) over transitions, with exact control.
+@dataclass(frozen=True, eq=False)
+class ModelTable:
+    """One model's inputs to every bound check, for one estimator.
 
-    The transitions are given as the ``(source, target)`` count matrix of
-    :func:`~wpi.markov.transition_counts`.  The complexity-based mean uses
-    the chosen estimator.  The control variable
-    ``sigma = log2(P(y|x) pi(x)) - log2(P(x|y) pi(y))`` is averaged over the
-    same transitions, with pi the kernel's stationary distribution; a
-    non-ergodic chain gets no control and a ``surprisal_note`` instead.
+    ``k`` is K of each state in bits, in state order; ``ift`` is
+    ``2**(-(K(y) - K(x)))`` for every (x, y) index pair.  ``sigma`` is the
+    model's :func:`surprisal_table`, or None on a chain without a stationary
+    law, whose :class:`~wpi.errors.NonErgodicChainError` message is ``note``.
     """
-    counts, n_samples = _check_sampled_counts(model, counts)
-    c_mean, c_se = _counted_mean_se(_complexity_ift_table(model, estimator), counts)
-    s_mean = s_se = note = None
+
+    model: MarkovModel
+    estimator: Estimator
+    k: tuple[int, ...]
+    ift: np.ndarray
+    sigma: np.ndarray | None
+    note: str | None
+
+
+def model_table(model: MarkovModel, estimator: Estimator) -> ModelTable:
+    """Estimate K of each state of ``model`` once, and tabulate what the checks read."""
+    estimator = Estimator(estimator)
+    k = tuple(estimate_complexity(s, estimator).bits for s in model.states)
+    kf = np.array(k, dtype=float)
+    sigma = note = None
     try:
         sigma = surprisal_table(model)
     except NonErgodicChainError as exc:
         note = str(exc)
-    else:
-        s_mean, s_se = _counted_mean_se(2.0 ** (-sigma), counts)
+    return ModelTable(model, estimator, k, 2.0 ** (kf[:, None] - kf[None, :]), sigma, note)
+
+
+def ift_check(table: ModelTable, counts: np.ndarray) -> IftCheckResult:
+    """Sample mean of 2**(-delta_i_k) over transitions, with exact control.
+
+    The transitions are given as the ``(source, target)`` count matrix of
+    :func:`~wpi.markov.transition_counts`.  The complexity-based mean uses
+    the table's estimator.  The control variable
+    ``sigma = log2(P(y|x) pi(x)) - log2(P(x|y) pi(y))`` is averaged over the
+    same transitions, with pi the kernel's stationary distribution; a
+    non-ergodic chain gets no control and a ``surprisal_note`` instead.
+    """
+    counts, n_samples = _check_sampled_counts(table.model, counts)
+    c_mean, c_se = _counted_mean_se(table.ift, counts)
+    s_mean = s_se = None
+    if table.sigma is not None:
+        s_mean, s_se = _counted_mean_se(2.0 ** (-table.sigma), counts)
     return IftCheckResult(
         complexity_mean=c_mean,
         complexity_se=c_se,
         surprisal_mean=s_mean,
         surprisal_se=s_se,
         samples=n_samples,
-        estimator=Estimator(estimator),
-        surprisal_note=note,
+        estimator=table.estimator,
+        surprisal_note=table.note,
     )
 
 
@@ -153,12 +181,7 @@ def surprisal_table(model: MarkovModel) -> np.ndarray:
     return table
 
 
-def markov_tail_check(
-    model: MarkovModel,
-    counts: np.ndarray,
-    estimator: Estimator,
-    delta: float,
-) -> BoundCheckResult:
+def markov_tail_check(table: ModelTable, counts: np.ndarray, delta: float) -> BoundCheckResult:
     """Markov-inequality tail check on the sampled values of 2**(-delta_i_k).
 
     With ``X = 2**(-delta_i_k)`` over the transitions of the count matrix,
@@ -168,10 +191,9 @@ def markov_tail_check(
     is the complexity mean of :func:`ift_check` on the same counts.
     """
     _check_delta(delta)  # before 1/delta
-    counts, n_samples = _check_sampled_counts(model, counts)
-    x = _complexity_ift_table(model, estimator)
-    lhs = int(counts[x >= 1.0 / delta].sum()) / n_samples
-    mean, _ = _counted_mean_se(x, counts)
+    counts, n_samples = _check_sampled_counts(table.model, counts)
+    lhs = int(counts[table.ift >= 1.0 / delta].sum()) / n_samples
+    mean, _ = _counted_mean_se(table.ift, counts)
     rhs = delta * mean
     return BoundCheckResult(
         lhs=lhs,
@@ -180,24 +202,24 @@ def markov_tail_check(
         slack=rhs - lhs,
         delta=delta,
         samples=n_samples,
-        estimator=Estimator(estimator),
+        estimator=table.estimator,
         empirical_ift=mean,
     )
 
 
 def efficiency_bound_check(
-    model: MarkovModel,
+    table: ModelTable,
     x: CoarseState,
     y: CoarseState,
     agent: tuple[float, float, float],
     delta: float,
-    estimator: Estimator,
 ) -> BoundCheckResult:
     """Check one transition x -> y against the efficiency or adaptivity bound.
 
     ``agent`` is ``(I, P, tau)`` for efficiency, ``(dI, dE, tau)`` for
     adaptivity; with p the forward probability, both bounds read
-    ``I / P <= (1/tau) * (log2(1/p) - K(x|y)) + log2(1/delta)``.
+    ``I / P <= (1/tau) * (log2(1/p) - K(x|y)) + log2(1/delta)``.  K(x) and
+    K(y) are read from the table; K(x|y) is estimated here.
     """
     intelligence, power, duration = agent
     if not math.isfinite(intelligence):
@@ -207,11 +229,12 @@ def efficiency_bound_check(
     if not 0.0 < duration < math.inf:
         raise ValidationError(f"agent duration tau must be finite and > 0, got {duration}")
     _check_delta(delta)  # before log2(1/delta)
-    probability = float(model.kernel[model.index_of(x), model.index_of(y)])
+    i, j = table.model.index_of(x), table.model.index_of(y)
+    probability = float(table.model.kernel[i, j])
     if probability == 0.0:
         raise ImpossibleTransitionError(f"impossible transition: P({y.bits!r} | {x.bits!r}) = 0")
-    k_change = estimate_complexity(y, estimator).bits - estimate_complexity(x, estimator).bits
-    k_cond = conditional_complexity(x, y, estimator).bits
+    k_change = table.k[j] - table.k[i]
+    k_cond = conditional_complexity(x, y, table.estimator).bits
     lhs = intelligence / power
     # -log2(x), not log2(1/x): 1/x overflows to inf for x below 2**-1024
     rhs = (-math.log2(probability) - k_cond) / duration - math.log2(delta)
@@ -222,7 +245,7 @@ def efficiency_bound_check(
         slack=rhs - lhs,
         delta=delta,
         samples=1,
-        estimator=Estimator(estimator),
+        estimator=table.estimator,
         empirical_ift=2.0 ** (-k_change),
     )
 
@@ -230,12 +253,7 @@ def efficiency_bound_check(
 adaptivity_bound_check = efficiency_bound_check
 
 
-def coupled_bound_suite(
-    model: MarkovModel,
-    counts: np.ndarray,
-    estimator: Estimator,
-    delta: float,
-) -> CoupledSuiteResult:
+def coupled_bound_suite(table: ModelTable, counts: np.ndarray, delta: float) -> CoupledSuiteResult:
     """Run a bound check on every sampled transition with the coupled agent.
 
     Each observed transition x -> y with a positive irreversible complexity
@@ -248,8 +266,8 @@ def coupled_bound_suite(
     observed counts, the ``(source, target)`` matrix of
     :func:`~wpi.markov.transition_counts`.
     """
+    model, k = table.model, np.array(table.k)
     counts = _check_counts(model, counts)
-    k = np.array(_complexity_by_index(model, estimator))
 
     checks: list[BoundCheckResult] = []
     weights: list[int] = []
@@ -258,7 +276,7 @@ def coupled_bound_suite(
         i, j = divmod(pair, model.n_states)
         d = int(k[j] - k[i])
         x, y = model.states[i], model.states[j]
-        checks.append(efficiency_bound_check(model, x, y, (d, d, 1.0), delta, estimator))
+        checks.append(efficiency_bound_check(table, x, y, (d, d, 1.0), delta))
         weights.append(int(counts[i, j]))
 
     valid = sum(weights)
@@ -268,7 +286,7 @@ def coupled_bound_suite(
         valid_samples=valid,
         total_transitions=int(counts.sum()),
         delta=delta,
-        estimator=Estimator(estimator),
+        estimator=table.estimator,
         checks=tuple(checks),
         check_weights=tuple(weights),
     )
@@ -310,16 +328,6 @@ def _check_sampled_counts(model: MarkovModel, counts: np.ndarray) -> tuple[np.nd
     if n_samples == 0:
         raise ValidationError("counts contain no transitions")
     return counts, n_samples
-
-
-def _complexity_by_index(model: MarkovModel, estimator: Estimator) -> list[int]:
-    return [estimate_complexity(s, estimator).bits for s in model.states]
-
-
-def _complexity_ift_table(model: MarkovModel, estimator: Estimator) -> np.ndarray:
-    """``2**(-(K(y) - K(x)))`` for every (x, y) index pair."""
-    k = np.array(_complexity_by_index(model, estimator), dtype=float)
-    return 2.0 ** (k[:, None] - k[None, :])
 
 
 def _counted_mean_se(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import BoundCheckResult, coupled_bound_suite, ift_check, markov_tail_check
+from .bounds import BoundCheckResult, coupled_bound_suite, ift_check, markov_tail_check, model_table
 from .config import ExperimentConfig
 from .errors import ValidationError
 from .markov import _CHUNK, MarkovModel, sample_trajectories, transition_counts
@@ -230,12 +230,12 @@ def bounds_section(
 ) -> tuple[dict, list[dict]]:
     """Bound checks of one model on the first-step ``counts`` of its paths, plus its gates.
 
-    ``seed`` is the model's sampling seed.  Every check runs at
-    ``config.sim.delta`` with ``config.sim.estimator``.  The gates are the
+    ``seed`` is the model's sampling seed.  Every check runs at ``config.sim.delta`` on one
+    :func:`~wpi.bounds.model_table` under ``config.sim.estimator``.  The gates are the
     --assert verdicts of :func:`_verdicts` that are not vacuous.
     """
-    delta, estimator = config.sim.delta, config.sim.estimator
-    ift = ift_check(model, counts, estimator)
+    delta, table = config.sim.delta, model_table(model, config.sim.estimator)
+    ift = ift_check(table, counts)
     surprisal = {"mean": ift.surprisal_mean, "se": ift.surprisal_se, "expected": 1.0}
     if ift.surprisal_note is not None:
         surprisal["note"] = ift.surprisal_note
@@ -243,9 +243,9 @@ def bounds_section(
     excursion = ift.complexity_mean > 1.0 + 3.0 * ift.complexity_se
 
     deltas = sorted(set(TAIL_DELTAS) | {delta})
-    tails = [markov_tail_check(model, counts, estimator, d) for d in deltas]
+    tails = [markov_tail_check(table, counts, d) for d in deltas]
 
-    coupled = _suite_dict(coupled_bound_suite(model, counts, estimator, delta))
+    coupled = _suite_dict(coupled_bound_suite(table, counts, delta))
 
     section = {
         "model": model.name,

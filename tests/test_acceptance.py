@@ -31,6 +31,7 @@ from wpi import (
     intelligence_score,
     landauer_constant,
     markov_tail_check,
+    model_table,
     run_comparison,
     sample_trajectories,
     shipped_chains,
@@ -168,7 +169,8 @@ def test_criterion_5_surprisal_ift():
     start = time.perf_counter()
     for model in shipped_chains():
         paths = sample_trajectories(model, 1, 100_000, seed=505)
-        result = ift_check(model, transition_counts(model, paths), Estimator.EXACT_ENUM)
+        table = model_table(model, Estimator.EXACT_ENUM)
+        result = ift_check(table, transition_counts(model, paths))
         assert 0.95 <= result.surprisal_mean <= 1.05, model.name
 
         # independent oracle: exact summation of the likelihood ratio over
@@ -190,9 +192,9 @@ def test_criterion_5_surprisal_ift():
 def test_criterion_6_markov_tail():
     for model in shipped_chains():
         paths = sample_trajectories(model, 1, 50_000, seed=606)
-        counts = transition_counts(model, paths)
+        counts, table = transition_counts(model, paths), model_table(model, Estimator.EXACT_ENUM)
         for delta in (0.01, 0.05, 0.1):
-            result = markov_tail_check(model, counts, Estimator.EXACT_ENUM, delta)
+            result = markov_tail_check(table, counts, delta)
             allowance = 3.0 * math.sqrt(max(result.lhs * (1 - result.lhs), 0.0) / result.samples)
             assert result.lhs <= result.rhs + allowance, (model.name, delta)
 
@@ -204,9 +206,8 @@ def test_criterion_7_coupled_bounds():
 
     efficiency_model = four_state_chain()
     paths = sample_trajectories(efficiency_model, 1, 10_000, seed=707)
-    efficiency = coupled_bound_suite(
-        efficiency_model, transition_counts(efficiency_model, paths), Estimator.EXACT_ENUM, delta
-    )
+    table = model_table(efficiency_model, Estimator.EXACT_ENUM)
+    efficiency = coupled_bound_suite(table, transition_counts(efficiency_model, paths), delta)
     assert efficiency.total_transitions == 10_000
     assert efficiency.valid_samples > 0
     threshold = 1.0 - delta - 3.0 * efficiency.rate_standard_error

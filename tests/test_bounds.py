@@ -24,6 +24,7 @@ from wpi import (
     four_state_chain,
     ift_check,
     markov_tail_check,
+    model_table,
     sample_trajectories,
     shipped_chains,
     stationary_distribution,
@@ -58,7 +59,7 @@ class TestIftCheck:
         states = [CoarseState("0"), CoarseState("1")]
         model = MarkovModel(states, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
         counts = sampled_counts(model, 2, 200, seed=5)
-        result = ift_check(model, counts, Estimator.EXACT_ENUM)
+        result = ift_check(model_table(model, Estimator.EXACT_ENUM), counts)
         assert result.complexity_mean == 1.0
         assert result.complexity_se == 0.0
         assert result.surprisal_mean is None  # the identity kernel is not ergodic
@@ -66,7 +67,7 @@ class TestIftCheck:
     def test_four_state_surprisal_near_one(self):
         model = four_state_chain()
         counts = sampled_counts(model, 1, 20_000, seed=10)
-        result = ift_check(model, counts, Estimator.EXACT_ENUM)
+        result = ift_check(model_table(model, Estimator.EXACT_ENUM), counts)
         assert result.surprisal_mean == pytest.approx(1.0, abs=0.05)
         analytic = analytic_surprisal_expectation(model)
         assert abs(result.surprisal_mean - analytic) <= 3.0 * result.surprisal_se
@@ -78,7 +79,7 @@ class TestIftCheck:
         states = [CoarseState("0"), CoarseState("1")]
         model = MarkovModel(states, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
         counts = sampled_counts(model, 1, 10, seed=2)
-        result = ift_check(model, counts, Estimator.EXACT_ENUM)
+        result = ift_check(model_table(model, Estimator.EXACT_ENUM), counts)
         assert result.surprisal_mean is None
         assert result.surprisal_se is None
         with pytest.raises(NonErgodicChainError) as rejected:
@@ -89,7 +90,8 @@ class TestIftCheck:
 
     def test_ergodic_chain_has_no_note(self):
         model = four_state_chain()
-        result = ift_check(model, sampled_counts(model, 1, 100, seed=3), Estimator.EXACT_ENUM)
+        table = model_table(model, Estimator.EXACT_ENUM)
+        result = ift_check(table, sampled_counts(model, 1, 100, seed=3))
         assert result.surprisal_mean is not None
         assert result.surprisal_note is None
 
@@ -100,28 +102,29 @@ class TestIftCheck:
         monkeypatch.setattr("wpi.bounds.stationary_distribution", unsolvable)
         model = four_state_chain()
         with pytest.raises(ValidationError, match="residual"):
-            ift_check(model, sampled_counts(model, 1, 100, seed=3), Estimator.EXACT_ENUM)
+            ift_check(model_table(model, Estimator.EXACT_ENUM),
+                      sampled_counts(model, 1, 100, seed=3))
 
     def test_complexity_mean_reported_even_above_one(self):
         # estimator constants can push the complexity-based mean above 1;
         # the result reports the value rather than asserting the inequality
         model = four_state_chain()
         counts = sampled_counts(model, 1, 20_000, seed=13)
-        result = ift_check(model, counts, Estimator.EXACT_ENUM)
+        result = ift_check(model_table(model, Estimator.EXACT_ENUM), counts)
         assert 0.8 < result.complexity_mean < 1.2
         assert result.samples == 20_000
 
 
     def test_counts_must_match_the_model(self):
-        model = four_state_chain()
+        table = model_table(four_state_chain(), Estimator.EXACT_ENUM)
         with pytest.raises(ValidationError, match="4x4"):
-            ift_check(model, np.ones((2, 2), dtype=np.int64), Estimator.EXACT_ENUM)
+            ift_check(table, np.ones((2, 2), dtype=np.int64))
         with pytest.raises(ValidationError, match="4x4"):
-            coupled_bound_suite(model, np.ones((4, 2), dtype=np.int64), Estimator.EXACT_ENUM, 0.05)
+            coupled_bound_suite(table, np.ones((4, 2), dtype=np.int64), 0.05)
         with pytest.raises(ValidationError, match="no transitions"):
-            ift_check(model, np.zeros((4, 4), dtype=np.int64), Estimator.EXACT_ENUM)
+            ift_check(table, np.zeros((4, 4), dtype=np.int64))
         with pytest.raises(ValidationError, match="must be numbers"):
-            ift_check(model, np.full((4, 4), "1"), Estimator.EXACT_ENUM)
+            ift_check(table, np.full((4, 4), "1"))
 
     @pytest.mark.parametrize("bad, shown", [
         (-3, "-3"), (0.5, "0.5"), (math.nan, "nan"), (math.inf, "inf"),
@@ -129,14 +132,14 @@ class TestIftCheck:
     def test_counts_must_be_non_negative_integers(self, bad, shown):
         # a negative entry ended in a bare math domain error; a suite reported
         # more valid samples than transitions, or truncated a fraction to 0
-        model = four_state_chain()
+        table = model_table(four_state_chain(), Estimator.EXACT_ENUM)
         counts = np.ones((4, 4), dtype=type(bad))
         counts[1, 2] = bad
         message = rf"counts\[1, 2\] must be a non-negative integer, got {shown}"
         for check in (
-            lambda: ift_check(model, counts, Estimator.EXACT_ENUM),
-            lambda: markov_tail_check(model, counts, Estimator.EXACT_ENUM, 0.05),
-            lambda: coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05),
+            lambda: ift_check(table, counts),
+            lambda: markov_tail_check(table, counts, 0.05),
+            lambda: coupled_bound_suite(table, counts, 0.05),
         ):
             with pytest.raises(ValidationError, match=message):
                 check()
@@ -144,8 +147,9 @@ class TestIftCheck:
     def test_integer_valued_float_counts_accepted(self):
         model = four_state_chain()
         counts = sampled_counts(model, 1, 500, seed=3)
-        suite = coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05)
-        assert coupled_bound_suite(model, counts.astype(float), Estimator.EXACT_ENUM, 0.05) == suite
+        table = model_table(model, Estimator.EXACT_ENUM)
+        suite = coupled_bound_suite(table, counts, 0.05)
+        assert coupled_bound_suite(table, counts.astype(float), 0.05) == suite
 
     @pytest.mark.parametrize("estimator", list(Estimator))
     def test_counts_on_impossible_transitions_rejected(self, estimator):
@@ -158,10 +162,11 @@ class TestIftCheck:
         counts[0, 0] = 5
         assert model.states[2].bits == "011" and model.kernel[0, 2] == 0.0
         message = r"counts\[0, 2\] = 10 on an impossible transition: P\('011' \| '000'\) = 0"
+        table = model_table(model, estimator)
         for check in (
-            lambda: ift_check(model, counts, estimator),
-            lambda: markov_tail_check(model, counts, estimator, 0.05),
-            lambda: coupled_bound_suite(model, counts, estimator, 0.05),
+            lambda: ift_check(table, counts),
+            lambda: markov_tail_check(table, counts, 0.05),
+            lambda: coupled_bound_suite(table, counts, 0.05),
         ):
             with pytest.raises(ImpossibleTransitionError, match=message):
                 check()
@@ -229,7 +234,8 @@ class TestSurprisalTable:
         assert np.isfinite(np.delete(table.ravel(), 5)).all()
         analytic = analytic_surprisal_expectation(model)
         assert analytic < 1.0
-        result = ift_check(model, sampled_counts(model, 1, 20_000, seed=17), Estimator.EXACT_ENUM)
+        table = model_table(model, Estimator.EXACT_ENUM)
+        result = ift_check(table, sampled_counts(model, 1, 20_000, seed=17))
         assert abs(result.surprisal_mean - analytic) <= 3.0 * result.surprisal_se
 
     def test_self_transitions_have_zero_surprisal(self):
@@ -270,7 +276,7 @@ class TestMarkovTail:
         # only self-transitions: every delta_i_k is 0 and X = 1
         model = four_state_chain()
         counts = np.diag([25, 25, 25, 25])
-        result = markov_tail_check(model, counts, Estimator.EXACT_ENUM, 0.5)
+        result = markov_tail_check(model_table(model, Estimator.EXACT_ENUM), counts, 0.5)
         assert result.lhs == 0.0  # Pr{1 >= 2} = 0
         assert result.rhs == 0.5
         assert result.holds
@@ -280,7 +286,7 @@ class TestMarkovTail:
         # constant delta_i_k = -1, delta close to 1: indicator is all-or-nothing
         model = uniform_model(["0110", "0101"])  # K = 7 and 6
         counts = np.array([[0, 50], [0, 0]])
-        result = markov_tail_check(model, counts, Estimator.EXACT_ENUM, 0.75)
+        result = markov_tail_check(model_table(model, Estimator.EXACT_ENUM), counts, 0.75)
         assert result.lhs == 1.0  # X = 2.0, 1/delta = 4/3
         assert result.rhs == 0.75 * 2.0
         assert result.holds
@@ -288,7 +294,7 @@ class TestMarkovTail:
     def test_shipped_chain_at_ten_percent(self):
         model = four_state_chain()
         counts = sampled_counts(model, 1, 20_000, seed=21)
-        result = markov_tail_check(model, counts, Estimator.EXACT_ENUM, 0.1)
+        result = markov_tail_check(model_table(model, Estimator.EXACT_ENUM), counts, 0.1)
         assert result.holds
         assert result.samples == 20_000
 
@@ -302,7 +308,7 @@ class TestMarkovTail:
         # values are 0, 2, 4, 7, 11 and 19 bits
         model = uniform_model(["", "0", "01", "0110", "01101001", "0110100110010110"])
         counts = np.array(cells).reshape(6, 6)
-        result = markov_tail_check(model, counts, Estimator.EXACT_ENUM, delta)
+        result = markov_tail_check(model_table(model, Estimator.EXACT_ENUM), counts, delta)
         assert result.lhs <= result.rhs + 1e-12
 
     @pytest.mark.parametrize("model", [four_state_chain(), ring_of_long_states()],
@@ -317,7 +323,7 @@ class TestMarkovTail:
         )
         x = 2.0 ** (-changes)
         result = markov_tail_check(
-            model, transition_counts(model, paths), Estimator.EXACT_ENUM, delta
+            model_table(model, Estimator.EXACT_ENUM), transition_counts(model, paths), delta
         )
         assert result.lhs == float(np.mean(x >= 1.0 / delta))
         assert abs(result.rhs - delta * float(x.mean())) <= 1e-12
@@ -328,14 +334,14 @@ class TestMarkovTail:
     def test_bad_delta_is_typed_error(self, delta):
         counts = np.ones((4, 4), dtype=np.int64)
         with pytest.raises(ValidationError, match="delta"):
-            markov_tail_check(four_state_chain(), counts, Estimator.EXACT_ENUM, delta)
+            markov_tail_check(model_table(four_state_chain(), Estimator.EXACT_ENUM), counts, delta)
 
     def test_validation(self):
-        model = four_state_chain()
+        table = model_table(four_state_chain(), Estimator.EXACT_ENUM)
         with pytest.raises(ValidationError):
-            markov_tail_check(model, np.zeros((4, 4), dtype=np.int64), Estimator.EXACT_ENUM, 0.5)
+            markov_tail_check(table, np.zeros((4, 4), dtype=np.int64), 0.5)
         with pytest.raises(ValidationError):
-            markov_tail_check(model, np.ones((4, 4), dtype=np.int64), Estimator.EXACT_ENUM, 1.5)
+            markov_tail_check(table, np.ones((4, 4), dtype=np.int64), 1.5)
 
 
 class TestEfficiencyBound:
@@ -346,8 +352,7 @@ class TestEfficiencyBound:
         model = MarkovModel(states, [[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0])
         delta = 0.05
         result = efficiency_bound_check(
-            model, states[0], states[1], (1.0, 1.0, 1.0), delta,
-            Estimator.EXACT_ENUM,
+            model_table(model, Estimator.EXACT_ENUM), states[0], states[1], (1.0, 1.0, 1.0), delta
         )
         assert result.rhs == pytest.approx(math.log2(1 / delta), abs=1e-12)
         assert result.holds == (1.0 <= result.rhs)
@@ -355,9 +360,9 @@ class TestEfficiencyBound:
     def test_smaller_delta_increases_rhs(self):
         model = four_state_chain()
         x, y = model.states[0], model.states[1]
-        agent = (1.0, 1.0, 1.0)
-        loose = efficiency_bound_check(model, x, y, agent, 0.2, Estimator.EXACT_ENUM)
-        tight = efficiency_bound_check(model, x, y, agent, 0.01, Estimator.EXACT_ENUM)
+        agent, table = (1.0, 1.0, 1.0), model_table(model, Estimator.EXACT_ENUM)
+        loose = efficiency_bound_check(table, x, y, agent, 0.2)
+        tight = efficiency_bound_check(table, x, y, agent, 0.01)
         assert tight.rhs > loose.rhs
 
     def test_tiny_probability_gives_finite_rhs(self):
@@ -365,7 +370,8 @@ class TestEfficiencyBound:
         states = [CoarseState("0"), CoarseState("1")]
         model = MarkovModel(states, [[1.0, 1e-310], [0.5, 0.5]], [0.5, 0.5])
         agent, delta = (1.0, 1.0, 1.0), 0.05
-        tiny = efficiency_bound_check(model, *states, agent, delta, Estimator.EXACT_ENUM)
+        table = model_table(model, Estimator.EXACT_ENUM)
+        tiny = efficiency_bound_check(table, *states, agent, delta)
         assert math.isfinite(tiny.rhs) and math.isfinite(tiny.slack)
         k_cond = conditional_complexity(*states, Estimator.EXACT_ENUM).bits
         assert tiny.rhs == pytest.approx(-math.log2(1e-310) - k_cond + math.log2(1 / delta))
@@ -374,9 +380,9 @@ class TestEfficiencyBound:
         # log2(1/delta) overflowed to inf for delta below 2**-1024
         model = four_state_chain()
         x, y = model.states[0], model.states[1]
-        agent = (1.0, 1.0, 1.0)
-        tiny = efficiency_bound_check(model, x, y, agent, 1e-310, Estimator.EXACT_ENUM)
-        half = efficiency_bound_check(model, x, y, agent, 0.5, Estimator.EXACT_ENUM)
+        agent, table = (1.0, 1.0, 1.0), model_table(model, Estimator.EXACT_ENUM)
+        tiny = efficiency_bound_check(table, x, y, agent, 1e-310)
+        half = efficiency_bound_check(table, x, y, agent, 0.5)
         assert math.isfinite(tiny.rhs) and math.isfinite(tiny.slack)
         assert tiny.rhs - half.rhs == pytest.approx(-math.log2(1e-310) - 1.0)
 
@@ -385,27 +391,23 @@ class TestEfficiencyBound:
         model = MarkovModel(states, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
         with pytest.raises(ImpossibleTransitionError):
             efficiency_bound_check(
-                model, states[0], states[1], (1.0, 1.0, 1.0), 0.05,
-                Estimator.EXACT_ENUM,
+                model_table(model, Estimator.EXACT_ENUM), states[0], states[1], (1.0, 1.0, 1.0),
+                0.05,
             )
 
     @pytest.mark.parametrize("delta", [0.0, -0.5, 1.0, math.inf, math.nan])
     def test_bad_delta_is_typed_error(self, delta):
         # 0, negative and infinite deltas break log2(1/delta) before a result exists
         model = four_state_chain()
+        table = model_table(model, Estimator.EXACT_ENUM)
         with pytest.raises(ValidationError, match="delta"):
-            efficiency_bound_check(
-                model, model.states[0], model.states[1], (1.0, 1.0, 1.0), delta,
-                Estimator.EXACT_ENUM,
-            )
+            efficiency_bound_check(table, model.states[0], model.states[1], (1.0, 1.0, 1.0), delta)
 
     def test_agent_validation(self):
         model = four_state_chain()
+        table = model_table(model, Estimator.EXACT_ENUM)
         with pytest.raises(ValidationError, match="power"):
-            efficiency_bound_check(
-                model, model.states[0], model.states[1], (1.0, 0.0, 1.0),
-                0.05, Estimator.EXACT_ENUM,
-            )
+            efficiency_bound_check(table, model.states[0], model.states[1], (1.0, 0.0, 1.0), 0.05)
 
     @pytest.mark.parametrize("agent, entry", [
         ((math.nan, 1.0, 1.0), "intelligence"),
@@ -419,18 +421,17 @@ class TestEfficiencyBound:
         # a NaN gain returned lhs and slack NaN; an infinite duration dropped
         # the probability term and an infinite power passed with lhs 0
         model = four_state_chain()
+        table = model_table(model, Estimator.EXACT_ENUM)
         with pytest.raises(ValidationError, match=f"agent {entry}.* must be finite"):
-            efficiency_bound_check(
-                model, model.states[0], model.states[1], agent, 0.05, Estimator.EXACT_ENUM
-            )
+            efficiency_bound_check(table, model.states[0], model.states[1], agent, 0.05)
 
 
 class TestAdaptivityBound:
     def test_zero_gain_holds_when_rhs_nonnegative(self):
         model = four_state_chain()
+        table = model_table(model, Estimator.EXACT_ENUM)
         result = adaptivity_bound_check(
-            model, model.states[0], model.states[1], (0.0, 1.0, 1.0), 0.05,
-            Estimator.EXACT_ENUM,
+            table, model.states[0], model.states[1], (0.0, 1.0, 1.0), 0.05
         )
         if result.rhs >= 0:
             assert result.holds
@@ -441,17 +442,15 @@ class TestAdaptivityBound:
         states = [CoarseState("")]
         model = MarkovModel(states, [[1.0]], [1.0])
         result = adaptivity_bound_check(
-            model, states[0], states[0], (0.5, 1.0, 1.0), 0.05, Estimator.EXACT_ENUM
+            model_table(model, Estimator.EXACT_ENUM), states[0], states[0], (0.5, 1.0, 1.0), 0.05
         )
         assert result.rhs == pytest.approx(math.log2(1 / 0.05), abs=1e-12)
 
     def test_non_positive_energy_rejected(self):
         model = four_state_chain()
+        table = model_table(model, Estimator.EXACT_ENUM)
         with pytest.raises(ValidationError, match="adaptation energy"):
-            adaptivity_bound_check(
-                model, model.states[0], model.states[1], (1.0, 0.0, 1.0), 0.05,
-                Estimator.EXACT_ENUM,
-            )
+            adaptivity_bound_check(table, model.states[0], model.states[1], (1.0, 0.0, 1.0), 0.05)
 
 
 class TestBoundCoreEquivalence:
@@ -473,14 +472,11 @@ class TestBoundCoreEquivalence:
         pairs = [(i, j) for i in range(model.n_states) for j in range(model.n_states)
                  if model.kernel[i, j] > 0.0]
         assert pairs
+        table = model_table(model, estimator)
         for i, j in pairs:
             x, y = model.states[i], model.states[j]
-            efficiency = efficiency_bound_check(
-                model, x, y, (gain, cost, tau), delta, estimator
-            )
-            adaptivity = adaptivity_bound_check(
-                model, x, y, (gain, cost, tau), delta, estimator
-            )
+            efficiency = efficiency_bound_check(table, x, y, (gain, cost, tau), delta)
+            adaptivity = adaptivity_bound_check(table, x, y, (gain, cost, tau), delta)
             assert efficiency == adaptivity
 
 
@@ -488,7 +484,7 @@ class TestCoupledSuites:
     def test_efficiency_holds_rate_on_shipped_chain(self):
         model = four_state_chain()
         counts = sampled_counts(model, 1, 20_000, seed=31)
-        suite = coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05)
+        suite = coupled_bound_suite(model_table(model, Estimator.EXACT_ENUM), counts, 0.05)
         assert suite.valid_samples > 0
         threshold = 1.0 - suite.delta - 3.0 * suite.rate_standard_error
         assert suite.holds_rate >= threshold
@@ -496,7 +492,7 @@ class TestCoupledSuites:
     def test_weights_count_valid_transitions(self):
         model = four_state_chain()
         counts = sampled_counts(model, 1, 5_000, seed=41)
-        suite = coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05)
+        suite = coupled_bound_suite(model_table(model, Estimator.EXACT_ENUM), counts, 0.05)
         assert sum(suite.check_weights) == suite.valid_samples
         assert suite.total_transitions == 5_000
 
@@ -506,7 +502,8 @@ class TestCoupledSuites:
         # in the one suite and in each bound's per-pair check of that agent
         model = four_state_chain()
         counts = sampled_counts(model, 1, 5_000, seed=43)
-        suite = coupled_bound_suite(model, counts, Estimator.EXACT_ENUM, 0.05)
+        table = model_table(model, Estimator.EXACT_ENUM)
+        suite = coupled_bound_suite(table, counts, 0.05)
         assert suite.checks
         assert all(check.lhs == 1.0 for check in suite.checks)
         k = [estimate_complexity(s, Estimator.EXACT_ENUM).bits for s in model.states]
@@ -516,13 +513,9 @@ class TestCoupledSuites:
         for i, j in pairs:
             x, y, d = model.states[i], model.states[j], k[j] - k[i]
             if kind == "efficiency":
-                check = efficiency_bound_check(
-                    model, x, y, (d, d, 1.0), 0.05, Estimator.EXACT_ENUM
-                )
+                check = efficiency_bound_check(table, x, y, (d, d, 1.0), 0.05)
             else:
-                check = adaptivity_bound_check(
-                    model, x, y, (d, d, 1.0), 0.05, Estimator.EXACT_ENUM
-                )
+                check = adaptivity_bound_check(table, x, y, (d, d, 1.0), 0.05)
             assert check.lhs == 1.0
 
     @pytest.mark.parametrize("estimator", list(Estimator))
@@ -532,7 +525,8 @@ class TestCoupledSuites:
         # oracle: both public per-pair checks with the coupled agent (d, d, 1),
         # one per distinct sampled pair whose K rises, in row-major order
         counts = sampled_counts(model, 1, 4_000, seed=47)
-        suite = coupled_bound_suite(model, counts, estimator, 0.05)
+        table = model_table(model, estimator)
+        suite = coupled_bound_suite(table, counts, 0.05)
         k = [estimate_complexity(s, estimator).bits for s in model.states]
         n = model.n_states
         pairs = [(i, j) for i in range(n) for j in range(n) if counts[i, j] and k[j] > k[i]]
@@ -541,8 +535,8 @@ class TestCoupledSuites:
         assert pairs or (model.name, estimator) == ("four-state", Estimator.LZ_PROXY)  # K = 6 each
         for (i, j), check in zip(pairs, suite.checks):
             x, y, d = model.states[i], model.states[j], k[j] - k[i]
-            assert check == efficiency_bound_check(model, x, y, (d, d, 1.0), 0.05, estimator)
-            assert check == adaptivity_bound_check(model, x, y, (d, d, 1.0), 0.05, estimator)
+            assert check == efficiency_bound_check(table, x, y, (d, d, 1.0), 0.05)
+            assert check == adaptivity_bound_check(table, x, y, (d, d, 1.0), 0.05)
         if model.name == "ring":
             assert any(check.rhs < 0.0 for check in suite.checks)
 
@@ -554,13 +548,13 @@ class TestCoupledSuites:
         counts = sampled_counts(model, 1, 4_000, seed=47)
         calls = []
 
-        def counted(model, x, y, agent, delta, estimator):
-            result = efficiency_bound_check(model, x, y, agent, delta, estimator)
+        def counted(table, x, y, agent, delta):
+            result = efficiency_bound_check(table, x, y, agent, delta)
             calls.append(((x, y, agent), result))
             return result
 
         monkeypatch.setattr("wpi.bounds.efficiency_bound_check", counted)
-        suite = coupled_bound_suite(model, counts, estimator, 0.05)
+        suite = coupled_bound_suite(model_table(model, estimator), counts, 0.05)
         assert suite.checks
         assert [result for _, result in calls] == list(suite.checks)
         for (x, y, agent), _ in calls:
@@ -574,9 +568,59 @@ class TestCoupledSuites:
         # sampled pair is checked and only the suite's own result sees delta
         model = two_state_chain()
         counts = sampled_counts(model, 1, 1_000, seed=53)
-        assert not coupled_bound_suite(model, counts, estimator, 0.05).checks
+        table = model_table(model, estimator)
+        assert not coupled_bound_suite(table, counts, 0.05).checks
         with pytest.raises(ValidationError, match="delta"):
-            coupled_bound_suite(model, counts, estimator, delta)
+            coupled_bound_suite(table, counts, delta)
+
+
+class TestModelTable:
+    @pytest.mark.parametrize("estimator", list(Estimator))
+    @pytest.mark.parametrize("model", [*shipped_chains(), ring_of_long_states()],
+                             ids=lambda m: m.name)
+    def test_equals_the_per_state_oracle(self, model, estimator):
+        # oracle: each state's estimate on its own, and 2**(K(x) - K(y)) pair by pair
+        table = model_table(model, estimator)
+        assert table.model is model and table.estimator is estimator
+        k = [estimate_complexity(s, estimator).bits for s in model.states]
+        assert table.k == tuple(k)
+        assert all(type(bits) is int for bits in table.k)
+        n = model.n_states
+        oracle = np.array([[2.0 ** (k[i] - k[j]) for j in range(n)] for i in range(n)])
+        assert table.ift.tobytes() == oracle.tobytes()
+        assert table.sigma.tobytes() == surprisal_table(model).tobytes()
+        assert table.note is None
+
+    def test_non_ergodic_chain_has_no_surprisal(self):
+        states = [CoarseState("0"), CoarseState("1")]
+        model = MarkovModel(states, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
+        table = model_table(model, Estimator.EXACT_ENUM)
+        assert table.sigma is None
+        with pytest.raises(NonErgodicChainError) as rejected:
+            surprisal_table(model)
+        assert table.note == str(rejected.value)
+        assert table.k == (2, 2)
+
+    def test_estimator_tag_is_coerced(self):
+        model = four_state_chain()
+        table = model_table(model, "lz-proxy")
+        assert table.estimator is Estimator.LZ_PROXY
+        counts = sampled_counts(model, 1, 100, seed=3)
+        assert ift_check(table, counts).estimator is Estimator.LZ_PROXY
+        assert coupled_bound_suite(table, counts, 0.05).estimator is Estimator.LZ_PROXY
+
+    @pytest.mark.parametrize("estimator", list(Estimator))
+    def test_every_check_reads_the_same_mean(self, estimator):
+        model = ring_of_long_states()
+        counts = sampled_counts(model, 1, 4_000, seed=59)
+        table = model_table(model, estimator)
+        mean = ift_check(table, counts).complexity_mean
+        for delta in (0.01, 0.05, 0.1, 0.5):
+            assert markov_tail_check(table, counts, delta).empirical_ift == mean
+        # each pair's 2**(-deltaK) is a float computed from int complexities
+        suite = coupled_bound_suite(table, counts, 0.05)
+        assert suite.checks
+        assert all(type(check.empirical_ift) is float for check in suite.checks)
 
 
 class TestBoundCheckResult:

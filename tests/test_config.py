@@ -437,6 +437,37 @@ def test_each_law_is_checked_once(monkeypatch):
     assert calls == {"config": 2, "markov": 2}
 
 
+@pytest.mark.parametrize("models, estimator, estimates, conditionals", [
+    ("shipped", "exact-enum", 14, 4),
+    ("shipped", "lz-proxy", 14, 4),
+    ("ring", "lz-proxy", 1024, 217),
+])
+def test_each_state_complexity_is_estimated_once(monkeypatch, models, estimator, estimates,
+                                                 conditionals):
+    # one bound-check pass estimates K of each state once, for every check of
+    # its model, and K(x|y) once per checked pair
+    import wpi.bounds
+    from wpi.report import model_sections
+
+    if models == "ring":
+        data = ring_config(0.75, 0.1875, 0.0625)
+    else:
+        data = json.loads(default_config_path().read_text())
+    data["estimator"] = estimator
+    config = config_from_dict(data)
+    assert config.sim.samples == 100_000
+    calls = {"estimate_complexity": 0, "conditional_complexity": 0}
+    for name in calls:
+        def counted(*args, name=name, estimate=getattr(wpi.bounds, name)):
+            calls[name] += 1
+            return estimate(*args)
+
+        monkeypatch.setattr(wpi.bounds, name, counted)
+    model_sections(config, 1, False, True)
+    assert sum(model.n_states for model in config.models) == estimates
+    assert calls == {"estimate_complexity": estimates, "conditional_complexity": conditionals}
+
+
 class TestRoundTrip:
     def test_default_config_round_trips(self):
         config = ingest_config(default_config_path())

@@ -1,6 +1,8 @@
-"""Each demo script runs to completion against this checkout's sources."""
+"""Each demo script and the README's quickstart run to completion against this
+checkout's sources."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,14 +17,28 @@ def test_demos_are_found():
     assert DEMOS
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo, tmp_path):
+def run_with_sources(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    result = run_with_sources([str(demo)], tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_readme_quickstart_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    assert "ift_check(" in code
+    result = run_with_sources(["-c", code], tmp_path)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert len(result.stdout.splitlines()) == 2
