@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -302,11 +303,17 @@ def _floats(values: list) -> list[float] | None:
     The config's one float rule, for a list and (through ``_has_type``) a
     single value.  A number is an int or a float (a subclass too) but not a
     bool, and its magnitude, compared as given and not as rounded, must not
-    exceed the float maximum, so no infinity passes.  NaN passes and is left
-    to the range rules, which all reject it.
+    exceed the float maximum, so no infinity passes.  A list of floats alone
+    is converted once and checked for an infinity; one that holds an int
+    compares each magnitude first, as an int may be too large to convert.
+    NaN passes and is left to the range rules, which all reject it.
     """
-    if not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, values))):
+    kinds = set(map(type, values))
+    if not all(issubclass(t, (int, float)) and t is not bool for t in kinds):
         return None
+    if all(issubclass(t, float) for t in kinds):
+        read = list(map(float, values))
+        return None if any(map(math.isinf, read)) else read
     if any(map(sys.float_info.max.__lt__, map(abs, values))):
         return None
     return list(map(float, values))

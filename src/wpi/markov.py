@@ -10,13 +10,15 @@ integer key times ``2**-53``, and the sampler works on the keys: a state is
 picked by an exact guide-table lookup (a shift and a gather, and a binary
 search within the bucket where CDF entries fall inside it; see
 :class:`_GuideTable`), whose answers are those of a binary search of the
-row's CDF for the double.  The Philox rounds and the lookups run in place
-in buffers of one chunk, so the working memory beyond the path array and
-the tables is set by ``_CHUNK``, not by the number of trajectories;
-:func:`transition_counts` counts a path array in chunks of the same rows.
-A stream's first draws do not depend on how many follow, so a path sampled
-with more steps extends the shorter one.  Seeds range over
-``[0, MAX_SEED]``.
+row's CDF for the double.  A Philox block gives four keys; the sampler
+draws one block of a chunk, runs its steps' lookups and then draws the
+next, and each block's rounds compute only the lanes that its keys read.
+The rounds and the lookups run in place in buffers of one chunk, so the
+working memory beyond the path array and the tables is set by ``_CHUNK``,
+not by the number of trajectories or of steps; :func:`transition_counts`
+counts a path array about ``2 * _CHUNK`` entries at a time.  A stream's
+first draws do not depend on how many follow, so a path sampled with more
+steps extends the shorter one.  Seeds range over ``[0, MAX_SEED]``.
 """
 
 from __future__ import annotations
@@ -209,18 +211,21 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int) -
         ) from None
     chunk_rows = min(count, _CHUNK)
     buffers = [np.empty(chunk_rows, dtype=np.uint64) for _ in range(10)]
-    keys = np.empty((steps + 1, chunk_rows), dtype=np.uint64)
+    keys = np.empty((4, chunk_rows), dtype=np.uint64)
     below = np.empty(chunk_rows, dtype=bool)
     for lo in range(0, count, _CHUNK):
         index = np.arange(lo, min(lo + _CHUNK, count), dtype=np.uint64)
         path = paths[lo:lo + len(index)]
         chunk = [b[:len(index)] for b in buffers]
-        key = _philox_keys(seed, index, chunk, keys[:, :len(index)])
-        # the Philox words are in ``key`` now
+        # a block's words are shifted into ``keys`` before its lookups use chunk[:2]
         scratch = [*(b.view(np.int64) for b in chunk[:2]), below[:len(index)]]
-        initial.search(0, key[0], path[:, 0], scratch)
-        for k in range(steps):
-            kernel.search(path[:, k], key[k + 1], path[:, k + 1], scratch)
+        for first in range(0, steps + 1, 4):
+            block = keys[:min(4, steps + 1 - first), :len(index)]
+            for k, key in enumerate(_philox_keys(seed, index, first // 4, chunk, block), first):
+                if k:
+                    kernel.search(path[:, k - 1], key, path[:, k], scratch)
+                else:
+                    initial.search(0, key, path[:, 0], scratch)
     return paths
 
 
@@ -228,8 +233,9 @@ def transition_counts(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
     """Count matrix of observed (source, target) transitions in ``paths``.
 
     ``paths`` is a 2-D integer array of state indices in ``[0, n_states)``.
-    The pairs are checked, coded and counted ``_CHUNK`` rows at a time, so
-    no temporary is as large as ``paths``.
+    The pairs are checked, coded and counted :func:`_chunk_rows` rows at a
+    time, so the temporaries hold about ``2 * _CHUNK`` entries, however
+    long the paths.
     """
     paths = np.asarray(paths)
     if paths.ndim != 2 or paths.dtype.kind not in "iu":
@@ -237,9 +243,10 @@ def transition_counts(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
     unsigned = paths.view(paths.dtype.str.replace("i", "u"))  # a negative index reads as >= n
     n = model.n_states
     counts = np.zeros(n * n, dtype=np.intp)
-    for lo in range(0, len(paths), _CHUNK):
-        rows = paths[lo:lo + _CHUNK]
-        if unsigned[lo:lo + _CHUNK].max(initial=0) >= n:
+    chunk = _chunk_rows(paths)
+    for lo in range(0, len(paths), chunk):
+        rows = paths[lo:lo + chunk]
+        if unsigned[lo:lo + chunk].max(initial=0) >= n:
             r, c = np.argwhere((rows < 0) | (rows >= n))[0]
             raise ValidationError(
                 f"paths[{lo + r}, {c}] = {rows[r, c]} is not a state index in [0, {n})"
@@ -248,6 +255,11 @@ def transition_counts(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
         pairs += rows[:, 1:]
         counts += np.bincount(pairs.ravel(), minlength=n * n)
     return counts.reshape(n, n)
+
+
+def _chunk_rows(paths: np.ndarray) -> int:
+    """Rows of ``paths`` read together: about ``2 * _CHUNK`` entries, and at least one row."""
+    return max(1, 2 * _CHUNK // max(1, paths.shape[1]))
 
 
 #: Bits of a key: Philox word ``w`` gives key ``w >> 11``, the uniform ``key * 2**-53``.
@@ -382,77 +394,75 @@ def _guide_table(probabilities: np.ndarray) -> _GuideTable:
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
+#: output lane j of a round reads input lanes _PHILOX_READS[j]
+_PHILOX_READS = ((1, 2), (2,), (0, 3), (0,))
 _MASK64 = (1 << 64) - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 #: Trajectories sampled together.  Besides the paths it returns, the sampler
 #: holds ten uint64 Philox buffers of one chunk, two of which are the lookups'
-#: scratch once a block's words are keys, one bool per trajectory and
-#: ``steps + 1`` int64 keys: about ``81 + 8 * (steps + 1)`` bytes per
-#: trajectory, 1.6 MB for one-step paths.  Its guide tables add ``2**bits``
-#: answers a row, at most ``_GUIDE_ENTRIES`` unless ``2**ceil(log2 n)`` a row
-#: take more, and, for a kernel that needs the search, one int64 threshold
-#: per kernel entry and less than as many again of padding.
-#: 16,384 was the fastest of 4,096 to 65,536 on the shipped chains, for
-#: one-step and for 16-step paths, with a binary search for the lookup; with
-#: the guide table, 8,192 to 32,768 are within 10% of one another.  Paths are
-#: counted, and digested in ``wpi.report``, in chunks of as many rows.
+#: scratch once a block's words are keys, one bool per trajectory and the
+#: four int64 keys of one block: about ``81 + 32`` bytes per trajectory
+#: whatever the number of steps, 1.9 MB a chunk.  Its guide tables add
+#: ``2**bits`` answers a row, at most ``_GUIDE_ENTRIES`` unless
+#: ``2**ceil(log2 n)`` a row take more, and, for a kernel that needs the
+#: search, one int64 threshold per kernel entry and less than as many again
+#: of padding.  On the shipped chains (100,000 one-step or 65,536 16-step
+#: paths), 8,192 and 16,384 were the fastest, within 20% of one another;
+#: 4,096, 32,768 and 65,536 took 7% to 46% longer than 16,384.  Paths are
+#: counted, and digested in ``wpi.report``, about ``2 * _CHUNK`` entries at
+#: a time (:func:`_chunk_rows`).
 _CHUNK = 1 << 14
 
 
-def _philox_keys(seed: int, index: np.ndarray, buffers: list[np.ndarray],
+def _philox_keys(seed: int, index: np.ndarray, block: int, buffers: list[np.ndarray],
                  out: np.ndarray) -> np.ndarray:
-    """First ``len(out)`` 53-bit keys of ``Philox(key=[seed, i])`` per index.
+    """The first ``len(out) <= 4`` 53-bit keys of block ``block`` of ``Philox(key=[seed, i])``.
 
-    ``Generator(Philox(key=[seed, i])).random(k)`` is exactly these keys
-    times ``2**-53``.  ``out`` is a uint64 array of shape ``(k, len(index))``
-    whose column ``i`` receives the keys of ``index[i]``; it is returned as
-    int64.  The rounds run in ``buffers``, ten uint64 arrays of
-    ``len(index)`` entries.
+    ``Generator(Philox(key=[seed, i])).random(k)`` is exactly a stream's keys
+    times ``2**-53``, four to a block, so block ``b`` holds keys ``4 b`` on.
+    ``out`` is a uint64 array of shape ``(len(out), len(index))`` whose
+    column ``i`` receives the keys of ``index[i]``; it is returned as int64.
+    Each round computes only the lanes that later rounds read, walking back
+    from the words returned: output lane j of a round reads input lanes
+    ``_PHILOX_READS[j]``.  The rounds run in place in ``buffers``, ten uint64
+    arrays of ``len(index)`` entries.
     """
-    k = len(out)
-    for first in range(0, k, 4):
-        need = min(4, k - first)
-        for word, row in zip(_philox_block(seed, index, first // 4 + 1, need, buffers),
-                             out[first:first + need]):
-            np.right_shift(word, np.uint64(64 - _KEY_BITS), out=row)
-    return out.view(np.int64)
-
-
-def _philox_block(seed: int, index: np.ndarray, counter: int, need: int,
-                  buffers: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Words ``0 .. need - 1`` of the output block for key ``(seed, index)`` at ``counter``.
-
-    The rounds run in place in ``buffers``, ten uint64 arrays of
-    ``len(index)`` entries; the words returned are among them.
-    """
+    live = [range(len(out))]
+    while len(live) < _PHILOX_ROUNDS - 1:  # the lanes of rounds 9 down to 2
+        live.append({i for lane in live[-1] for i in _PHILOX_READS[lane]})
     c0, c1, c2, c3, h0, h1, k1, *scratch = buffers
-    # round 0 maps (counter, 0, 0, 0) to (k0, 0, hi(M0 counter) ^ k1, lo(M0 counter)):
-    # scalars but for the key word k1 = index
-    product = _PHILOX_M[0] * counter
-    c0.fill(seed)
-    c1.fill(0)
+    # round 0 maps (block + 1, 0, 0, 0) to (k0, 0, hi(M0 (block + 1)) ^ k1, lo(M0 (block + 1))):
+    # scalars but for the key word k1 = index, so round 1's lane 2 is k1 ^ a scalar, lane 3 a fill
+    product = _PHILOX_M[0] * (block + 1)
     np.bitwise_xor(index, np.uint64(product >> 64), out=c2)
-    c3.fill(np.uint64(product & _MASK64))
-    np.copyto(k1, index)
-    k0 = seed
-    for r in range(1, _PHILOX_ROUNDS):
-        k0 = (k0 + _PHILOX_W[0]) & _MASK64
-        k1 += np.uint64(_PHILOX_W[1])
+    _mulhi(_PHILOX_M[1], c2, h1, scratch)
+    h1 ^= np.uint64((seed + _PHILOX_W[0]) & _MASK64)
+    np.multiply(c2, np.uint64(_PHILOX_M[1]), out=c1)
+    np.add(index, np.uint64(_PHILOX_W[1]), out=h0)
+    h0 ^= np.uint64(((_PHILOX_M[0] * seed) >> 64) ^ (product & _MASK64))
+    c3.fill(np.uint64(_PHILOX_M[0] * seed & _MASK64))
+    c0, c2, h1, h0 = h1, h0, c0, c2
+    for r in range(2, _PHILOX_ROUNDS):
+        lanes = live[_PHILOX_ROUNDS - 1 - r]
         # (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))
-        _mulhi(_PHILOX_M[1], c2, h1, scratch)
-        h1 ^= c1
-        h1 ^= np.uint64(k0)
-        np.multiply(c2, np.uint64(_PHILOX_M[1]), out=c1)
-        if r == _PHILOX_ROUNDS - 1 and need <= 2:
-            return h1, c1
-        _mulhi(_PHILOX_M[0], c0, h0, scratch)
-        h0 ^= c3
-        h0 ^= k1
-        np.multiply(c0, np.uint64(_PHILOX_M[0]), out=c3)
+        if 0 in lanes:
+            _mulhi(_PHILOX_M[1], c2, h1, scratch)
+            h1 ^= c1
+            h1 ^= np.uint64((seed + r * _PHILOX_W[0]) & _MASK64)
+        if 1 in lanes:
+            np.multiply(c2, np.uint64(_PHILOX_M[1]), out=c1)
+        if 2 in lanes:
+            _mulhi(_PHILOX_M[0], c0, h0, scratch)
+            h0 ^= c3
+            h0 ^= np.add(index, np.uint64(r * _PHILOX_W[1] & _MASK64), out=k1)
+        if 3 in lanes:
+            np.multiply(c0, np.uint64(_PHILOX_M[0]), out=c3)
         c0, c2, h1, h0 = h1, h0, c0, c2
-    return c0, c1, c2, c3
+    for word, row in zip((c0, c1, c2, c3), out):
+        np.right_shift(word, np.uint64(64 - _KEY_BITS), out=row)
+    return out.view(np.int64)
 
 
 def _mulhi(m: int, x: np.ndarray, out: np.ndarray, scratch: list[np.ndarray]) -> None:

@@ -24,7 +24,7 @@ from . import __version__
 from .bounds import BoundCheckResult, coupled_bound_suite, ift_check, markov_tail_check, model_table
 from .config import ExperimentConfig
 from .errors import ValidationError
-from .markov import _CHUNK, MarkovModel, sample_trajectories, transition_counts
+from .markov import MarkovModel, _chunk_rows, sample_trajectories, transition_counts
 from .metrics import intelligence_score
 from .substrate import ComparisonRow, SubstrateRun, account_run, run_comparison
 
@@ -208,8 +208,8 @@ def simulate_section(model: MarkovModel, seed: int, paths: np.ndarray,
 def _path_digest(paths: np.ndarray, n_states: int) -> str:
     """sha256 of the paths written as ``"a,b,...;"`` per row, rows in order.
 
-    The rows are hashed ``_CHUNK`` at a time, so no temporary is as large
-    as ``paths``.
+    The rows are hashed :func:`~wpi.markov._chunk_rows` at a time, so the
+    temporaries hold about ``2 * _CHUNK`` entries, however long the paths.
     """
     # token s (or n_states + s) is state s followed by "," (or by ";", row end),
     # NUL-padded to the widest token; the text has no NUL, so dropping them
@@ -218,8 +218,9 @@ def _path_digest(paths: np.ndarray, n_states: int) -> str:
     tokens = np.array([f"{s}{end}".encode() for end in ",;" for s in range(n_states)],
                       dtype=f"S{width}")
     digest = hashlib.sha256()
-    for lo in range(0, len(paths), _CHUNK):
-        codes = paths[lo:lo + _CHUNK].copy()
+    chunk = _chunk_rows(paths)
+    for lo in range(0, len(paths), chunk):
+        codes = paths[lo:lo + chunk].copy()
         codes[:, -1] += n_states
         digest.update(tokens[codes].tobytes().replace(b"\0", b""))
     return digest.hexdigest()

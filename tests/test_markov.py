@@ -214,12 +214,14 @@ class TestSampling:
         assert np.array_equal(transition_counts(model, paths), expected)
 
     def test_transition_counts_across_chunks_match_a_counter(self):
-        # the pairs are counted in chunks of _CHUNK rows
+        # the pairs are counted about 2 * _CHUNK entries at a time: in chunks
+        # of 6,553 rows of 5 states, and of 81 rows of 401
         model = eight_state_chain()
-        paths = np.random.default_rng(4).integers(0, 8, (_CHUNK + 3, 5))
-        oracle = Counter(pair for row in paths.tolist() for pair in zip(row, row[1:]))
-        expected = [[oracle[a, b] for b in range(8)] for a in range(8)]
-        assert transition_counts(model, paths).tolist() == expected
+        for shape in ((_CHUNK + 3, 5), (170, 401)):
+            paths = np.random.default_rng(4).integers(0, 8, shape)
+            oracle = Counter(pair for row in paths.tolist() for pair in zip(row, row[1:]))
+            expected = [[oracle[a, b] for b in range(8)] for a in range(8)]
+            assert transition_counts(model, paths).tolist() == expected
 
     @pytest.mark.parametrize("paths, message", [
         (np.array([[0, 2]]), r"paths\[0, 1\] = 2 is not a state index in \[0, 2\)"),
@@ -248,6 +250,7 @@ class TestSampling:
         expected = transition_counts(model, paths)
         assert np.array_equal(transition_counts(model, paths.astype(dtype)), expected)
         assert transition_counts(model, paths[:0]).sum() == 0
+        assert transition_counts(model, paths[:, :0]).sum() == 0
 
     def test_guide_search_equals_searchsorted_right(self):
         # a key equal to a CDF entry's threshold ceil(c * 2**53), or one below
@@ -353,13 +356,17 @@ class TestPhiloxStreams:
     """The vectorised kernel against ``Generator(Philox(key=[seed, i]))``."""
 
     @pytest.mark.parametrize("seed", [0, 42, 2**53 + 1, MAX_SEED])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 17])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 9, 17])
     def test_uniforms_match_numpy(self, seed, k):
-        # each uniform is its 53-bit key times 2**-53
-        index = [0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2**40 + 3]
+        # each uniform is its 53-bit key times 2**-53; a block computes only
+        # the lanes its first 1, 2, 3 or 4 words read, and k = 5 to 8 ask
+        # for each of those in a later block
+        index = [0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2**32 - 1, 2**32, 2**40 + 3]
         buffers = [np.empty(len(index), dtype=np.uint64) for _ in range(10)]
-        got = _philox_keys(seed, np.array(index, dtype=np.uint64), buffers,
-                           np.empty((k, len(index)), dtype=np.uint64)).T
+        got = np.concatenate([
+            _philox_keys(seed, np.array(index, dtype=np.uint64), first // 4, buffers,
+                         np.empty((min(4, k - first), len(index)), dtype=np.uint64))
+            for first in range(0, k, 4)]).T
         expected = [np.random.Generator(np.random.Philox(key=[seed, i])).random(k) for i in index]
         assert got.dtype == np.int64 and got.min() >= 0 and got.max() < 2**53
         assert np.array_equal(got * 2.0**-53, np.array(expected))
@@ -380,6 +387,15 @@ class TestPhiloxStreams:
         paths = sample_trajectories(model, 4, _CHUNK + 2, seed=seed)
         for i in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1):
             assert paths[i].tolist() == oracle_path(model, 4, seed, i)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
+    def test_paths_of_each_length_match_numpy_across_a_chunk_boundary(self, steps):
+        # each block of four keys is drawn when its steps come, and a path's
+        # last block reads one, two, three or four of its words
+        model = eight_state_chain()
+        paths = sample_trajectories(model, steps, _CHUNK + 2, seed=2**53 + 1)
+        for i in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1):
+            assert paths[i].tolist() == oracle_path(model, steps, 2**53 + 1, i)
 
     @pytest.mark.parametrize("seed", [0, 2**53 + 1])
     def test_one_step_paths_match_numpy_across_a_chunk_boundary(self, seed):
