@@ -21,16 +21,16 @@ from .metrics import landauer_constant
 
 @dataclass(frozen=True)
 class StateMeasure:
-    """A positive (not necessarily normalized) measure over a finite domain."""
+    """A positive, finite (not necessarily normalized) measure over a finite domain."""
 
     weights: Mapping[CoarseState, float]
 
     def __post_init__(self):
         weights = dict(self.weights)
         for state, w in weights.items():
-            if not (w > 0.0):
+            if not (0.0 < w < math.inf):
                 raise ValidationError(
-                    f"measure weight for state {state.bits!r} must be > 0, got {w}"
+                    f"measure weight for state {state.bits!r} must be finite and > 0, got {w}"
                 )
         object.__setattr__(self, "weights", weights)
 

@@ -4,7 +4,9 @@ A bundle binds every number to its inputs through a sha256 hash of the
 validated config document (:attr:`~wpi.config.ExperimentConfig.document`).
 Output is byte-identical for identical (config, seed) runs except for the
 ``generated_at`` timestamp; file writes are atomic (write to a temp file,
-then rename).
+then rename).  ``report.json`` is written by :func:`_json_text` in one walk
+of the bundle, with the bytes of ``json.dumps(bundle, indent=2,
+sort_keys=True)``; see docs/file_formats.md.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import os
 import platform
 import tempfile
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -282,7 +285,7 @@ def write_bundle(
     if fmt in (None, "json"):
         written.append(_atomic_write(
             out_dir / "report.json",
-            json.dumps(_jsonable(bundle), indent=2, sort_keys=True) + "\n",
+            _json_text(bundle) + "\n",
         ))
     if fmt in (None, "tsv"):
         if bundle.get("comparison"):
@@ -381,15 +384,57 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    """Make a structure JSON-safe; non-finite floats become strings."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)  # 'inf', '-inf', 'nan'
-    return value
+def _json_text(value) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it, in one walk.
+
+    A non-finite float is written as the string ``"inf"``, ``"-inf"`` or
+    ``"nan"``.  Scalars are written as :mod:`json` writes them; a list of
+    plain ints (no bools) is joined in one call.  Keys must be str.
+    """
+    chunks: list[str] = []
+    _write_json(value, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write_json(value, pad: str, write) -> None:
+    """Write ``value``, whose line starts with ``pad``, through ``write``."""
+    if isinstance(value, str):
+        write(encode_basestring_ascii(value))
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        write(text if math.isfinite(value) else f'"{text}"')  # 'inf', '-inf', 'nan'
+    elif isinstance(value, (list, tuple)):
+        inner = pad + "  "
+        if not value:
+            write("[]")
+        elif all(type(v) is int for v in value):
+            write(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{pad}]")
+        else:
+            write("[")
+            for i, item in enumerate(value):
+                write("," + inner if i else inner)
+                _write_json(item, inner, write)
+            write(pad + "]")
+    elif isinstance(value, dict):
+        inner = pad + "  "
+        if not value:
+            write("{}")
+        else:
+            write("{")
+            for i, (key, item) in enumerate(sorted(value.items())):
+                write(f"{',' if i else ''}{inner}{encode_basestring_ascii(key)}: ")
+                _write_json(item, inner, write)
+            write(pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _atomic_write(path: Path, text: str) -> Path:

@@ -1,11 +1,13 @@
 """End-to-end CLI tests: subcommands, exit codes, determinism, file outputs."""
 
+import enum
 import hashlib
 import importlib
 import json
 import math
 import os
 import platform
+import random
 import re
 import stat
 import tracemalloc
@@ -21,9 +23,10 @@ from wpi import (
     sample_trajectories,
     transition_counts,
 )
+import wpi.cli
 from wpi.cli import default_config_path, main
 from wpi.markov import _CHUNK
-from wpi.report import _path_digest, compare_section, score_section, write_bundle
+from wpi.report import _json_text, _path_digest, compare_section, score_section, write_bundle
 
 
 def load_report(out_dir):
@@ -810,3 +813,115 @@ class TestComparisonRules:
         err = capsys.readouterr().err
         assert "fixed algorithm" in err
         assert re.search(r"cpu: 1000000\b", err) and re.search(r"gpu: 999\b", err), err
+
+
+def jsonable(value):
+    """The oracle's input: ``value`` with each non-finite float as its repr."""
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)  # 'inf', '-inf', 'nan'
+    return value
+
+
+def oracle_text(value):
+    return json.dumps(jsonable(value), indent=2, sort_keys=True)
+
+
+def ring_config(tmp_path, estimator):
+    """A seeded ring of 24 periodic and random states of 8-13 bits, plus a slow chain.
+
+    Stay 3/4, forward 3/16, back 1/16 on the ring; the slow chain mixes too
+    slowly for the power iteration, as in the wide-chain benchmark.
+    """
+    rng = random.Random(f"ring:{estimator}")
+    states = set()
+    while len(states) < 24:
+        n = rng.randint(8, 13)
+        period = format(rng.getrandbits(3), "03b")
+        states.add((period * n)[:n] if len(states) % 2 else format(rng.getrandbits(n), f"0{n}b"))
+    n = len(states)
+    kernel = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j, p in ((i, 0.75), (i + 1, 0.1875), (i - 1, 0.0625)):
+            kernel[i][j % n] = p
+    ring = {"name": "ring", "states": sorted(states), "kernel": kernel,
+            "measure": [2.0 ** -rng.randint(0, 3) for _ in range(n)], "initial": [1.0 / n] * n}
+    slow = {"name": "slow", "states": ["01101001", "11010010"],
+            "kernel": [[1 - 1e-6, 1e-6], [3e-6, 1 - 3e-6]], "measure": [1.0, 1.0],
+            "initial": [0.75, 0.25]}
+    return small_config(tmp_path, samples=4000, estimator=estimator,
+                        models=[ring, small_model("four-state"), slow])
+
+
+class Color(enum.IntEnum):
+    RED = 3
+
+
+class Tag(str, enum.Enum):
+    EXACT = "exact-enum"
+
+
+class TestJsonText:
+    """report.json is the indented, key-sorted json.dumps text of the bundle."""
+
+    @pytest.fixture
+    def bundles(self, monkeypatch):
+        """Each bundle the CLI writes, checked against its file as it is written."""
+        seen = []
+
+        def write(out, bundle, fmt=None):
+            written = write_bundle(out, bundle, fmt)
+            assert (Path(out) / "report.json").read_text() == oracle_text(bundle) + "\n"
+            seen.append(bundle)
+            return written
+
+        monkeypatch.setattr(wpi.cli, "write_bundle", write)
+        return seen
+
+    @pytest.mark.parametrize("command", ["score", "compare", "simulate", "check-bounds", "report"])
+    def test_shipped_config_bundles(self, tmp_path, bundles, command):
+        assert run([command, "--out", tmp_path / "out"]) == 0
+        assert len(bundles) == 1
+        assert _json_text(bundles[0]) == oracle_text(bundles[0])
+
+    @pytest.mark.parametrize("estimator", ["exact-enum", "lz-proxy"])
+    def test_wide_chain_bundles(self, tmp_path, bundles, estimator):
+        config = ring_config(tmp_path, estimator)
+        assert run(["report", "--config", config, "--out", tmp_path / "out", "--steps", 16]) == 0
+        [bundle] = bundles
+        assert len(bundle["simulations"][0]["transition_counts"]) == 24
+        assert _json_text(bundle) == oracle_text(bundle)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}, "b": [[]], "c": {"d": [], "e": ()}}, [[], {}, [[]]],
+        (1, 2), ((1, "x"), (2.5,)), [[1, 2], [3], [-4, 10**30]],
+        [1, True, 2], [True], [0, False], [None, 1], [1, 2.0], True, False, None, 0,
+        Color.RED, [1, Color.RED], {"c": Color.RED}, Tag.EXACT, [Tag.EXACT], {"t": Tag.EXACT},
+        -0.0, 5e-324, 1e308, [-0.0, 5e-324, 1e308, 0.1], np.float64(0.1),
+        math.inf, [math.inf, -math.inf, math.nan], {"a": math.inf, "b": {"c": math.nan}},
+        (math.nan, 1.0, -math.inf), [1, math.inf],
+        "caf\u00e9", "\x00\x1f\t\n\"\\", "\u2028", "\U0001f600", {"\u00e9\n": ["\u2028"]},
+        {"b": 1, "a": [{"z": 2, "y": [3, 4]}], "A": "x"},
+    ], ids=repr)
+    def test_edge_values(self, value):
+        assert _json_text(value) == oracle_text(value)
+
+    @pytest.mark.parametrize("value", [np.int64(1), object(), {1, 2}, [1, np.int64(2)],
+                                       {"a": [object()]}],
+                             ids=["int64", "object", "set", "int64-in-list", "object-in-dict"])
+    def test_unserializable_values_raise_type_error(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            oracle_text(value)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _json_text(value)
+
+    def test_non_str_keys_raise_type_error(self):
+        # json.dumps would write the key 1 as "1"; a bundle's keys are all str,
+        # and the writer refuses any other key
+        with pytest.raises(TypeError):
+            _json_text({1: "a"})
+        with pytest.raises(TypeError):
+            _json_text({"a": {None: 1}})

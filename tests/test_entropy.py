@@ -33,6 +33,16 @@ class TestStateMeasure:
         with pytest.raises(ValidationError):
             StateMeasure({CoarseState("0"): 0.0})
 
+    @pytest.mark.parametrize("weight", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_weight(self, weight):
+        # an infinite weight used to pass the `> 0` check, and the decomposition
+        # of a transition between two such states then came out nan
+        a, b = CoarseState("01"), CoarseState("0110")
+        with pytest.raises(ValidationError, match="'0110'"):
+            StateMeasure({a: 1.0, b: weight})
+        with pytest.raises(ValidationError, match="'01'"):
+            entropy_decomposition(a, b, StateMeasure({a: weight, b: weight}), "exact-enum")
+
     def test_unnormalized_measures_allowed(self):
         measure = StateMeasure({CoarseState("0"): 3.0, CoarseState("1"): 9.0})
         assert CoarseState("0") in measure
