@@ -125,16 +125,25 @@ class ModelTable:
 
 
 def model_table(model: MarkovModel, estimator: Estimator) -> ModelTable:
-    """Estimate K of each state of ``model`` once, and tabulate what the checks read."""
+    """Estimate K of each state of ``model`` once, and tabulate what the checks read.
+
+    A state the estimator rejects (beyond exact enumeration's 16 bits) is a
+    :class:`ValidationError` that names the model and the state.
+    """
     estimator = Estimator(estimator)
-    k = tuple(estimate_complexity(s, estimator).bits for s in model.states)
+    k = []
+    for state in model.states:
+        try:
+            k.append(estimate_complexity(state, estimator).bits)
+        except ValidationError as exc:
+            raise ValidationError(f"model {model.name!r}, state {state.bits!r}: {exc}") from exc
     kf = np.array(k, dtype=float)
     sigma = note = None
     try:
         sigma = surprisal_table(model)
     except NonErgodicChainError as exc:
         note = str(exc)
-    return ModelTable(model, estimator, k, 2.0 ** (kf[:, None] - kf[None, :]), sigma, note)
+    return ModelTable(model, estimator, tuple(k), 2.0 ** (kf[:, None] - kf[None, :]), sigma, note)
 
 
 def ift_check(table: ModelTable, counts: np.ndarray) -> IftCheckResult:

@@ -19,15 +19,13 @@ Keys marked ``?`` are optional.  One field table per kind of object gives
 each key's JSON type and default, and any other key is an error.  A number
 is an integer or a float but not a boolean, and is read as a float, so it
 must be finite; only ``measured_energy``, ``telemetry``, ``labels`` and a
-label may be ``null``.  One rule checks each property: ``_floats`` reads
-numbers, alone or in a list, and :func:`~wpi.markov.distribution_problems`
-checks kernel rows and initial laws, here and in ``MarkovModel``.
-Range rules are the constructors' (``Substrate``, ``MarkovModel``, ...).
-This module checks only the sampling settings' ranges and what no
-constructor sees: unique names, trace references, per-model lengths and
-that every ``measure`` weight is > 0.  A model's ``labels`` and ``measure``
-are validated and hashed, but no object holds them and no computation
-reads them.
+label may be ``null``.  ``_floats`` is the one rule for numbers, alone or
+in a list.  Range rules are the constructors' (``Substrate``, ...), and
+``MarkovModel`` names each problem of a model, reported at its field's
+pointer (``/models/<i>/kernel/<j>``).  This module checks only the sampling
+settings' ranges and what no object holds: unique names, trace references,
+and a model's ``labels`` and ``measure`` (validated and hashed, but read by
+no computation): their lengths, and that every weight is > 0.
 
 Validation reports *every* problem found, each tagged with the JSON pointer
 of the offending value.  A trace's ``telemetry`` names a power CSV relative
@@ -57,11 +55,9 @@ from pathlib import Path
 from types import NoneType, UnionType
 from typing import Any, get_args, get_origin
 
-import numpy as np
-
 from .complexity import CoarseState, Estimator
 from .errors import ConfigError, ValidationError
-from .markov import MAX_SEED, MarkovModel, distribution_problems
+from .markov import MAX_SEED, MarkovModel
 from .metrics import ExecutionTrace, TaskRecord, TaskSuite
 from .substrate import Substrate
 from .telemetry import integrate_power, read_power_csv
@@ -458,43 +454,24 @@ def _validate_traces(
 def _validate_models(document: dict, errors: list) -> list[MarkovModel]:
     out: list[MarkovModel] = []
     for ptr, fields in _entries(document, "models", _MODEL, "", errors, ("name",)):
-        bits, kernel = fields["states"], fields["kernel"]
-        measure, initial = fields["measure"], fields["initial"]
+        bits, measure = fields["states"], fields["measure"]
         n = len(bits)
-        if not n:
-            errors.append((f"{ptr}/states", "must list at least one state"))
-            continue
         if fields["labels"] is None:
             fields["labels"] = [None] * n
-        sized = {key: fields[key] for key in ("labels", "kernel", "measure", "initial")}
-        sized.update((f"kernel/{j}", row) for j, row in enumerate(kernel))
-        before = len(errors)
-        for key, values in sized.items():
-            if len(values) != n:
-                errors.append((f"{ptr}/{key}", f"must have {n} entries, got {len(values)}"))
-        if len(errors) > before:
-            continue
-
+        sized = [key for key in ("labels", "measure") if n and len(fields[key]) != n]
+        errors += ((f"{ptr}/{key}", f"must have {n} entries, got {len(fields[key])}") for key in sized)
+        bad = next(((state, w) for state, w in zip(bits, measure) if not w > 0.0), None)
+        if bad and "measure" not in sized:
+            errors.append((ptr, "measure weight for state {!r} must be > 0, got {}".format(*bad)))
         states = []
         for j, state_bits in enumerate(bits):
             try:
                 states.append(CoarseState(state_bits))
             except ValidationError as exc:
                 errors.append((f"{ptr}/states/{j}", str(exc)))
-        kernel, initial = np.array(kernel, dtype=float), np.array(initial, dtype=float)
-        for j, problem in distribution_problems(kernel):
-            errors.append((f"{ptr}/kernel/{j}", f"kernel row {problem}"))
-        for _, problem in distribution_problems(initial[None, :]):
-            errors.append((f"{ptr}/initial", f"initial distribution {problem}"))
-        if len(errors) > before:
-            continue
-        bad = [(state, weight) for state, weight in zip(bits, measure) if not weight > 0.0]
-        if bad:
-            state, weight = bad[0]
-            errors.append((ptr, f"measure weight for state {state!r} must be > 0, got {weight}"))
-            continue
+                states.append(state_bits)  # holds its place, so the laws are checked for n states
         try:
-            out.append(MarkovModel(states, kernel, initial, name=fields["name"]))
-        except ValidationError as exc:
-            errors.append((ptr, str(exc)))
+            out.append(MarkovModel(states, fields["kernel"], fields["initial"], name=fields["name"]))
+        except ConfigError as exc:
+            errors += ((f"{ptr}/{field}", message) for field, message in exc.issues)
     return out

@@ -40,7 +40,9 @@ class ConfigError(ValidationError):
     """One or more configuration entries are invalid.
 
     ``issues`` is a list of (json_pointer, message) pairs covering every
-    problem found, not just the first.
+    problem found, not just the first.  An object that checks its own
+    fields (``MarkovModel``) gives pointers relative to itself, such as
+    ``kernel/0``, which the config prefixes with the object's pointer.
     """
 
     def __init__(self, issues: list[tuple[str, str]]):

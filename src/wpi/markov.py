@@ -23,12 +23,14 @@ steps extends the shorter one.  Seeds range over ``[0, MAX_SEED]``.
 
 from __future__ import annotations
 
+import hashlib
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complexity import CoarseState
-from .errors import NonErgodicChainError, ValidationError
+from .errors import ConfigError, NonErgodicChainError, ValidationError
 
 #: Tolerance on kernel row sums and the initial distribution, and, times the
 #: number of states, on the stationary law's residual.
@@ -41,7 +43,12 @@ MAX_SEED = 2**63 - 1
 
 @dataclass(frozen=True, eq=False)
 class MarkovModel:
-    """Finite state space, transition kernel, and initial law."""
+    """Finite state space, transition kernel, and initial law.
+
+    The constructor checks every rule of a model and raises one
+    :class:`~wpi.errors.ConfigError` naming each problem by its field:
+    ``name``, ``states``, ``kernel``, ``kernel/<j>`` or ``initial``.
+    """
 
     states: tuple[CoarseState, ...]
     kernel: np.ndarray
@@ -59,27 +66,24 @@ class MarkovModel:
         )
 
     def __init__(self, states, kernel, initial, name="model"):
-        if not name:
-            raise ValidationError("model name must be non-empty")
+        issues = [] if name else [("name", "model name must be non-empty")]
         states = tuple(states)
-        if not states:
-            raise ValidationError("model needs at least one state")
         index = {s: i for i, s in enumerate(states)}
-        if len(index) != len(states):
-            raise ValidationError("model states must be distinct")
         n = len(states)
-
-        kernel = np.array(kernel, dtype=float)
-        if kernel.shape != (n, n):
-            raise ValidationError(f"kernel must be {n}x{n}, got {kernel.shape}")
-        if problems := distribution_problems(kernel):
-            raise ValidationError("kernel row {} {}".format(*problems[0]))
-
-        initial = np.array(initial, dtype=float)
-        if initial.shape != (n,):
-            raise ValidationError(f"initial distribution must have length {n}")
-        if problems := distribution_problems(initial[None, :]):
-            raise ValidationError(f"initial distribution {problems[0][1]}")
+        if not n:
+            issues.append(("states", "must list at least one state"))
+        elif len(index) != n:
+            issues.append(("states", "model states must be distinct"))
+        # without states there is no shape to check the laws against
+        kernel = _float_array(kernel, (n, n), "kernel", issues) if n else None
+        initial = _float_array(initial, (n,), "initial", issues) if n else None
+        if kernel is not None:
+            issues += ((f"kernel/{j}", f"kernel row {why}") for j, why in distribution_problems(kernel))
+        if initial is not None:
+            issues += (("initial", f"initial distribution {why}")
+                       for _, why in distribution_problems(initial[None, :]))
+        if issues:
+            raise ConfigError(issues)
 
         kernel.setflags(write=False)
         initial.setflags(write=False)
@@ -98,6 +102,28 @@ class MarkovModel:
             return self._index[state]
         except KeyError:
             raise ValidationError(f"state {state.bits!r} is not in the model") from None
+
+
+def _float_array(values, shape: tuple[int, ...], field: str, issues: list) -> np.ndarray | None:
+    """``values`` as a float array of ``shape``, or None with its faulty parts in ``issues``."""
+    try:
+        array = np.array(values, dtype=float)
+        if array.shape == shape:
+            return array
+    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or beyond the float range
+        pass
+    n, before = shape[0], len(issues)
+    try:
+        if len(values) != n:
+            issues.append((field, f"must have {n} entries, got {len(values)}"))
+        for j, row in enumerate(values if len(shape) == 2 else ()):
+            _float_array(row, shape[1:], f"{field}/{j}", issues)
+    except TypeError:  # no length: a number or an iterator
+        pass
+    if len(issues) == before:
+        kind = "numbers" if len(shape) == 1 else "rows"
+        issues.append((field, f"must be a list of {n} {kind}, got {reprlib.repr(values)}"))
+    return None
 
 
 def distribution_problems(rows: np.ndarray) -> list[tuple[int, str]]:
@@ -257,6 +283,28 @@ def transition_counts(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
     return counts.reshape(n, n)
 
 
+def path_digest(paths: np.ndarray, n: int) -> str:
+    """sha256 of ``paths`` written as ``"a,b,...;"`` per row, rows in order.
+
+    ``paths`` is a 2-D integer array of state indices in ``[0, n)``, as
+    :func:`sample_trajectories` returns it.  The rows are hashed
+    :func:`_chunk_rows` at a time, so the temporaries hold about
+    ``2 * _CHUNK`` entries, however long the paths.
+    """
+    # token s (or n + s) is state s followed by "," (or by ";", row end),
+    # NUL-padded to the widest token; the text has no NUL, so dropping them
+    # after the gather leaves the tokens joined
+    tokens = np.array([f"{s}{end}".encode() for end in ",;" for s in range(n)],
+                      dtype=f"S{len(str(n - 1)) + 1}")
+    digest = hashlib.sha256()
+    chunk = _chunk_rows(paths)
+    for lo in range(0, len(paths), chunk):
+        codes = paths[lo:lo + chunk].copy()
+        codes[:, -1] += n
+        digest.update(tokens[codes].tobytes().replace(b"\0", b""))
+    return digest.hexdigest()
+
+
 def _chunk_rows(paths: np.ndarray) -> int:
     """Rows of ``paths`` read together: about ``2 * _CHUNK`` entries, and at least one row."""
     return max(1, 2 * _CHUNK // max(1, paths.shape[1]))
@@ -411,8 +459,8 @@ _SHIFT32 = np.uint64(32)
 #: of padding.  On the shipped chains (100,000 one-step or 65,536 16-step
 #: paths), 8,192 and 16,384 were the fastest, within 20% of one another;
 #: 4,096, 32,768 and 65,536 took 7% to 46% longer than 16,384.  Paths are
-#: counted, and digested in ``wpi.report``, about ``2 * _CHUNK`` entries at
-#: a time (:func:`_chunk_rows`).
+#: counted and digested about ``2 * _CHUNK`` entries at a time
+#: (:func:`_chunk_rows`).
 _CHUNK = 1 << 14
 
 

@@ -27,7 +27,7 @@ from . import __version__
 from .bounds import BoundCheckResult, coupled_bound_suite, ift_check, markov_tail_check, model_table
 from .config import ExperimentConfig
 from .errors import ValidationError
-from .markov import MarkovModel, _chunk_rows, sample_trajectories, transition_counts
+from .markov import MarkovModel, path_digest, sample_trajectories, transition_counts
 from .metrics import intelligence_score
 from .substrate import ComparisonRow, SubstrateRun, account_run, run_comparison
 
@@ -203,30 +203,9 @@ def simulate_section(model: MarkovModel, seed: int, paths: np.ndarray,
         "steps": length - 1,
         "states": [s.bits for s in model.states],
         "transition_counts": counts.tolist(),
-        "trajectory_digest": _path_digest(paths, model.n_states),
+        "trajectory_digest": path_digest(paths, model.n_states),
         "first_trajectory": paths[0].tolist(),
     }
-
-
-def _path_digest(paths: np.ndarray, n_states: int) -> str:
-    """sha256 of the paths written as ``"a,b,...;"`` per row, rows in order.
-
-    The rows are hashed :func:`~wpi.markov._chunk_rows` at a time, so the
-    temporaries hold about ``2 * _CHUNK`` entries, however long the paths.
-    """
-    # token s (or n_states + s) is state s followed by "," (or by ";", row end),
-    # NUL-padded to the widest token; the text has no NUL, so dropping them
-    # after the gather leaves the tokens joined
-    width = len(str(n_states - 1)) + 1
-    tokens = np.array([f"{s}{end}".encode() for end in ",;" for s in range(n_states)],
-                      dtype=f"S{width}")
-    digest = hashlib.sha256()
-    chunk = _chunk_rows(paths)
-    for lo in range(0, len(paths), chunk):
-        codes = paths[lo:lo + chunk].copy()
-        codes[:, -1] += n_states
-        digest.update(tokens[codes].tobytes().replace(b"\0", b""))
-    return digest.hexdigest()
 
 
 def bounds_section(

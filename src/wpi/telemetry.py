@@ -1,15 +1,16 @@
 """Power telemetry ingestion and trapezoidal energy integration.
 
-Telemetry files are CSV with the exact header ``t_s,power_w``: timestamps
-in seconds (strictly increasing) and instantaneous power in watts
-(non-negative).  The integrated energy attaches to an execution trace as
-its measured energy.
+Telemetry files are CSV with the exact header ``t_s,power_w``: finite
+timestamps in seconds (strictly increasing) and finite instantaneous power
+in watts (non-negative).  The integrated energy attaches to an execution
+trace as its measured energy.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,10 @@ EXPECTED_HEADER = ["t_s", "power_w"]
 def ingest_telemetry(path: str | Path) -> list[tuple[float, float]]:
     """Read a telemetry CSV into (timestamp, power) pairs.
 
-    All row-level problems (non-numeric fields, non-monotone timestamps,
-    negative power) are collected and raised together.  A file that is not
-    UTF-8 text, or a path holding a NUL byte, raises :class:`TelemetryError`
-    at row 0, as an empty file does.
+    All row-level problems (non-numeric or non-finite fields, non-monotone
+    timestamps, negative power) are collected and raised together.  A file
+    that is not UTF-8 text, or a path holding a NUL byte, raises
+    :class:`TelemetryError` at row 0, as an empty file does.
     """
     path = Path(path)
     try:
@@ -62,6 +63,9 @@ def ingest_telemetry(path: str | Path) -> list[tuple[float, float]]:
         except ValueError:
             issues.append((lineno, f"non-numeric row: {row!r}"))
             continue
+        if not (math.isfinite(t) and math.isfinite(p)):
+            issues.append((lineno, f"timestamp and power must be finite, got {row!r}"))
+            continue
         if previous_t is not None and t <= previous_t:
             issues.append(
                 (lineno, f"timestamp {t!r} is not strictly greater than {previous_t!r}")
@@ -91,10 +95,12 @@ def integrate_power(samples: np.ndarray) -> float:
         raise ValidationError(f"expected an (n, 2) array of (t, power), got {samples.shape}")
     if samples.shape[0] < 2:
         raise ValidationError("energy integration needs at least 2 samples")
+    if not np.isfinite(samples).all():
+        raise ValidationError("timestamps and powers must be finite")
     t, p = samples[:, 0], samples[:, 1]
     if np.any(np.diff(t) <= 0.0):
         raise ValidationError("timestamps must be strictly increasing")
     if np.any(p < 0.0):
         raise ValidationError("power must be non-negative")
-    with np.errstate(over="ignore"):  # an overflow is inf, which a trace rejects
+    with np.errstate(over="ignore"):  # finite powers may sum to inf, which a trace rejects
         return float(np.trapezoid(p, t))

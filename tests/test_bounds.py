@@ -115,6 +115,25 @@ class TestIftCheck:
         assert result.samples == 20_000
 
 
+    def test_single_sample_has_zero_standard_error(self):
+        model = four_state_chain()
+        counts = np.zeros((4, 4), dtype=np.int64)
+        counts[0, 1] = 1
+        table = model_table(model, Estimator.EXACT_ENUM)
+        result = ift_check(table, counts)
+        assert result.samples == 1
+        assert result.complexity_mean == 2.0 ** (table.k[0] - table.k[1])
+        assert (result.complexity_se, result.surprisal_se) == (0.0, 0.0)
+
+    def test_state_beyond_exact_enumeration_names_model_and_state(self):
+        long_state = "1" * 17
+        model = MarkovModel([CoarseState("0"), CoarseState(long_state)],
+                            [[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5], name="long")
+        with pytest.raises(ValidationError, match=f"model 'long', state '{long_state}': "
+                                                  "target has 17 bits; exact enumeration is limited"):
+            model_table(model, Estimator.EXACT_ENUM)
+        assert len(model_table(model, Estimator.LZ_PROXY).k) == 2
+
     def test_counts_must_match_the_model(self):
         table = model_table(four_state_chain(), Estimator.EXACT_ENUM)
         with pytest.raises(ValidationError, match="4x4"):
@@ -408,6 +427,13 @@ class TestEfficiencyBound:
         table = model_table(model, Estimator.EXACT_ENUM)
         with pytest.raises(ValidationError, match="power"):
             efficiency_bound_check(table, model.states[0], model.states[1], (1.0, 0.0, 1.0), 0.05)
+
+    def test_state_outside_the_model_rejected(self):
+        model = four_state_chain()
+        table = model_table(model, Estimator.EXACT_ENUM)
+        with pytest.raises(ValidationError, match="state '111111' is not in the model"):
+            efficiency_bound_check(table, CoarseState("111111"), model.states[1], (1.0, 1.0, 1.0),
+                                   0.05)
 
     @pytest.mark.parametrize("agent, entry", [
         ((math.nan, 1.0, 1.0), "intelligence"),

@@ -25,8 +25,8 @@ from wpi import (
 )
 import wpi.cli
 from wpi.cli import default_config_path, main
-from wpi.markov import _CHUNK
-from wpi.report import _json_text, _path_digest, compare_section, score_section, write_bundle
+from wpi.markov import _CHUNK, path_digest
+from wpi.report import _atomic_write, _json_text, compare_section, score_section, write_bundle
 
 
 def load_report(out_dir):
@@ -151,7 +151,7 @@ class TestSubcommands:
             rows = rng.integers(0, n_states, shape).tolist()
             text = "".join(",".join(map(str, row)) + ";" for row in rows)
             expected = hashlib.sha256(text.encode()).hexdigest()
-            assert _path_digest(np.array(rows, dtype=np.int64), n_states) == expected
+            assert path_digest(np.array(rows, dtype=np.int64), n_states) == expected
 
     def test_check_bounds_writes_tsv_and_gates(self, tmp_path):
         config = small_config(tmp_path)
@@ -349,7 +349,7 @@ class TestSubcommands:
             call = {
                 "sample": lambda: sample_trajectories(model, steps, 4_096, seed=3),
                 "count": lambda: transition_counts(model, paths),
-                "digest": lambda: _path_digest(paths, model.n_states),
+                "digest": lambda: path_digest(paths, model.n_states),
             }[stage]
             tracemalloc.start()
             try:
@@ -434,6 +434,25 @@ class TestExitCodes:
         assert listed == ["/seed", "/substrates/0", "/traces/0/substrate"]
         assert not (tmp_path / "out").exists()
 
+    def test_simulate_without_models_exits_one(self, tmp_path, capsys):
+        config = small_config(tmp_path, models=[])
+        assert run(["simulate", "--config", config, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert "config has no models to sample" in err
+        assert "Traceback" not in err
+
+    def test_state_beyond_exact_enumeration_names_model_and_state(self, tmp_path, capsys):
+        # was only "target has 17 bits; ...", with no model or state named
+        model = small_model("long")
+        model["states"][3] = "1" * 17
+        config = small_config(tmp_path, models=[model])
+        assert run(["check-bounds", "--config", config, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert f"model 'long', state '{'1' * 17}': target has 17 bits" in err
+        assert "Traceback" not in err
+        for args in (["simulate"], ["check-bounds", "--estimator", "lz-proxy"]):
+            assert run([*args, "--config", config, "--out", tmp_path / args[-1]]) == 0
+
     def test_unallocatable_sample_exits_one(self, tmp_path, capsys):
         # was a ValueError traceback out of np.empty
         config = small_config(tmp_path)
@@ -487,7 +506,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case, pointer", [
         ("infinite-weight", "/suites/0/tasks/0/weight:"),
-        ("infinite-power", "/traces/0:"),
+        ("infinite-power", "/traces/0/telemetry: 1 telemetry error(s): row 3: "),
+        ("nan-timestamp", "/traces/0/telemetry: 1 telemetry error(s): row 3: "),
         ("overflowing-integral", "/traces/0:"),
         ("overflowing-overhead", "/substrates/0:"),
         ("overflowing-weight", "/suites/0/tasks:"),
@@ -495,7 +515,8 @@ class TestExitCodes:
     def test_non_finite_input_exits_one_with_pointer(self, tmp_path, capsys, case, pointer):
         config = tmp_path / "config.json"
         data = json.loads(default_config_path().read_text())
-        rows = {"infinite-power": "0,1\n1,inf\n", "overflowing-integral": "1,1e308\n2,1e308\n"}
+        rows = {"infinite-power": "0,1\n1,inf\n", "nan-timestamp": "0,1\nnan,1\n2,1\n",
+                "overflowing-integral": "1,1e308\n2,1e308\n"}
         if case in rows:
             (tmp_path / "power.csv").write_text("t_s,power_w\n" + rows[case])
             data["traces"][0]["telemetry"] = "power.csv"
@@ -659,6 +680,16 @@ class TestDeterminism:
         assert names == ["bounds.tsv", "compare.tsv", "report.json"]
         for name in names:
             assert stat.S_IMODE((out / name).stat().st_mode) == 0o666 & ~umask, name
+
+
+    def test_failed_write_leaves_the_target_and_no_temp_file(self, tmp_path):
+        # a lone surrogate cannot be encoded, so the write fails after the temp file exists
+        target = tmp_path / "report.json"
+        target.write_text("old")
+        with pytest.raises(UnicodeEncodeError):
+            _atomic_write(target, "\ud800")
+        assert target.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 class TestMeasuredEnergyPaths:

@@ -108,6 +108,12 @@ BAD_INPUTS = [
     (("models", 0, "initial"), [1.0], ("/models/0/initial", "must have 2 entries, got 1")),
     (("models", 0, "kernel"), [[1.0], [0.5, 0.5]],
      ("/models/0/kernel/0", "must have 2 entries, got 1")),
+    # the rules MarkovModel applies, each at its field's pointer
+    (("models", 0, "states"), ["0", "0"], ("/models/0/states", "model states must be distinct")),
+    (("models", 0, "name"), "", ("/models/0/name", "model name must be non-empty")),
+    # an entry that is not an object, and an empty suite id
+    (("substrates", 0), 5, ("/substrates/0", "must be an object, got 5")),
+    (("suites", 0, "id"), "", ("/suites/0/id", "suite id must be non-empty")),
 ]
 
 
@@ -232,6 +238,11 @@ class TestValidation:
             assert pointer in pointers(info)
         else:
             assert pointer in info.value.issues
+
+    def test_root_must_be_an_object(self):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict([7])
+        assert info.value.issues == [("", "must be an object, got [7]")]
 
     def test_unknown_keys_pointed_at_everywhere(self):
         data = minimal_config(sed=7)
@@ -421,20 +432,20 @@ def ring_config(stay, forward, back, n=1024):
 
 def test_each_law_is_checked_once(monkeypatch):
     # the kernel and the initial law are each checked by one call of the
-    # vectorised rule in the config and one in MarkovModel, not row by row
-    import wpi.config
+    # vectorised rule, in MarkovModel, not row by row and not again in the config
     import wpi.markov
 
-    calls = {"config": 0, "markov": 0}
-    for caller, module in (("config", wpi.config), ("markov", wpi.markov)):
-        def counted(rows, caller=caller, rule=module.distribution_problems):
-            calls[caller] += 1
-            return rule(rows)
+    calls = {"markov": 0}
+    rule = wpi.markov.distribution_problems
 
-        monkeypatch.setattr(module, "distribution_problems", counted)
+    def counted(rows):
+        calls["markov"] += 1
+        return rule(rows)
+
+    monkeypatch.setattr(wpi.markov, "distribution_problems", counted)
     config = config_from_dict(ring_config(0.75, 0.1875, 0.0625))
     assert config.models[0].n_states == 1024
-    assert calls == {"config": 2, "markov": 2}
+    assert calls == {"markov": 2}
 
 
 @pytest.mark.parametrize("models, estimator, estimates, conditionals", [

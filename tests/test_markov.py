@@ -7,6 +7,7 @@ import pytest
 
 from wpi import (
     CoarseState,
+    ConfigError,
     MarkovModel,
     NonErgodicChainError,
     MAX_SEED,
@@ -30,7 +31,7 @@ def simple_model(kernel, n=2, initial=None):
 
 class TestModelValidation:
     def test_row_sum_checked(self):
-        with pytest.raises(ValidationError, match="row 0"):
+        with pytest.raises(ValidationError, match="kernel/0: kernel row sums to 0.9"):
             simple_model([[0.5, 0.4], [0.5, 0.5]])
 
     def test_negative_entries_rejected(self):
@@ -39,7 +40,7 @@ class TestModelValidation:
 
     def test_nan_row_rejected(self):
         # a NaN row sum compares false against the tolerance in both directions
-        with pytest.raises(ValidationError, match="row 1"):
+        with pytest.raises(ValidationError, match="kernel/1: kernel row sums to nan"):
             simple_model([[0.5, 0.5], [float("nan"), 0.5]])
 
     def test_initial_must_sum_to_one(self):
@@ -70,12 +71,47 @@ class TestModelValidation:
             MarkovModel([], np.zeros((0, 0)), [])
 
     def test_non_square_kernel_rejected(self):
-        with pytest.raises(ValidationError, match=r"kernel must be 2x2, got \(2, 3\)"):
+        with pytest.raises(ValidationError, match=r"kernel/0: must have 2 entries, got 3; "
+                           r"kernel/1: must have 2 entries, got 3$"):
             simple_model([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
 
     def test_wrong_length_initial_rejected(self):
-        with pytest.raises(ValidationError, match="initial distribution must have length 2"):
+        with pytest.raises(ValidationError, match="initial: must have 2 entries, got 3"):
             simple_model([[0.5, 0.5], [0.5, 0.5]], initial=[0.5, 0.25, 0.25])
+
+    @pytest.mark.parametrize("kernel, initial, issues", [
+        ([[0.5, 0.5]], [0.5, 0.5], [("kernel", "must have 2 entries, got 1")]),
+        ([[0.5], [0.5, 0.5]], [0.5, 0.5], [("kernel/0", "must have 2 entries, got 1")]),
+        ([[0.5, 0.5, 0.0], [1.0]], [0.5, 0.5],
+         [("kernel/0", "must have 2 entries, got 3"), ("kernel/1", "must have 2 entries, got 1")]),
+        ([0.5, 0.5], [0.5, 0.5], [("kernel/0", "must be a list of 2 numbers, got 0.5"),
+                                  ("kernel/1", "must be a list of 2 numbers, got 0.5")]),
+        (1.0, [0.5, 0.5], [("kernel", "must be a list of 2 rows, got 1.0")]),
+        ([["a", 0.5], [0.5, 0.5]], [0.5, 0.5],
+         [("kernel/0", "must be a list of 2 numbers, got ['a', 0.5]")]),
+        ([[0.5, 0.5], [0.5, 0.5]], [1.0], [("initial", "must have 2 entries, got 1")]),
+        ([[0.5, 0.5], [0.5, 0.5]], [[0.5], [0.5]],
+         [("initial", "must be a list of 2 numbers, got [[0.5], [0.5]]")]),
+        ([[0.5, 0.4], [1.5, -0.5]], [0.5, 0.5],
+         [("kernel/0", "kernel row sums to 0.9, expected 1 within 1e-12"),
+          ("kernel/1", "kernel row has a negative entry; entries must be >= 0")]),
+    ], ids=["few-rows", "short-row", "ragged", "1-D", "scalar", "non-numeric", "short-initial",
+            "2-D-initial", "two-bad-rows"])
+    def test_every_problem_named_by_field(self, kernel, initial, issues):
+        with pytest.raises(ConfigError) as info:
+            simple_model(kernel, initial=initial)
+        assert info.value.issues == issues
+
+    def test_problems_of_every_field_raised_together(self):
+        # the probability rule runs only on the laws whose shape is right
+        with pytest.raises(ConfigError) as info:
+            MarkovModel([CoarseState("0")] * 2, [[0.5, 0.5], [0.5]], [0.7, 0.2], name="")
+        assert info.value.issues == [
+            ("name", "model name must be non-empty"),
+            ("states", "model states must be distinct"),
+            ("kernel/1", "must have 2 entries, got 1"),
+            ("initial", "initial distribution sums to 0.8999999999999999, expected 1 within 1e-12"),
+        ]
 
     def test_kernel_not_shared_with_caller(self):
         kernel = np.array([[0.5, 0.5], [0.5, 0.5]])

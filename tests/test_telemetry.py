@@ -41,6 +41,36 @@ class TestIngest:
             ingest_telemetry(path)
         assert len(info.value.issues) == 3
 
+    @pytest.mark.parametrize("rows, row", [
+        ([(0.0, 1.0), ("nan", 1.0), (2.0, 1.0)], 3),
+        ([(0.0, 1.0), ("inf", 1.0), (2.0, 1.0)], 3),
+        ([(0.0, 1.0), (1.0, "nan"), (2.0, 1.0)], 3),
+        ([(0.0, 1.0), (1.0, "inf"), (2.0, 1.0)], 3),
+        ([(0.0, 1.0), (1.0, 1.0), ("-inf", 1.0)], 4),
+    ], ids=["nan-timestamp", "inf-timestamp", "nan-power", "inf-power", "minus-inf-timestamp"])
+    def test_non_finite_value_is_an_error_of_its_row(self, tmp_path, rows, row):
+        # a NaN timestamp compared false with its neighbours, and an infinite
+        # one had the next row blamed for not exceeding it
+        path = write_csv(tmp_path, rows)
+        with pytest.raises(TelemetryError) as info:
+            ingest_telemetry(path)
+        assert [r for r, _ in info.value.issues] == [row]
+        assert "must be finite" in info.value.issues[0][1]
+
+    @pytest.mark.parametrize("text, issues", [
+        ("0,1\n1,2,3\n2,1\n", [(3, "expected 2 fields, got 3")]),
+        ("0,1\n\n , \n2,1\n", []),
+    ], ids=["three-fields", "blank-rows"])
+    def test_field_count_checked_and_blank_rows_skipped(self, tmp_path, text, issues):
+        path = tmp_path / "power.csv"
+        path.write_text("t_s,power_w\n" + text)
+        if issues:
+            with pytest.raises(TelemetryError) as info:
+                ingest_telemetry(path)
+            assert info.value.issues == issues
+        else:
+            assert ingest_telemetry(path) == [(0.0, 1.0), (2.0, 1.0)]
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -84,3 +114,18 @@ class TestIntegration:
     def test_strictly_increasing_required(self):
         with pytest.raises(ValidationError):
             integrate_power(np.array([[0.0, 1.0], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize("samples, message", [
+        ([0.0, 1.0, 2.0], "expected an \\(n, 2\\) array"),
+        ([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]], "expected an \\(n, 2\\) array"),
+        ([[0.0, 1.0], [1.0, -1.0]], "power must be non-negative"),
+        ([[0.0, 1.0], [np.nan, 1.0]], "must be finite"),
+        ([[0.0, 1.0], [np.inf, 1.0]], "must be finite"),
+        ([[0.0, 1.0], [1.0, np.nan]], "must be finite"),
+        ([[0.0, np.inf], [1.0, 1.0]], "must be finite"),
+    ], ids=["1-D", "three-columns", "negative-power", "nan-time", "inf-time", "nan-power",
+            "inf-power"])
+    def test_bad_samples_rejected(self, samples, message):
+        # a NaN passed the ordering and sign tests, and the integral was NaN or inf
+        with pytest.raises(ValidationError, match=message):
+            integrate_power(np.array(samples))
