@@ -329,7 +329,7 @@ def _child(ptr: str, key: Any) -> str:
 
 
 def _entries(parent: dict, key: str, table: dict, ptr: str, errors: list,
-             unique: tuple[str, ...] = ()):
+             unique: tuple[str, ...] = (), seen: dict[tuple, str] | None = None):
     """``(pointer, fields)`` of each entry of list ``parent[key]`` whose fields all read.
 
     ``ptr`` is the pointer of ``parent``, and ``parent[key]`` becomes the
@@ -338,11 +338,13 @@ def _entries(parent: dict, key: str, table: dict, ptr: str, errors: list,
     must differ from every earlier entry's, whether or not either entry's
     other fields read or build; a repeat is reported at its one key (or at
     the entry) and skipped.  An entry with an unknown key is still read.
-    ``parent[key]`` is ``_INVALID`` when the list itself was reported.
+    ``seen``, if given, receives the ``unique`` fields of each entry that
+    reads them, with the pointer of their first entry.  ``parent[key]`` is
+    ``_INVALID`` when the list itself was reported.
     """
     raw, read, ptr = parent[key], [], _child(ptr, key)
     parent[key] = read
-    seen: dict[tuple, str] = {}
+    seen = {} if seen is None else seen
     for i, entry in enumerate([] if raw is _INVALID else raw):
         fields = _read(entry, table, f"{ptr}/{i}", errors)
         ident = tuple(fields[k] for k in unique)
@@ -382,19 +384,24 @@ def _validate_sim(fields: dict, errors: list, n_models: int) -> SimSettings:
     return SimSettings(seed=seed, samples=samples, delta=delta, estimator=estimator)
 
 
-def _validate_substrates(document: dict, errors: list) -> dict[str, Substrate]:
+def _validate_substrates(document: dict, errors: list) -> dict[str, Substrate | None]:
+    """Each substrate an entry names, in config order; None if its problems were reported."""
     out: dict[str, Substrate] = {}
-    for ptr, fields in _entries(document, "substrates", _SUBSTRATE, "", errors, ("name",)):
+    declared: dict[tuple, str] = {}
+    entries = _entries(document, "substrates", _SUBSTRATE, "", errors, ("name",), declared)
+    for ptr, fields in entries:
         try:
             out[fields["name"]] = Substrate(**fields)
         except ValidationError as exc:
             errors.append((ptr, str(exc)))
-    return out
+    return {name: out.get(name) for (name,) in declared}
 
 
-def _validate_suites(document: dict, errors: list) -> dict[str, TaskSuite]:
+def _validate_suites(document: dict, errors: list) -> dict[str, TaskSuite | None]:
+    """Each suite an entry names, in config order; None if its problems were reported."""
     out: dict[str, TaskSuite] = {}
-    for ptr, fields in _entries(document, "suites", _SUITE, "", errors, ("id",)):
+    declared: dict[tuple, str] = {}
+    for ptr, fields in _entries(document, "suites", _SUITE, "", errors, ("id",), declared):
         suite_id = fields["id"]
         if not suite_id:
             errors.append((f"{ptr}/id", "suite id must be non-empty"))
@@ -411,13 +418,13 @@ def _validate_suites(document: dict, errors: list) -> dict[str, TaskSuite]:
             out[suite_id] = TaskSuite(records)
         except ValidationError as exc:
             errors.append((f"{ptr}/tasks", str(exc)))
-    return out
+    return {suite_id: out.get(suite_id) for (suite_id,) in declared}
 
 
 def _validate_traces(
     document: dict,
-    substrates: dict[str, Substrate],
-    suites: dict[str, TaskSuite],
+    substrates: dict[str, Substrate | None],
+    suites: dict[str, TaskSuite | None],
     errors: list,
     base_dir: Path | None,
 ) -> dict[tuple[str, str], ExecutionTrace]:

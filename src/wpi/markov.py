@@ -5,7 +5,11 @@ counter-based stream keyed ``(seed, i)``: the same doubles that
 ``numpy.random.Generator(numpy.random.Philox(key=[seed, i])).random()``
 returns.  Because the generator is counter-based, the sampler computes those
 streams as array arithmetic over the trajectory indices of one chunk at a
-time, and returns the paths as one integer array.  Each double is a 53-bit
+time, and returns the paths as one integer array.  Given ``out``, a
+writeable C-contiguous int64 array of the paths' shape, it overwrites every
+entry of that array instead of allocating one, so a run that samples several
+models of one shape in turn holds one path array, and the kernel need not
+zero-fill fresh pages for each model.  Each double is a 53-bit
 integer key times ``2**-53``, and the sampler works on the keys: a state is
 picked by an exact guide-table lookup (a shift and a gather, and a binary
 search within the bucket where CDF entries fall inside it; see
@@ -207,13 +211,17 @@ def stationary_distribution(kernel: np.ndarray) -> np.ndarray:
     return pi
 
 
-def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int) -> np.ndarray:
+def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Sample ``count`` paths of ``steps`` transitions each.
 
     Returns an int64 array of shape ``(count, steps + 1)`` whose row ``i``
     lists the state indices visited by trajectory ``i``.  That trajectory
     draws its ``steps + 1`` uniforms from ``Philox(key=(seed, i))``: the
-    first picks the initial state, the others one transition each.
+    first picks the initial state, the others one transition each.  Given
+    ``out``, a writeable C-contiguous int64 array of that shape, the paths
+    overwrite every entry of it and ``out`` is returned; anything else as
+    ``out`` is a :class:`ValidationError`.
     """
     for name, value in (("steps", steps), ("count", count), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -226,22 +234,33 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int) -
         raise ValidationError(f"seed must be an integer in [0, 2**63 - 1], got {seed!r}")
     seed = int(seed)
 
+    shape = (count, steps + 1)
+    if out is None:
+        try:
+            out = np.empty(shape, dtype=np.int64)
+        except (MemoryError, ValueError):  # ValueError: more bytes than numpy can address
+            raise ValidationError(
+                f"cannot allocate the sampled paths: an int64 array of shape "
+                f"{shape} needs {count * (steps + 1) * 8} bytes"
+            ) from None
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.int64 and out.shape == shape
+              and out.flags.c_contiguous and out.flags.writeable):
+        got = (f"a {'writeable' if out.flags.writeable else 'read-only'} "
+               f"{'' if out.flags.c_contiguous else 'non-'}C-contiguous {out.dtype} "
+               f"array of shape {out.shape}" if isinstance(out, np.ndarray) else reprlib.repr(out))
+        raise ValidationError(
+            f"out must be a writeable C-contiguous int64 array of shape {shape}, got {got}"
+        )
+
     initial = _guide_table(model.initial[None, :])
     kernel = _guide_table(model.kernel)
-    try:
-        paths = np.empty((count, steps + 1), dtype=np.int64)
-    except (MemoryError, ValueError):  # ValueError: more bytes than numpy can address
-        raise ValidationError(
-            f"cannot allocate the sampled paths: an int64 array of shape "
-            f"({count}, {steps + 1}) needs {count * (steps + 1) * 8} bytes"
-        ) from None
     chunk_rows = min(count, _CHUNK)
     buffers = [np.empty(chunk_rows, dtype=np.uint64) for _ in range(10)]
     keys = np.empty((4, chunk_rows), dtype=np.uint64)
     below = np.empty(chunk_rows, dtype=bool)
     for lo in range(0, count, _CHUNK):
         index = np.arange(lo, min(lo + _CHUNK, count), dtype=np.uint64)
-        path = paths[lo:lo + len(index)]
+        path = out[lo:lo + len(index)]
         chunk = [b[:len(index)] for b in buffers]
         # a block's words are shifted into ``keys`` before its lookups use chunk[:2]
         scratch = [*(b.view(np.int64) for b in chunk[:2]), below[:len(index)]]
@@ -252,7 +271,7 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int) -
                     kernel.search(path[:, k - 1], key, path[:, k], scratch)
                 else:
                     initial.search(0, key, path[:, 0], scratch)
-    return paths
+    return out
 
 
 def transition_counts(model: MarkovModel, paths: np.ndarray) -> np.ndarray:

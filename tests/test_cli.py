@@ -325,6 +325,34 @@ class TestSubcommands:
         for sim in bundle["simulations"]:
             assert sum(map(sum, sim["transition_counts"])) == 500 * steps
 
+    def test_report_draws_every_model_into_one_array(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recording(model, steps, count, seed, out=None):
+            paths = sample_trajectories(model, steps, count, seed, out=out)
+            calls.append((out, paths))
+            return paths
+
+        monkeypatch.setattr("wpi.report.sample_trajectories", recording)
+        assert run(["report", "--samples", 500, "--out", tmp_path / "out"]) == 0
+        (out, first), *later = calls
+        assert out is None and len(later) == 2
+        assert all(out is first and paths is first for out, paths in later)
+
+    def test_shared_array_gives_each_command_the_same_sections(self, tmp_path):
+        # the shipped config's three models differ in size, so a count or
+        # digest that read another model's paths would differ; check-bounds
+        # reads each path's first step, which does not depend on --steps
+        outs = {command: tmp_path / command for command in ("simulate", "check-bounds", "report")}
+        for command, out in outs.items():
+            steps = [] if command == "check-bounds" else ["--steps", 3]
+            assert run([command, "--samples", 2_000, *steps, "--out", out]) == 0
+        simulate, check, report = (load_report(out) for out in outs.values())
+        assert len(report["simulations"]) == 3
+        assert simulate["simulations"] == report["simulations"]
+        assert check["bound_checks"] == report["bound_checks"]
+        assert check["gates"] == report["gates"]
+
     def test_report_holds_one_model_of_paths_at_a_time(self, tmp_path):
         # one model's paths are 200,000 x 2 int64 (3.2 MB); holding two of
         # the shipped config's three models, or one and a full-size copy,
@@ -431,7 +459,8 @@ class TestExitCodes:
         args = ["simulate", "--config", config, "--out", tmp_path / "out", "--seed", -4]
         assert run(args) == 1
         listed = re.findall(r"^  (\S+): ", capsys.readouterr().err, re.MULTILINE)
-        assert listed == ["/seed", "/substrates/0", "/traces/0/substrate"]
+        # the trace names a substrate that exists, though it failed its own rules
+        assert listed == ["/seed", "/substrates/0"]
         assert not (tmp_path / "out").exists()
 
     def test_simulate_without_models_exits_one(self, tmp_path, capsys):

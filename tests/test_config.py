@@ -176,6 +176,34 @@ class TestValidation:
             config_from_dict(data)
         assert "/traces/0/substrate" in pointers(info)
 
+    def test_failed_suite_is_not_reported_as_unknown(self):
+        # each of the shipped config's three traces also read "trace names
+        # unknown suite 'default-suite'"
+        data = json.loads(default_config_path().read_text())
+        data["suites"][0]["tasks"][0]["weight"] = -1.0
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert pointers(info) == ["/suites/0/tasks/0"]
+
+    @pytest.mark.parametrize("path, value, pointer", [
+        (("substrates", 0, "temperature"), -1.0, "/substrates/0"),
+        (("substrates", 0, "overhead_mem"), "hot", "/substrates/0/overhead_mem"),
+        (("suites", 0, "tasks"), [], "/suites/0/tasks"),
+    ])
+    def test_failed_entry_is_not_reported_as_unknown(self, path, value, pointer):
+        # a substrate or suite that fails its own rules (or whose other fields
+        # do not read) is still declared by name
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(with_value(path, value))
+        assert pointers(info) == [pointer]
+
+    def test_undeclared_name_beside_a_failed_entry_is_unknown(self):
+        data = with_value(("substrates", 0, "temperature"), -1.0)
+        data["traces"].append({**data["traces"][0], "substrate": "tpu"})
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert pointers(info) == ["/substrates/0", "/traces/1/substrate"]
+
     def test_all_errors_collected_not_just_first(self):
         data = minimal_config()
         del data["seed"]

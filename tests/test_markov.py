@@ -1,5 +1,6 @@
 """Markov model validation, deterministic sampling, stationary laws."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -22,6 +23,11 @@ from wpi import (
     two_state_chain,
 )
 from wpi.markov import DISTRIBUTION_TOL, _CHUNK, _guide_table, _philox_keys, distribution_problems
+
+
+def read_only(array):
+    array.setflags(write=False)
+    return array
 
 
 def simple_model(kernel, n=2, initial=None):
@@ -363,6 +369,31 @@ class TestSampling:
         with pytest.raises(ValidationError,
                            match=rf"shape \({count}, 2\).*{count * 16} bytes"):
             sample_trajectories(two_state_chain(), 1, count, seed=1)
+
+    @pytest.mark.parametrize("steps", [1, 4, 16])
+    def test_out_is_overwritten_and_returned(self, steps):
+        # every entry of ``out`` is written, in both chunks
+        model, count = eight_state_chain(), _CHUNK + 3
+        out = np.full((count, steps + 1), -1, dtype=np.int64)
+        assert sample_trajectories(model, steps, count, seed=5, out=out) is out
+        assert np.array_equal(out, sample_trajectories(model, steps, count, seed=5))
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.zeros((10, 3), dtype=np.int64),
+        lambda: np.zeros((11, 2), dtype=np.int64),
+        lambda: np.zeros((10, 2), dtype=np.int32),
+        lambda: np.zeros((10, 2), dtype=">i8"),
+        lambda: np.zeros((10, 2), dtype=np.uint64),
+        lambda: read_only(np.zeros((10, 2), dtype=np.int64)),
+        lambda: np.zeros((10, 4), dtype=np.int64)[:, ::2],
+        lambda: np.zeros((2, 10), dtype=np.int64).T,
+        lambda: [[0, 0]] * 10,
+    ], ids=["columns", "rows", "int32", "big-endian", "uint64", "read-only", "strided",
+            "fortran", "list"])
+    def test_unusable_out_rejected(self, make):
+        with pytest.raises(ValidationError,
+                           match=re.escape("writeable C-contiguous int64 array of shape (10, 2)")):
+            sample_trajectories(two_state_chain(), 1, 10, seed=1, out=make())
 
     def test_parameter_validation(self):
         model = two_state_chain()
