@@ -23,6 +23,18 @@ not by the number of trajectories or of steps; :func:`transition_counts`
 counts a path array about ``2 * _CHUNK`` entries at a time.  A stream's
 first draws do not depend on how many follow, so a path sampled with more
 steps extends the shorter one.  Seeds range over ``[0, MAX_SEED]``.
+
+On the hot path (:func:`_philox_keys`, :func:`_mulhi`, :meth:`_GuideTable.search`)
+each numpy call pays only its own dispatch: constants are read-only 0-d
+arrays made at import (the seed's and the block's words, one-element arrays
+made once a call), outputs are the third positional argument, no array is
+updated by augmented assignment, and gathers call ``ndarray.take``.  On
+one-element uint64 arrays (Python 3.11, numpy 2.4, 2-CPU x86-64; see
+``BENCH_27.json``), ``np.right_shift(x, np.uint64(32), out=y)`` took 0.61 µs
+a call and ``np.right_shift(x, c, y)`` with a 0-d ``c`` 0.38 µs;
+``y >>= np.uint64(32)`` took 1.1 µs, and ``np.take(t, i, out=y, mode="clip")``
+1.3 µs against 0.23 to 0.35 µs for ``t.take(i, None, y, "clip")``.  A call
+whose output is also an input pays about 0.9 µs in either form.
 """
 
 from __future__ import annotations
@@ -329,6 +341,13 @@ def _chunk_rows(paths: np.ndarray) -> int:
     return max(1, 2 * _CHUNK // max(1, paths.shape[1]))
 
 
+def _constant(value: int, dtype=np.uint64) -> np.ndarray:
+    """``value`` as a read-only 0-d array: a ufunc operand that no call converts or overwrites."""
+    array = np.array(value, dtype=dtype)
+    array.setflags(write=False)
+    return array
+
+
 #: Bits of a key: Philox word ``w`` gives key ``w >> 11``, the uniform ``key * 2**-53``.
 _KEY_BITS = 53
 
@@ -368,33 +387,41 @@ class _GuideTable:
     thresholds: np.ndarray
     stride: int
 
+    def __post_init__(self):  # a key's bucket is key >> shift; row r's start at r * width
+        object.__setattr__(self, "shift", _constant(_KEY_BITS - self.bits, np.int64))
+        object.__setattr__(self, "width", _constant(1 << self.bits, np.int64))
+
     def search(self, rows: np.ndarray | int, keys: np.ndarray, out: np.ndarray,
                scratch: list[np.ndarray]) -> None:
         """``out[i]`` is the answer for ``keys[i]`` in row ``rows[i]``.
 
         ``keys`` and ``rows`` are int64 arrays, or ``rows`` is 0 for every
-        key; ``scratch`` is two int64 and one bool array of ``len(keys)``
-        entries.
+        key, which needs no row offsets; ``scratch`` is two int64 and one
+        bool array of ``len(keys)`` entries.
         """
         at, value, below = scratch
-        np.right_shift(keys, _KEY_BITS - self.bits, out=at)
-        np.multiply(rows, 1 << self.bits, out=value)
-        at += value
-        np.take(self.guide, at, out=value, mode="clip")  # every index is in range
+        np.right_shift(keys, self.shift, at)
+        if isinstance(rows, np.ndarray):
+            np.multiply(rows, self.width, value)
+            np.add(at, value, at)
+        self.guide.take(at, None, value, "clip")  # every index is in range
         if not self.depth:
-            np.copyto(out, value)  # np.take would copy through a temporary into a strided ``out``
+            out[...] = value  # take would copy through a temporary into a strided ``out``
             return
         # a lockstep binary search over all rows: a threshold at or below its
         # key moves ``at`` past it, so the passed ones start the step's gather
         at, value = value, at
         step = 1 << (self.depth.bit_length() - 1)
         while step:
-            np.take(self.thresholds[step - 1:], at, out=value, mode="clip")
-            np.less_equal(value, keys, out=below)
-            np.add(at, step, out=at, where=below)
+            self.thresholds[step - 1:].take(at, None, value, "clip")
+            np.less_equal(value, keys, below)
+            np.add(at, step, at, where=below)
             step >>= 1
-        np.multiply(rows, self.stride, out=value)
-        np.subtract(at, value, out=out)
+        if isinstance(rows, np.ndarray):
+            np.multiply(rows, self.stride, value)
+            np.subtract(at, value, out)
+        else:
+            out[...] = at
 
 
 def _guide_table(probabilities: np.ndarray) -> _GuideTable:
@@ -464,8 +491,26 @@ _PHILOX_ROUNDS = 10
 #: output lane j of a round reads input lanes _PHILOX_READS[j]
 _PHILOX_READS = ((1, 2), (2,), (0, 3), (0,))
 _MASK64 = (1 << 64) - 1
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
+_M0, _M1 = (_constant(m) for m in _PHILOX_M)
+#: each multiplier's low and high 32-bit halves, as _mulhi takes them
+_M0_HALVES, _M1_HALVES = ((_constant(m & 0xFFFFFFFF), _constant(m >> 32)) for m in _PHILOX_M)
+#: round r's key word k1 is index + r W1
+_ROUND_W1 = tuple(_constant(r * _PHILOX_W[1] & _MASK64) for r in range(_PHILOX_ROUNDS))
+_LOW32 = _constant(0xFFFFFFFF)
+_SHIFT32 = _constant(32)
+_KEY_SHIFT = _constant(64 - _KEY_BITS)
+
+
+def _live_lanes(width: int) -> tuple[tuple[bool, ...], ...]:
+    """Whether rounds 2 to 9 compute each output lane, for a block's first ``width`` words."""
+    live = [set(range(width))]
+    while len(live) < _PHILOX_ROUNDS - 2:  # the lanes of rounds 9 down to 2
+        live.append({i for lane in live[-1] for i in _PHILOX_READS[lane]})
+    return tuple(tuple(lane in lanes for lane in range(4)) for lanes in reversed(live))
+
+
+#: the lane schedule of each number of words a block returns
+_PHILOX_LIVE = {width: _live_lanes(width) for width in range(1, 5)}
 
 #: Trajectories sampled together.  Besides the paths it returns, the sampler
 #: holds ten uint64 Philox buffers of one chunk, two of which are the lookups'
@@ -479,7 +524,16 @@ _SHIFT32 = np.uint64(32)
 #: paths), 8,192 and 16,384 were the fastest, within 20% of one another;
 #: 4,096, 32,768 and 65,536 took 7% to 46% longer than 16,384.  Paths are
 #: counted and digested about ``2 * _CHUNK`` entries at a time
-#: (:func:`_chunk_rows`).
+#: (:func:`_chunk_rows`).  Measured and dropped: a contiguous buffer of the
+#: current states, in place of the strided path columns that the lookups
+#: read and write, made one-step sampling of the shipped chains slower (0.987
+#: of the time before the rounds' calls took their present form, against
+#: 0.918 without it) and gained 10% only at 1,000 steps and 16,384 paths;
+#: computing a chunk's Philox blocks in one pass, not block by block, took
+#: the wide-chain benchmark's three models from 10.64 to 10.88 ms; and
+#: giving each call of the rounds an output other than its inputs, which
+#: spares numpy's overlap handling, took about 5% longer on the shipped
+#: chains and the wide chain, for the extra memory traffic.
 _CHUNK = 1 << 14
 
 
@@ -492,61 +546,64 @@ def _philox_keys(seed: int, index: np.ndarray, block: int, buffers: list[np.ndar
     ``out`` is a uint64 array of shape ``(len(out), len(index))`` whose
     column ``i`` receives the keys of ``index[i]``; it is returned as int64.
     Each round computes only the lanes that later rounds read, walking back
-    from the words returned: output lane j of a round reads input lanes
-    ``_PHILOX_READS[j]``.  The rounds run in place in ``buffers``, ten uint64
-    arrays of ``len(index)`` entries.
+    from the words returned (``_PHILOX_LIVE``): output lane j of a round
+    reads input lanes ``_PHILOX_READS[j]``.  The rounds run in place in
+    ``buffers``, ten uint64 arrays of ``len(index)`` entries; nothing else is
+    written.
     """
-    live = [range(len(out))]
-    while len(live) < _PHILOX_ROUNDS - 1:  # the lanes of rounds 9 down to 2
-        live.append({i for lane in live[-1] for i in _PHILOX_READS[lane]})
     c0, c1, c2, c3, h0, h1, k1, *scratch = buffers
     # round 0 maps (block + 1, 0, 0, 0) to (k0, 0, hi(M0 (block + 1)) ^ k1, lo(M0 (block + 1))):
-    # scalars but for the key word k1 = index, so round 1's lane 2 is k1 ^ a scalar, lane 3 a fill
-    product = _PHILOX_M[0] * (block + 1)
-    np.bitwise_xor(index, np.uint64(product >> 64), out=c2)
-    _mulhi(_PHILOX_M[1], c2, h1, scratch)
-    h1 ^= np.uint64((seed + _PHILOX_W[0]) & _MASK64)
-    np.multiply(c2, np.uint64(_PHILOX_M[1]), out=c1)
-    np.add(index, np.uint64(_PHILOX_W[1]), out=h0)
-    h0 ^= np.uint64(((_PHILOX_M[0] * seed) >> 64) ^ (product & _MASK64))
-    c3.fill(np.uint64(_PHILOX_M[0] * seed & _MASK64))
+    # scalars but for the key word k1 = index, so round 1's lane 2 is k1 ^ a scalar, lane 3 a
+    # fill; these scalars and each round's key word k0 = seed + r W0 become operands at once
+    counter, key = _PHILOX_M[0] * (block + 1), _PHILOX_M[0] * seed
+    counter_hi, lane2, lane3, *k0 = np.array(
+        [counter >> 64, (key >> 64) ^ (counter & _MASK64), key & _MASK64,
+         *((seed + r * _PHILOX_W[0]) & _MASK64 for r in range(_PHILOX_ROUNDS))],
+        dtype=np.uint64)[:, None]
+    np.bitwise_xor(index, counter_hi, c2)
+    _mulhi(_M1_HALVES, c2, h1, scratch)
+    np.bitwise_xor(h1, k0[1], h1)
+    np.multiply(c2, _M1, c1)
+    np.add(index, _ROUND_W1[1], h0)
+    np.bitwise_xor(h0, lane2, h0)
+    c3[...] = lane3
     c0, c2, h1, h0 = h1, h0, c0, c2
-    for r in range(2, _PHILOX_ROUNDS):
-        lanes = live[_PHILOX_ROUNDS - 1 - r]
+    for r, (l0, l1, l2, l3) in enumerate(_PHILOX_LIVE[len(out)], 2):
         # (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))
-        if 0 in lanes:
-            _mulhi(_PHILOX_M[1], c2, h1, scratch)
-            h1 ^= c1
-            h1 ^= np.uint64((seed + r * _PHILOX_W[0]) & _MASK64)
-        if 1 in lanes:
-            np.multiply(c2, np.uint64(_PHILOX_M[1]), out=c1)
-        if 2 in lanes:
-            _mulhi(_PHILOX_M[0], c0, h0, scratch)
-            h0 ^= c3
-            h0 ^= np.add(index, np.uint64(r * _PHILOX_W[1] & _MASK64), out=k1)
-        if 3 in lanes:
-            np.multiply(c0, np.uint64(_PHILOX_M[0]), out=c3)
+        if l0:
+            _mulhi(_M1_HALVES, c2, h1, scratch)
+            np.bitwise_xor(h1, c1, h1)
+            np.bitwise_xor(h1, k0[r], h1)
+        if l1:
+            np.multiply(c2, _M1, c1)
+        if l2:
+            _mulhi(_M0_HALVES, c0, h0, scratch)
+            np.bitwise_xor(h0, c3, h0)
+            np.add(index, _ROUND_W1[r], k1)
+            np.bitwise_xor(h0, k1, h0)
+        if l3:
+            np.multiply(c0, _M0, c3)
         c0, c2, h1, h0 = h1, h0, c0, c2
     for word, row in zip((c0, c1, c2, c3), out):
-        np.right_shift(word, np.uint64(64 - _KEY_BITS), out=row)
+        np.right_shift(word, _KEY_SHIFT, row)
     return out.view(np.int64)
 
 
-def _mulhi(m: int, x: np.ndarray, out: np.ndarray, scratch: list[np.ndarray]) -> None:
-    """High 64-bit word of ``m * x`` into ``out``, via 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+def _mulhi(m: tuple, x: np.ndarray, out: np.ndarray, scratch: list[np.ndarray]) -> None:
+    """High word of ``m * x`` into ``out``; ``m`` is a multiplier's 32-bit halves, low first."""
+    m_lo, m_hi = m
     x_lo, x_hi, part = scratch
-    np.bitwise_and(x, _LOW32, out=x_lo)
-    np.right_shift(x, _SHIFT32, out=x_hi)
-    np.multiply(x_lo, m_lo, out=part)
-    part >>= _SHIFT32
-    x_lo *= m_hi
-    x_lo += part  # x_lo m_hi + (x_lo m_lo >> 32)
-    np.multiply(x_hi, m_lo, out=part)
-    x_hi *= m_hi
-    np.right_shift(part, _SHIFT32, out=out)
-    out += x_hi  # x_hi m_hi + (x_hi m_lo >> 32)
-    part &= _LOW32
-    x_lo += part  # the middle 32-bit column with its carry; < 2**64
-    x_lo >>= _SHIFT32
-    out += x_lo
+    np.bitwise_and(x, _LOW32, x_lo)
+    np.right_shift(x, _SHIFT32, x_hi)
+    np.multiply(x_lo, m_lo, part)
+    np.right_shift(part, _SHIFT32, part)
+    np.multiply(x_lo, m_hi, x_lo)
+    np.add(x_lo, part, x_lo)  # x_lo m_hi + (x_lo m_lo >> 32)
+    np.multiply(x_hi, m_lo, part)
+    np.multiply(x_hi, m_hi, x_hi)
+    np.right_shift(part, _SHIFT32, out)
+    np.add(out, x_hi, out)  # x_hi m_hi + (x_hi m_lo >> 32)
+    np.bitwise_and(part, _LOW32, part)
+    np.add(x_lo, part, x_lo)  # the middle 32-bit column with its carry; < 2**64
+    np.right_shift(x_lo, _SHIFT32, x_lo)
+    np.add(out, x_lo, out)

@@ -22,7 +22,10 @@ from wpi import (
     transition_counts,
     two_state_chain,
 )
-from wpi.markov import DISTRIBUTION_TOL, _CHUNK, _guide_table, _philox_keys, distribution_problems
+import wpi.markov
+from wpi.cli import main
+from wpi.markov import (DISTRIBUTION_TOL, _CHUNK, _guide_table, _mulhi, _philox_keys,
+                        distribution_problems)
 
 
 def read_only(array):
@@ -154,7 +157,10 @@ def row_problem(vector):
 
 
 def guide_search(table, rows, keys):
-    keys = np.asarray(keys, dtype=np.int64)
+    # read-only inputs: a search writes only to its ``out`` and ``scratch``
+    keys = read_only(np.array(keys, dtype=np.int64))
+    if not isinstance(rows, int):
+        rows = read_only(np.array(rows, dtype=np.int64))
     out = np.empty(len(keys), dtype=np.int64)
     scratch = [*np.empty((2, len(keys)), dtype=np.int64), np.empty(len(keys), dtype=bool)]
     table.search(rows, keys, out, scratch)
@@ -438,6 +444,31 @@ class TestPhiloxStreams:
         assert got.dtype == np.int64 and got.min() >= 0 and got.max() < 2**53
         assert np.array_equal(got * 2.0**-53, np.array(expected))
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_keys_write_only_out_and_buffers(self, width):
+        # every call names its output positionally, where a swapped argument
+        # would write into ``index`` without an error
+        index = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
+        given = index.copy()
+        buffers = [np.empty(len(index), dtype=np.uint64) for _ in range(10)]
+        for block in (0, 1):
+            _philox_keys(MAX_SEED, given, block, buffers,
+                         np.empty((width, len(index)), dtype=np.uint64))
+            assert np.array_equal(given, index)
+
+    @pytest.mark.parametrize("halves", ["_M0_HALVES", "_M1_HALVES"])
+    def test_mulhi_equals_the_python_int_product(self, halves):
+        # the edge words carry into every 32-bit column of the product
+        m = PHILOX_CONSTANTS[halves.replace("_HALVES", "")]
+        words = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1,
+                 *np.random.default_rng(17).integers(0, 2**64, 10_000, dtype=np.uint64).tolist()]
+        x = read_only(np.array(words, dtype=np.uint64))
+        out = np.empty(len(words), dtype=np.uint64)
+        scratch = list(np.empty((3, len(words)), dtype=np.uint64))
+        _mulhi(getattr(wpi.markov, halves), x, out, scratch)
+        assert out.tolist() == [(m * w) >> 64 for w in words]
+        assert x.tolist() == words
+
     @pytest.mark.parametrize("seed", [0, 42, 2**53 + 1, MAX_SEED])
     def test_paths_match_numpy_across_a_chunk_boundary(self, seed):
         model = eight_state_chain()
@@ -471,6 +502,57 @@ class TestPhiloxStreams:
         paths = sample_trajectories(model, 1, _CHUNK + 2, seed=seed)
         for i in (0, _CHUNK - 1, _CHUNK, _CHUNK + 1):
             assert paths[i].tolist() == oracle_path(model, 1, seed, i)
+
+
+#: Every constant array that wpi.markov holds at module level, by name, as
+#: the integers that define it.
+PHILOX_CONSTANTS = {
+    "_M0": 0xD2E7470EE14C6C93,
+    "_M1": 0xCA5A826395121157,
+    "_M0_HALVES": (0xE14C6C93, 0xD2E7470E),
+    "_M1_HALVES": (0x95121157, 0xCA5A8263),
+    "_ROUND_W1": tuple(r * 0xBB67AE8584CAA73B % 2**64 for r in range(10)),
+    "_LOW32": 2**32 - 1,
+    "_SHIFT32": 32,
+    "_KEY_SHIFT": 64 - 53,
+}
+
+
+def held_arrays(value):
+    """The arrays in ``value``: itself, or those in its tuples and dict values."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, (tuple, list)):
+        return [array for item in value for array in held_arrays(item)]
+    return []
+
+
+class TestSamplerConstants:
+    """The module-level operands that every sampler call shares."""
+
+    def test_every_constant_array_is_listed(self):
+        held = {name for name, value in vars(wpi.markov).items() if held_arrays(value)}
+        assert held == set(PHILOX_CONSTANTS)
+
+    @pytest.mark.parametrize("name", sorted(PHILOX_CONSTANTS))
+    def test_constants_are_read_only(self, name):
+        for array in held_arrays(getattr(wpi.markov, name)):
+            # checked before any write, so a writeable one is not overwritten
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                np.add(array, array, array)
+
+    def test_constants_keep_their_values_through_a_report(self, tmp_path):
+        assert main(["report", "--assert", "--out", str(tmp_path)]) == 0
+        for name, expected in PHILOX_CONSTANTS.items():
+            arrays = held_arrays(getattr(wpi.markov, name))
+            assert all(a.shape == () and a.dtype == np.uint64 for a in arrays), name
+            got = tuple(int(a) for a in arrays)
+            assert got == (expected if isinstance(expected, tuple) else (expected,)), name
 
 
 class TestStationary:
