@@ -54,13 +54,6 @@ class BoundCheckResult:
     estimator: Estimator
     empirical_ift: float
 
-    def __post_init__(self):
-        _check_delta(self.delta)
-        if self.samples < 1:
-            raise ValidationError(f"samples must be >= 1, got {self.samples}")
-        if self.holds != (self.lhs <= self.rhs):
-            raise ValidationError("holds flag is inconsistent with lhs <= rhs")
-
 
 @dataclass(frozen=True)
 class IftCheckResult:
@@ -95,9 +88,6 @@ class CoupledSuiteResult:
     estimator: Estimator
     checks: tuple[BoundCheckResult, ...]
     check_weights: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_delta(self.delta)
 
     @property
     def rate_standard_error(self) -> float:
@@ -160,7 +150,8 @@ def ift_check(table: ModelTable, counts: np.ndarray) -> IftCheckResult:
     c_mean, c_se = _counted_mean_se(table.ift, counts)
     s_mean = s_se = None
     if table.sigma is not None:
-        s_mean, s_se = _counted_mean_se(2.0 ** (-table.sigma), counts)
+        with np.errstate(over="ignore"):  # sigma < -1024 on an edge: 2**(-sigma) is inf
+            s_mean, s_se = _counted_mean_se(2.0 ** (-table.sigma), counts)
     return IftCheckResult(
         complexity_mean=c_mean,
         complexity_se=c_se,
@@ -275,6 +266,7 @@ def coupled_bound_suite(table: ModelTable, counts: np.ndarray, delta: float) -> 
     observed counts, the ``(source, target)`` matrix of
     :func:`~wpi.markov.transition_counts`.
     """
+    _check_delta(delta)  # before the counts, and whether or not any pair is checked
     model, k = table.model, np.array(table.k)
     counts = _check_counts(model, counts)
 
@@ -343,7 +335,9 @@ def _counted_mean_se(values: np.ndarray, counts: np.ndarray) -> tuple[float, flo
     """Mean and standard error of per-pair values weighted by observed counts."""
     n = int(counts.sum())
     finite = np.isfinite(values)
-    v = np.where(finite, values, 0.0)  # inf surprisal contributes 2**-inf == 0
+    # an unsampled +inf weight (2**(-sigma) with sigma < -1024) times its 0
+    # count would be NaN; 2**-inf, the weight of sigma = +inf, is already 0
+    v = np.where(finite, values, 0.0)
     mean = float((v * counts).sum() / n)
     if n > 1:
         variance = float((counts * (v - mean) ** 2).sum() / (n - 1))

@@ -9,7 +9,8 @@ tagged with the estimator that produced it:
     enumerating programs in canonical order, and computed without running
     any: as a shortest path over the prefixes of the state, which gives
     the same length (``docs/reference_machine.md``, "Computing K").  Exact
-    relative to that machine.
+    relative to that machine.  :func:`wpi.machine.shortest_length` computes
+    it per call; nothing is memoized.
 
 ``lz-proxy``
     LZ78 dictionary codelength.  Scales to long strings; the estimate is
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ValidationError
-from .machine import cached_shortest_length, is_binary
+from .machine import is_binary, shortest_length
 
 #: Separator used when concatenating strings for conditional estimates.
 SEPARATOR = "|"
@@ -93,10 +94,6 @@ class ComplexityEstimate:
     estimator: Estimator
     conditional_on: CoarseState | None = None
 
-    def __post_init__(self):
-        if self.bits < 0:
-            raise ValidationError(f"complexity estimate must be >= 0 bits, got {self.bits}")
-
 
 def lz78_codelength(symbols: str) -> int:
     """Total emitted bits for the declared LZ78 coder."""
@@ -112,7 +109,7 @@ def complexity_lz(x: CoarseState) -> ComplexityEstimate:
 
 def complexity_exact(x: CoarseState) -> ComplexityEstimate:
     """Length of the shortest reference-machine program producing ``x``."""
-    return ComplexityEstimate(bits=cached_shortest_length(x.bits), estimator=Estimator.EXACT_ENUM)
+    return ComplexityEstimate(bits=shortest_length(x.bits), estimator=Estimator.EXACT_ENUM)
 
 
 def conditional_complexity(x: CoarseState, y: CoarseState, estimator: Estimator) -> ComplexityEstimate:
@@ -126,7 +123,7 @@ def conditional_complexity(x: CoarseState, y: CoarseState, estimator: Estimator)
     if estimator is Estimator.LZ_PROXY:
         bits = _lz_conditional(x.bits, y.bits)
     else:
-        bits = cached_shortest_length(x.bits, y.bits)
+        bits = shortest_length(x.bits, y.bits)
     return ComplexityEstimate(bits=bits, estimator=estimator, conditional_on=y)
 
 

@@ -42,15 +42,15 @@ enumeration with ``max_len >= len(x) + 3`` always succeeds.
 
 Enumeration (:meth:`ReferenceMachine.shortest_program`) is the executable
 definition of K and the test oracle.  The estimators call
-:func:`cached_shortest_length`, which finds the same length as a shortest
-path over the prefixes of the target (see ``docs/reference_machine.md``).
+:func:`shortest_length`, which finds the same length as a shortest path
+over the prefixes of the target (see ``docs/reference_machine.md``).  K is
+computed per call and nothing is memoized.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .errors import EnumerationBudgetExceeded, ValidationError
@@ -168,9 +168,8 @@ class ReferenceMachine:
 DEFAULT_MACHINE = ReferenceMachine()
 
 
-@lru_cache(maxsize=65536)
-def cached_shortest_length(target: str, aux: str = "") -> int:
-    """Memoized K(target | aux) on the default machine, without enumeration.
+def shortest_length(target: str, aux: str = "") -> int:
+    """K(target | aux) on the default machine, without enumeration.
 
     Every instruction only appends, so a program producing ``target``
     passes only through its prefixes, and no shortest program carries

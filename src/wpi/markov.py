@@ -42,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import reprlib
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -290,24 +291,13 @@ def transition_counts(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
     """Count matrix of observed (source, target) transitions in ``paths``.
 
     ``paths`` is a 2-D integer array of state indices in ``[0, n_states)``.
-    The pairs are checked, coded and counted :func:`_chunk_rows` rows at a
+    The pairs are checked, coded and counted :func:`_path_chunks` at a
     time, so the temporaries hold about ``2 * _CHUNK`` entries, however
     long the paths.
     """
-    paths = np.asarray(paths)
-    if paths.ndim != 2 or paths.dtype.kind not in "iu":
-        raise ValidationError(f"paths must be a 2-D integer array, got {paths.ndim}-D {paths.dtype}")
-    unsigned = paths.view(paths.dtype.str.replace("i", "u"))  # a negative index reads as >= n
     n = model.n_states
     counts = np.zeros(n * n, dtype=np.intp)
-    chunk = _chunk_rows(paths)
-    for lo in range(0, len(paths), chunk):
-        rows = paths[lo:lo + chunk]
-        if unsigned[lo:lo + chunk].max(initial=0) >= n:
-            r, c = np.argwhere((rows < 0) | (rows >= n))[0]
-            raise ValidationError(
-                f"paths[{lo + r}, {c}] = {rows[r, c]} is not a state index in [0, {n})"
-            )
+    for rows in _path_chunks(paths, n):
         pairs = rows[:, :-1] * n
         pairs += rows[:, 1:]
         counts += np.bincount(pairs.ravel(), minlength=n * n)
@@ -318,8 +308,8 @@ def path_digest(paths: np.ndarray, n: int) -> str:
     """sha256 of ``paths`` written as ``"a,b,...;"`` per row, rows in order.
 
     ``paths`` is a 2-D integer array of state indices in ``[0, n)``, as
-    :func:`sample_trajectories` returns it.  The rows are hashed
-    :func:`_chunk_rows` at a time, so the temporaries hold about
+    :func:`sample_trajectories` returns it.  The rows are checked and
+    hashed :func:`_path_chunks` at a time, so the temporaries hold about
     ``2 * _CHUNK`` entries, however long the paths.
     """
     # token s (or n + s) is state s followed by "," (or by ";", row end),
@@ -328,17 +318,32 @@ def path_digest(paths: np.ndarray, n: int) -> str:
     tokens = np.array([f"{s}{end}".encode() for end in ",;" for s in range(n)],
                       dtype=f"S{len(str(n - 1)) + 1}")
     digest = hashlib.sha256()
-    chunk = _chunk_rows(paths)
-    for lo in range(0, len(paths), chunk):
-        codes = paths[lo:lo + chunk].copy()
+    for rows in _path_chunks(paths, n):
+        codes = rows.copy()
         codes[:, -1] += n
         digest.update(tokens[codes].tobytes().replace(b"\0", b""))
     return digest.hexdigest()
 
 
-def _chunk_rows(paths: np.ndarray) -> int:
-    """Rows of ``paths`` read together: about ``2 * _CHUNK`` entries, and at least one row."""
-    return max(1, 2 * _CHUNK // max(1, paths.shape[1]))
+def _path_chunks(paths: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """The rows of ``paths``, about ``2 * _CHUNK`` entries (and at least one row) at a time.
+
+    The one owner of the path-array rule: a 2-D integer array of state
+    indices in ``[0, n)``, each chunk checked before it is yielded.
+    """
+    paths = np.asarray(paths)
+    if paths.ndim != 2 or paths.dtype.kind not in "iu":
+        raise ValidationError(f"paths must be a 2-D integer array, got {paths.ndim}-D {paths.dtype}")
+    unsigned = paths.view(paths.dtype.str.replace("i", "u"))  # a negative index reads as >= n
+    chunk = max(1, 2 * _CHUNK // max(1, paths.shape[1]))
+    for lo in range(0, len(paths), chunk):
+        rows = paths[lo:lo + chunk]
+        if unsigned[lo:lo + chunk].max(initial=0) >= n:
+            r, c = np.argwhere((rows < 0) | (rows >= n))[0]
+            raise ValidationError(
+                f"paths[{lo + r}, {c}] = {rows[r, c]} is not a state index in [0, {n})"
+            )
+        yield rows
 
 
 def _constant(value: int, dtype=np.uint64) -> np.ndarray:
@@ -524,7 +529,7 @@ _PHILOX_LIVE = {width: _live_lanes(width) for width in range(1, 5)}
 #: paths), 8,192 and 16,384 were the fastest, within 20% of one another;
 #: 4,096, 32,768 and 65,536 took 7% to 46% longer than 16,384.  Paths are
 #: counted and digested about ``2 * _CHUNK`` entries at a time
-#: (:func:`_chunk_rows`).  Measured and dropped: a contiguous buffer of the
+#: (:func:`_path_chunks`).  Measured and dropped: a contiguous buffer of the
 #: current states, in place of the strided path columns that the lookups
 #: read and write, made one-step sampling of the shipped chains slower (0.987
 #: of the time before the rounds' calls took their present form, against

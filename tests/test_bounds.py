@@ -1,13 +1,13 @@
 """Fluctuation-theorem identities, tail bounds, and efficiency bound checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from wpi import (
-    BoundCheckResult,
     CoarseState,
     Estimator,
     ImpossibleTransitionError,
@@ -74,6 +74,22 @@ class TestIftCheck:
 
     def test_analytic_expectation_is_exactly_one_for_shipped_chain(self):
         assert analytic_surprisal_expectation(four_state_chain()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_overflowing_unsampled_reverse_edges_warn_nothing(self):
+        # a cycle whose reverse edges have probability 1e-310: sigma is about
+        # -1030 bits on each of them, so 2**(-sigma) overflows where no
+        # transition was sampled, and the control reads the forward edges only
+        tiny = 1e-310
+        states = [CoarseState(s) for s in ("00", "01", "10")]
+        model = MarkovModel(states, [[0.0, 1.0, tiny], [tiny, 0.0, 1.0], [1.0, tiny, 0.0]],
+                            [1.0, 0.0, 0.0])
+        counts = sampled_counts(model, 3, 100, seed=8)
+        assert counts.sum() == counts[[0, 1, 2], [1, 2, 0]].sum() == 300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = ift_check(model_table(model, Estimator.EXACT_ENUM), counts)
+        assert result.surprisal_mean == 2.0 ** -(math.log2(1.0 / 3) - math.log2(tiny / 3))
+        assert result.surprisal_se == 0.0
 
     def test_non_ergodic_chain_rejected_for_control(self):
         states = [CoarseState("0"), CoarseState("1")]
@@ -591,7 +607,7 @@ class TestCoupledSuites:
     @pytest.mark.parametrize("delta", [1.5, math.nan, 0.0])
     def test_bad_delta_rejected_without_checked_pairs(self, estimator, delta):
         # both two-state states have the same K under either estimator, so no
-        # sampled pair is checked and only the suite's own result sees delta
+        # sampled pair is checked and only the suite's entry check sees delta
         model = two_state_chain()
         counts = sampled_counts(model, 1, 1_000, seed=53)
         table = model_table(model, estimator)
@@ -647,13 +663,3 @@ class TestModelTable:
         suite = coupled_bound_suite(table, counts, 0.05)
         assert suite.checks
         assert all(type(check.empirical_ift) is float for check in suite.checks)
-
-
-class TestBoundCheckResult:
-    def test_delta_range_validated(self):
-        with pytest.raises(ValidationError):
-            BoundCheckResult(0.0, 1.0, True, 1.0, 1.5, 1, None, None)
-
-    def test_holds_consistency_validated(self):
-        with pytest.raises(ValidationError):
-            BoundCheckResult(2.0, 1.0, True, -1.0, 0.5, 1, None, None)

@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import pkgutil
 import platform
 import random
 import re
@@ -662,6 +663,25 @@ class TestDeterminism:
         assert run(["check-bounds", "--config", config, "--out", out_b]) == 0
         assert stripped(load_report(out_a)) == stripped(load_report(out_b))
 
+    def test_no_wpi_module_keeps_a_cache(self):
+        # every wpi call computes what it returns: no memo survives a call
+        names = [f"wpi.{m.name}" for m in pkgutil.iter_modules(wpi.__path__)]
+        owners = [importlib.import_module(name) for name in ["wpi", *names]]
+        owners += [v for m in owners for v in vars(m).values()
+                   if isinstance(v, type) and v.__module__ == m.__name__]
+        cached = [f"{getattr(o, '__name__', o)}.{k}" for o in owners for k, v in vars(o).items()
+                  if hasattr(v, "cache_info") or hasattr(v, "cache_clear")]
+        assert cached == []
+
+    def test_warm_process_writes_what_a_fresh_one_writes(self, tmp_path):
+        # the shipped config twice in one process: the second run starts warm
+        texts = []
+        for name in ("a", "b"):
+            assert run(["report", "--assert", "--out", tmp_path / name]) == 0
+            text = (tmp_path / name / "report.json").read_text()
+            texts.append(re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', text))
+        assert texts[0] == texts[1]
+
     def test_seed_override_changes_results(self, tmp_path):
         config = small_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -893,8 +913,10 @@ def oracle_text(value):
 def ring_config(tmp_path, estimator):
     """A seeded ring of 24 periodic and random states of 8-13 bits, plus a slow chain.
 
-    Stay 3/4, forward 3/16, back 1/16 on the ring; the slow chain mixes too
-    slowly for the power iteration, as in the wide-chain benchmark.
+    Stay 3/4, forward 3/16, back 1/16 on the ring; the slow chain, as in the
+    wide-chain benchmark, mixes so slowly (switching rates 1e-6 and 3e-6)
+    that its stationary law needs the direct solve's cancellation-free
+    diagonal.
     """
     rng = random.Random(f"ring:{estimator}")
     states = set()

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from wpi import CoarseState, EnumerationBudgetExceeded, ValidationError, complexity_exact
-from wpi.machine import DEFAULT_MACHINE, STEP_BUDGET, ReferenceMachine, cached_shortest_length
+from wpi.machine import DEFAULT_MACHINE, STEP_BUDGET, ReferenceMachine, shortest_length
 
 #: Strings that only look binary: non-ASCII digits and a superscript one,
 #: and 64,000-bit strings spoiled at their last character.
@@ -112,7 +112,7 @@ class TestEnumeration:
 
 
 class TestPrefixShortestPath:
-    """``cached_shortest_length`` against enumeration, its definition."""
+    """``shortest_length`` against enumeration, its definition."""
 
     AUXES = ("", "0", "1", "01", "10", "0110", "1011", "111", "00000")
 
@@ -124,7 +124,7 @@ class TestPrefixShortestPath:
         for n in range(11):
             for i in range(1 << n):
                 x = format(i, f"0{n}b") if n else ""
-                assert cached_shortest_length(x, aux) == table[x], (x, aux)
+                assert shortest_length(x, aux) == table[x], (x, aux)
 
     def test_sixteen_bit_lengths_are_minimal(self):
         # Enumeration up to 13 bits is cheap; every 16-bit string it can
@@ -135,7 +135,7 @@ class TestPrefixShortestPath:
         sample |= {"01" * 8} | {x for x in table if len(x) == 16}
         kept = []
         for x in sorted(sample):
-            k = cached_shortest_length(x)
+            k = shortest_length(x)
             assert (k <= 13) == (x in table), x
             if k <= 13:
                 kept.append(x)
@@ -146,26 +146,25 @@ class TestPrefixShortestPath:
 
     def test_rejects_oversized_target(self):
         with pytest.raises(ValidationError, match="limited to 16"):
-            cached_shortest_length("0" * 17)
+            shortest_length("0" * 17)
 
     @pytest.mark.parametrize("target, aux", [("01", "0x"), ("0x", ""), ("01", "2")])
     def test_rejects_non_binary(self, target, aux):
         with pytest.raises(ValidationError):
-            cached_shortest_length(target, aux)
+            shortest_length(target, aux)
 
     @pytest.mark.parametrize("bits", NOT_BINARY.values(), ids=NOT_BINARY.keys())
     def test_rejects_look_alikes_and_long_spoilt_strings(self, bits):
         # the alphabet is checked before the 16-bit limit on the target
         with pytest.raises(ValidationError, match="target must contain only"):
-            cached_shortest_length(bits)
+            shortest_length(bits)
         with pytest.raises(ValidationError, match="aux must contain only"):
-            cached_shortest_length("01", bits)
+            shortest_length("01", bits)
 
     def test_estimator_runs_no_program(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the exact estimator must not run programs")
 
-        cached_shortest_length.cache_clear()
         monkeypatch.setattr(ReferenceMachine, "run", refuse)
         x = "0110100110010110"  # incompressible: K = 16 + 3
         assert complexity_exact(CoarseState(x)).bits == len(x) + 3

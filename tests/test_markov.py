@@ -25,7 +25,7 @@ from wpi import (
 import wpi.markov
 from wpi.cli import main
 from wpi.markov import (DISTRIBUTION_TOL, _CHUNK, _guide_table, _mulhi, _philox_keys,
-                        distribution_problems)
+                        distribution_problems, path_digest)
 
 
 def read_only(array):
@@ -284,6 +284,25 @@ class TestSampling:
         # float array and a 1-D array raised bare numpy errors
         with pytest.raises(ValidationError, match=message):
             transition_counts(two_state_chain(), paths)
+
+    @pytest.mark.parametrize("paths, message", [
+        (np.array([[0, -3]]), r"paths\[0, 1\] = -3 is not a state index in \[0, 2\)"),
+        (np.array([[0, -1]]), r"paths\[0, 1\] = -1 is not a state index in \[0, 2\)"),
+        (np.array([[0, 2]]), r"paths\[0, 1\] = 2 is not a state index in \[0, 2\)"),
+        (np.array([[1, 0], [0, 1], [1, 7]], dtype=np.int8), r"paths\[2, 1\] = 7"),
+        (np.array([[0.0, 1.0]]), "2-D integer array, got 2-D float64"),
+    ])
+    def test_path_digest_rejects_what_is_not_a_path_array(self, paths, message):
+        # [[0, -3]] hashed as [[0, 1]] and [[0, -1]] as a token past the
+        # states; 2 and 7 raised a bare numpy IndexError
+        with pytest.raises(ValidationError, match=message):
+            path_digest(paths, 2)
+
+    def test_path_digest_checks_every_chunk(self):
+        paths = np.zeros((_CHUNK + 3, 3), dtype=np.int64)
+        paths[_CHUNK + 1, 2] = -2
+        with pytest.raises(ValidationError, match=rf"paths\[{_CHUNK + 1}, 2\] = -2"):
+            path_digest(paths, 2)
 
     def test_transition_counts_checks_every_chunk(self):
         paths = np.zeros((_CHUNK + 3, 3), dtype=np.int64)
