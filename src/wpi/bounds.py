@@ -334,11 +334,12 @@ def _check_sampled_counts(model: MarkovModel, counts: np.ndarray) -> tuple[np.nd
 def _counted_mean_se(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of per-pair values weighted by observed counts."""
     n = int(counts.sum())
-    finite = np.isfinite(values)
     # an unsampled +inf weight (2**(-sigma) with sigma < -1024) times its 0
-    # count would be NaN; 2**-inf, the weight of sigma = +inf, is already 0
-    v = np.where(finite, values, 0.0)
+    # count would be NaN; a sampled one makes the mean and its SE +inf
+    v = np.where(counts != 0, values, 0.0)
     mean = float((v * counts).sum() / n)
+    if mean == math.inf:
+        return mean, math.inf
     if n > 1:
         variance = float((counts * (v - mean) ** 2).sum() / (n - 1))
     else:

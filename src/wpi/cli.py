@@ -101,8 +101,8 @@ def main(argv=None) -> int:
             if args.command == "compare" and not bundle["comparison"]:
                 raise ValidationError("comparison requires at least 2 traces sharing one suite")
         if args.command in ("simulate", "check-bounds", "report"):
-            # one sample per model serves both sections, and each model is
-            # drawn into the one path array of the run
+            # one sample per model serves both sections; each model's paths
+            # stream through the run's one chunk buffer and are never held
             bundle["simulations"], bundle["bound_checks"], bundle["gates"] = model_sections(
                 config, getattr(args, "steps", 1),
                 simulate=args.command != "check-bounds", check=args.command != "simulate")

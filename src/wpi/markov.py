@@ -5,11 +5,12 @@ counter-based stream keyed ``(seed, i)``: the same doubles that
 ``numpy.random.Generator(numpy.random.Philox(key=[seed, i])).random()``
 returns.  Because the generator is counter-based, the sampler computes those
 streams as array arithmetic over the trajectory indices of one chunk at a
-time, and returns the paths as one integer array.  Given ``out``, a
-writeable C-contiguous int64 array of the paths' shape, it overwrites every
-entry of that array instead of allocating one, so a run that samples several
-models of one shape in turn holds one path array, and the kernel need not
-zero-fill fresh pages for each model.  Each double is a 53-bit
+time.  It returns the paths as one integer array, or, given a consumer,
+passes each chunk of rows to it while the chunk is still in cache and makes
+no array of all the paths: a :class:`PathTally` consumer counts and hashes
+the chunks as they are drawn, so a run holds one chunk of paths however
+many it samples, and a run that samples several models of one shape in turn
+draws them all into one :func:`path_buffer`.  Each double is a 53-bit
 integer key times ``2**-53``, and the sampler works on the keys: a state is
 picked by an exact guide-table lookup (a shift and a gather, and a binary
 search within the bucket where CDF entries fall inside it; see
@@ -18,11 +19,12 @@ row's CDF for the double.  A Philox block gives four keys; the sampler
 draws one block of a chunk, runs its steps' lookups and then draws the
 next, and each block's rounds compute only the lanes that its keys read.
 The rounds and the lookups run in place in buffers of one chunk, so the
-working memory beyond the path array and the tables is set by ``_CHUNK``,
-not by the number of trajectories or of steps; :func:`transition_counts`
-counts a path array about ``2 * _CHUNK`` entries at a time.  A stream's
-first draws do not depend on how many follow, so a path sampled with more
-steps extends the shorter one.  Seeds range over ``[0, MAX_SEED]``.
+working memory beyond the paths written (all of them, or one chunk) and the
+tables is set by ``_CHUNK``, not by the number of trajectories or of steps;
+:class:`PathTally` counts and hashes paths about ``_CHUNK`` entries at a
+time.  A stream's first draws do not depend on how many follow, so a path
+sampled with more steps extends the shorter one.  Seeds range over
+``[0, MAX_SEED]``.
 
 On the hot path (:func:`_philox_keys`, :func:`_mulhi`, :meth:`_GuideTable.search`)
 each numpy call pays only its own dispatch: constants are read-only 0-d
@@ -42,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import reprlib
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -225,7 +227,8 @@ def stationary_distribution(kernel: np.ndarray) -> np.ndarray:
 
 
 def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int,
-                        out: np.ndarray | None = None) -> np.ndarray:
+                        out: np.ndarray | None = None,
+                        each: Callable[[np.ndarray], object] | None = None) -> np.ndarray | None:
     """Sample ``count`` paths of ``steps`` transitions each.
 
     Returns an int64 array of shape ``(count, steps + 1)`` whose row ``i``
@@ -233,47 +236,45 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int,
     draws its ``steps + 1`` uniforms from ``Philox(key=(seed, i))``: the
     first picks the initial state, the others one transition each.  Given
     ``out``, a writeable C-contiguous int64 array of that shape, the paths
-    overwrite every entry of it and ``out`` is returned; anything else as
+    overwrite every entry of it and ``out`` is returned.
+
+    Given a consumer ``each``, no array of all the paths is made and None is
+    returned: the rows are drawn ``len(out)`` at a time into ``out``, a
+    writeable C-contiguous int64 array of ``steps + 1`` columns (by default
+    :func:`path_buffer`), and each filled block of them is passed to
+    ``each``, in row order, before the next block overwrites it.  Any other
     ``out`` is a :class:`ValidationError`.
     """
-    for name, value in (("steps", steps), ("count", count), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if steps < 1:
-        raise ValidationError(f"steps must be >= 1, got {steps}")
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
+    _check_sample_size(steps, count)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed <= MAX_SEED:
         raise ValidationError(f"seed must be an integer in [0, 2**63 - 1], got {seed!r}")
     seed = int(seed)
 
-    shape = (count, steps + 1)
     if out is None:
-        try:
-            out = np.empty(shape, dtype=np.int64)
-        except (MemoryError, ValueError):  # ValueError: more bytes than numpy can address
-            raise ValidationError(
-                f"cannot allocate the sampled paths: an int64 array of shape "
-                f"{shape} needs {count * (steps + 1) * 8} bytes"
-            ) from None
-    elif not (isinstance(out, np.ndarray) and out.dtype == np.int64 and out.shape == shape
-              and out.flags.c_contiguous and out.flags.writeable):
+        out = _empty_paths(count, steps) if each is None else path_buffer(steps, count)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.int64
+              and out.flags.c_contiguous and out.flags.writeable
+              and (out.shape == (count, steps + 1) if each is None
+                   else out.ndim == 2 and out.shape[1] == steps + 1 and len(out) > 0)):
+        want = (f"of shape {(count, steps + 1)}" if each is None
+                else f"of at least one row and {steps + 1} columns")
         got = (f"a {'writeable' if out.flags.writeable else 'read-only'} "
                f"{'' if out.flags.c_contiguous else 'non-'}C-contiguous {out.dtype} "
                f"array of shape {out.shape}" if isinstance(out, np.ndarray) else reprlib.repr(out))
-        raise ValidationError(
-            f"out must be a writeable C-contiguous int64 array of shape {shape}, got {got}"
-        )
+        raise ValidationError(f"out must be a writeable C-contiguous int64 array {want}, got {got}")
 
     initial = _guide_table(model.initial[None, :])
     kernel = _guide_table(model.kernel)
-    chunk_rows = min(count, _CHUNK)
+    per_chunk = _CHUNK if each is None else len(out)
+    chunk_rows = min(count, per_chunk)
     buffers = [np.empty(chunk_rows, dtype=np.uint64) for _ in range(10)]
     keys = np.empty((4, chunk_rows), dtype=np.uint64)
     below = np.empty(chunk_rows, dtype=bool)
-    for lo in range(0, count, _CHUNK):
-        index = np.arange(lo, min(lo + _CHUNK, count), dtype=np.uint64)
-        path = out[lo:lo + len(index)]
+    for lo in range(0, count, per_chunk):
+        index = np.arange(lo, min(lo + per_chunk, count), dtype=np.uint64)
+        path = out[lo:lo + len(index)] if each is None else out[:len(index)]
         chunk = [b[:len(index)] for b in buffers]
         # a block's words are shifted into ``keys`` before its lookups use chunk[:2]
         scratch = [*(b.view(np.int64) for b in chunk[:2]), below[:len(index)]]
@@ -284,58 +285,169 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int,
                     kernel.search(path[:, k - 1], key, path[:, k], scratch)
                 else:
                     initial.search(0, key, path[:, 0], scratch)
-    return out
+        if each is not None:
+            each(path)
+    return out if each is None else None
+
+
+def path_buffer(steps: int, count: int) -> np.ndarray:
+    """Uninitialised rows of ``steps + 1`` int64 entries, ``min(count, _CHUNK)`` of them.
+
+    The block buffer in which ``sample_trajectories(..., each=...)`` draws
+    ``count`` paths of ``steps`` transitions; a run that samples several
+    models of one shape in turn draws every one of them into one buffer, so
+    the kernel need not zero-fill fresh pages for each model.
+    """
+    _check_sample_size(steps, count)
+    return _empty_paths(min(count, _CHUNK), steps)
+
+
+def _check_sample_size(steps: int, count: int) -> None:
+    for name, value in (("steps", steps), ("count", count)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if steps < 1:
+        raise ValidationError(f"steps must be >= 1, got {steps}")
+    if count < 1:
+        raise ValidationError(f"count must be >= 1, got {count}")
+
+
+def _empty_paths(rows: int, steps: int) -> np.ndarray:
+    shape = (int(rows), int(steps) + 1)
+    try:
+        return np.empty(shape, dtype=np.int64)
+    except (MemoryError, ValueError):  # ValueError: more bytes than numpy can address
+        raise ValidationError(
+            f"cannot allocate the sampled paths: an int64 array of shape "
+            f"{shape} needs {shape[0] * shape[1] * 8} bytes"
+        ) from None
+
+
+class PathTally:
+    """Transition counts and the path digest of rows of paths added in order.
+
+    :meth:`add` takes the rows of a sample in row order, in blocks of any
+    size, and works about ``_CHUNK`` entries at a time.  ``first_counts``
+    is the (source, target) matrix of each path's first step, ``counts``
+    that of every step, ``digest`` the sha256 of :func:`path_digest`, and
+    ``first_path`` row 0 as a list.  Without ``count`` (or ``digest``) the
+    counts (or the digest) are not kept.
+    """
+
+    def __init__(self, n: int, count: bool = True, digest: bool = True):
+        self.n = n
+        self.rows = 0
+        self.first_path: list[int] | None = None
+        self._first = np.zeros(n * n, dtype=np.intp) if count else None
+        self._later = np.zeros(n * n, dtype=np.intp) if count else None
+        self._sha = hashlib.sha256() if digest else None
+        if digest:
+            # state s's token within a row, s and ",", and at a row's end, s
+            # and ";", NUL-padded to the widest token; the text has no NUL,
+            # so dropping them after the gather leaves the tokens joined
+            width = len(str(n - 1)) + 1
+            self._padded = n > 10  # state 10's token is wider than state 0's
+            self._inner, self._end = (
+                np.array([f"{s}{end}".encode() for s in range(n)], dtype=f"S{width}")
+                for end in ",;")
+
+    @property
+    def first_counts(self) -> np.ndarray:
+        return self._first.reshape(self.n, self.n)
+
+    @property
+    def counts(self) -> np.ndarray:
+        return (self._first + self._later).reshape(self.n, self.n)
+
+    @property
+    def digest(self) -> str:
+        return self._sha.hexdigest()
+
+    def add(self, paths: np.ndarray) -> None:
+        """Add the next rows: a 2-D integer array of state indices in ``[0, n)``, not re-checked."""
+        if self.first_path is None and len(paths):
+            self.first_path = paths[0].tolist()
+        self.rows += len(paths)
+        n, step = self.n, _chunk_rows(paths.shape[1])
+        for lo in range(0, len(paths), step):
+            rows = paths[lo:lo + step]
+            if self._first is not None and rows.shape[1] > 1:
+                pairs = rows[:, 0] * n
+                np.add(pairs, rows[:, 1], pairs)
+                _count(self._first, pairs)
+                if rows.shape[1] > 2:
+                    pairs = rows[:, 1:-1] * n
+                    np.add(pairs, rows[:, 2:], pairs)
+                    _count(self._later, pairs.ravel())
+            if self._sha is not None:
+                text = self._inner.take(rows)
+                text[:, -1] = self._end.take(rows[:, -1])
+                self._sha.update(text.tobytes().translate(None, b"\0") if self._padded else text)
+
+
+def _count(counts: np.ndarray, codes: np.ndarray) -> None:
+    """Add one to ``counts[c]`` for each ``c`` in ``codes``.
+
+    A bincount zero-fills ``len(counts)`` entries, n * n for pair codes, so
+    fewer codes than that are added one by one: at n = 1024, a bincount per
+    chunk made the summary of 100,000 four-step paths 36% slower than
+    counting them once they were all sampled, and adding them one by one
+    made it 30% faster.
+    """
+    if len(codes) < len(counts):
+        np.add.at(counts, codes, 1)
+    else:
+        np.add(counts, np.bincount(codes, minlength=len(counts)), counts)
 
 
 def transition_counts(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
     """Count matrix of observed (source, target) transitions in ``paths``.
 
     ``paths`` is a 2-D integer array of state indices in ``[0, n_states)``.
-    The pairs are checked, coded and counted :func:`_path_chunks` at a
-    time, so the temporaries hold about ``2 * _CHUNK`` entries, however
-    long the paths.
+    The pairs are checked (:func:`_path_chunks`) and counted
+    (:class:`PathTally`) about ``_CHUNK`` entries at a time, so the
+    temporaries hold that many entries, however long the paths.
     """
-    n = model.n_states
-    counts = np.zeros(n * n, dtype=np.intp)
-    for rows in _path_chunks(paths, n):
-        pairs = rows[:, :-1] * n
-        pairs += rows[:, 1:]
-        counts += np.bincount(pairs.ravel(), minlength=n * n)
-    return counts.reshape(n, n)
+    tally = PathTally(model.n_states, digest=False)
+    for rows in _path_chunks(paths, model.n_states):
+        tally.add(rows)
+    return tally.counts
 
 
 def path_digest(paths: np.ndarray, n: int) -> str:
     """sha256 of ``paths`` written as ``"a,b,...;"`` per row, rows in order.
 
     ``paths`` is a 2-D integer array of state indices in ``[0, n)``, as
-    :func:`sample_trajectories` returns it.  The rows are checked and
-    hashed :func:`_path_chunks` at a time, so the temporaries hold about
-    ``2 * _CHUNK`` entries, however long the paths.
+    :func:`sample_trajectories` returns it.  The rows are checked
+    (:func:`_path_chunks`) and hashed (:class:`PathTally`) about
+    ``_CHUNK`` entries at a time, so the temporaries hold that many
+    entries, however long the paths.
     """
-    # token s (or n + s) is state s followed by "," (or by ";", row end),
-    # NUL-padded to the widest token; the text has no NUL, so dropping them
-    # after the gather leaves the tokens joined
-    tokens = np.array([f"{s}{end}".encode() for end in ",;" for s in range(n)],
-                      dtype=f"S{len(str(n - 1)) + 1}")
-    digest = hashlib.sha256()
+    tally = PathTally(n, count=False)
     for rows in _path_chunks(paths, n):
-        codes = rows.copy()
-        codes[:, -1] += n
-        digest.update(tokens[codes].tobytes().replace(b"\0", b""))
-    return digest.hexdigest()
+        tally.add(rows)
+    return tally.digest
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows of ``width`` entries that make about ``_CHUNK`` entries, and at least one row."""
+    return max(1, _CHUNK // width)
 
 
 def _path_chunks(paths: np.ndarray, n: int) -> Iterator[np.ndarray]:
-    """The rows of ``paths``, about ``2 * _CHUNK`` entries (and at least one row) at a time.
+    """The rows of ``paths`` as intp, :func:`_chunk_rows` at a time.
 
-    The one owner of the path-array rule: a 2-D integer array of state
-    indices in ``[0, n)``, each chunk checked before it is yielded.
+    The one owner of the path-array rule: a 2-D integer array of at least
+    one column of state indices in ``[0, n)``, each chunk checked before it
+    is yielded.
     """
     paths = np.asarray(paths)
     if paths.ndim != 2 or paths.dtype.kind not in "iu":
         raise ValidationError(f"paths must be a 2-D integer array, got {paths.ndim}-D {paths.dtype}")
+    if not paths.shape[1]:
+        raise ValidationError(f"paths must have at least one column, got shape {paths.shape}")
     unsigned = paths.view(paths.dtype.str.replace("i", "u"))  # a negative index reads as >= n
-    chunk = max(1, 2 * _CHUNK // max(1, paths.shape[1]))
+    chunk = _chunk_rows(paths.shape[1])
     for lo in range(0, len(paths), chunk):
         rows = paths[lo:lo + chunk]
         if unsigned[lo:lo + chunk].max(initial=0) >= n:
@@ -343,7 +455,7 @@ def _path_chunks(paths: np.ndarray, n: int) -> Iterator[np.ndarray]:
             raise ValidationError(
                 f"paths[{lo + r}, {c}] = {rows[r, c]} is not a state index in [0, {n})"
             )
-        yield rows
+        yield rows.astype(np.intp, copy=False)
 
 
 def _constant(value: int, dtype=np.uint64) -> np.ndarray:
@@ -517,7 +629,7 @@ def _live_lanes(width: int) -> tuple[tuple[bool, ...], ...]:
 #: the lane schedule of each number of words a block returns
 _PHILOX_LIVE = {width: _live_lanes(width) for width in range(1, 5)}
 
-#: Trajectories sampled together.  Besides the paths it returns, the sampler
+#: Trajectories sampled together.  Besides the paths it writes, the sampler
 #: holds ten uint64 Philox buffers of one chunk, two of which are the lookups'
 #: scratch once a block's words are keys, one bool per trajectory and the
 #: four int64 keys of one block: about ``81 + 32`` bytes per trajectory
@@ -528,8 +640,8 @@ _PHILOX_LIVE = {width: _live_lanes(width) for width in range(1, 5)}
 #: of padding.  On the shipped chains (100,000 one-step or 65,536 16-step
 #: paths), 8,192 and 16,384 were the fastest, within 20% of one another;
 #: 4,096, 32,768 and 65,536 took 7% to 46% longer than 16,384.  Paths are
-#: counted and digested about ``2 * _CHUNK`` entries at a time
-#: (:func:`_path_chunks`).  Measured and dropped: a contiguous buffer of the
+#: counted and digested about ``_CHUNK`` entries at a time
+#: (:class:`PathTally`).  Measured and dropped: a contiguous buffer of the
 #: current states, in place of the strided path columns that the lookups
 #: read and write, made one-step sampling of the shipped chains slower (0.987
 #: of the time before the rounds' calls took their present form, against

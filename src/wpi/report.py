@@ -27,7 +27,7 @@ from . import __version__
 from .bounds import BoundCheckResult, coupled_bound_suite, ift_check, markov_tail_check, model_table
 from .config import ExperimentConfig
 from .errors import ValidationError
-from .markov import MarkovModel, path_digest, sample_trajectories, transition_counts
+from .markov import MarkovModel, PathTally, path_buffer, sample_trajectories
 from .metrics import intelligence_score
 from .substrate import ComparisonRow, SubstrateRun, account_run, run_comparison
 
@@ -161,57 +161,46 @@ def model_sections(
     """Sample, summarize and check each model in turn.
 
     Model ``index`` draws ``config.sim.samples`` paths of ``steps`` each
-    with seed ``config.sim.seed + index``.  The run holds one path array:
-    the first model's sample allocates it, each later model's is drawn into
-    it (``sample_trajectories(..., out=paths)``), so nothing kept from one
-    model may view it, and it is released before the last model's checks.
-    Returns the ``simulations`` entries of :func:`simulate_section` if
-    ``simulate``, and the ``bound_checks`` entries and gates of
-    :func:`bounds_section` if ``check``, in model order; each list not asked
-    for is None.
+    with seed ``config.sim.seed + index``.  No array of a model's paths is
+    made: its one :func:`~wpi.markov.sample_trajectories` call draws them a
+    block at a time into the run's one :func:`~wpi.markov.path_buffer`, and
+    a :class:`~wpi.markov.PathTally` counts and hashes each block before the
+    next overwrites it.  Returns the ``simulations`` entries of
+    :func:`simulate_section` if ``simulate``, and the ``bound_checks``
+    entries and gates of :func:`bounds_section` if ``check``, in model
+    order; each list not asked for is None.
     """
     if not config.models:
         raise ValidationError("config has no models to sample")
     simulations = [] if simulate else None
     checks, gates = ([], []) if check else (None, None)
-    paths = None
+    buffer = path_buffer(steps, config.sim.samples)
     for index, model in enumerate(config.models):
         seed = config.sim.seed + index
-        paths = sample_trajectories(model, steps, config.sim.samples, seed, out=paths)
-        # the bound checks read each path's first step; a Philox stream's
-        # first two draws do not depend on how many follow
-        first = transition_counts(model, paths[:, :2])
+        tally = PathTally(model.n_states, digest=simulate)
+        sample_trajectories(model, steps, config.sim.samples, seed, out=buffer, each=tally.add)
         if simulate:
-            simulations.append(simulate_section(model, seed, paths, first))
-        if index == len(config.models) - 1:
-            # no model is left to draw into it; held through the checks, it
-            # kept their freed heap from being reused (9 MB more RSS at n = 1024)
-            paths = None
+            simulations.append(simulate_section(model, seed, tally))
         if check:
-            section, section_gates = bounds_section(config, model, seed, first)
+            # the bound checks read each path's first step; a Philox stream's
+            # first two draws do not depend on how many follow
+            section, section_gates = bounds_section(config, model, seed, tally.first_counts)
             checks.append(section)
             gates += section_gates
     return simulations, checks, gates
 
 
-def simulate_section(model: MarkovModel, seed: int, paths: np.ndarray,
-                     first_counts: np.ndarray) -> dict:
-    """Summarize one model's sampled paths deterministically.
-
-    ``first_counts`` are the counts of each path's first step; the others
-    are counted on top of them.
-    """
-    count, length = paths.shape
-    counts = first_counts + transition_counts(model, paths[:, 1:])
+def simulate_section(model: MarkovModel, seed: int, tally: PathTally) -> dict:
+    """Summarize one model's sampled paths, as ``tally`` holds them, deterministically."""
     return {
         "model": model.name,
         "seed": seed,
-        "count": count,
-        "steps": length - 1,
+        "count": tally.rows,
+        "steps": len(tally.first_path) - 1,
         "states": [s.bits for s in model.states],
-        "transition_counts": counts.tolist(),
-        "trajectory_digest": path_digest(paths, model.n_states),
-        "first_trajectory": paths[0].tolist(),
+        "transition_counts": tally.counts.tolist(),
+        "trajectory_digest": tally.digest,
+        "first_trajectory": tally.first_path,
     }
 
 

@@ -91,6 +91,22 @@ class TestIftCheck:
         assert result.surprisal_mean == 2.0 ** -(math.log2(1.0 / 3) - math.log2(tiny / 3))
         assert result.surprisal_se == 0.0
 
+    def test_sampled_infinite_weight_is_infinite(self):
+        # on the same cycle one sampled reverse edge weighs 2**1030, +inf as a
+        # double; it was zeroed with the unsampled ones, so the control read
+        # a mean of about 1e-310 with SE 0.0
+        tiny = 1e-310
+        states = [CoarseState(s) for s in ("00", "01", "10")]
+        model = MarkovModel(states, [[0.0, 1.0, tiny], [tiny, 0.0, 1.0], [1.0, tiny, 0.0]],
+                            [1.0, 0.0, 0.0])
+        counts = np.array([[0, 99, 1], [0, 0, 100], [100, 0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = ift_check(model_table(model, Estimator.EXACT_ENUM), counts)
+        assert result.surprisal_mean == math.inf
+        assert result.surprisal_se == math.inf
+        assert math.isfinite(result.complexity_mean) and math.isfinite(result.complexity_se)
+
     def test_non_ergodic_chain_rejected_for_control(self):
         states = [CoarseState("0"), CoarseState("1")]
         model = MarkovModel(states, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])

@@ -27,7 +27,8 @@ from wpi import (
 import wpi.cli
 from wpi.cli import default_config_path, main
 from wpi.markov import _CHUNK, path_digest
-from wpi.report import _atomic_write, _json_text, compare_section, score_section, write_bundle
+from wpi.report import (_atomic_write, _json_text, bounds_section, compare_section, score_section,
+                        write_bundle)
 
 
 def load_report(out_dir):
@@ -146,13 +147,31 @@ class TestSubcommands:
     @pytest.mark.parametrize("n_states", [1, 9, 10, 11, 100, 150])
     def test_path_digest_hashes_multi_width_tokens_as_text(self, n_states):
         # state numbers of one, two and three digits in one path array; the
-        # last two arrays are hashed in two chunks and in three chunks of 81 rows
+        # last two arrays are hashed in four chunks and in five chunks of 40 rows
         rng = np.random.default_rng(n_states)
         for shape in ((1, 2), (300, 2), (40, 17), (_CHUNK + 3, 3), (170, 401)):
             rows = rng.integers(0, n_states, shape).tolist()
             text = "".join(",".join(map(str, row)) + ";" for row in rows)
             expected = hashlib.sha256(text.encode()).hexdigest()
             assert path_digest(np.array(rows, dtype=np.int64), n_states) == expected
+
+    def test_sampled_infinite_weight_fails_the_window_gate(self, tmp_path):
+        # a reverse edge of probability 1e-310, sampled once, weighs 2**1030:
+        # +inf, which the bundle writes as "inf"
+        tiny = 1e-310
+        config = ingest_config(small_config(tmp_path, models=[{
+            "name": "cycle",
+            "states": ["00", "01", "10"],
+            "kernel": [[0.0, 1.0, tiny], [tiny, 0.0, 1.0], [1.0, tiny, 0.0]],
+            "measure": [1.0, 1.0, 1.0],
+            "initial": [1.0, 0.0, 0.0],
+        }]))
+        counts = np.array([[0, 99, 1], [0, 0, 100], [100, 0, 0]])
+        section, gates = bounds_section(config, config.models[0], 1, counts)
+        text = _json_text(section["surprisal_ift"])
+        assert '"mean": "inf"' in text and '"se": "inf"' in text
+        window = [g for g in gates if g["gate"] == "surprisal_ift_window"]
+        assert [g["passed"] for g in window] == [False]
 
     def test_check_bounds_writes_tsv_and_gates(self, tmp_path):
         config = small_config(tmp_path)
@@ -311,34 +330,39 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("steps", [1, 4])
     def test_report_counts_each_transition_once(self, tmp_path, monkeypatch, steps):
-        # the bound checks' first-step counts are part of the simulation's
+        # each block of drawn rows reaches its model's tally once, and the
+        # bound checks' first-step counts are part of the simulation's
         counted = []
 
-        def counting(model, paths):
-            counted.append(paths.shape[0] * (paths.shape[1] - 1))
-            return transition_counts(model, paths)
+        def recording(model, steps, count, seed, out=None, each=None):
+            def counting(rows):
+                counted.append(rows.shape[0] * (rows.shape[1] - 1))
+                each(rows)
 
-        monkeypatch.setattr("wpi.report.transition_counts", counting)
+            return sample_trajectories(model, steps, count, seed, out=out, each=counting)
+
+        monkeypatch.setattr("wpi.report.sample_trajectories", recording)
         out = tmp_path / "out"
         assert run(["report", "--samples", 500, "--steps", steps, "--out", out]) == 0
         bundle = load_report(out)
         assert sum(counted) == len(bundle["simulations"]) * 500 * steps
         for sim in bundle["simulations"]:
             assert sum(map(sum, sim["transition_counts"])) == 500 * steps
+        assert [c["samples"] for c in bundle["bound_checks"]] == [500] * 3
 
     def test_report_draws_every_model_into_one_array(self, tmp_path, monkeypatch):
-        calls = []
+        # the one array is the run's chunk buffer: no model's paths are held
+        buffers = []
 
-        def recording(model, steps, count, seed, out=None):
-            paths = sample_trajectories(model, steps, count, seed, out=out)
-            calls.append((out, paths))
-            return paths
+        def recording(model, steps, count, seed, out=None, each=None):
+            buffers.append(out)
+            return sample_trajectories(model, steps, count, seed, out=out, each=each)
 
         monkeypatch.setattr("wpi.report.sample_trajectories", recording)
-        assert run(["report", "--samples", 500, "--out", tmp_path / "out"]) == 0
-        (out, first), *later = calls
-        assert out is None and len(later) == 2
-        assert all(out is first and paths is first for out, paths in later)
+        assert run(["report", "--samples", _CHUNK + 500, "--out", tmp_path / "out"]) == 0
+        first, *later = buffers
+        assert first.shape == (_CHUNK, 2) and len(later) == 2
+        assert all(out is first for out in later)
 
     def test_shared_array_gives_each_command_the_same_sections(self, tmp_path):
         # the shipped config's three models differ in size, so a count or
@@ -357,14 +381,18 @@ class TestSubcommands:
     def test_report_holds_one_model_of_paths_at_a_time(self, tmp_path):
         # one model's paths are 200,000 x 2 int64 (3.2 MB); holding two of
         # the shipped config's three models, or one and a full-size copy,
-        # passes the limit
-        tracemalloc.start()
-        try:
-            assert run(["report", "--samples", 200_000, "--out", tmp_path / "out"]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 200_000 * 2 * 8
+        # passes the first limit, and holding any one of them the second
+        peaks = []
+        for samples in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                assert run(["report", "--samples", samples, "--out", tmp_path / str(samples)]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] < 2 * 200_000 * 2 * 8
+        assert peaks[1] - peaks[0] < 1 << 20, peaks
 
     @pytest.mark.parametrize("stage", ["sample", "count", "digest"])
     def test_working_memory_does_not_grow_with_the_steps(self, stage):
@@ -387,7 +415,7 @@ class TestSubcommands:
             finally:
                 tracemalloc.stop()
             peaks.append(peak - (paths.nbytes if stage == "sample" else 0))
-        # a chunk's 2 * _CHUNK int64 entries are 256 KiB; allow a few of them
+        # a chunk's _CHUNK int64 entries are 128 KiB; allow a few of them
         assert peaks[1] - peaks[0] < 1 << 20, peaks
 
 
@@ -484,12 +512,13 @@ class TestExitCodes:
             assert run([*args, "--config", config, "--out", tmp_path / args[-1]]) == 0
 
     def test_unallocatable_sample_exits_one(self, tmp_path, capsys):
-        # was a ValueError traceback out of np.empty
+        # was a ValueError traceback out of np.empty; the run holds one block
+        # of its 400 paths, so only a path too long to hold fails
         config = small_config(tmp_path)
-        args = ["simulate", "--config", config, "--out", tmp_path / "out", "--samples", 2**60]
+        args = ["simulate", "--config", config, "--out", tmp_path / "out", "--steps", 2**60]
         assert run(args) == 1
         err = capsys.readouterr().err
-        assert "cannot allocate" in err and f"({2**60}, 2)" in err
+        assert "cannot allocate" in err and f"(400, {2**60 + 1})" in err
         assert not (tmp_path / "out").exists()
 
     def test_mistyped_field_exits_one_with_pointer(self, tmp_path, capsys):

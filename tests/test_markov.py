@@ -24,8 +24,8 @@ from wpi import (
 )
 import wpi.markov
 from wpi.cli import main
-from wpi.markov import (DISTRIBUTION_TOL, _CHUNK, _guide_table, _mulhi, _philox_keys,
-                        distribution_problems, path_digest)
+from wpi.markov import (DISTRIBUTION_TOL, _CHUNK, PathTally, _guide_table, _mulhi,
+                        _philox_keys, distribution_problems, path_buffer, path_digest)
 
 
 def read_only(array):
@@ -262,8 +262,8 @@ class TestSampling:
         assert np.array_equal(transition_counts(model, paths), expected)
 
     def test_transition_counts_across_chunks_match_a_counter(self):
-        # the pairs are counted about 2 * _CHUNK entries at a time: in chunks
-        # of 6,553 rows of 5 states, and of 81 rows of 401
+        # the pairs are counted about _CHUNK entries at a time: in chunks of
+        # 3,276 rows of 5 states, and of 40 rows of 401
         model = eight_state_chain()
         for shape in ((_CHUNK + 3, 5), (170, 401)):
             paths = np.random.default_rng(4).integers(0, 8, shape)
@@ -304,11 +304,34 @@ class TestSampling:
         with pytest.raises(ValidationError, match=rf"paths\[{_CHUNK + 1}, 2\] = -2"):
             path_digest(paths, 2)
 
+    @pytest.mark.parametrize("call", [
+        lambda paths: path_digest(paths, 2),
+        lambda paths: transition_counts(two_state_chain(), paths),
+    ], ids=["digest", "counts"])
+    def test_path_array_without_columns_rejected(self, call):
+        # path_digest raised a bare numpy IndexError from the row ends, while
+        # transition_counts counted nothing
+        with pytest.raises(ValidationError, match=r"at least one column, got shape \(1, 0\)"):
+            call(np.zeros((1, 0), dtype=np.int64))
+
     def test_transition_counts_checks_every_chunk(self):
         paths = np.zeros((_CHUNK + 3, 3), dtype=np.int64)
         paths[_CHUNK + 1, 2] = 2
         with pytest.raises(ValidationError, match=rf"paths\[{_CHUNK + 1}, 2\] = 2"):
             transition_counts(two_state_chain(), paths)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+    def test_narrow_dtypes_do_not_wrap(self, dtype):
+        # a pair code s * 100 + t wrapped in the paths' own dtype: int8 counts
+        # raised a bare numpy ValueError, uint8 counts and the int8 digest
+        # came out wrong
+        n = 100
+        model = simple_model(np.full((n, n), 1.0 / n), n)
+        paths = np.random.default_rng(1).integers(0, n, (50, 4))
+        oracle = Counter(pair for row in paths.tolist() for pair in zip(row, row[1:]))
+        expected = [[oracle[a, b] for b in range(n)] for a in range(n)]
+        assert transition_counts(model, paths.astype(dtype)).tolist() == expected
+        assert path_digest(paths.astype(dtype), n) == path_digest(paths, n)
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64, ">i8"])
     def test_transition_counts_accepts_every_integer_dtype(self, dtype):
@@ -317,7 +340,6 @@ class TestSampling:
         expected = transition_counts(model, paths)
         assert np.array_equal(transition_counts(model, paths.astype(dtype)), expected)
         assert transition_counts(model, paths[:0]).sum() == 0
-        assert transition_counts(model, paths[:, :0]).sum() == 0
 
     def test_guide_search_equals_searchsorted_right(self):
         # a key equal to a CDF entry's threshold ceil(c * 2**53), or one below
@@ -402,6 +424,45 @@ class TestSampling:
         out = np.full((count, steps + 1), -1, dtype=np.int64)
         assert sample_trajectories(model, steps, count, seed=5, out=out) is out
         assert np.array_equal(out, sample_trajectories(model, steps, count, seed=5))
+
+    @pytest.mark.parametrize("steps", [1, 4, 16])
+    def test_streamed_tally_matches_the_path_array(self, steps):
+        # the run's one buffer takes _CHUNK rows, so the last 3 rows are a
+        # second block
+        model, count = eight_state_chain(), _CHUNK + 3
+        paths = sample_trajectories(model, steps, count, seed=5)
+        buffer = path_buffer(steps, count)
+        assert buffer.shape == (_CHUNK, steps + 1)
+        tally = PathTally(model.n_states)
+        assert sample_trajectories(model, steps, count, seed=5, out=buffer, each=tally.add) is None
+        assert np.array_equal(tally.counts, transition_counts(model, paths))
+        assert np.array_equal(tally.first_counts, transition_counts(model, paths[:, :2]))
+        assert tally.digest == path_digest(paths, model.n_states)
+        assert tally.first_path == paths[0].tolist()
+        assert tally.rows == count
+
+    def test_each_block_is_passed_in_row_order(self):
+        model = four_state_chain()
+        paths = sample_trajectories(model, 3, 40, seed=8)
+        blocks = []
+        out = np.empty((7, 4), dtype=np.int64)
+        sample_trajectories(model, 3, 40, seed=8, out=out, each=lambda rows: blocks.append(rows.copy()))
+        assert [len(b) for b in blocks] == [7] * 5 + [5]
+        assert np.array_equal(np.concatenate(blocks), paths)
+        blocks.clear()
+        sample_trajectories(model, 3, 40, seed=8, each=blocks.append)  # one block of all 40
+        assert len(blocks) == 1 and np.array_equal(blocks[0], paths)
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.zeros((0, 3), dtype=np.int64),
+        lambda: np.zeros((10, 2), dtype=np.int64),
+        lambda: np.zeros((10, 3), dtype=np.int32),
+        lambda: np.zeros((10, 6), dtype=np.int64)[:, ::2],
+        lambda: read_only(np.zeros((10, 3), dtype=np.int64)),
+    ], ids=["no-rows", "columns", "int32", "strided", "read-only"])
+    def test_unusable_block_buffer_rejected(self, make):
+        with pytest.raises(ValidationError, match="at least one row and 3 columns"):
+            sample_trajectories(two_state_chain(), 2, 10, seed=1, out=make(), each=print)
 
     @pytest.mark.parametrize("make", [
         lambda: np.zeros((10, 3), dtype=np.int64),
