@@ -7,7 +7,7 @@ returns.  Because the generator is counter-based, the sampler computes those
 streams as array arithmetic over the trajectory indices of one chunk at a
 time.  It returns the paths as one integer array, or, given a consumer,
 passes each chunk of rows to it while the chunk is still in cache and makes
-no array of all the paths: a :class:`PathTally` consumer counts and hashes
+no array of all the paths: a :class:`_PathTally` consumer counts and hashes
 the chunks as they are drawn, so a run holds one chunk of paths however
 many it samples, and a run that samples several models of one shape in turn
 draws them all into one :func:`path_buffer`.  Each double is a 53-bit
@@ -21,7 +21,7 @@ next, and each block's rounds compute only the lanes that its keys read.
 The rounds and the lookups run in place in buffers of one chunk, so the
 working memory beyond the paths written (all of them, or one chunk) and the
 tables is set by ``_CHUNK``, not by the number of trajectories or of steps;
-:class:`PathTally` counts and hashes paths about ``_CHUNK`` entries at a
+:class:`_PathTally` counts and hashes paths about ``_CHUNK`` entries at a
 time.  A stream's first draws do not depend on how many follow, so a path
 sampled with more steps extends the shorter one.  Seeds range over
 ``[0, MAX_SEED]``.
@@ -239,9 +239,10 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int,
     overwrite every entry of it and ``out`` is returned.
 
     Given a consumer ``each``, no array of all the paths is made and None is
-    returned: the rows are drawn ``len(out)`` at a time into ``out``, a
-    writeable C-contiguous int64 array of ``steps + 1`` columns (by default
-    :func:`path_buffer`), and each filled block of them is passed to
+    returned: the rows are drawn ``_CHUNK`` at a time into ``out``, a
+    writeable C-contiguous int64 array of the shape that
+    :func:`path_buffer` returns, ``(min(count, _CHUNK), steps + 1)`` (by
+    default a new one), and each filled block of them is passed to
     ``each``, in row order, before the next block overwrites it.  Any other
     ``out`` is a :class:`ValidationError`.
     """
@@ -252,28 +253,26 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int,
         raise ValidationError(f"seed must be an integer in [0, 2**63 - 1], got {seed!r}")
     seed = int(seed)
 
+    rows = count if each is None else min(count, _CHUNK)
     if out is None:
-        out = _empty_paths(count, steps) if each is None else path_buffer(steps, count)
+        out = _empty_paths(rows, steps)
     elif not (isinstance(out, np.ndarray) and out.dtype == np.int64
               and out.flags.c_contiguous and out.flags.writeable
-              and (out.shape == (count, steps + 1) if each is None
-                   else out.ndim == 2 and out.shape[1] == steps + 1 and len(out) > 0)):
-        want = (f"of shape {(count, steps + 1)}" if each is None
-                else f"of at least one row and {steps + 1} columns")
+              and out.shape == (rows, steps + 1)):
         got = (f"a {'writeable' if out.flags.writeable else 'read-only'} "
                f"{'' if out.flags.c_contiguous else 'non-'}C-contiguous {out.dtype} "
                f"array of shape {out.shape}" if isinstance(out, np.ndarray) else reprlib.repr(out))
-        raise ValidationError(f"out must be a writeable C-contiguous int64 array {want}, got {got}")
+        raise ValidationError(f"out must be a writeable C-contiguous int64 array of shape "
+                              f"{(rows, steps + 1)}, got {got}")
 
     initial = _guide_table(model.initial[None, :])
     kernel = _guide_table(model.kernel)
-    per_chunk = _CHUNK if each is None else len(out)
-    chunk_rows = min(count, per_chunk)
+    chunk_rows = min(count, _CHUNK)
     buffers = [np.empty(chunk_rows, dtype=np.uint64) for _ in range(10)]
     keys = np.empty((4, chunk_rows), dtype=np.uint64)
     below = np.empty(chunk_rows, dtype=bool)
-    for lo in range(0, count, per_chunk):
-        index = np.arange(lo, min(lo + per_chunk, count), dtype=np.uint64)
+    for lo in range(0, count, _CHUNK):
+        index = np.arange(lo, min(lo + _CHUNK, count), dtype=np.uint64)
         path = out[lo:lo + len(index)] if each is None else out[:len(index)]
         chunk = [b[:len(index)] for b in buffers]
         # a block's words are shifted into ``keys`` before its lookups use chunk[:2]
@@ -323,7 +322,7 @@ def _empty_paths(rows: int, steps: int) -> np.ndarray:
         ) from None
 
 
-class PathTally:
+class _PathTally:
     """Transition counts and the path digest of rows of paths added in order.
 
     :meth:`add` takes the rows of a sample in row order, in blocks of any
@@ -331,7 +330,9 @@ class PathTally:
     is the (source, target) matrix of each path's first step, ``counts``
     that of every step, ``digest`` the sha256 of :func:`path_digest`, and
     ``first_path`` row 0 as a list.  Without ``count`` (or ``digest``) the
-    counts (or the digest) are not kept.
+    counts (or the digest) are not kept.  :meth:`add` does not check its
+    rows, so it takes only the sampler's own rows and those that
+    :func:`_path_chunks` has checked and cast to intp.
     """
 
     def __init__(self, n: int, count: bool = True, digest: bool = True):
@@ -364,7 +365,7 @@ class PathTally:
         return self._sha.hexdigest()
 
     def add(self, paths: np.ndarray) -> None:
-        """Add the next rows: a 2-D integer array of state indices in ``[0, n)``, not re-checked."""
+        """Add the next rows: a 2-D intp array of state indices in ``[0, n)``, not re-checked."""
         if self.first_path is None and len(paths):
             self.first_path = paths[0].tolist()
         self.rows += len(paths)
@@ -405,10 +406,10 @@ def transition_counts(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
 
     ``paths`` is a 2-D integer array of state indices in ``[0, n_states)``.
     The pairs are checked (:func:`_path_chunks`) and counted
-    (:class:`PathTally`) about ``_CHUNK`` entries at a time, so the
+    (:class:`_PathTally`) about ``_CHUNK`` entries at a time, so the
     temporaries hold that many entries, however long the paths.
     """
-    tally = PathTally(model.n_states, digest=False)
+    tally = _PathTally(model.n_states, digest=False)
     for rows in _path_chunks(paths, model.n_states):
         tally.add(rows)
     return tally.counts
@@ -419,11 +420,11 @@ def path_digest(paths: np.ndarray, n: int) -> str:
 
     ``paths`` is a 2-D integer array of state indices in ``[0, n)``, as
     :func:`sample_trajectories` returns it.  The rows are checked
-    (:func:`_path_chunks`) and hashed (:class:`PathTally`) about
+    (:func:`_path_chunks`) and hashed (:class:`_PathTally`) about
     ``_CHUNK`` entries at a time, so the temporaries hold that many
     entries, however long the paths.
     """
-    tally = PathTally(n, count=False)
+    tally = _PathTally(n, count=False)
     for rows in _path_chunks(paths, n):
         tally.add(rows)
     return tally.digest
@@ -641,7 +642,7 @@ _PHILOX_LIVE = {width: _live_lanes(width) for width in range(1, 5)}
 #: paths), 8,192 and 16,384 were the fastest, within 20% of one another;
 #: 4,096, 32,768 and 65,536 took 7% to 46% longer than 16,384.  Paths are
 #: counted and digested about ``_CHUNK`` entries at a time
-#: (:class:`PathTally`).  Measured and dropped: a contiguous buffer of the
+#: (:class:`_PathTally`).  Measured and dropped: a contiguous buffer of the
 #: current states, in place of the strided path columns that the lookups
 #: read and write, made one-step sampling of the shipped chains slower (0.987
 #: of the time before the rounds' calls took their present form, against

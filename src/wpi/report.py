@@ -27,7 +27,7 @@ from . import __version__
 from .bounds import BoundCheckResult, coupled_bound_suite, ift_check, markov_tail_check, model_table
 from .config import ExperimentConfig
 from .errors import ValidationError
-from .markov import MarkovModel, PathTally, path_buffer, sample_trajectories
+from .markov import MarkovModel, _PathTally, path_buffer, sample_trajectories
 from .metrics import intelligence_score
 from .substrate import ComparisonRow, SubstrateRun, account_run, run_comparison
 
@@ -164,7 +164,7 @@ def model_sections(
     with seed ``config.sim.seed + index``.  No array of a model's paths is
     made: its one :func:`~wpi.markov.sample_trajectories` call draws them a
     block at a time into the run's one :func:`~wpi.markov.path_buffer`, and
-    a :class:`~wpi.markov.PathTally` counts and hashes each block before the
+    a :class:`~wpi.markov._PathTally` counts and hashes each block before the
     next overwrites it.  Returns the ``simulations`` entries of
     :func:`simulate_section` if ``simulate``, and the ``bound_checks``
     entries and gates of :func:`bounds_section` if ``check``, in model
@@ -177,7 +177,7 @@ def model_sections(
     buffer = path_buffer(steps, config.sim.samples)
     for index, model in enumerate(config.models):
         seed = config.sim.seed + index
-        tally = PathTally(model.n_states, digest=simulate)
+        tally = _PathTally(model.n_states, digest=simulate)
         sample_trajectories(model, steps, config.sim.samples, seed, out=buffer, each=tally.add)
         if simulate:
             simulations.append(simulate_section(model, seed, tally))
@@ -190,7 +190,7 @@ def model_sections(
     return simulations, checks, gates
 
 
-def simulate_section(model: MarkovModel, seed: int, tally: PathTally) -> dict:
+def simulate_section(model: MarkovModel, seed: int, tally: _PathTally) -> dict:
     """Summarize one model's sampled paths, as ``tally`` holds them, deterministically."""
     return {
         "model": model.name,
@@ -322,7 +322,8 @@ def _verdicts(section: dict) -> list[dict]:
         verdict("surprisal_ift_window", 0.95 <= mean <= 1.05, mean, "[0.95, 1.05]",
                 f"mean={mean!r} must lie in [0.95, 1.05]")
         distance, limit = abs(mean - 1.0), 3.0 * se
-        verdict("surprisal_ift_identity", distance <= limit, distance, limit,
+        # an infinite SE bounds nothing, and inf <= inf would pass
+        verdict("surprisal_ift_identity", math.isfinite(se) and distance <= limit, distance, limit,
                 f"|{mean!r} - 1| must be <= 3*se ({se!r})")
     for tail in section["markov_tail"]:
         lhs = tail["lhs"]

@@ -170,8 +170,8 @@ class TestSubcommands:
         section, gates = bounds_section(config, config.models[0], 1, counts)
         text = _json_text(section["surprisal_ift"])
         assert '"mean": "inf"' in text and '"se": "inf"' in text
-        window = [g for g in gates if g["gate"] == "surprisal_ift_window"]
-        assert [g["passed"] for g in window] == [False]
+        surprisal = [g["passed"] for g in gates if g["gate"].startswith("surprisal_ift_")]
+        assert surprisal == [False, False]  # the window, and the identity with an infinite SE
 
     def test_check_bounds_writes_tsv_and_gates(self, tmp_path):
         config = small_config(tmp_path)

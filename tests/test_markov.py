@@ -24,7 +24,7 @@ from wpi import (
 )
 import wpi.markov
 from wpi.cli import main
-from wpi.markov import (DISTRIBUTION_TOL, _CHUNK, PathTally, _guide_table, _mulhi,
+from wpi.markov import (DISTRIBUTION_TOL, _CHUNK, _PathTally, _guide_table, _mulhi,
                         _philox_keys, distribution_problems, path_buffer, path_digest)
 
 
@@ -433,7 +433,7 @@ class TestSampling:
         paths = sample_trajectories(model, steps, count, seed=5)
         buffer = path_buffer(steps, count)
         assert buffer.shape == (_CHUNK, steps + 1)
-        tally = PathTally(model.n_states)
+        tally = _PathTally(model.n_states)
         assert sample_trajectories(model, steps, count, seed=5, out=buffer, each=tally.add) is None
         assert np.array_equal(tally.counts, transition_counts(model, paths))
         assert np.array_equal(tally.first_counts, transition_counts(model, paths[:, :2]))
@@ -442,26 +442,27 @@ class TestSampling:
         assert tally.rows == count
 
     def test_each_block_is_passed_in_row_order(self):
-        model = four_state_chain()
-        paths = sample_trajectories(model, 3, 40, seed=8)
+        model, count = four_state_chain(), 2 * _CHUNK + 5
+        paths = sample_trajectories(model, 3, count, seed=8)
         blocks = []
-        out = np.empty((7, 4), dtype=np.int64)
-        sample_trajectories(model, 3, 40, seed=8, out=out, each=lambda rows: blocks.append(rows.copy()))
-        assert [len(b) for b in blocks] == [7] * 5 + [5]
+        out = path_buffer(3, count)
+        sample_trajectories(model, 3, count, seed=8, out=out, each=lambda rows: blocks.append(rows.copy()))
+        assert [len(b) for b in blocks] == [_CHUNK, _CHUNK, 5]
         assert np.array_equal(np.concatenate(blocks), paths)
         blocks.clear()
         sample_trajectories(model, 3, 40, seed=8, each=blocks.append)  # one block of all 40
-        assert len(blocks) == 1 and np.array_equal(blocks[0], paths)
+        assert len(blocks) == 1 and np.array_equal(blocks[0], paths[:40])
 
     @pytest.mark.parametrize("make", [
-        lambda: np.zeros((0, 3), dtype=np.int64),
+        lambda: np.zeros((7, 3), dtype=np.int64),
         lambda: np.zeros((10, 2), dtype=np.int64),
         lambda: np.zeros((10, 3), dtype=np.int32),
         lambda: np.zeros((10, 6), dtype=np.int64)[:, ::2],
         lambda: read_only(np.zeros((10, 3), dtype=np.int64)),
-    ], ids=["no-rows", "columns", "int32", "strided", "read-only"])
+    ], ids=["rows", "columns", "int32", "strided", "read-only"])
     def test_unusable_block_buffer_rejected(self, make):
-        with pytest.raises(ValidationError, match="at least one row and 3 columns"):
+        # the block buffer is what path_buffer(2, 10) returns: all 10 rows
+        with pytest.raises(ValidationError, match=r"of shape \(10, 3\)"):
             sample_trajectories(two_state_chain(), 2, 10, seed=1, out=make(), each=print)
 
     @pytest.mark.parametrize("make", [
