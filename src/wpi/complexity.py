@@ -138,11 +138,21 @@ def estimate_complexity(x: CoarseState, estimator: Estimator) -> ComplexityEstim
 def read_corpus(path: str | Path) -> list[str]:
     """Read a corpus file: newline-delimited ASCII '0'/'1' strings.
 
-    Blank lines are skipped; anything else that is not a binary string is a
-    validation error naming the offending line.
+    The file is read as UTF-8, whatever the locale.  Blank lines are
+    skipped; a byte that is not UTF-8, or a line that is not a binary
+    string, is a validation error naming the offending line.
     """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode, and a character appended to
+        # them falls on the bad byte's line
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ValidationError(f"{path}: line {lineno} is not UTF-8 text: "
+                              f"byte {exc.start} is {data[exc.start]:#04x}") from None
     strings: list[str] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue

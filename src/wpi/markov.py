@@ -10,7 +10,8 @@ passes each chunk of rows to it while the chunk is still in cache and makes
 no array of all the paths: a :class:`_PathTally` consumer counts and hashes
 the chunks as they are drawn, so a run holds one chunk of paths however
 many it samples, and a run that samples several models of one shape in turn
-draws them all into one :func:`path_buffer`.  Each double is a 53-bit
+draws them all in one workspace (:func:`path_buffer`), which holds the
+block of paths and every buffer the sampler writes.  Each double is a 53-bit
 integer key times ``2**-53``, and the sampler works on the keys: a state is
 picked by an exact guide-table lookup (a shift and a gather, and a binary
 search within the bucket where CDF entries fall inside it; see
@@ -18,9 +19,11 @@ search within the bucket where CDF entries fall inside it; see
 row's CDF for the double.  A Philox block gives four keys; the sampler
 draws one block of a chunk, runs its steps' lookups and then draws the
 next, and each block's rounds compute only the lanes that its keys read.
-The rounds and the lookups run in place in buffers of one chunk, so the
-working memory beyond the paths written (all of them, or one chunk) and the
-tables is set by ``_CHUNK``, not by the number of trajectories or of steps;
+The rounds run in place in nine word buffers of one chunk, each word is
+shifted into its key where it lies, and the lookups take their scratch from
+the word buffers that no key occupies, so the working memory beyond the
+paths written (all of them, or one chunk) and the tables is set by
+``_CHUNK``, not by the number of trajectories or of steps;
 :class:`_PathTally` counts and hashes paths about ``_CHUNK`` entries at a
 time.  A stream's first draws do not depend on how many follow, so a path
 sampled with more steps extends the shorter one.  Seeds range over
@@ -28,9 +31,10 @@ sampled with more steps extends the shorter one.  Seeds range over
 
 On the hot path (:func:`_philox_keys`, :func:`_mulhi`, :meth:`_GuideTable.search`)
 each numpy call pays only its own dispatch: constants are read-only 0-d
-arrays made at import (the seed's and the block's words, one-element arrays
-made once a call), outputs are the third positional argument, no array is
-updated by augmented assignment, and gathers call ``ndarray.take``.  On
+arrays made at import (the words of the seed, the block and the chunk's
+first trajectory, one-element arrays made once a call), outputs are the
+third positional argument, no array is updated by augmented assignment, and
+gathers call ``ndarray.take``.  On
 one-element uint64 arrays (Python 3.11, numpy 2.4, 2-CPU x86-64; see
 ``BENCH_27.json``), ``np.right_shift(x, np.uint64(32), out=y)`` took 0.61 µs
 a call and ``np.right_shift(x, c, y)`` with a 0-d ``c`` 0.38 µs;
@@ -227,7 +231,7 @@ def stationary_distribution(kernel: np.ndarray) -> np.ndarray:
 
 
 def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int,
-                        out: np.ndarray | None = None,
+                        out: np.ndarray | _Workspace | None = None,
                         each: Callable[[np.ndarray], object] | None = None) -> np.ndarray | None:
     """Sample ``count`` paths of ``steps`` transitions each.
 
@@ -239,12 +243,14 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int,
     overwrite every entry of it and ``out`` is returned.
 
     Given a consumer ``each``, no array of all the paths is made and None is
-    returned: the rows are drawn ``_CHUNK`` at a time into ``out``, a
-    writeable C-contiguous int64 array of the shape that
-    :func:`path_buffer` returns, ``(min(count, _CHUNK), steps + 1)`` (by
-    default a new one), and each filled block of them is passed to
-    ``each``, in row order, before the next block overwrites it.  Any other
-    ``out`` is a :class:`ValidationError`.
+    returned: the rows are drawn ``_CHUNK`` at a time in ``out``, a
+    workspace that :func:`path_buffer` returns for ``steps`` and ``count``
+    (by default a new one), whose block of ``(min(count, _CHUNK), steps +
+    1)`` paths each chunk overwrites, and each filled block is passed to
+    ``each``, in row order, before the next is drawn.  A workspace of
+    another shape, or anything else, is a :class:`ValidationError`.  With a
+    workspace, a call allocates only its guide tables, and a run that draws
+    several models in one workspace faults in its pages once.
     """
     _check_sample_size(steps, count)
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
@@ -253,52 +259,79 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int,
         raise ValidationError(f"seed must be an integer in [0, 2**63 - 1], got {seed!r}")
     seed = int(seed)
 
-    rows = count if each is None else min(count, _CHUNK)
-    if out is None:
-        out = _empty_paths(rows, steps)
-    elif not (isinstance(out, np.ndarray) and out.dtype == np.int64
-              and out.flags.c_contiguous and out.flags.writeable
-              and out.shape == (rows, steps + 1)):
-        got = (f"a {'writeable' if out.flags.writeable else 'read-only'} "
-               f"{'' if out.flags.c_contiguous else 'non-'}C-contiguous {out.dtype} "
-               f"array of shape {out.shape}" if isinstance(out, np.ndarray) else reprlib.repr(out))
-        raise ValidationError(f"out must be a writeable C-contiguous int64 array of shape "
-                              f"{(rows, steps + 1)}, got {got}")
+    if each is None:
+        if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.int64
+                                    and out.flags.c_contiguous and out.flags.writeable
+                                    and out.shape == (count, steps + 1)):
+            got = (f"a {'writeable' if out.flags.writeable else 'read-only'} "
+                   f"{'' if out.flags.c_contiguous else 'non-'}C-contiguous {out.dtype} "
+                   f"array of shape {out.shape}" if isinstance(out, np.ndarray) else reprlib.repr(out))
+            raise ValidationError(f"out must be a writeable C-contiguous int64 array of shape "
+                                  f"{(count, steps + 1)}, got {got}")
+        work = _Workspace(_empty_paths(count, steps) if out is None else out)
+    elif out is None:
+        work = path_buffer(steps, count)
+    elif not (isinstance(out, _Workspace) and out.paths.shape == (min(count, _CHUNK), steps + 1)):
+        got = (f"one of shape {out.paths.shape}" if isinstance(out, _Workspace)
+               else reprlib.repr(out))
+        raise ValidationError(f"out must be a workspace as path_buffer({steps}, {count}) returns, "
+                              f"of shape {(min(count, _CHUNK), steps + 1)}, got {got}")
+    else:
+        work = out
 
     initial = _guide_table(model.initial[None, :])
     kernel = _guide_table(model.kernel)
-    chunk_rows = min(count, _CHUNK)
-    buffers = [np.empty(chunk_rows, dtype=np.uint64) for _ in range(10)]
-    keys = np.empty((4, chunk_rows), dtype=np.uint64)
-    below = np.empty(chunk_rows, dtype=bool)
     for lo in range(0, count, _CHUNK):
-        index = np.arange(lo, min(lo + _CHUNK, count), dtype=np.uint64)
-        path = out[lo:lo + len(index)] if each is None else out[:len(index)]
-        chunk = [b[:len(index)] for b in buffers]
-        # a block's words are shifted into ``keys`` before its lookups use chunk[:2]
-        scratch = [*(b.view(np.int64) for b in chunk[:2]), below[:len(index)]]
+        rows = min(_CHUNK, count - lo)
+        path = work.paths[lo:lo + rows] if each is None else work.paths[:rows]
+        offsets = work.offsets[:rows]
+        words = [w[:rows] for w in work.words]
+        # the rounds leave their keys in words[:6]; the lookups' int64 scratch
+        # is two of the multiplier's buffers, which no key occupies
+        scratch = [*(w.view(np.int64) for w in words[-2:]), work.below[:rows]]
         for first in range(0, steps + 1, 4):
-            block = keys[:min(4, steps + 1 - first), :len(index)]
-            for k, key in enumerate(_philox_keys(seed, index, first // 4, chunk, block), first):
+            keys = _philox_keys(seed, lo, offsets, first // 4, min(4, steps + 1 - first), words)
+            for k, key in enumerate(keys, first):
                 if k:
                     kernel.search(path[:, k - 1], key, path[:, k], scratch)
                 else:
                     initial.search(0, key, path[:, 0], scratch)
         if each is not None:
             each(path)
-    return out if each is None else None
+    return work.paths if each is None else None
 
 
-def path_buffer(steps: int, count: int) -> np.ndarray:
-    """Uninitialised rows of ``steps + 1`` int64 entries, ``min(count, _CHUNK)`` of them.
+class _Workspace:
+    """All the sampler writes but its guide tables: the rows it draws and one chunk's scratch.
 
-    The block buffer in which ``sample_trajectories(..., each=...)`` draws
-    ``count`` paths of ``steps`` transitions; a run that samples several
-    models of one shape in turn draws every one of them into one buffer, so
-    the kernel need not zero-fill fresh pages for each model.
+    ``paths`` takes the drawn rows: all of a sample's, or one chunk that each
+    chunk overwrites.  ``words`` are the nine uint64 Philox buffers that
+    :func:`_philox_keys` works in, ``below`` the lookups' bool scratch and
+    ``offsets`` the read-only trajectory offsets ``0, 1, ...`` within a
+    chunk, each of ``min(len(paths), _CHUNK)`` entries.
+    """
+
+    def __init__(self, paths: np.ndarray):
+        rows = min(len(paths), _CHUNK)
+        self.paths = paths
+        self.words = [np.empty(rows, dtype=np.uint64) for _ in range(9)]
+        self.below = np.empty(rows, dtype=bool)
+        self.offsets = np.arange(rows, dtype=np.uint64)
+        self.offsets.setflags(write=False)
+
+
+def path_buffer(steps: int, count: int) -> _Workspace:
+    """The workspace in which ``sample_trajectories(..., each=...)`` draws ``count`` paths.
+
+    Its ``paths`` are ``min(count, _CHUNK)`` uninitialised rows of ``steps
+    + 1`` int64 entries, the block that each chunk of ``steps``-transition
+    paths is drawn into; the Philox words, the lookups' scratch and the
+    trajectory offsets are one chunk each.  A run that samples several
+    models of one shape in turn draws every one of them in one workspace,
+    so that the kernel need not zero-fill fresh pages for each model.
     """
     _check_sample_size(steps, count)
-    return _empty_paths(min(count, _CHUNK), steps)
+    return _Workspace(_empty_paths(min(count, _CHUNK), steps))
 
 
 def _check_sample_size(steps: int, count: int) -> None:
@@ -612,8 +645,6 @@ _MASK64 = (1 << 64) - 1
 _M0, _M1 = (_constant(m) for m in _PHILOX_M)
 #: each multiplier's low and high 32-bit halves, as _mulhi takes them
 _M0_HALVES, _M1_HALVES = ((_constant(m & 0xFFFFFFFF), _constant(m >> 32)) for m in _PHILOX_M)
-#: round r's key word k1 is index + r W1
-_ROUND_W1 = tuple(_constant(r * _PHILOX_W[1] & _MASK64) for r in range(_PHILOX_ROUNDS))
 _LOW32 = _constant(0xFFFFFFFF)
 _SHIFT32 = _constant(32)
 _KEY_SHIFT = _constant(64 - _KEY_BITS)
@@ -630,17 +661,19 @@ def _live_lanes(width: int) -> tuple[tuple[bool, ...], ...]:
 #: the lane schedule of each number of words a block returns
 _PHILOX_LIVE = {width: _live_lanes(width) for width in range(1, 5)}
 
-#: Trajectories sampled together.  Besides the paths it writes, the sampler
-#: holds ten uint64 Philox buffers of one chunk, two of which are the lookups'
-#: scratch once a block's words are keys, one bool per trajectory and the
-#: four int64 keys of one block: about ``81 + 32`` bytes per trajectory
-#: whatever the number of steps, 1.9 MB a chunk.  Its guide tables add
-#: ``2**bits`` answers a row, at most ``_GUIDE_ENTRIES`` unless
-#: ``2**ceil(log2 n)`` a row take more, and, for a kernel that needs the
-#: search, one int64 threshold per kernel entry and less than as many again
-#: of padding.  On the shipped chains (100,000 one-step or 65,536 16-step
-#: paths), 8,192 and 16,384 were the fastest, within 20% of one another;
-#: 4,096, 32,768 and 65,536 took 7% to 46% longer than 16,384.  Paths are
+#: Trajectories sampled together.  Besides the paths it writes, the sampler's
+#: workspace (:class:`_Workspace`) holds nine uint64 Philox buffers of one
+#: chunk, in which a block's words become its keys and two of which are the
+#: lookups' scratch, one bool and one uint64 trajectory offset per trajectory:
+#: about 81 bytes per trajectory whatever the number of steps, 1.3 MB a
+#: chunk, allocated once per call or, through :func:`path_buffer`, once per
+#: run.  Its guide tables add ``2**bits`` answers a row, at most
+#: ``_GUIDE_ENTRIES`` unless ``2**ceil(log2 n)`` a row take more, and, for a
+#: kernel that needs the search, one int64 threshold per kernel entry and
+#: less than as many again of padding.  On the shipped chains (100,000
+#: one-step or 65,536 16-step paths), 8,192 and 16,384 were the fastest,
+#: within 20% of one another; 4,096, 32,768 and 65,536 took 7% to 46%
+#: longer than 16,384.  Paths are
 #: counted and digested about ``_CHUNK`` entries at a time
 #: (:class:`_PathTally`).  Measured and dropped: a contiguous buffer of the
 #: current states, in place of the strided path columns that the lookups
@@ -651,42 +684,54 @@ _PHILOX_LIVE = {width: _live_lanes(width) for width in range(1, 5)}
 #: the wide-chain benchmark's three models from 10.64 to 10.88 ms; and
 #: giving each call of the rounds an output other than its inputs, which
 #: spares numpy's overlap handling, took about 5% longer on the shipped
-#: chains and the wide chain, for the extra memory traffic.
+#: chains and the wide chain, for the extra memory traffic.  Of the
+#: workspace: one pooled at module level between runs took a warmed
+#: ``wpi report --assert`` round to 164 minor faults, against 290 to 320,
+#: but keeps state between calls that threads would share; one ``(k,
+#: chunk)`` array of all the scratch took it to 3 but the wide chain's
+#: round from 3 to 229, as glibc's dynamic mmap threshold moved; and a
+#: module-level ``arange(_CHUNK)`` to offset the trajectory indices from
+#: added 0.13 MB to every process that imports the sampler.
 _CHUNK = 1 << 14
 
 
-def _philox_keys(seed: int, index: np.ndarray, block: int, buffers: list[np.ndarray],
-                 out: np.ndarray) -> np.ndarray:
-    """The first ``len(out) <= 4`` 53-bit keys of block ``block`` of ``Philox(key=[seed, i])``.
+def _philox_keys(seed: int, start: int, offsets: np.ndarray, block: int, width: int,
+                 words: list[np.ndarray]) -> list[np.ndarray]:
+    """The first ``width <= 4`` 53-bit keys of block ``block`` of ``Philox(key=[seed, i])``.
 
     ``Generator(Philox(key=[seed, i])).random(k)`` is exactly a stream's keys
     times ``2**-53``, four to a block, so block ``b`` holds keys ``4 b`` on.
-    ``out`` is a uint64 array of shape ``(len(out), len(index))`` whose
-    column ``i`` receives the keys of ``index[i]``; it is returned as int64.
-    Each round computes only the lanes that later rounds read, walking back
-    from the words returned (``_PHILOX_LIVE``): output lane j of a round
-    reads input lanes ``_PHILOX_READS[j]``.  The rounds run in place in
-    ``buffers``, ten uint64 arrays of ``len(index)`` entries; nothing else is
-    written.
+    Key ``j`` is returned as an int64 view of one of ``words[:6]``, whose
+    entry ``t`` is the key of trajectory ``i = start + offsets[t]`` (mod
+    ``2**64``).  Each round computes only the lanes that later rounds read,
+    walking back from the words returned (``_PHILOX_LIVE``): output lane j
+    of a round reads input lanes ``_PHILOX_READS[j]``.  The rounds run in
+    place in ``words``, nine uint64 arrays of ``len(offsets)`` entries, and
+    each word is shifted into its key where it lies; nothing else is written.
     """
-    c0, c1, c2, c3, h0, h1, k1, *scratch = buffers
+    c0, c1, c2, c3, h0, h1, *scratch = words
+    k1 = scratch[2]  # round r's key word, made once the _mulhi before it is done
     # round 0 maps (block + 1, 0, 0, 0) to (k0, 0, hi(M0 (block + 1)) ^ k1, lo(M0 (block + 1))):
-    # scalars but for the key word k1 = index, so round 1's lane 2 is k1 ^ a scalar, lane 3 a
-    # fill; these scalars and each round's key word k0 = seed + r W0 become operands at once
+    # scalars but for the key word k1 = i, so round 1's lane 2 is k1 ^ a scalar, lane 3 a
+    # fill.  Round r's key words are k0 = seed + r W0 and k1 = offsets + (start + r W1);
+    # these scalars and each k0 and start + r W1 become operands at once
     counter, key = _PHILOX_M[0] * (block + 1), _PHILOX_M[0] * seed
-    counter_hi, lane2, lane3, *k0 = np.array(
+    counter_hi, lane2, lane3, *schedule = np.array(
         [counter >> 64, (key >> 64) ^ (counter & _MASK64), key & _MASK64,
-         *((seed + r * _PHILOX_W[0]) & _MASK64 for r in range(_PHILOX_ROUNDS))],
+         *((seed + r * _PHILOX_W[0]) & _MASK64 for r in range(_PHILOX_ROUNDS)),
+         *((start + r * _PHILOX_W[1]) & _MASK64 for r in range(_PHILOX_ROUNDS))],
         dtype=np.uint64)[:, None]
-    np.bitwise_xor(index, counter_hi, c2)
+    k0, w1 = schedule[:_PHILOX_ROUNDS], schedule[_PHILOX_ROUNDS:]
+    np.add(offsets, w1[0], c2)
+    np.bitwise_xor(c2, counter_hi, c2)
     _mulhi(_M1_HALVES, c2, h1, scratch)
     np.bitwise_xor(h1, k0[1], h1)
     np.multiply(c2, _M1, c1)
-    np.add(index, _ROUND_W1[1], h0)
+    np.add(offsets, w1[1], h0)
     np.bitwise_xor(h0, lane2, h0)
     c3[...] = lane3
     c0, c2, h1, h0 = h1, h0, c0, c2
-    for r, (l0, l1, l2, l3) in enumerate(_PHILOX_LIVE[len(out)], 2):
+    for r, (l0, l1, l2, l3) in enumerate(_PHILOX_LIVE[width], 2):
         # (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))
         if l0:
             _mulhi(_M1_HALVES, c2, h1, scratch)
@@ -697,14 +742,15 @@ def _philox_keys(seed: int, index: np.ndarray, block: int, buffers: list[np.ndar
         if l2:
             _mulhi(_M0_HALVES, c0, h0, scratch)
             np.bitwise_xor(h0, c3, h0)
-            np.add(index, _ROUND_W1[r], k1)
+            np.add(offsets, w1[r], k1)
             np.bitwise_xor(h0, k1, h0)
         if l3:
             np.multiply(c0, _M0, c3)
         c0, c2, h1, h0 = h1, h0, c0, c2
-    for word, row in zip((c0, c1, c2, c3), out):
-        np.right_shift(word, _KEY_SHIFT, row)
-    return out.view(np.int64)
+    keys = (c0, c1, c2, c3)[:width]
+    for word in keys:
+        np.right_shift(word, _KEY_SHIFT, word)
+    return [word.view(np.int64) for word in keys]
 
 
 def _mulhi(m: tuple, x: np.ndarray, out: np.ndarray, scratch: list[np.ndarray]) -> None:

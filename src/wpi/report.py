@@ -16,7 +16,6 @@ import json
 import math
 import os
 import platform
-import tempfile
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -163,8 +162,10 @@ def model_sections(
     Model ``index`` draws ``config.sim.samples`` paths of ``steps`` each
     with seed ``config.sim.seed + index``.  No array of a model's paths is
     made: its one :func:`~wpi.markov.sample_trajectories` call draws them a
-    block at a time into the run's one :func:`~wpi.markov.path_buffer`, and
-    a :class:`~wpi.markov._PathTally` counts and hashes each block before the
+    block at a time in the run's one workspace (:func:`~wpi.markov.path_buffer`:
+    the block of paths and the sampler's Philox scratch, which every model
+    reuses and the last model's checks run without), and a
+    :class:`~wpi.markov._PathTally` counts and hashes each block before the
     next overwrites it.  Returns the ``simulations`` entries of
     :func:`simulate_section` if ``simulate``, and the ``bound_checks``
     entries and gates of :func:`bounds_section` if ``check``, in model
@@ -174,11 +175,15 @@ def model_sections(
         raise ValidationError("config has no models to sample")
     simulations = [] if simulate else None
     checks, gates = ([], []) if check else (None, None)
-    buffer = path_buffer(steps, config.sim.samples)
+    workspace = path_buffer(steps, config.sim.samples)
     for index, model in enumerate(config.models):
         seed = config.sim.seed + index
         tally = _PathTally(model.n_states, digest=simulate)
-        sample_trajectories(model, steps, config.sim.samples, seed, out=buffer, each=tally.add)
+        sample_trajectories(model, steps, config.sim.samples, seed, out=workspace, each=tally.add)
+        if index == len(config.models) - 1:
+            # held through the last checks, it pinned the top of glibc's heap:
+            # one 1024-state model's checks peaked 8 MB higher
+            del workspace
         if simulate:
             simulations.append(simulate_section(model, seed, tally))
         if check:
@@ -417,19 +422,16 @@ def _atomic_write(path: Path, text: str) -> Path:
     """Write ``text`` to a temp file and rename it over ``path``.
 
     The file gets the mode ``open(path, "w")`` would give it: the temp file
-    is created 0600, so it is set to 0666 less the process umask.
+    is created 0666 with a fresh random name, and the kernel takes the
+    process umask off that mode.
     """
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=path.parent, prefix=f".{path.name}.", delete=False, encoding="utf-8"
-    )
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        umask = os.umask(0)  # os.umask is the only way to read the umask
-        os.umask(umask)
-        os.chmod(handle.name, 0o666 & ~umask)
-        os.replace(handle.name, path)
+        os.replace(tmp, path)
     except BaseException:
-        os.unlink(handle.name)
+        os.unlink(tmp)
         raise
     return path

@@ -351,7 +351,8 @@ class TestSubcommands:
         assert [c["samples"] for c in bundle["bound_checks"]] == [500] * 3
 
     def test_report_draws_every_model_into_one_array(self, tmp_path, monkeypatch):
-        # the one array is the run's chunk buffer: no model's paths are held
+        # the one workspace holds the run's chunk buffer, so no model's paths
+        # are held, and the Philox scratch that every model reuses
         buffers = []
 
         def recording(model, steps, count, seed, out=None, each=None):
@@ -361,7 +362,7 @@ class TestSubcommands:
         monkeypatch.setattr("wpi.report.sample_trajectories", recording)
         assert run(["report", "--samples", _CHUNK + 500, "--out", tmp_path / "out"]) == 0
         first, *later = buffers
-        assert first.shape == (_CHUNK, 2) and len(later) == 2
+        assert first.paths.shape == (_CHUNK, 2) and len(later) == 2
         assert all(out is first for out in later)
 
     def test_shared_array_gives_each_command_the_same_sections(self, tmp_path):
@@ -759,6 +760,26 @@ class TestDeterminism:
         for name in names:
             assert stat.S_IMODE((out / name).stat().st_mode) == 0o666 & ~umask, name
 
+    def test_bundle_write_leaves_the_process_umask_alone(self, tmp_path, monkeypatch):
+        # setting the umask to read it left every other thread's files
+        # unmasked while it was 0; the kernel applies it to the create instead
+        config = small_config(tmp_path)
+        out = tmp_path / "out"
+        old = os.umask(0o027)
+
+        def refuse(mask):
+            raise AssertionError(f"os.umask({mask:#o}) changes the umask of every thread")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        try:
+            assert run(["report", "--config", config, "--out", out]) == 0
+        finally:
+            monkeypatch.undo()
+            os.umask(old)
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["bounds.tsv", "compare.tsv", "report.json"]
+        for name in names:
+            assert stat.S_IMODE((out / name).stat().st_mode) == 0o666 & ~0o027, name
 
     def test_failed_write_leaves_the_target_and_no_temp_file(self, tmp_path):
         # a lone surrogate cannot be encoded, so the write fails after the temp file exists

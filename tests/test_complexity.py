@@ -324,6 +324,18 @@ class TestCorpusFile:
         with pytest.raises(ValidationError, match="line 2"):
             read_corpus(bad)
 
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff\x00", 1),
+        (b"0101\n\n01\xff\n", 3),
+        (b"0101\r\n\xc3\n", 2),  # a lead byte cut off by the line end
+    ], ids=["first", "third", "truncated"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, data, line):
+        # the locale's codec let a bare UnicodeDecodeError escape
+        bad = tmp_path / "corpus.txt"
+        bad.write_bytes(data)
+        with pytest.raises(ValidationError, match=rf"line {line} is not UTF-8 text"):
+            read_corpus(bad)
+
     @pytest.mark.parametrize("line", NOT_BINARY.values(), ids=NOT_BINARY.keys())
     def test_rejects_look_alikes_and_long_spoilt_lines(self, tmp_path, line):
         bad = tmp_path / "corpus.txt"

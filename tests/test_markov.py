@@ -1,6 +1,7 @@
 """Markov model validation, deterministic sampling, stationary laws."""
 
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -432,7 +433,7 @@ class TestSampling:
         model, count = eight_state_chain(), _CHUNK + 3
         paths = sample_trajectories(model, steps, count, seed=5)
         buffer = path_buffer(steps, count)
-        assert buffer.shape == (_CHUNK, steps + 1)
+        assert buffer.paths.shape == (_CHUNK, steps + 1)
         tally = _PathTally(model.n_states)
         assert sample_trajectories(model, steps, count, seed=5, out=buffer, each=tally.add) is None
         assert np.array_equal(tally.counts, transition_counts(model, paths))
@@ -454,16 +455,43 @@ class TestSampling:
         assert len(blocks) == 1 and np.array_equal(blocks[0], paths[:40])
 
     @pytest.mark.parametrize("make", [
-        lambda: np.zeros((7, 3), dtype=np.int64),
-        lambda: np.zeros((10, 2), dtype=np.int64),
+        lambda: path_buffer(2, 7),
+        lambda: path_buffer(1, 10),
+        lambda: path_buffer(2, _CHUNK + 1),
+        lambda: np.zeros((10, 3), dtype=np.int64),
         lambda: np.zeros((10, 3), dtype=np.int32),
         lambda: np.zeros((10, 6), dtype=np.int64)[:, ::2],
         lambda: read_only(np.zeros((10, 3), dtype=np.int64)),
-    ], ids=["rows", "columns", "int32", "strided", "read-only"])
+    ], ids=["rows", "columns", "chunk", "array", "int32", "strided", "read-only"])
     def test_unusable_block_buffer_rejected(self, make):
-        # the block buffer is what path_buffer(2, 10) returns: all 10 rows
-        with pytest.raises(ValidationError, match=r"of shape \(10, 3\)"):
+        # the workspace is what path_buffer(2, 10) returns, with a block of
+        # all 10 rows; one made for another shape, or a bare array, is refused
+        with pytest.raises(ValidationError, match=r"path_buffer\(2, 10\).*of shape \(10, 3\)"):
             sample_trajectories(two_state_chain(), 2, 10, seed=1, out=make(), each=print)
+
+    def test_workspace_serves_every_count_of_its_shape(self):
+        # a count past one chunk needs a block of _CHUNK rows, whatever the count
+        model, work = four_state_chain(), path_buffer(2, _CHUNK + 5)
+        for count in (_CHUNK, _CHUNK + 5, 3 * _CHUNK):
+            tally = _PathTally(model.n_states)
+            sample_trajectories(model, 2, count, seed=4, out=work, each=tally.add)
+            assert tally.digest == path_digest(sample_trajectories(model, 2, count, seed=4), 4)
+
+    @pytest.mark.parametrize("steps", [1, 16])
+    def test_a_call_given_a_workspace_allocates_no_chunk(self, steps):
+        # without it, a call makes nine Philox buffers, the offsets and a bool
+        # array of _CHUNK entries, and the block of paths; a peak below
+        # _CHUNK bytes leaves room for no array of one entry per trajectory,
+        # only for the guide tables of a small model and numpy's temporaries
+        model, count = eight_state_chain(), 2 * _CHUNK + 5
+        work = path_buffer(steps, count)
+        tracemalloc.start()
+        try:
+            sample_trajectories(model, steps, count, seed=6, out=work, each=lambda rows: None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < _CHUNK, peak
 
     @pytest.mark.parametrize("make", [
         lambda: np.zeros((10, 3), dtype=np.int64),
@@ -516,26 +544,36 @@ class TestPhiloxStreams:
         # the lanes its first 1, 2, 3 or 4 words read, and k = 5 to 8 ask
         # for each of those in a later block
         index = [0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2**32 - 1, 2**32, 2**40 + 3]
-        buffers = [np.empty(len(index), dtype=np.uint64) for _ in range(10)]
+        words = [np.empty(len(index), dtype=np.uint64) for _ in range(9)]
         got = np.concatenate([
-            _philox_keys(seed, np.array(index, dtype=np.uint64), first // 4, buffers,
-                         np.empty((min(4, k - first), len(index)), dtype=np.uint64))
+            np.array(_philox_keys(seed, 0, np.array(index, dtype=np.uint64), first // 4,
+                                  min(4, k - first), words))
             for first in range(0, k, 4)]).T
         expected = [np.random.Generator(np.random.Philox(key=[seed, i])).random(k) for i in index]
         assert got.dtype == np.int64 and got.min() >= 0 and got.max() < 2**53
         assert np.array_equal(got * 2.0**-53, np.array(expected))
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
-    def test_keys_write_only_out_and_buffers(self, width):
-        # every call names its output positionally, where a swapped argument
-        # would write into ``index`` without an error
-        index = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
-        given = index.copy()
-        buffers = [np.empty(len(index), dtype=np.uint64) for _ in range(10)]
+    @pytest.mark.parametrize("start", [0, 2**63 - 2], ids=["start-0", "start-wraps"])
+    def test_keys_are_shifted_in_place_in_the_words(self, width, start):
+        # each key is an int64 view of its own buffer among the first six
+        # words, which the lookups leave alone; trajectory start + offset
+        # wraps past 2**64 - 1 as a uint64 does; every call names its output
+        # positionally, and a swapped argument that wrote into the offsets
+        # would raise on the read-only array
+        offsets = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        given = read_only(np.array(offsets, dtype=np.uint64))
+        words = [np.empty(len(offsets), dtype=np.uint64) for _ in range(9)]
         for block in (0, 1):
-            _philox_keys(MAX_SEED, given, block, buffers,
-                         np.empty((width, len(index)), dtype=np.uint64))
-            assert np.array_equal(given, index)
+            keys = _philox_keys(MAX_SEED, start, given, block, width, words)
+            owners = [[np.shares_memory(key, w) for w in words].index(True) for key in keys]
+            assert all(key.dtype == np.int64 for key in keys)
+            assert len(set(owners)) == width and max(owners) < 6
+            # a uint64 key array, as a list's entries past 2**53 go through float64
+            expected = [np.random.Generator(np.random.Philox(
+                key=np.array([MAX_SEED, (start + i) % 2**64], np.uint64)))
+                .random(4 * block + width)[4 * block:] for i in offsets]
+            assert np.array_equal(np.array(keys).T * 2.0**-53, np.array(expected))
 
     @pytest.mark.parametrize("halves", ["_M0_HALVES", "_M1_HALVES"])
     def test_mulhi_equals_the_python_int_product(self, halves):
@@ -592,7 +630,6 @@ PHILOX_CONSTANTS = {
     "_M1": 0xCA5A826395121157,
     "_M0_HALVES": (0xE14C6C93, 0xD2E7470E),
     "_M1_HALVES": (0x95121157, 0xCA5A8263),
-    "_ROUND_W1": tuple(r * 0xBB67AE8584CAA73B % 2**64 for r in range(10)),
     "_LOW32": 2**32 - 1,
     "_SHIFT32": 32,
     "_KEY_SHIFT": 64 - 53,
