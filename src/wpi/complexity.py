@@ -140,9 +140,13 @@ def read_corpus(path: str | Path) -> list[str]:
 
     The file is read as UTF-8, whatever the locale.  Blank lines are
     skipped; a byte that is not UTF-8, or a line that is not a binary
-    string, is a validation error naming the offending line.
+    string, is a validation error naming the offending line, and a path
+    holding a NUL byte one naming the path.
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except ValueError as exc:  # the path holds a NUL byte
+        raise ValidationError(f"cannot open {str(path)!r}: {exc}") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

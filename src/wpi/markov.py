@@ -4,43 +4,26 @@ Trajectory ``i`` of a sample draws all its randomness from the Philox4x64-10
 counter-based stream keyed ``(seed, i)``: the same doubles that
 ``numpy.random.Generator(numpy.random.Philox(key=[seed, i])).random()``
 returns.  Because the generator is counter-based, the sampler computes those
-streams as array arithmetic over the trajectory indices of one chunk at a
-time.  It returns the paths as one integer array, or, given a consumer,
-passes each chunk of rows to it while the chunk is still in cache and makes
-no array of all the paths: a :class:`_PathTally` consumer counts and hashes
-the chunks as they are drawn, so a run holds one chunk of paths however
-many it samples, and a run that samples several models of one shape in turn
-draws them all in one workspace (:func:`path_buffer`), which holds the
-block of paths and every buffer the sampler writes.  Each double is a 53-bit
-integer key times ``2**-53``, and the sampler works on the keys: a state is
-picked by an exact guide-table lookup (a shift and a gather, and a binary
-search within the bucket where CDF entries fall inside it; see
-:class:`_GuideTable`), whose answers are those of a binary search of the
-row's CDF for the double.  A Philox block gives four keys; the sampler
-draws one block of a chunk, runs its steps' lookups and then draws the
-next, and each block's rounds compute only the lanes that its keys read.
-The rounds run in place in nine word buffers of one chunk, each word is
-shifted into its key where it lies, and the lookups take their scratch from
-the word buffers that no key occupies, so the working memory beyond the
-paths written (all of them, or one chunk) and the tables is set by
-``_CHUNK``, not by the number of trajectories or of steps;
-:class:`_PathTally` counts and hashes paths about ``_CHUNK`` entries at a
-time.  A stream's first draws do not depend on how many follow, so a path
-sampled with more steps extends the shorter one.  Seeds range over
-``[0, MAX_SEED]``.
+streams as array arithmetic over the trajectory indices of one chunk of
+``_CHUNK`` trajectories at a time, one Philox block (four keys) of their
+paths at a time.  It returns the paths as one integer array, or, given a
+consumer, passes each chunk of rows to it while the chunk is still in cache
+and makes no array of all the paths: a :class:`_PathTally` consumer counts
+and hashes the chunks as they are drawn.  Beyond the paths written (all of
+them, or one chunk) and its tables, the sampler writes only one chunk's
+workspace (:func:`path_buffer`), however many trajectories or steps it
+draws.  Each double is a 53-bit integer key times ``2**-53``, and a state is
+picked from its key by an exact guide-table lookup (:class:`_GuideTable`)
+whose answers are those of a binary search of the row's CDF for the double.
+A stream's first draws do not depend on how many follow, so a path sampled
+with more steps extends the shorter one.  Seeds range over ``[0, MAX_SEED]``.
 
 On the hot path (:func:`_philox_keys`, :func:`_mulhi`, :meth:`_GuideTable.search`)
-each numpy call pays only its own dispatch: constants are read-only 0-d
-arrays made at import (the words of the seed, the block and the chunk's
-first trajectory, one-element arrays made once a call), outputs are the
-third positional argument, no array is updated by augmented assignment, and
-gathers call ``ndarray.take``.  On
-one-element uint64 arrays (Python 3.11, numpy 2.4, 2-CPU x86-64; see
-``BENCH_27.json``), ``np.right_shift(x, np.uint64(32), out=y)`` took 0.61 µs
-a call and ``np.right_shift(x, c, y)`` with a 0-d ``c`` 0.38 µs;
-``y >>= np.uint64(32)`` took 1.1 µs, and ``np.take(t, i, out=y, mode="clip")``
-1.3 µs against 0.23 to 0.35 µs for ``t.take(i, None, y, "clip")``.  A call
-whose output is also an input pays about 0.9 µs in either form.
+each numpy call pays only its own dispatch, where the other forms took 1.6
+to 6.3 times as long a call (``BENCH_27.json``): constants are read-only 0-d
+arrays made at import or once a call, outputs are the third positional
+argument, no array is updated by augmented assignment, and gathers call
+``ndarray.take``.
 """
 
 from __future__ import annotations
@@ -231,26 +214,21 @@ def stationary_distribution(kernel: np.ndarray) -> np.ndarray:
 
 
 def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int,
-                        out: np.ndarray | _Workspace | None = None,
+                        out: _Workspace | None = None,
                         each: Callable[[np.ndarray], object] | None = None) -> np.ndarray | None:
     """Sample ``count`` paths of ``steps`` transitions each.
 
     Returns an int64 array of shape ``(count, steps + 1)`` whose row ``i``
     lists the state indices visited by trajectory ``i``.  That trajectory
     draws its ``steps + 1`` uniforms from ``Philox(key=(seed, i))``: the
-    first picks the initial state, the others one transition each.  Given
-    ``out``, a writeable C-contiguous int64 array of that shape, the paths
-    overwrite every entry of it and ``out`` is returned.
+    first picks the initial state, the others one transition each.
 
     Given a consumer ``each``, no array of all the paths is made and None is
-    returned: the rows are drawn ``_CHUNK`` at a time in ``out``, a
+    returned: the rows are drawn ``_CHUNK`` at a time into ``out``, the
     workspace that :func:`path_buffer` returns for ``steps`` and ``count``
-    (by default a new one), whose block of ``(min(count, _CHUNK), steps +
-    1)`` paths each chunk overwrites, and each filled block is passed to
-    ``each``, in row order, before the next is drawn.  A workspace of
-    another shape, or anything else, is a :class:`ValidationError`.  With a
-    workspace, a call allocates only its guide tables, and a run that draws
-    several models in one workspace faults in its pages once.
+    (by default a new one), and each filled block is passed to ``each`` in
+    row order before the next is drawn.  Any other ``out``, or one given
+    without ``each``, is a :class:`ValidationError`.
     """
     _check_sample_size(steps, count)
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
@@ -259,36 +237,24 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int,
         raise ValidationError(f"seed must be an integer in [0, 2**63 - 1], got {seed!r}")
     seed = int(seed)
 
-    if each is None:
-        if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.int64
-                                    and out.flags.c_contiguous and out.flags.writeable
-                                    and out.shape == (count, steps + 1)):
-            got = (f"a {'writeable' if out.flags.writeable else 'read-only'} "
-                   f"{'' if out.flags.c_contiguous else 'non-'}C-contiguous {out.dtype} "
-                   f"array of shape {out.shape}" if isinstance(out, np.ndarray) else reprlib.repr(out))
-            raise ValidationError(f"out must be a writeable C-contiguous int64 array of shape "
-                                  f"{(count, steps + 1)}, got {got}")
-        work = _Workspace(_empty_paths(count, steps) if out is None else out)
-    elif out is None:
-        work = path_buffer(steps, count)
-    elif not (isinstance(out, _Workspace) and out.paths.shape == (min(count, _CHUNK), steps + 1)):
-        got = (f"one of shape {out.paths.shape}" if isinstance(out, _Workspace)
-               else reprlib.repr(out))
-        raise ValidationError(f"out must be a workspace as path_buffer({steps}, {count}) returns, "
-                              f"of shape {(min(count, _CHUNK), steps + 1)}, got {got}")
-    else:
-        work = out
+    block = (min(count, _CHUNK), steps + 1)
+    if out is None:
+        out = _Workspace(count if each is None else block[0], steps)
+    elif each is None or not (isinstance(out, _Workspace) and out.paths.shape == block):
+        got = f"one of shape {out.paths.shape}" if isinstance(out, _Workspace) else reprlib.repr(out)
+        raise ValidationError(f"out must be a workspace as path_buffer({steps}, {count}) returns, of shape "
+                              f"{block}, given with each, got {got}{' without each' if each is None else ''}")
 
     initial = _guide_table(model.initial[None, :])
     kernel = _guide_table(model.kernel)
     for lo in range(0, count, _CHUNK):
         rows = min(_CHUNK, count - lo)
-        path = work.paths[lo:lo + rows] if each is None else work.paths[:rows]
-        offsets = work.offsets[:rows]
-        words = [w[:rows] for w in work.words]
+        path = out.paths[lo:lo + rows] if each is None else out.paths[:rows]
+        offsets = out.offsets[:rows]
+        words = [w[:rows] for w in out.words]
         # the rounds leave their keys in words[:6]; the lookups' int64 scratch
         # is two of the multiplier's buffers, which no key occupies
-        scratch = [*(w.view(np.int64) for w in words[-2:]), work.below[:rows]]
+        scratch = [*(w.view(np.int64) for w in words[-2:]), out.below[:rows]]
         for first in range(0, steps + 1, 4):
             keys = _philox_keys(seed, lo, offsets, first // 4, min(4, steps + 1 - first), words)
             for k, key in enumerate(keys, first):
@@ -298,22 +264,29 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int,
                     initial.search(0, key, path[:, 0], scratch)
         if each is not None:
             each(path)
-    return work.paths if each is None else None
+    return out.paths if each is None else None
 
 
 class _Workspace:
-    """All the sampler writes but its guide tables: the rows it draws and one chunk's scratch.
+    """All the sampler writes but its guide tables, as :func:`path_buffer` describes it.
 
-    ``paths`` takes the drawn rows: all of a sample's, or one chunk that each
-    chunk overwrites.  ``words`` are the nine uint64 Philox buffers that
-    :func:`_philox_keys` works in, ``below`` the lookups' bool scratch and
-    ``offsets`` the read-only trajectory offsets ``0, 1, ...`` within a
-    chunk, each of ``min(len(paths), _CHUNK)`` entries.
+    ``paths`` are ``rows`` uninitialised paths of ``steps`` transitions (too
+    many to allocate is a :class:`ValidationError`); ``words`` are the nine
+    uint64 buffers of :func:`_philox_keys`, ``below`` the lookups' bool
+    scratch and ``offsets`` the read-only offsets ``0, 1, ...`` of a chunk's
+    trajectories, each of ``min(rows, _CHUNK)`` entries.
     """
 
-    def __init__(self, paths: np.ndarray):
-        rows = min(len(paths), _CHUNK)
-        self.paths = paths
+    def __init__(self, rows: int, steps: int):
+        shape = (int(rows), int(steps) + 1)
+        try:
+            self.paths = np.empty(shape, dtype=np.int64)
+        except (MemoryError, ValueError):  # ValueError: more bytes than numpy can address
+            raise ValidationError(
+                f"cannot allocate the sampled paths: an int64 array of shape "
+                f"{shape} needs {shape[0] * shape[1] * 8} bytes"
+            ) from None
+        rows = min(shape[0], _CHUNK)
         self.words = [np.empty(rows, dtype=np.uint64) for _ in range(9)]
         self.below = np.empty(rows, dtype=bool)
         self.offsets = np.arange(rows, dtype=np.uint64)
@@ -321,17 +294,18 @@ class _Workspace:
 
 
 def path_buffer(steps: int, count: int) -> _Workspace:
-    """The workspace in which ``sample_trajectories(..., each=...)`` draws ``count`` paths.
+    """The workspace in which ``sample_trajectories(..., out=..., each=...)`` draws ``count`` paths.
 
-    Its ``paths`` are ``min(count, _CHUNK)`` uninitialised rows of ``steps
-    + 1`` int64 entries, the block that each chunk of ``steps``-transition
-    paths is drawn into; the Philox words, the lookups' scratch and the
-    trajectory offsets are one chunk each.  A run that samples several
-    models of one shape in turn draws every one of them in one workspace,
-    so that the kernel need not zero-fill fresh pages for each model.
+    It holds everything the sampler writes but its guide tables: a block of
+    ``min(count, _CHUNK)`` int64 paths of ``steps`` transitions, which each
+    chunk overwrites, and one chunk's Philox words, lookup scratch and
+    trajectory offsets, about 81 bytes a trajectory.  A call given a
+    workspace allocates only its guide tables, so a run that samples several
+    models of one shape in turn draws them all in one workspace, and the
+    kernel zero-fills its pages once, not once a model (``BENCH_30.json``).
     """
     _check_sample_size(steps, count)
-    return _Workspace(_empty_paths(min(count, _CHUNK), steps))
+    return _Workspace(min(count, _CHUNK), steps)
 
 
 def _check_sample_size(steps: int, count: int) -> None:
@@ -344,36 +318,24 @@ def _check_sample_size(steps: int, count: int) -> None:
         raise ValidationError(f"count must be >= 1, got {count}")
 
 
-def _empty_paths(rows: int, steps: int) -> np.ndarray:
-    shape = (int(rows), int(steps) + 1)
-    try:
-        return np.empty(shape, dtype=np.int64)
-    except (MemoryError, ValueError):  # ValueError: more bytes than numpy can address
-        raise ValidationError(
-            f"cannot allocate the sampled paths: an int64 array of shape "
-            f"{shape} needs {shape[0] * shape[1] * 8} bytes"
-        ) from None
-
-
 class _PathTally:
     """Transition counts and the path digest of rows of paths added in order.
 
     :meth:`add` takes the rows of a sample in row order, in blocks of any
     size, and works about ``_CHUNK`` entries at a time.  ``first_counts``
     is the (source, target) matrix of each path's first step, ``counts``
-    that of every step, ``digest`` the sha256 of :func:`path_digest`, and
-    ``first_path`` row 0 as a list.  Without ``count`` (or ``digest``) the
-    counts (or the digest) are not kept.  :meth:`add` does not check its
-    rows, so it takes only the sampler's own rows and those that
-    :func:`_path_chunks` has checked and cast to intp.
+    that of every step, ``digest`` the sha256 of :func:`path_digest`, kept
+    only with ``digest``, and ``first_path`` row 0 as a list.  :meth:`add`
+    does not check its rows, so it takes only the sampler's own rows and
+    those that :func:`_path_chunks` has checked and cast to intp.
     """
 
-    def __init__(self, n: int, count: bool = True, digest: bool = True):
+    def __init__(self, n: int, digest: bool = True):
         self.n = n
         self.rows = 0
         self.first_path: list[int] | None = None
-        self._first = np.zeros(n * n, dtype=np.intp) if count else None
-        self._later = np.zeros(n * n, dtype=np.intp) if count else None
+        self._first = np.zeros(n * n, dtype=np.intp)
+        self._later = np.zeros(n * n, dtype=np.intp)
         self._sha = hashlib.sha256() if digest else None
         if digest:
             # state s's token within a row, s and ",", and at a row's end, s
@@ -405,7 +367,7 @@ class _PathTally:
         n, step = self.n, _chunk_rows(paths.shape[1])
         for lo in range(0, len(paths), step):
             rows = paths[lo:lo + step]
-            if self._first is not None and rows.shape[1] > 1:
+            if rows.shape[1] > 1:
                 pairs = rows[:, 0] * n
                 np.add(pairs, rows[:, 1], pairs)
                 _count(self._first, pairs)
@@ -420,14 +382,8 @@ class _PathTally:
 
 
 def _count(counts: np.ndarray, codes: np.ndarray) -> None:
-    """Add one to ``counts[c]`` for each ``c`` in ``codes``.
-
-    A bincount zero-fills ``len(counts)`` entries, n * n for pair codes, so
-    fewer codes than that are added one by one: at n = 1024, a bincount per
-    chunk made the summary of 100,000 four-step paths 36% slower than
-    counting them once they were all sampled, and adding them one by one
-    made it 30% faster.
-    """
+    """Add one to ``counts[c]`` for each ``c`` in ``codes``, one by one if there are fewer
+    codes than the ``len(counts)`` entries a bincount zero-fills (``BENCH_29.json``)."""
     if len(codes) < len(counts):
         np.add.at(counts, codes, 1)
     else:
@@ -437,30 +393,27 @@ def _count(counts: np.ndarray, codes: np.ndarray) -> None:
 def transition_counts(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
     """Count matrix of observed (source, target) transitions in ``paths``.
 
-    ``paths`` is a 2-D integer array of state indices in ``[0, n_states)``.
-    The pairs are checked (:func:`_path_chunks`) and counted
-    (:class:`_PathTally`) about ``_CHUNK`` entries at a time, so the
-    temporaries hold that many entries, however long the paths.
+    ``paths`` is a 2-D integer array of state indices in ``[0, n_states)``,
+    read through :func:`_tally`.
     """
-    tally = _PathTally(model.n_states, digest=False)
-    for rows in _path_chunks(paths, model.n_states):
-        tally.add(rows)
-    return tally.counts
+    return _tally(paths, model.n_states, digest=False).counts
 
 
 def path_digest(paths: np.ndarray, n: int) -> str:
     """sha256 of ``paths`` written as ``"a,b,...;"`` per row, rows in order.
 
     ``paths`` is a 2-D integer array of state indices in ``[0, n)``, as
-    :func:`sample_trajectories` returns it.  The rows are checked
-    (:func:`_path_chunks`) and hashed (:class:`_PathTally`) about
-    ``_CHUNK`` entries at a time, so the temporaries hold that many
-    entries, however long the paths.
+    :func:`sample_trajectories` returns it, read through :func:`_tally`.
     """
-    tally = _PathTally(n, count=False)
+    return _tally(paths, n, digest=True).digest
+
+
+def _tally(paths: np.ndarray, n: int, digest: bool) -> _PathTally:
+    """The :class:`_PathTally` of ``paths``, read in checked chunks of about ``_CHUNK`` entries."""
+    tally = _PathTally(n, digest)
     for rows in _path_chunks(paths, n):
         tally.add(rows)
-    return tally.digest
+    return tally
 
 
 def _chunk_rows(width: int) -> int:
@@ -661,37 +614,9 @@ def _live_lanes(width: int) -> tuple[tuple[bool, ...], ...]:
 #: the lane schedule of each number of words a block returns
 _PHILOX_LIVE = {width: _live_lanes(width) for width in range(1, 5)}
 
-#: Trajectories sampled together.  Besides the paths it writes, the sampler's
-#: workspace (:class:`_Workspace`) holds nine uint64 Philox buffers of one
-#: chunk, in which a block's words become its keys and two of which are the
-#: lookups' scratch, one bool and one uint64 trajectory offset per trajectory:
-#: about 81 bytes per trajectory whatever the number of steps, 1.3 MB a
-#: chunk, allocated once per call or, through :func:`path_buffer`, once per
-#: run.  Its guide tables add ``2**bits`` answers a row, at most
-#: ``_GUIDE_ENTRIES`` unless ``2**ceil(log2 n)`` a row take more, and, for a
-#: kernel that needs the search, one int64 threshold per kernel entry and
-#: less than as many again of padding.  On the shipped chains (100,000
-#: one-step or 65,536 16-step paths), 8,192 and 16,384 were the fastest,
-#: within 20% of one another; 4,096, 32,768 and 65,536 took 7% to 46%
-#: longer than 16,384.  Paths are
-#: counted and digested about ``_CHUNK`` entries at a time
-#: (:class:`_PathTally`).  Measured and dropped: a contiguous buffer of the
-#: current states, in place of the strided path columns that the lookups
-#: read and write, made one-step sampling of the shipped chains slower (0.987
-#: of the time before the rounds' calls took their present form, against
-#: 0.918 without it) and gained 10% only at 1,000 steps and 16,384 paths;
-#: computing a chunk's Philox blocks in one pass, not block by block, took
-#: the wide-chain benchmark's three models from 10.64 to 10.88 ms; and
-#: giving each call of the rounds an output other than its inputs, which
-#: spares numpy's overlap handling, took about 5% longer on the shipped
-#: chains and the wide chain, for the extra memory traffic.  Of the
-#: workspace: one pooled at module level between runs took a warmed
-#: ``wpi report --assert`` round to 164 minor faults, against 290 to 320,
-#: but keeps state between calls that threads would share; one ``(k,
-#: chunk)`` array of all the scratch took it to 3 but the wide chain's
-#: round from 3 to 229, as glibc's dynamic mmap threshold moved; and a
-#: module-level ``arange(_CHUNK)`` to offset the trajectory indices from
-#: added 0.13 MB to every process that imports the sampler.
+#: Trajectories sampled together, and about the entries :class:`_PathTally` reads
+#: at a time; on the shipped chains 8,192 and 16,384 were the fastest of the
+#: sizes from 4,096 to 65,536 (``BENCH_23.json``).
 _CHUNK = 1 << 14
 
 

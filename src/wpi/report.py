@@ -162,9 +162,8 @@ def model_sections(
     Model ``index`` draws ``config.sim.samples`` paths of ``steps`` each
     with seed ``config.sim.seed + index``.  No array of a model's paths is
     made: its one :func:`~wpi.markov.sample_trajectories` call draws them a
-    block at a time in the run's one workspace (:func:`~wpi.markov.path_buffer`:
-    the block of paths and the sampler's Philox scratch, which every model
-    reuses and the last model's checks run without), and a
+    block at a time in the run's one :func:`~wpi.markov.path_buffer`
+    workspace, freed before the last model's checks, and a
     :class:`~wpi.markov._PathTally` counts and hashes each block before the
     next overwrites it.  Returns the ``simulations`` entries of
     :func:`simulate_section` if ``simulate``, and the ``bound_checks``

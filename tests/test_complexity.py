@@ -336,6 +336,11 @@ class TestCorpusFile:
         with pytest.raises(ValidationError, match=rf"line {line} is not UTF-8 text"):
             read_corpus(bad)
 
+    def test_path_with_a_nul_byte_is_named(self):
+        # Path.read_bytes let a bare "ValueError: embedded null byte" escape
+        with pytest.raises(ValidationError, match=r"cannot open 'a\\x00b': embedded null byte"):
+            read_corpus("a\0b")
+
     @pytest.mark.parametrize("line", NOT_BINARY.values(), ids=NOT_BINARY.keys())
     def test_rejects_look_alikes_and_long_spoilt_lines(self, tmp_path, line):
         bad = tmp_path / "corpus.txt"
