@@ -62,17 +62,13 @@ from .metrics import ExecutionTrace, TaskRecord, TaskSuite
 from .substrate import Substrate
 from .telemetry import integrate_power, read_power_csv
 
-DEFAULT_SAMPLES = 100_000
-DEFAULT_DELTA = 0.05
-DEFAULT_ESTIMATOR = Estimator.EXACT_ENUM
-
 
 @dataclass(frozen=True)
 class SimSettings:
     seed: int
-    samples: int = DEFAULT_SAMPLES
-    delta: float = DEFAULT_DELTA
-    estimator: Estimator = DEFAULT_ESTIMATOR
+    samples: int
+    delta: float
+    estimator: Estimator
 
 
 @dataclass(frozen=True)
@@ -110,9 +106,9 @@ _INVALID = object()
 # a bare list is read entry by entry by the section that owns it.
 _ROOT = {
     "seed": (int, _REQUIRED),
-    "samples": (int, DEFAULT_SAMPLES),
-    "delta": (float, DEFAULT_DELTA),
-    "estimator": (str, DEFAULT_ESTIMATOR.value),
+    "samples": (int, 100_000),
+    "delta": (float, 0.05),
+    "estimator": (str, Estimator.EXACT_ENUM.value),
     "substrates": (list, []),
     "suites": (list, []),
     "traces": (list, []),

@@ -324,10 +324,12 @@ class _PathTally:
     :meth:`add` takes the rows of a sample in row order, in blocks of any
     size, and works about ``_CHUNK`` entries at a time.  ``first_counts``
     is the (source, target) matrix of each path's first step, ``counts``
-    that of every step, ``digest`` the sha256 of :func:`path_digest`, kept
-    only with ``digest``, and ``first_path`` row 0 as a list.  :meth:`add`
-    does not check its rows, so it takes only the sampler's own rows and
-    those that :func:`_path_chunks` has checked and cast to intp.
+    that of every step, and ``first_path`` row 0 as a list.  ``digest``,
+    kept only with ``digest``, is the sha256 of the rows as text: each
+    row's decimal state indices joined by ``,`` and followed by ``;``, rows
+    in order (``[[0, 1], [10, 2]]`` is ``0,1;10,2;``).  :meth:`add` does
+    not check its rows, so it takes only the sampler's own rows and those
+    that :func:`_path_chunks` has checked and cast to intp.
     """
 
     def __init__(self, n: int, digest: bool = True):
@@ -394,26 +396,12 @@ def transition_counts(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
     """Count matrix of observed (source, target) transitions in ``paths``.
 
     ``paths`` is a 2-D integer array of state indices in ``[0, n_states)``,
-    read through :func:`_tally`.
+    checked and counted about ``_CHUNK`` entries at a time.
     """
-    return _tally(paths, model.n_states, digest=False).counts
-
-
-def path_digest(paths: np.ndarray, n: int) -> str:
-    """sha256 of ``paths`` written as ``"a,b,...;"`` per row, rows in order.
-
-    ``paths`` is a 2-D integer array of state indices in ``[0, n)``, as
-    :func:`sample_trajectories` returns it, read through :func:`_tally`.
-    """
-    return _tally(paths, n, digest=True).digest
-
-
-def _tally(paths: np.ndarray, n: int, digest: bool) -> _PathTally:
-    """The :class:`_PathTally` of ``paths``, read in checked chunks of about ``_CHUNK`` entries."""
-    tally = _PathTally(n, digest)
-    for rows in _path_chunks(paths, n):
+    tally = _PathTally(model.n_states, digest=False)
+    for rows in _path_chunks(paths, model.n_states):
         tally.add(rows)
-    return tally
+    return tally.counts
 
 
 def _chunk_rows(width: int) -> int:

@@ -26,7 +26,7 @@ from wpi import (
 )
 import wpi.cli
 from wpi.cli import default_config_path, main
-from wpi.markov import _CHUNK, path_digest
+from wpi.markov import _CHUNK, _PathTally
 from wpi.report import (_atomic_write, _json_text, bounds_section, compare_section, score_section,
                         write_bundle)
 
@@ -43,6 +43,12 @@ def stripped(bundle):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def text_digest(rows):
+    """sha256 of each row's states joined by "," and followed by ";", the slow way."""
+    text = "".join(",".join(map(str, row)) + ";" for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def bounds_rows(out_dir):
@@ -140,8 +146,7 @@ class TestSubcommands:
         sim = load_report(out)["simulations"][0]
         model = ingest_config(config).models[0]
         rows = sample_trajectories(model, 3, 400, seed=11).tolist()
-        text = "".join(",".join(map(str, row)) + ";" for row in rows)
-        assert sim["trajectory_digest"] == hashlib.sha256(text.encode()).hexdigest()
+        assert sim["trajectory_digest"] == text_digest(rows)
         assert sim["first_trajectory"] == rows[0]
 
     @pytest.mark.parametrize("n_states", [1, 9, 10, 11, 100, 150])
@@ -150,10 +155,10 @@ class TestSubcommands:
         # last two arrays are hashed in four chunks and in five chunks of 40 rows
         rng = np.random.default_rng(n_states)
         for shape in ((1, 2), (300, 2), (40, 17), (_CHUNK + 3, 3), (170, 401)):
-            rows = rng.integers(0, n_states, shape).tolist()
-            text = "".join(",".join(map(str, row)) + ";" for row in rows)
-            expected = hashlib.sha256(text.encode()).hexdigest()
-            assert path_digest(np.array(rows, dtype=np.int64), n_states) == expected
+            rows = rng.integers(0, n_states, shape)
+            tally = _PathTally(n_states)
+            tally.add(rows.astype(np.intp))
+            assert tally.digest == text_digest(rows.tolist())
 
     def test_sampled_infinite_weight_fails_the_window_gate(self, tmp_path):
         # a reverse edge of probability 1e-310, sampled once, weighs 2**1030:
@@ -407,7 +412,7 @@ class TestSubcommands:
             call = {
                 "sample": lambda: sample_trajectories(model, steps, 4_096, seed=3),
                 "count": lambda: transition_counts(model, paths),
-                "digest": lambda: path_digest(paths, model.n_states),
+                "digest": lambda: _PathTally(model.n_states).add(paths),
             }[stage]
             tracemalloc.start()
             try:
