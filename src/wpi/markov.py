@@ -5,16 +5,18 @@ counter-based stream keyed ``(seed, i)``: the same doubles that
 ``numpy.random.Generator(numpy.random.Philox(key=[seed, i])).random()``
 returns.  Because the generator is counter-based, the sampler computes those
 streams as array arithmetic over the trajectory indices of one chunk of
-``_CHUNK`` trajectories at a time, one Philox block (four keys) of their
-paths at a time.  It returns the paths as one integer array, or, given a
-consumer, passes each chunk of rows to it while the chunk is still in cache
-and makes no array of all the paths: a :class:`_PathTally` consumer counts
-and hashes the chunks as they are drawn.  Beyond the paths written (all of
-them, or one chunk) and its tables, the sampler writes only one chunk's
-workspace (:func:`path_buffer`), however many trajectories or steps it
-draws.  Each double is a 53-bit integer key times ``2**-53``, and a state is
-picked from its key by an exact guide-table lookup (:class:`_GuideTable`)
-whose answers are those of a binary search of the row's CDF for the double.
+``_CHUNK`` trajectories at a time, in passes of up to ``_CHUNK`` lanes: a
+pass draws ``_CHUNK // rows`` consecutive Philox blocks (four keys each) of
+a chunk's ``rows`` paths, and a last block of fewer keys has its own pass.
+It returns the paths as one integer array, or, given a consumer, passes
+each chunk of rows to it while the chunk is still in cache and makes no
+array of all the paths: a :class:`_PathTally` consumer counts and hashes
+the chunks as they are drawn.  Beyond the paths written (all of them, or
+one chunk) and its tables, the sampler writes only one chunk's workspace
+(:func:`path_buffer`), however many trajectories or steps it draws.  Each
+double is a 53-bit integer key times ``2**-53``, and a state is picked from
+its key by an exact guide-table lookup (:class:`_GuideTable`) whose answers
+are those of a binary search of the row's CDF for the double.
 A stream's first draws do not depend on how many follow, so a path sampled
 with more steps extends the shorter one.  Seeds range over ``[0, MAX_SEED]``.
 
@@ -247,21 +249,27 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int,
 
     initial = _guide_table(model.initial[None, :])
     kernel = _guide_table(model.kernel)
+    full, tail = divmod(int(steps) + 1, 4)  # full-width Philox blocks, and the last one's width
     for lo in range(0, count, _CHUNK):
         rows = min(_CHUNK, count - lo)
         path = out.paths[lo:lo + rows] if each is None else out.paths[:rows]
         offsets = out.offsets[:rows]
-        words = [w[:rows] for w in out.words]
-        # the rounds leave their keys in words[:6]; the lookups' int64 scratch
+        # the rounds leave their keys in words[:5]; the lookups' int64 scratch
         # is two of the multiplier's buffers, which no key occupies
-        scratch = [*(w.view(np.int64) for w in words[-2:]), out.below[:rows]]
-        for first in range(0, steps + 1, 4):
-            keys = _philox_keys(seed, lo, offsets, first // 4, min(4, steps + 1 - first), words)
-            for k, key in enumerate(keys, first):
-                if k:
-                    kernel.search(path[:, k - 1], key, path[:, k], scratch)
-                else:
-                    initial.search(0, key, path[:, 0], scratch)
+        scratch = [*(w[:rows].view(np.int64) for w in out.words[-2:]), out.below[:rows]]
+        group = _CHUNK // rows  # the full blocks of one pass, within _CHUNK lanes
+        passes = [(range(b, min(b + group, full)), 4) for b in range(0, full, group)]
+        if tail:
+            passes.append((range(full, full + 1), tail))
+        for blocks, width in passes:
+            words = [w[:len(blocks) * rows] for w in out.words]
+            keys = _philox_keys(seed, lo, offsets, blocks, width, words)
+            for b, block_keys in zip(blocks, zip(*keys)):
+                for k, key in enumerate(block_keys, 4 * b):
+                    if k:
+                        kernel.search(path[:, k - 1], key, path[:, k], scratch)
+                    else:
+                        initial.search(0, key, path[:, 0], scratch)
         if each is not None:
             each(path)
     return out.paths if each is None else None
@@ -271,10 +279,10 @@ class _Workspace:
     """All the sampler writes but its guide tables, as :func:`path_buffer` describes it.
 
     ``paths`` are ``rows`` uninitialised paths of ``steps`` transitions (too
-    many to allocate is a :class:`ValidationError`); ``words`` are the nine
-    uint64 buffers of :func:`_philox_keys`, ``below`` the lookups' bool
-    scratch and ``offsets`` the read-only offsets ``0, 1, ...`` of a chunk's
-    trajectories, each of ``min(rows, _CHUNK)`` entries.
+    many to allocate is a :class:`ValidationError`); ``words`` are the eight
+    uint64 buffers of :func:`_philox_keys`, as long as a chunk's largest pass;
+    ``below`` the lookups' bool scratch and ``offsets`` the read-only offsets
+    ``0, 1, ...`` of a chunk's trajectories, each of ``min(rows, _CHUNK)`` entries.
     """
 
     def __init__(self, rows: int, steps: int):
@@ -287,7 +295,8 @@ class _Workspace:
                 f"{shape} needs {shape[0] * shape[1] * 8} bytes"
             ) from None
         rows = min(shape[0], _CHUNK)
-        self.words = [np.empty(rows, dtype=np.uint64) for _ in range(9)]
+        lanes = max(rows, min(_CHUNK, rows * (shape[1] // 4)))  # a pass's blocks of a chunk
+        self.words = [np.empty(lanes, dtype=np.uint64) for _ in range(8)]
         self.below = np.empty(rows, dtype=bool)
         self.offsets = np.arange(rows, dtype=np.uint64)
         self.offsets.setflags(write=False)
@@ -298,11 +307,12 @@ def path_buffer(steps: int, count: int) -> _Workspace:
 
     It holds everything the sampler writes but its guide tables: a block of
     ``min(count, _CHUNK)`` int64 paths of ``steps`` transitions, which each
-    chunk overwrites, and one chunk's Philox words, lookup scratch and
-    trajectory offsets, about 81 bytes a trajectory.  A call given a
-    workspace allocates only its guide tables, so a run that samples several
-    models of one shape in turn draws them all in one workspace, and the
-    kernel zero-fills its pages once, not once a model (``BENCH_30.json``).
+    chunk overwrites, one pass's Philox words, 64 bytes a lane for up to
+    ``_CHUNK`` lanes, and one chunk's lookup scratch and trajectory offsets,
+    9 bytes a trajectory.  A call given a workspace allocates only its guide
+    tables, so a run that samples several models of one shape in turn draws
+    them all in one workspace, and the kernel zero-fills its pages once, not
+    once a model (``BENCH_30.json``).
     """
     _check_sample_size(steps, count)
     return _Workspace(min(count, _CHUNK), steps)
@@ -324,7 +334,8 @@ class _PathTally:
     :meth:`add` takes the rows of a sample in row order, in blocks of any
     size, and works about ``_CHUNK`` entries at a time.  ``first_counts``
     is the (source, target) matrix of each path's first step, ``counts``
-    that of every step, and ``first_path`` row 0 as a list.  ``digest``,
+    that of every step (views of the tally's two arrays, or one while no
+    path has two steps), and ``first_path`` row 0 as a list.  ``digest``,
     kept only with ``digest``, is the sha256 of the rows as text: each
     row's decimal state indices joined by ``,`` and followed by ``;``, rows
     in order (``[[0, 1], [10, 2]]`` is ``0,1;10,2;``).  :meth:`add` does
@@ -337,7 +348,7 @@ class _PathTally:
         self.rows = 0
         self.first_path: list[int] | None = None
         self._first = np.zeros(n * n, dtype=np.intp)
-        self._later = np.zeros(n * n, dtype=np.intp)
+        self._every = self._first  # every step is a first step until a path has two
         self._sha = hashlib.sha256() if digest else None
         if digest:
             # state s's token within a row, s and ",", and at a row's end, s
@@ -355,7 +366,7 @@ class _PathTally:
 
     @property
     def counts(self) -> np.ndarray:
-        return (self._first + self._later).reshape(self.n, self.n)
+        return self._every.reshape(self.n, self.n)
 
     @property
     def digest(self) -> str:
@@ -370,13 +381,14 @@ class _PathTally:
         for lo in range(0, len(paths), step):
             rows = paths[lo:lo + step]
             if rows.shape[1] > 1:
-                pairs = rows[:, 0] * n
-                np.add(pairs, rows[:, 1], pairs)
-                _count(self._first, pairs)
-                if rows.shape[1] > 2:
-                    pairs = rows[:, 1:-1] * n
-                    np.add(pairs, rows[:, 2:], pairs)
-                    _count(self._later, pairs.ravel())
+                pairs = rows[:, :-1] * n
+                np.add(pairs, rows[:, 1:], pairs)
+                if rows.shape[1] > 2 and self._every is self._first:
+                    self._every = self._first.copy()
+                _count(self._first, pairs[:, 0])
+                if self._every is not self._first:
+                    _count(self._every, pairs.ravel())
+                del pairs  # so that the next chunk's pairs are not made beside them
             if self._sha is not None:
                 text = self._inner.take(rows)
                 text[:, -1] = self._end.take(rows[:, -1])
@@ -602,50 +614,59 @@ def _live_lanes(width: int) -> tuple[tuple[bool, ...], ...]:
 #: the lane schedule of each number of words a block returns
 _PHILOX_LIVE = {width: _live_lanes(width) for width in range(1, 5)}
 
-#: Trajectories sampled together, and about the entries :class:`_PathTally` reads
-#: at a time; on the shipped chains 8,192 and 16,384 were the fastest of the
-#: sizes from 4,096 to 65,536 (``BENCH_23.json``).
+#: Trajectories sampled together, the most Philox lanes of one pass (a chunk of
+#: ``rows`` paths draws ``_CHUNK // rows`` blocks a pass), and about the entries
+#: :class:`_PathTally` reads at a time; on the shipped chains 8,192 and 16,384
+#: were the fastest chunks of the sizes from 4,096 to 65,536 (``BENCH_23.json``).
 _CHUNK = 1 << 14
 
 
-def _philox_keys(seed: int, start: int, offsets: np.ndarray, block: int, width: int,
+def _philox_keys(seed: int, start: int, offsets: np.ndarray, blocks: range, width: int,
                  words: list[np.ndarray]) -> list[np.ndarray]:
-    """The first ``width <= 4`` 53-bit keys of block ``block`` of ``Philox(key=[seed, i])``.
+    """The first ``width <= 4`` 53-bit keys of each of the ``blocks`` of ``Philox(key=[seed, i])``.
 
     ``Generator(Philox(key=[seed, i])).random(k)`` is exactly a stream's keys
     times ``2**-53``, four to a block, so block ``b`` holds keys ``4 b`` on.
-    Key ``j`` is returned as an int64 view of one of ``words[:6]``, whose
-    entry ``t`` is the key of trajectory ``i = start + offsets[t]`` (mod
-    ``2**64``).  Each round computes only the lanes that later rounds read,
-    walking back from the words returned (``_PHILOX_LIVE``): output lane j
-    of a round reads input lanes ``_PHILOX_READS[j]``.  The rounds run in
-    place in ``words``, nine uint64 arrays of ``len(offsets)`` entries, and
-    each word is shifted into its key where it lies; nothing else is written.
+    Key ``j`` is returned as a ``(len(blocks), len(offsets))`` int64 view of
+    one of ``words[:5]``, whose entry ``(b, t)`` is the key of block
+    ``blocks[b]`` of trajectory ``i = start + offsets[t]`` (mod ``2**64``).
+    Each round computes only the lanes that later rounds read, walking back
+    from the words returned (``_PHILOX_LIVE``): output lane j of a round
+    reads input lanes ``_PHILOX_READS[j]``.  The rounds run in place in
+    ``words``, eight uint64 arrays of ``len(blocks) * len(offsets)`` lanes,
+    and each word is shifted into its key where it lies; nothing else is written.
     """
-    c0, c1, c2, c3, h0, h1, *scratch = words
-    k1 = scratch[2]  # round r's key word, made once the _mulhi before it is done
-    # round 0 maps (block + 1, 0, 0, 0) to (k0, 0, hi(M0 (block + 1)) ^ k1, lo(M0 (block + 1))):
-    # scalars but for the key word k1 = i, so round 1's lane 2 is k1 ^ a scalar, lane 3 a
-    # fill.  Round r's key words are k0 = seed + r W0 and k1 = offsets + (start + r W1);
-    # these scalars and each k0 and start + r W1 become operands at once
-    counter, key = _PHILOX_M[0] * (block + 1), _PHILOX_M[0] * seed
-    counter_hi, lane2, lane3, *schedule = np.array(
-        [counter >> 64, (key >> 64) ^ (counter & _MASK64), key & _MASK64,
-         *((seed + r * _PHILOX_W[0]) & _MASK64 for r in range(_PHILOX_ROUNDS)),
+    c0, c1, c2, c3, h1, *scratch = words
+    rows, n = len(offsets), len(blocks)
+    # lane 2 by block: a ufunc that broadcast k1 or a block's value would buffer 64 KiB an operand
+    blockwise = list(c2.reshape(n, rows))
+    k1 = scratch[2][:rows]  # round r's key word, made once the _mulhi before it is done
+    # round 0 maps (b + 1, 0, 0, 0) to (k0, 0, hi(M0 (b + 1)) ^ k1, lo(M0 (b + 1))): one value
+    # a block but for the key word k1 = i, so round 1's lane 2 is k1 ^ a block's value, lane 3
+    # a fill.  Round r's key words are k0 = seed + r W0 and k1 = offsets + (start + r W1);
+    # these values and each k0 and start + r W1 become operands at once
+    counters, key = [_PHILOX_M[0] * (b + 1) for b in blocks], _PHILOX_M[0] * seed
+    values = np.array(
+        [*(c >> 64 for c in counters), *((key >> 64) ^ (c & _MASK64) for c in counters),
+         key & _MASK64, *((seed + r * _PHILOX_W[0]) & _MASK64 for r in range(_PHILOX_ROUNDS)),
          *((start + r * _PHILOX_W[1]) & _MASK64 for r in range(_PHILOX_ROUNDS))],
         dtype=np.uint64)[:, None]
+    counter_hi, lane2, (lane3, *schedule) = values[:n], values[n:2 * n], values[2 * n:]
     k0, w1 = schedule[:_PHILOX_ROUNDS], schedule[_PHILOX_ROUNDS:]
-    np.add(offsets, w1[0], c2)
-    np.bitwise_xor(c2, counter_hi, c2)
+    np.add(offsets, w1[0], k1)
+    for word, value in zip(blockwise, counter_hi):
+        np.bitwise_xor(k1, value, word)
     _mulhi(_M1_HALVES, c2, h1, scratch)
     np.bitwise_xor(h1, k0[1], h1)
     np.multiply(c2, _M1, c1)
-    np.add(offsets, w1[1], h0)
-    np.bitwise_xor(h0, lane2, h0)
+    np.add(offsets, w1[1], k1)
+    for word, value in zip(blockwise, lane2):  # lanes 0 and 1 have read c2
+        np.bitwise_xor(k1, value, word)
     c3[...] = lane3
-    c0, c2, h1, h0 = h1, h0, c0, c2
+    c0, h1 = h1, c0
     for r, (l0, l1, l2, l3) in enumerate(_PHILOX_LIVE[width], 2):
-        # (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))
+        # (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0));
+        # lane 2 overwrites c2 once lanes 0 and 1 have read it
         if l0:
             _mulhi(_M1_HALVES, c2, h1, scratch)
             np.bitwise_xor(h1, c1, h1)
@@ -653,17 +674,18 @@ def _philox_keys(seed: int, start: int, offsets: np.ndarray, block: int, width: 
         if l1:
             np.multiply(c2, _M1, c1)
         if l2:
-            _mulhi(_M0_HALVES, c0, h0, scratch)
-            np.bitwise_xor(h0, c3, h0)
+            _mulhi(_M0_HALVES, c0, c2, scratch)
+            np.bitwise_xor(c2, c3, c2)
             np.add(offsets, w1[r], k1)
-            np.bitwise_xor(h0, k1, h0)
+            for word in blockwise:
+                np.bitwise_xor(word, k1, word)
         if l3:
             np.multiply(c0, _M0, c3)
-        c0, c2, h1, h0 = h1, h0, c0, c2
+        c0, h1 = h1, c0
     keys = (c0, c1, c2, c3)[:width]
     for word in keys:
         np.right_shift(word, _KEY_SHIFT, word)
-    return [word.view(np.int64) for word in keys]
+    return [word.view(np.int64).reshape(n, rows) for word in keys]
 
 
 def _mulhi(m: tuple, x: np.ndarray, out: np.ndarray, scratch: list[np.ndarray]) -> None:

@@ -4,7 +4,9 @@ Each model's ``trajectory_digest``, ``transition_counts`` and
 ``first_trajectory`` are pinned for ``wpi report`` (one-step paths, 100,000
 samples) and for ``wpi simulate --steps 16 --samples 70001``: 17 uniforms
 per path span 5 Philox blocks, and 70,001 rows cross a sampling chunk
-boundary.  The shipped kernels are dyadic, so two non-dyadic models are
+boundary.  Their digests are pinned for ``wpi simulate --steps 256 --samples
+1000`` too, whose 1,000 rows draw 16 blocks of 4 keys a Philox pass, and the
+last key of each path in a pass of its own.  The shipped kernels are dyadic, so two non-dyadic models are
 pinned as well: the slow chain's ``1 - 1e-6`` and a seeded dense 40-state
 kernel, each for ``wpi simulate --steps 16 --samples 20001``.  A change to
 the sampler or to the digest that moves any path or any hashed byte fails
@@ -82,6 +84,19 @@ def test_shipped_paths_are_pinned(tmp_path, argv, pinned):
         assert sims[name]["trajectory_digest"] == digest, name
         assert sims[name]["transition_counts"] == counts, name
         assert sims[name]["first_trajectory"] == first, name
+
+
+# `wpi simulate --steps 256 --samples 1000`, in model order
+GROUPED = [
+    "9a2d8e9efb1c78567c2f5ff98f22a9690e2e254b4c977e3725d3d9c2a745df0b",
+    "0ec4dc2fccfecaa9a3c69469eb3051157e054116ff26296656071d2059c73ac6",
+    "e6b68b195ef0d6449083b78a05634f1e37ebbee9e4f3740230872a09861b02fe",
+]
+
+
+def test_grouped_passes_are_pinned(tmp_path):
+    sims = simulations(tmp_path, ["simulate", "--steps", "256", "--samples", "1000"])
+    assert [s["trajectory_digest"] for s in sims.values()] == GROUPED
 
 
 # Non-dyadic kernels: a CDF entry such as 1 - 1e-6 is no multiple of 2**-k

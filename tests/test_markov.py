@@ -272,14 +272,29 @@ class TestSampling:
         # the pairs are counted about _CHUNK entries at a time: in chunks of
         # 3,276 rows of 5 states, and of 40 rows of 401; on 100 states, a
         # chunk's 40 first-step codes are fewer than the 10,000 counts, so
-        # np.add.at adds them, and its 15,960 later-step codes are not, so a
-        # bincount does, while the last chunk's 3,990 go back to np.add.at
+        # np.add.at adds them, and its 16,000 codes of every step are not, so
+        # a bincount does, while the last chunk's 4,000 go back to np.add.at
         for n, shape in ((8, (_CHUNK + 3, 5)), (8, (170, 401)), (100, (170, 401))):
             model = simple_model(np.full((n, n), 1.0 / n), n)
             paths = np.random.default_rng(4).integers(0, n, shape)
             oracle = Counter(pair for row in paths.tolist() for pair in zip(row, row[1:]))
             expected = [[oracle[a, b] for b in range(n)] for a in range(n)]
             assert transition_counts(model, paths).tolist() == expected
+
+    def test_transition_counts_hold_two_count_arrays(self):
+        # the first-step and later-step counts were summed into a third n x n
+        # array for the result: 25.2 MB traced for an 8.4 MB result here
+        n = 1024
+        model = simple_model(np.full((n, n), 1.0 / n), n)
+        paths = np.random.default_rng(2).integers(0, n, (100_000, 5))
+        tracemalloc.start()
+        try:
+            counts = transition_counts(model, paths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 400_000
+        assert peak < 2 * counts.nbytes + (1 << 20), peak
 
     @pytest.mark.parametrize("paths, message", [
         (np.array([[0, 2]]), r"paths\[0, 1\] = 2 is not a state index in \[0, 2\)"),
@@ -459,13 +474,15 @@ class TestSampling:
             sample_trajectories(model, 2, count, seed=4, out=work, each=tally.add)
             assert tally.digest == text_digest(sample_trajectories(model, 2, count, seed=4))
 
-    @pytest.mark.parametrize("steps", [1, 16])
-    def test_a_call_given_a_workspace_allocates_no_chunk(self, steps):
-        # without it, a call makes nine Philox buffers, the offsets and a bool
+    @pytest.mark.parametrize("count, steps", [(2 * _CHUNK + 5, 1), (2 * _CHUNK + 5, 16), (1_000, 256)],
+                             ids=["1", "16", "1000x256"])
+    def test_a_call_given_a_workspace_allocates_no_chunk(self, count, steps):
+        # without it, a call makes eight Philox buffers, the offsets and a bool
         # array of _CHUNK entries, and the block of paths; a peak below
         # _CHUNK bytes leaves room for no array of one entry per trajectory,
-        # only for the guide tables of a small model and numpy's temporaries
-        model, count = eight_state_chain(), 2 * _CHUNK + 5
+        # only for the guide tables of a small model and numpy's temporaries;
+        # 1,000 paths of 256 steps draw 16 blocks a pass, four passes a chunk
+        model = eight_state_chain()
         work = path_buffer(steps, count)
         tracemalloc.start()
         try:
@@ -499,21 +516,33 @@ class TestSampling:
         assert np.array_equal(paths, sample_trajectories(model, 2, 10, seed=1))
 
 
+def philox_keys(seed, start, offsets, blocks, width):
+    """``_philox_keys`` in fresh words, as one row of keys in stream order per offset."""
+    offsets = np.array(offsets, dtype=np.uint64)
+    words = [np.empty(len(blocks) * len(offsets), dtype=np.uint64) for _ in range(8)]
+    keys = _philox_keys(seed, start, offsets, blocks, width, words)
+    return np.array(keys).transpose(2, 1, 0).reshape(len(offsets), -1)
+
+
 class TestPhiloxStreams:
     """The vectorised kernel against ``Generator(Philox(key=[seed, i]))``."""
 
     @pytest.mark.parametrize("seed", [0, 42, 2**53 + 1, MAX_SEED])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 9, 17])
     def test_uniforms_match_numpy(self, seed, k):
-        # each uniform is its 53-bit key times 2**-53; a block computes only
-        # the lanes its first 1, 2, 3 or 4 words read, and k = 5 to 8 ask
-        # for each of those in a later block
+        # each uniform is its 53-bit key times 2**-53; as the sampler draws
+        # them, the k // 4 full blocks come from one call and a last block of
+        # fewer keys from its own, which computes only the lanes its first 1,
+        # 2 or 3 words read; k = 5 to 7 ask for each of those in a later
+        # block, and k = 8, 9 and 17 for two or four full blocks in one call
         index = [0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2**32 - 1, 2**32, 2**40 + 3]
-        words = [np.empty(len(index), dtype=np.uint64) for _ in range(9)]
-        got = np.concatenate([
-            np.array(_philox_keys(seed, 0, np.array(index, dtype=np.uint64), first // 4,
-                                  min(4, k - first), words))
-            for first in range(0, k, 4)]).T
+        full, tail = divmod(k, 4)
+        parts = []
+        if full:
+            parts.append(philox_keys(seed, 0, index, range(0, full), 4))
+        if tail:
+            parts.append(philox_keys(seed, 0, index, range(full, full + 1), tail))
+        got = np.concatenate(parts, axis=1)
         expected = [np.random.Generator(np.random.Philox(key=[seed, i])).random(k) for i in index]
         assert got.dtype == np.int64 and got.min() >= 0 and got.max() < 2**53
         assert np.array_equal(got * 2.0**-53, np.array(expected))
@@ -521,24 +550,26 @@ class TestPhiloxStreams:
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     @pytest.mark.parametrize("start", [0, 2**63 - 2], ids=["start-0", "start-wraps"])
     def test_keys_are_shifted_in_place_in_the_words(self, width, start):
-        # each key is an int64 view of its own buffer among the first six
+        # each key is an int64 view of its own buffer among the first five
         # words, which the lookups leave alone; trajectory start + offset
         # wraps past 2**64 - 1 as a uint64 does; every call names its output
         # positionally, and a swapped argument that wrote into the offsets
-        # would raise on the read-only array
+        # would raise on the read-only array; one call computes several
+        # consecutive blocks, as many as 16 in a sampler pass
         offsets = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
         given = read_only(np.array(offsets, dtype=np.uint64))
-        words = [np.empty(len(offsets), dtype=np.uint64) for _ in range(9)]
-        for block in (0, 1):
-            keys = _philox_keys(MAX_SEED, start, given, block, width, words)
+        for blocks in (range(0, 1), range(1, 2), range(1, 4), range(3, 19)):
+            words = [np.empty(len(blocks) * len(offsets), dtype=np.uint64) for _ in range(8)]
+            keys = _philox_keys(MAX_SEED, start, given, blocks, width, words)
             owners = [[np.shares_memory(key, w) for w in words].index(True) for key in keys]
             assert all(key.dtype == np.int64 for key in keys)
-            assert len(set(owners)) == width and max(owners) < 6
+            assert all(key.shape == (len(blocks), len(offsets)) for key in keys)
+            assert len(set(owners)) == width and max(owners) < 5
             # a uint64 key array, as a list's entries past 2**53 go through float64
-            expected = [np.random.Generator(np.random.Philox(
+            expected = [[np.random.Generator(np.random.Philox(
                 key=np.array([MAX_SEED, (start + i) % 2**64], np.uint64)))
-                .random(4 * block + width)[4 * block:] for i in offsets]
-            assert np.array_equal(np.array(keys).T * 2.0**-53, np.array(expected))
+                .random(4 * b + width)[4 * b:] for i in offsets] for b in blocks]
+            assert np.array_equal(np.array(keys).transpose(1, 2, 0) * 2.0**-53, np.array(expected))
 
     @pytest.mark.parametrize("halves", ["_M0_HALVES", "_M1_HALVES"])
     def test_mulhi_equals_the_python_int_product(self, halves):
@@ -572,12 +603,25 @@ class TestPhiloxStreams:
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
     def test_paths_of_each_length_match_numpy_across_a_chunk_boundary(self, steps):
-        # each block of four keys is drawn when its steps come, and a path's
-        # last block reads one, two, three or four of its words
+        # the first chunk draws each full block of four keys in a pass of its
+        # own, the second chunk's 2 rows all of them in one; a path's last
+        # block reads one, two, three or four of its words
         model = eight_state_chain()
         paths = sample_trajectories(model, steps, _CHUNK + 2, seed=2**53 + 1)
         for i in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1):
             assert paths[i].tolist() == oracle_path(model, steps, 2**53 + 1, i)
+
+    @pytest.mark.parametrize("count, steps", [
+        (4_000, 16), (5_461, 63), (1_000, 256), (3, 7), (_CHUNK + 4_000, 16)])
+    def test_grouped_passes_match_numpy(self, count, steps):
+        # a pass draws _CHUNK // rows full blocks of a chunk: 4 + a tail of
+        # one key, five passes of 3 and one of 1, 4 of 16 + a tail, one of 2,
+        # and 1 a pass in the first chunk, 4 in the second; every row reads
+        # each pass's blocks, and the first and last rows their edge lanes
+        model = eight_state_chain()
+        paths = sample_trajectories(model, steps, count, seed=9)
+        for i in sorted({0, 1, count // 2, count - 1, min(_CHUNK, count) - 1, min(_CHUNK, count - 1)}):
+            assert paths[i].tolist() == oracle_path(model, steps, 9, i), i
 
     @pytest.mark.parametrize("seed", [0, 2**53 + 1])
     def test_one_step_paths_match_numpy_across_a_chunk_boundary(self, seed):
