@@ -50,7 +50,7 @@ print(f"K(x|x) = {conditional_complexity(x, x, Estimator.EXACT_ENUM).bits} bits 
 # Algorithmic entropy relative to a measure; negative values are fine for
 # strongly weighted coarse grains.
 states = [CoarseState(f"{i:04b}") for i in range(16)]
-pi = StateMeasure.uniform(states, 1.0 / 16)
+pi = StateMeasure({s: 1.0 / 16 for s in states})
 s0 = algorithmic_entropy(states[0], pi, Estimator.EXACT_ENUM)
 print(f"\nS(0000) under uniform pi over 16 states = K - 4 = {s0:.1f} bits")
 

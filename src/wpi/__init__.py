@@ -30,7 +30,6 @@ from .complexity import (
     conditional_complexity,
     estimate_complexity,
     lz78_codelength,
-    read_corpus,
 )
 from .config import (
     ExperimentConfig,

@@ -28,9 +28,9 @@ separator symbol outside the binary alphabet, then ``x``, and charge the
 codelength difference.  The coder's alphabet is ``"0"``, ``"1"`` and the
 separator; any other symbol is a validation error.  A :class:`CoarseState`
 checks its bits once, when it is built, with
-:func:`wpi.machine.is_binary`, the check that the reference machine and
-:func:`read_corpus` use too; :func:`lz78_codelength` takes a raw string, so
-the coder checks its own symbols as it maps them to trie symbols.
+:func:`wpi.machine.is_binary`, the check that the reference machine uses
+too; :func:`lz78_codelength` takes a raw string, so the coder checks its
+own symbols as it maps them to trie symbols.
 
 The parse walks a phrase trie held as three lists of child numbers, one
 per symbol: ``trie[sym][node]`` is the insertion number of the child of
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import ValidationError
 from .machine import is_binary, shortest_length
@@ -133,37 +132,6 @@ def estimate_complexity(x: CoarseState, estimator: Estimator) -> ComplexityEstim
     if estimator is Estimator.LZ_PROXY:
         return complexity_lz(x)
     return complexity_exact(x)
-
-
-def read_corpus(path: str | Path) -> list[str]:
-    """Read a corpus file: newline-delimited ASCII '0'/'1' strings.
-
-    The file is read as UTF-8, whatever the locale.  Blank lines are
-    skipped; a byte that is not UTF-8, or a line that is not a binary
-    string, is a validation error naming the offending line, and a path
-    holding a NUL byte one naming the path.
-    """
-    try:
-        data = Path(path).read_bytes()
-    except ValueError as exc:  # the path holds a NUL byte
-        raise ValidationError(f"cannot open {str(path)!r}: {exc}") from None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the bytes before the bad one decode, and a character appended to
-        # them falls on the bad byte's line
-        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise ValidationError(f"{path}: line {lineno} is not UTF-8 text: "
-                              f"byte {exc.start} is {data[exc.start]:#04x}") from None
-    strings: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if not is_binary(line):
-            raise ValidationError(f"{path}: line {lineno} is not a binary string: {raw!r}")
-        strings.append(line)
-    return strings
 
 
 def _lz_conditional(x_bits: str, y_bits: str) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .complexity import CoarseState, Estimator, estimate_complexity
 from .errors import ValidationError
@@ -41,10 +41,6 @@ class StateMeasure:
         if state not in self.weights:
             raise ValidationError(f"state {state.bits!r} is not in the measure domain")
         return math.log2(self.weights[state])
-
-    @classmethod
-    def uniform(cls, states: Sequence[CoarseState], weight: float = 1.0) -> "StateMeasure":
-        return cls({s: weight for s in states})
 
 
 @dataclass(frozen=True)

@@ -101,10 +101,12 @@ class ExecutionTrace:
 class EnergyReport:
     """Energy accounting for one trace on one substrate.
 
-    ``energy == overhead_factor_used * irreversible_ops * c(T)`` holds exactly
-    when the energy is modeled; with telemetry the measurement wins and the
-    factor is back-solved.  ``warnings`` flags physically inconsistent inputs
-    such as sub-Landauer measurements.
+    ``energy == overhead_factor_used * irreversible_ops * c(T)``, computed left
+    to right, holds exactly when the energy is modeled and that product is
+    finite; when ``F * N`` alone overflows, the energy is ``F * (N * c)``.
+    With telemetry the measurement wins and the factor is back-solved.
+    ``warnings`` flags physically inconsistent inputs such as sub-Landauer
+    measurements.
     """
 
     energy: float
@@ -138,7 +140,8 @@ def modeled_energy(
 ) -> EnergyReport:
     """Energy and power for a trace under the multiplicative overhead model.
 
-    Modeled energy is ``overhead * N * c(T)``.  If the trace carries a
+    Modeled energy is ``overhead * N * c(T)``, or ``overhead * (N * c(T))``
+    when ``overhead * N`` overflows a float.  If the trace carries a
     measured energy, the measurement replaces the model and the overhead
     factor actually used is back-solved as ``measured / (N * c)``.
     """
@@ -170,6 +173,8 @@ def modeled_energy(
                 )
     else:
         energy = overhead * n * c
+        if energy == math.inf:  # F * N overflowed, but the energy may be a float
+            energy = overhead * floor
         factor = overhead
         source = "modeled"
 

@@ -121,6 +121,9 @@ def account_run(run: SubstrateRun) -> ComparisonRow:
     energy) falls back to the substrate's modeled factor, and a sub-Landauer
     factor below 1 clamps to 1, the reversible floor.  Effective operations
     are the factor times the intrinsic count, and 0 for a zero-op trace.
+    The bound assumes ``I <= alpha * N``; a run whose intelligence exceeds
+    that cap, such as a modeled zero-op trace, keeps its numbers, so its
+    slack may fall below 1, and a warning says why.
     """
     sub, ops = run.substrate, run.trace.irreversible_ops
     modeled = total_overhead(sub)
@@ -130,6 +133,11 @@ def account_run(run: SubstrateRun) -> ComparisonRow:
     phi = wpi(energy.power, intelligence)
     bound = phi_lower_bound(sub.temperature, max(1.0, used if math.isfinite(used) else modeled),
                             sub.algorithmic_yield, run.trace.duration)
+    warnings = energy.warnings
+    if intelligence > (cap := sub.algorithmic_yield * ops):
+        warnings += (f"intelligence {intelligence!r} exceeds algorithmic_yield * irreversible_ops "
+                     f"= {cap!r}; the phi lower bound assumes I <= alpha * N, so phi may fall "
+                     f"below it",)
     return ComparisonRow(
         name=sub.name,
         overhead=used,
@@ -145,7 +153,7 @@ def account_run(run: SubstrateRun) -> ComparisonRow:
         landauer_floor=energy.landauer_floor,
         reversible_floor=phi_lower_bound(sub.temperature, 1.0, sub.algorithmic_yield,
                                          run.trace.duration),
-        warnings=energy.warnings,
+        warnings=warnings,
     )
 
 
@@ -170,12 +178,3 @@ def run_comparison(runs: Sequence[SubstrateRun]) -> list[ComparisonRow]:
             )
     return sorted((account_run(run) for run in runs), key=lambda r: (r.phi, r.name))
 
-
-__all__ = [
-    "Substrate",
-    "SubstrateRun",
-    "ComparisonRow",
-    "total_overhead",
-    "account_run",
-    "run_comparison",
-]

@@ -157,7 +157,7 @@ def test_criterion_4_entropy_decomposition():
             assert delta.total == delta.irreversible + delta.exchanged
 
     # isolated case: equal measure weight means zero exchanged entropy
-    iso = StateMeasure.uniform(states, 0.125)
+    iso = StateMeasure({s: 0.125 for s in states})
     for x, y in pairs[:100]:
         delta = entropy_decomposition(x, y, iso, Estimator.EXACT_ENUM)
         assert delta.exchanged == 0.0

@@ -3,6 +3,7 @@
 import enum
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import os
@@ -18,8 +19,12 @@ import numpy as np
 import pytest
 
 from wpi import (
+    DEFAULT_MACHINE,
+    Estimator,
+    coupled_bound_suite,
     eight_state_chain,
     ingest_config,
+    model_table,
     phi_lower_bound,
     sample_trajectories,
     transition_counts,
@@ -688,6 +693,73 @@ class TestVerdictTable:
         out = tmp_path / "out"
         assert run(["report", "--config", config, "--out", out, "--steps", 16, "--assert"]) == 2
         self.assert_table_matches_gates(out)
+
+
+class TestKnownCoupledFailures:
+    """Where the estimator cannot meet the coupled inequality, the gate fails.
+
+    Each visited pair's verdict is fixed, and the sample decides only which
+    pairs appear (docs/file_formats.md).  These pin today's outcome.
+    """
+
+    def test_shipped_config_under_lz_proxy(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["report", "--assert", "--estimator", "lz-proxy", "--out", out]) == 2
+        failed = ["eight-state/coupled_efficiency_holds_rate",
+                  "eight-state/coupled_adaptivity_holds_rate"]
+        err = capsys.readouterr().err
+        assert [line.split(":")[0] for line in err.splitlines()] == [
+            f"GATE FAIL {gate}" for gate in failed]
+        bundle = load_report(out)
+        assert [f"{g['model']}/{g['gate']}" for g in bundle["gates"] if not g["passed"]] == failed
+        [section] = [s for s in bundle["bound_checks"] if s["model"] == "eight-state"]
+        for kind in ("efficiency", "adaptivity"):
+            suite = section[f"coupled_{kind}"]
+            assert (suite["holds_rate"], suite["valid_samples"]) == (0.0, 17_127)
+            # K(x|y) = 7 bits on 3-bit states, against log2(1/p) + log2(1/delta) - 1
+            assert [(c["lhs"], c["rhs"]) for c in suite["checks"]] == [
+                (1.0, -0.26303440583379345), (1.0, -1.6780719051126374)] * 2
+        status = {(r["model"], r["gate"]): r["status"] for r in bounds_rows(out)}
+        for model in ("two-state", "four-state"):
+            for kind in ("efficiency", "adaptivity"):
+                assert status[model, f"coupled_{kind}_holds_rate"] == "vacuous"
+
+    #: Incompressible states of 8-10 bits: exact K is the length plus 3.
+    RING = ["11011000", "011000101", "1100001000", "11100011", "011010111", "0000101001"]
+
+    def test_incompressible_ring_under_exact_enum(self, tmp_path, capsys):
+        n, delta = len(self.RING), 0.05
+        kernel = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j, p in ((i, 0.75), (i + 1, 0.1875), (i - 1, 0.0625)):
+                kernel[i][j % n] = p
+        k = [len(DEFAULT_MACHINE.shortest_program(s, 20)) for s in self.RING]
+        assert k == [len(s) + 3 for s in self.RING]
+        # precondition, by the enumeration oracle: every pair whose K rises fails
+        oracle_rhs = {}
+        for i, j in itertools.product(range(n), repeat=2):
+            if kernel[i][j] and k[j] > k[i]:
+                k_cond = len(DEFAULT_MACHINE.shortest_program(self.RING[i], 20, self.RING[j]))
+                oracle_rhs[i, j] = -math.log2(kernel[i][j]) - k_cond - math.log2(delta)
+        assert oracle_rhs and all(rhs < 1.0 for rhs in oracle_rhs.values())
+
+        ring = {"name": "ring", "states": self.RING, "kernel": kernel, "measure": [1.0] * n,
+                "initial": [1.0 / n] * n}
+        config = small_config(tmp_path, models=[ring])
+        model = ingest_config(config).models[0]
+        counts = transition_counts(model, sample_trajectories(model, 1, 4_000, seed=11))
+        suite = coupled_bound_suite(model_table(model, Estimator.EXACT_ENUM), counts, delta)
+        assert suite.valid_samples > 0
+        assert suite.holds_rate == 0.0
+        # K(x|y) is the oracle's length: each check's rhs is the oracle's, bit for bit
+        pairs = [(i, j) for i, j in itertools.product(range(n), repeat=2)
+                 if counts[i, j] and k[j] > k[i]]
+        assert [check.rhs for check in suite.checks] == [oracle_rhs[pair] for pair in pairs]
+
+        assert run(["check-bounds", "--config", config, "--out", tmp_path / "out",
+                    "--assert"]) == 2
+        err = capsys.readouterr().err
+        assert "GATE FAIL ring/coupled_efficiency_holds_rate: holds rate 0.0 " in err
 
 
 class TestDeterminism:

@@ -47,11 +47,6 @@ class TestStateMeasure:
         measure = StateMeasure({CoarseState("0"): 3.0, CoarseState("1"): 9.0})
         assert CoarseState("0") in measure
 
-    def test_uniform_constructor(self):
-        states = states_up_to(2)
-        measure = StateMeasure.uniform(states, 0.125)
-        assert all(measure.weights[s] == 0.125 for s in states)
-
 
 class TestAlgorithmicEntropy:
     def test_unit_weight_reduces_to_complexity(self):
@@ -72,7 +67,7 @@ class TestAlgorithmicEntropy:
     def test_uniform_measure_shifts_by_domain_size(self):
         states = states_up_to(3)
         n = math.log2(len(states))
-        pi = StateMeasure.uniform(states, 1.0 / len(states))
+        pi = StateMeasure({s: 1.0 / len(states) for s in states})
         for x in states:
             k = complexity_exact(x).bits
             s = algorithmic_entropy(x, pi, Estimator.EXACT_ENUM)
@@ -123,7 +118,7 @@ class TestDecomposition:
     def test_irreversible_part_is_complexity_difference(self, i, j):
         states = states_up_to(6)
         x, y = states[i], states[j]
-        pi = StateMeasure.uniform([x, y] if x != y else [x])
+        pi = StateMeasure({x: 1.0, y: 1.0})
         delta = entropy_decomposition(x, y, pi, Estimator.LZ_PROXY)
         assert delta.irreversible == complexity_lz(y).bits - complexity_lz(x).bits
 

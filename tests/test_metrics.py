@@ -17,12 +17,19 @@ from wpi import (
     UndefinedMetricError,
     ValidationError,
     account_run,
+    default_substrates,
+    ingest_config,
     intelligence_score,
     landauer_constant,
     modeled_energy,
     phi_lower_bound,
     wpi,
 )
+from wpi.config import default_config_path
+
+
+def shipped_suite():
+    return ingest_config(default_config_path()).suites["default-suite"]
 
 
 class TestIntelligenceScore:
@@ -158,6 +165,27 @@ class TestModeledEnergy:
         report = modeled_energy(trace, 7.5, 250.0)
         assert report.energy == 7.5 * 12345 * landauer_constant(250.0)
 
+    def test_energy_fits_when_overhead_times_ops_overflows(self):
+        # 200 * 1e308 overflows, but the energy, about 5.74e289 J, is a float
+        c = landauer_constant(300.0)
+        report = modeled_energy(ExecutionTrace(10**308, 1.0), 200.0, 300.0)
+        assert report.energy == 200.0 * (10**308 * c)
+        assert report.energy == pytest.approx(5.741957770157448e289, rel=1e-15)
+        assert report.power == report.energy
+        assert report.overhead_factor_used == 200.0
+        assert report.warnings == ()
+        row = account_run(SubstrateRun(default_substrates()[0], ExecutionTrace(10**308, 1.0),
+                                       shipped_suite()))
+        assert (row.energy, row.power) == (report.energy, report.energy)
+        assert row.phi == report.energy / 2.0
+
+    def test_finite_product_keeps_its_left_to_right_order(self):
+        # the shipped gpu: (F * N) * c and F * (N * c) differ in the last bit
+        c = landauer_constant(300.0)
+        report = modeled_energy(ExecutionTrace(10**6, 1.0), 20.0, 300.0)
+        assert report.energy == 20.0 * 10**6 * c == 5.741957770157448e-14
+        assert 20.0 * (10**6 * c) == 5.741957770157447e-14
+
 
 class TestWpi:
     def test_simple_division(self):
@@ -227,6 +255,31 @@ class TestWpiReport:
         ))
         assert row.phi >= row.lower_bound >= row.reversible_floor
         assert row.slack >= 1.0
+
+    def test_intelligence_above_the_yield_cap_is_flagged(self):
+        # the shipped cpu and suite with one irreversible op: I = 2 > alpha * N = 1,
+        # so phi falls below a bound that assumes I <= alpha * N
+        row = account_run(SubstrateRun(default_substrates()[0], ExecutionTrace(1, 1.0),
+                                       shipped_suite()))
+        assert row.intelligence == 2.0
+        assert row.phi == 2.870978885078724e-19
+        assert row.lower_bound == 5.741957770157448e-19
+        assert row.slack == 0.5
+        [warning] = row.warnings
+        assert "exceeds algorithmic_yield * irreversible_ops" in warning
+
+    def test_modeled_zero_op_trace_is_flagged(self):
+        row = account_run(SubstrateRun(default_substrates()[0], ExecutionTrace(0, 1.0),
+                                       shipped_suite()))
+        assert (row.energy, row.phi, row.slack) == (0.0, 0.0, 0.0)
+        [warning] = row.warnings
+        assert "exceeds algorithmic_yield * irreversible_ops" in warning
+
+    def test_intelligence_at_the_yield_cap_is_not_flagged(self):
+        row = account_run(SubstrateRun(default_substrates()[0], ExecutionTrace(2, 1.0),
+                                       shipped_suite()))
+        assert row.slack == 1.0
+        assert row.warnings == ()
 
     def test_phi_strictly_decreasing_in_intelligence(self):
         lo = wpi(5.0, 2.0)
