@@ -60,12 +60,13 @@ class IftCheckResult:
     """Empirical mean and standard error of 2**(-delta_i_k), with control.
 
     The surprisal control variable sigma has the exact identity
-    ``E[2**(-sigma)] == 1`` on any stationary-kernel chain, so its empirical
-    mean is reported side by side as a calibration for the estimator-based
-    quantity (whose additive constants are not guaranteed to keep the mean
-    at or below 1).  A chain without a stationary law has no control:
-    ``surprisal_mean`` and ``surprisal_se`` are None and ``surprisal_note``
-    holds the :class:`~wpi.errors.NonErgodicChainError` message.
+    ``E[2**(-sigma)] == 1`` when every positive transition has a positive
+    reverse, so its empirical mean is reported side by side as a calibration
+    for the estimator-based quantity (whose additive constants are not
+    guaranteed to keep the mean at or below 1).  A chain that is not
+    irreducible and aperiodic has no control: ``surprisal_mean`` and
+    ``surprisal_se`` are None and ``surprisal_note`` holds the
+    :class:`~wpi.errors.NonErgodicChainError` message.
     """
 
     complexity_mean: float
@@ -102,8 +103,9 @@ class ModelTable:
 
     ``k`` is K of each state in bits, in state order; ``ift`` is
     ``2**(-(K(y) - K(x)))`` for every (x, y) index pair.  ``sigma`` is the
-    model's :func:`surprisal_table`, or None on a chain without a stationary
-    law, whose :class:`~wpi.errors.NonErgodicChainError` message is ``note``.
+    model's :func:`surprisal_table`, or None on a chain that is not
+    irreducible and aperiodic, whose
+    :class:`~wpi.errors.NonErgodicChainError` message is ``note``.
     """
 
     model: MarkovModel

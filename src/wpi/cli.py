@@ -27,38 +27,44 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: Each subcommand's help and its options, in the order its help lists them.
+_IO = ("--config", "--out", "--format")
+_SAMPLING = _IO + ("--seed", "--samples", "--delta", "--estimator")
+_COMMANDS = {
+    "score": ("intelligence scores and phi per trace", _IO),
+    "compare": ("rank substrates by phi at fixed algorithm", _IO),
+    "simulate": ("sample Markov trajectories", _SAMPLING + ("--steps",)),
+    "check-bounds": ("fluctuation and efficiency bound checks", _SAMPLING + ("--assert",)),
+    "report": ("full bundle: score, compare, simulate, bounds",
+               _SAMPLING + ("--steps", "--assert")),
+}
+_OPTIONS = {
+    "--config": dict(type=Path, default=None,
+                     help="experiment config JSON (default: packaged demo config)"),
+    "--out": dict(type=Path, default=Path("wpi-out"), help="output directory (default: wpi-out)"),
+    "--format": dict(choices=["json", "tsv"], default=None,
+                     help="restrict output to one format (default: both)"),
+    "--seed": dict(type=int, default=None, help="override the config seed"),
+    "--samples": dict(type=int, default=None, help="override the config sample count"),
+    "--delta": dict(type=float, default=None, help="override the config confidence parameter"),
+    "--estimator": dict(choices=[e.value for e in Estimator], default=None,
+                        help="override the config estimator"),
+    "--steps": dict(type=int, default=1, help="transitions per trajectory (default: 1)"),
+    "--assert": dict(dest="assert_mode", action="store_true",
+                     help="exit 2 if a gated check fails its 3-sigma allowance"),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``wpi`` parser, or with ``command`` only that subcommand's: its usage still lists
+    them all, and as ``command`` parses first, no message can differ from the full parser's."""
     parser = _Parser(prog="wpi", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    score = sub.add_parser("score", help="intelligence scores and phi per trace")
-    compare = sub.add_parser("compare", help="rank substrates by phi at fixed algorithm")
-    simulate = sub.add_parser("simulate", help="sample Markov trajectories")
-    check = sub.add_parser("check-bounds", help="fluctuation and efficiency bound checks")
-    full = sub.add_parser("report", help="full bundle: score, compare, simulate, bounds")
-
-    for p in (score, compare, simulate, check, full):
-        p.add_argument("--config", type=Path, default=None,
-                       help="experiment config JSON (default: packaged demo config)")
-        p.add_argument("--out", type=Path, default=Path("wpi-out"),
-                       help="output directory (default: wpi-out)")
-        p.add_argument("--format", choices=["json", "tsv"], default=None,
-                       help="restrict output to one format (default: both)")
-    for p in (simulate, check, full):
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--samples", type=int, default=None,
-                       help="override the config sample count")
-        p.add_argument("--delta", type=float, default=None,
-                       help="override the config confidence parameter")
-        p.add_argument("--estimator", choices=[e.value for e in Estimator],
-                       default=None, help="override the config estimator")
-    for p in (simulate, full):
-        p.add_argument("--steps", type=int, default=1,
-                       help="transitions per trajectory (default: 1)")
-    for p in (check, full):
-        p.add_argument("--assert", dest="assert_mode", action="store_true",
-                       help="exit 2 if a gated check fails its 3-sigma allowance")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if command else None)
+    for name in [command] if command else _COMMANDS:
+        p = sub.add_parser(name, help=_COMMANDS[name][0])
+        for flag in _COMMANDS[name][1]:
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
@@ -82,7 +88,8 @@ def _empty_bundle(config) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

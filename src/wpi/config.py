@@ -147,6 +147,23 @@ _TYPE_NAMES = {
 }
 
 
+def _resolved(*kinds: Any) -> dict[Any, tuple[tuple[type, Any], ...]]:
+    """Each of ``kinds`` and of their item types, as its alternatives: ``(list, T)`` for
+    ``list[T]``, ``(dict, T)`` for ``dict[str, T]`` and ``(C, None)`` for a class ``C``."""
+    resolved = {}
+    for kind in kinds:
+        alternatives = get_args(kind) if isinstance(kind, UnionType) else (kind,)
+        resolved[kind] = tuple((get_origin(alt) or alt, (get_args(alt) or (None,))[-1])
+                               for alt in alternatives)
+        resolved.update(_resolved(*(item for _, item in resolved[kind] if item is not None)))
+    return resolved
+
+
+#: Every type of a field table, resolved once, so that reading a value does not.
+_KINDS = _resolved(*(kind for table in (_ROOT, _SUBSTRATE, _SUITE, _TASK, _TRACE, _MODEL)
+                     for kind, _ in table.values()))
+
+
 def ingest_config(path: str | Path, **overrides) -> ExperimentConfig:
     """Parse and fully validate a config file.
 
@@ -267,32 +284,32 @@ def _read(obj: Any, table: dict, ptr: str, errors: list) -> dict:
 
 def _typed(value: Any, kind: Any, ptr: str, errors: list) -> Any:
     """``value`` checked against JSON type ``kind`` and read, or ``_INVALID``."""
-    alternatives = get_args(kind) if isinstance(kind, UnionType) else (kind,)
-    match = next((alt for alt in alternatives if _has_type(value, alt)), None)
-    if match is None:
-        names = " or ".join(_TYPE_NAMES[get_origin(alt) or alt] for alt in alternatives)
+    for base, item in _KINDS[kind]:  # the first alternative that value is, entries unchecked
+        if (_floats([value]) is not None if base is float
+                else not isinstance(value, bool) and isinstance(value, base)):
+            break
+    else:
+        names = " or ".join(_TYPE_NAMES[base] for base, _ in _KINDS[kind])
         errors.append((ptr, f"must be {names}, got {reprlib.repr(value)}"))
         return _INVALID
-    if match is float:
+    if base is float:
         return float(value)
-    if get_origin(match) is list:
-        (item,) = get_args(match)
+    if item is None:
+        return value
+    if base is list:
         read = _floats(value) if item is float else None
         if read is not None:
             return read
         read = [_typed(v, item, f"{ptr}/{i}", errors) for i, v in enumerate(value)]
         return _INVALID if _INVALID in read else read
-    if get_origin(match) is dict:
-        item = get_args(match)[1]
-        read = {k: _typed(v, item, _child(ptr, k), errors) for k, v in value.items()}
-        return _INVALID if _INVALID in read.values() else read
-    return value
+    read = {k: _typed(v, item, _child(ptr, k), errors) for k, v in value.items()}
+    return _INVALID if _INVALID in read.values() else read
 
 
 def _floats(values: list) -> list[float] | None:
     """``values`` read as floats if each is a number that fits a float; else None.
 
-    The config's one float rule, for a list and (through ``_has_type``) a
+    The config's one float rule, for a list and (through ``_typed``) a
     single value.  A number is an int or a float (a subclass too) but not a
     bool, and its magnitude, compared as given and not as rounded, must not
     exceed the float maximum, so no infinity passes.  A list of floats alone
@@ -309,14 +326,6 @@ def _floats(values: list) -> list[float] | None:
     if any(map(sys.float_info.max.__lt__, map(abs, values))):
         return None
     return list(map(float, values))
-
-
-def _has_type(value: Any, kind: Any) -> bool:
-    """Whether ``value`` is of JSON type ``kind``, its entries not yet checked."""
-    kind = get_origin(kind) or kind
-    if kind is float:
-        return _floats([value]) is not None
-    return not isinstance(value, bool) and isinstance(value, kind)
 
 
 def _child(ptr: str, key: Any) -> str:

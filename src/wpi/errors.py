@@ -29,7 +29,7 @@ class EnumerationBudgetExceeded(RuntimeError):
 
 
 class NonErgodicChainError(ValidationError):
-    """The kernel has no unique positive stationary distribution."""
+    """The kernel is not irreducible and aperiodic (``wpi.markov.is_ergodic``)."""
 
 
 class ImpossibleTransitionError(ValidationError):

@@ -164,7 +164,7 @@ class ReferenceMachine:
         return table
 
 
-#: Shared machine instance used by the complexity estimators.
+#: The enumeration oracle that the tests and demo 03 run (the estimators do not).
 DEFAULT_MACHINE = ReferenceMachine()
 
 
@@ -176,22 +176,26 @@ def shortest_length(target: str, aux: str = "") -> int:
     padding.  K is therefore the shortest path from node 0 to node
     ``len(target)``, node k standing for the output ``target[:k]``.  Every
     edge that makes progress goes forward, so one pass in order of k
-    settles each node before it is left.  The ``k >= 1`` and non-empty
-    ``aux`` guards only drop self-loops, which never shorten a path.  Equal to
+    settles each node before it is left.  An edge's output is compared only
+    when the edge would shorten its node, which also drops the self-loops
+    (DOUBLE at k = 0, COPY_AUX of an empty ``aux``).  Equal to
     ``len(DEFAULT_MACHINE.shortest_program(target, len(target) + 3, aux))``.
     """
     _check_target(target, aux)
-    n = len(target)
+    n, m = len(target), len(aux)
     best = [0] + [n + 3] * n  # no path worth taking costs more than LITERAL from node 0
+    literal = n + 3  # the best LITERAL edge into node n
     for k in range(n):
         cost = best[k]
-        best[n] = min(best[n], cost + 3 + n - k)  # LITERAL with the rest
-        best[k + 1] = min(best[k + 1], cost + 2)  # WRITE0 / WRITE1
-        if k >= 1 and target[k:2 * k] == target[:k]:  # DOUBLE
-            best[2 * k] = min(best[2 * k], cost + 2)
-        if aux and target.startswith(aux, k):  # COPY_AUX
-            best[k + len(aux)] = min(best[k + len(aux)], cost + 3)
-    return best[n]
+        if cost + 3 + n - k < literal:  # LITERAL with the rest
+            literal = cost + 3 + n - k
+        if cost + 2 < best[k + 1]:  # WRITE0 / WRITE1
+            best[k + 1] = cost + 2
+        if 2 * k <= n and cost + 2 < best[2 * k] and target[k:2 * k] == target[:k]:
+            best[2 * k] = cost + 2  # DOUBLE
+        if k + m <= n and cost + 3 < best[k + m] and target.startswith(aux, k):
+            best[k + m] = cost + 3  # COPY_AUX
+    return min(best[n], literal)
 
 
 def _check_target(target: str, aux: str) -> None:

@@ -189,11 +189,11 @@ def stationary_distribution(kernel: np.ndarray) -> np.ndarray:
     The diagonal of ``K - I`` is taken as minus the off-diagonal row sum,
     which avoids the cancellation in ``K[i, i] - 1`` on slowly mixing chains.
 
-    Non-ergodic kernels raise :class:`NonErgodicChainError`: without a
-    unique positive stationary distribution the surprisal control quantity
-    is ill-defined.  A solution that is not positive, or whose L1 residual
-    ``|pi K - pi|`` exceeds ``n * DISTRIBUTION_TOL``, raises
-    :class:`ValidationError`.
+    A kernel that is not irreducible and aperiodic (:func:`is_ergodic`)
+    raises :class:`NonErgodicChainError`, although a periodic irreducible
+    kernel has a unique positive stationary law too.  A solution that is not
+    positive, or whose L1 residual ``|pi K - pi|`` exceeds
+    ``n * DISTRIBUTION_TOL``, raises :class:`ValidationError`.
     """
     kernel = np.asarray(kernel, dtype=float)
     if not is_ergodic(kernel):

@@ -138,12 +138,16 @@ def account_run(run: SubstrateRun) -> ComparisonRow:
         warnings += (f"intelligence {intelligence!r} exceeds algorithmic_yield * irreversible_ops "
                      f"= {cap!r}; the phi lower bound assumes I <= alpha * N, so phi may fall "
                      f"below it",)
+    if (effective_ops := used * ops if ops else 0.0) == math.inf:
+        warnings += (f"effective_ops overflows to inf: overhead factor {used!r} times "
+                     f"irreversible_ops {float(ops)!r} exceeds the largest float; the energy "
+                     f"and phi do not use it",)
     return ComparisonRow(
         name=sub.name,
         overhead=used,
         overhead_source=(sub.overhead_source if energy.overhead_source == "modeled"
                          else energy.overhead_source),
-        effective_ops=used * ops if ops else 0.0,
+        effective_ops=effective_ops,
         energy=energy.energy,
         power=energy.power,
         intelligence=intelligence,

@@ -1,5 +1,6 @@
 """Core metric tests: intelligence scores, Landauer accounting, phi bounds."""
 
+import json
 import math
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from wpi import (
     UndefinedMetricError,
     ValidationError,
     account_run,
+    config_from_dict,
     default_substrates,
     ingest_config,
     intelligence_score,
@@ -26,6 +28,7 @@ from wpi import (
     wpi,
 )
 from wpi.config import default_config_path
+from wpi.report import compare_section, score_section
 
 
 def shipped_suite():
@@ -280,6 +283,23 @@ class TestWpiReport:
                                        shipped_suite()))
         assert row.slack == 1.0
         assert row.warnings == ()
+
+    def test_overflowing_effective_ops_is_flagged(self):
+        # the shipped config at N = 10**308: F * N passes the float maximum on
+        # every substrate, so effective_ops reads inf, while the energy and phi fit
+        data = json.loads(default_config_path().read_text())
+        for trace in data["traces"]:
+            trace["irreversible_ops"] = 10**308
+        config = config_from_dict(data)
+        [comparison] = compare_section(config)
+        assert {row["name"]: row["effective_ops"] for row in comparison["rows"]} == {
+            "cpu": math.inf, "gpu": math.inf, "neuromorphic": math.inf}
+        reports = score_section(config)["wpi_reports"]
+        assert [r["substrate"] for r in reports] == ["cpu", "gpu", "neuromorphic"]
+        for report in reports:
+            assert math.isfinite(report["energy_j"]) and math.isfinite(report["phi"])
+            [warning] = report["warnings"]
+            assert warning.startswith("effective_ops overflows to inf: overhead factor ")
 
     def test_phi_strictly_decreasing_in_intelligence(self):
         lo = wpi(5.0, 2.0)
