@@ -26,8 +26,7 @@ csv = workdir / "power.csv"
 csv.write_text("t_s,power_w\n" + "\n".join(
     f"{float(a)!r},{float(b)!r}" for a, b in zip(t, p)) + "\n")
 
-rows = ingest_telemetry(csv)
-energy = integrate_power(np.array(rows))
+energy = integrate_power(ingest_telemetry(csv))
 closed_form = 1.5 * 2.0 - (0.5 / omega) * (math.cos(omega * 2.0) - 1.0)
 print(f"integrated energy: {energy:.6f} J (closed form {closed_form:.6f} J)")
 
@@ -39,7 +38,7 @@ config_path = workdir / "experiment.json"
 config_path.write_text(json.dumps(config_data, indent=2))
 
 config = ingest_config(config_path)
-measured = config.traces[("cpu", "default-suite")].measured_energy
+measured = config.runs[("cpu", "default-suite")].trace.measured_energy
 print(f"trace measured energy from telemetry: {measured:.6f} J")
 
 # Every bundle binds its numbers to the inputs through the config hash.

@@ -88,4 +88,4 @@ from .substrate import (
     run_comparison,
     total_overhead,
 )
-from .telemetry import ingest_telemetry, integrate_power, read_power_csv
+from .telemetry import ingest_telemetry, integrate_power

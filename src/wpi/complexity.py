@@ -65,10 +65,15 @@ _SYMBOL_CODES = bytes.maketrans(_ALPHABET.encode(), bytes(range(len(_ALPHABET)))
 
 
 class Estimator(str, enum.Enum):
-    """Which computable procedure produced a complexity estimate."""
+    """Which computable procedure produced a complexity estimate; ``Estimator(name)`` of any
+    other name is a :class:`ValidationError` that lists the valid names."""
 
     EXACT_ENUM = "exact-enum"
     LZ_PROXY = "lz-proxy"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValidationError(f"estimator must be one of {[e.value for e in cls]}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,9 @@ no computation): their lengths, and that every weight is > 0.
 
 Validation reports *every* problem found, each tagged with the JSON pointer
 of the offending value.  A trace's ``telemetry`` names a power CSV relative
-to the config file; its trapezoidal integral becomes the trace's measured
-energy.
+to the config file; the integral of its ``(n, 2)`` samples (``ingest_telemetry``)
+becomes the trace's measured energy.  Each trace is joined to its substrate
+and suite once, in ``ExperimentConfig.runs``.
 
 The config keeps the document it validated (``ExperimentConfig.document``),
 so the field tables below are the one layout of both the schema and a
@@ -59,8 +60,8 @@ from .complexity import CoarseState, Estimator
 from .errors import ConfigError, ValidationError
 from .markov import MAX_SEED, MarkovModel
 from .metrics import ExecutionTrace, TaskRecord, TaskSuite
-from .substrate import Substrate
-from .telemetry import integrate_power, read_power_csv
+from .substrate import Substrate, SubstrateRun
+from .telemetry import ingest_telemetry, integrate_power
 
 
 @dataclass(frozen=True)
@@ -75,25 +76,21 @@ class SimSettings:
 class ExperimentConfig:
     """The objects a config builds, and the validated document they were built from.
 
-    ``document`` is the config as :func:`config_from_dict` read it: every
-    key present, defaults filled in, numbers as floats, each model's null
-    ``labels`` as a list of nulls and each trace's ``telemetry`` replaced
-    by its integral in ``measured_energy``.  It is what
-    :func:`serialize_config` returns and what ``config_sha256`` hashes.
+    ``runs`` holds each trace's :class:`~wpi.substrate.SubstrateRun` by
+    ``(substrate, suite)``, in config order.  ``document`` is the config as
+    :func:`config_from_dict` read it: every key present, defaults filled in,
+    numbers as floats, each model's null ``labels`` as a list of nulls and
+    each trace's ``telemetry`` replaced by its integral in
+    ``measured_energy``.  It is what :func:`serialize_config` returns and
+    what ``config_sha256`` hashes.
     """
 
     substrates: tuple[Substrate, ...]
     suites: dict[str, TaskSuite]
-    traces: dict[tuple[str, str], ExecutionTrace]
+    runs: dict[tuple[str, str], SubstrateRun]
     models: tuple[MarkovModel, ...]
     sim: SimSettings
     document: dict
-
-    def substrate(self, name: str) -> Substrate:
-        for sub in self.substrates:
-            if sub.name == name:
-                return sub
-        raise ValidationError(f"unknown substrate {name!r}")
 
 
 #: Default of a key that must be present.
@@ -237,7 +234,7 @@ def config_from_dict(data: Any, base_dir: Path | None = None) -> ExperimentConfi
     sim = _validate_sim(document, errors, n_models)
     substrates = _validate_substrates(document, errors)
     suites = _validate_suites(document, errors)
-    traces = _validate_traces(document, substrates, suites, errors, base_dir)
+    runs = _validate_traces(document, substrates, suites, errors, base_dir)
     models = _validate_models(document, errors)
     if errors:
         raise ConfigError(errors)
@@ -245,7 +242,7 @@ def config_from_dict(data: Any, base_dir: Path | None = None) -> ExperimentConfi
     return ExperimentConfig(
         substrates=tuple(substrates.values()),
         suites=suites,
-        traces=traces,
+        runs=runs,
         models=tuple(models),
         sim=sim,
         document=document,
@@ -381,11 +378,11 @@ def _validate_sim(fields: dict, errors: list, n_models: int) -> SimSettings:
         errors.append(("/samples", f"samples must be a positive integer, got {samples!r}"))
     if delta is not _INVALID and not 0.0 < delta < 1.0:
         errors.append(("/delta", f"delta must be in (0, 1), got {delta!r}"))
-    choices = [e.value for e in Estimator]
-    if estimator is not _INVALID and estimator not in choices:
-        errors.append(("/estimator", f"estimator must be one of {choices}, got {estimator!r}"))
-    if estimator in choices:
-        estimator = Estimator(estimator)
+    if estimator is not _INVALID:
+        try:
+            estimator = Estimator(estimator)
+        except ValidationError as exc:
+            errors.append(("/estimator", str(exc)))
     return SimSettings(seed=seed, samples=samples, delta=delta, estimator=estimator)
 
 
@@ -432,8 +429,8 @@ def _validate_traces(
     suites: dict[str, TaskSuite | None],
     errors: list,
     base_dir: Path | None,
-) -> dict[tuple[str, str], ExecutionTrace]:
-    out: dict[tuple[str, str], ExecutionTrace] = {}
+) -> dict[tuple[str, str], SubstrateRun]:
+    out: dict[tuple[str, str], SubstrateRun] = {}
     for ptr, fields in _entries(document, "traces", _TRACE, "", errors, ("substrate", "suite")):
         substrate, suite = key = (fields["substrate"], fields["suite"])
         telemetry = fields.pop("telemetry")  # the document keeps its integral
@@ -449,17 +446,17 @@ def _validate_traces(
             if base_dir is not None and not csv_path.is_absolute():
                 csv_path = base_dir / csv_path
             try:
-                fields["measured_energy"] = integrate_power(read_power_csv(csv_path))
+                fields["measured_energy"] = integrate_power(ingest_telemetry(csv_path))
             except (ValidationError, OSError) as exc:
                 errors.append((f"{ptr}/telemetry", str(exc)))
         if len(errors) > before:
             continue
         try:
-            out[key] = ExecutionTrace(
-                fields["irreversible_ops"], fields["duration"], fields["measured_energy"]
-            )
+            trace = ExecutionTrace(fields["irreversible_ops"], fields["duration"], fields["measured_energy"])
         except ValidationError as exc:
             errors.append((ptr, str(exc)))
+        else:  # a substrate or suite that failed its own checks is None, and was reported
+            out[key] = SubstrateRun(substrates[substrate], trace, suites[suite])
     return out
 
 

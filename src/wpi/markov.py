@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import reprlib
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -332,15 +332,15 @@ class _PathTally:
     """Transition counts and the path digest of rows of paths added in order.
 
     :meth:`add` takes the rows of a sample in row order, in blocks of any
-    size, and works about ``_CHUNK`` entries at a time.  ``first_counts``
-    is the (source, target) matrix of each path's first step, ``counts``
-    that of every step (views of the tally's two arrays, or one while no
-    path has two steps), and ``first_path`` row 0 as a list.  ``digest``,
-    kept only with ``digest``, is the sha256 of the rows as text: each
-    row's decimal state indices joined by ``,`` and followed by ``;``, rows
-    in order (``[[0, 1], [10, 2]]`` is ``0,1;10,2;``).  :meth:`add` does
-    not check its rows, so it takes only the sampler's own rows and those
-    that :func:`_path_chunks` has checked and cast to intp.
+    size, and casts and reads about ``_CHUNK`` entries at a time.
+    ``first_counts`` is the (source, target) matrix of each path's first
+    step, ``counts`` that of every step (views of the tally's two arrays, or
+    one while no path has two steps), and ``first_path`` row 0 as a list.
+    ``digest``, kept only with ``digest``, is the sha256 of the rows as
+    text: each row's decimal state indices joined by ``,`` and followed by
+    ``;``, rows in order (``[[0, 1], [10, 2]]`` is ``0,1;10,2;``).
+    :meth:`add` does not check its rows: it takes the sampler's own and
+    those that :func:`transition_counts` has checked.
     """
 
     def __init__(self, n: int, digest: bool = True):
@@ -373,13 +373,13 @@ class _PathTally:
         return self._sha.hexdigest()
 
     def add(self, paths: np.ndarray) -> None:
-        """Add the next rows: a 2-D intp array of state indices in ``[0, n)``, not re-checked."""
+        """Add the next rows: a 2-D integer array of state indices in ``[0, n)``, not re-checked."""
         if self.first_path is None and len(paths):
             self.first_path = paths[0].tolist()
         self.rows += len(paths)
-        n, step = self.n, _chunk_rows(paths.shape[1])
+        n, step = self.n, max(1, _CHUNK // paths.shape[1])
         for lo in range(0, len(paths), step):
-            rows = paths[lo:lo + step]
+            rows = paths[lo:lo + step].astype(np.intp, copy=False)
             if rows.shape[1] > 1:
                 pairs = rows[:, :-1] * n
                 np.add(pairs, rows[:, 1:], pairs)
@@ -407,42 +407,22 @@ def _count(counts: np.ndarray, codes: np.ndarray) -> None:
 def transition_counts(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
     """Count matrix of observed (source, target) transitions in ``paths``.
 
-    ``paths`` is a 2-D integer array of state indices in ``[0, n_states)``,
-    checked and counted about ``_CHUNK`` entries at a time.
+    ``paths``, a 2-D integer array of at least one column of state indices in
+    ``[0, n_states)``, is checked whole before any count array is made, then
+    counted block by block.
     """
-    tally = _PathTally(model.n_states, digest=False)
-    for rows in _path_chunks(paths, model.n_states):
-        tally.add(rows)
-    return tally.counts
-
-
-def _chunk_rows(width: int) -> int:
-    """Rows of ``width`` entries that make about ``_CHUNK`` entries, and at least one row."""
-    return max(1, _CHUNK // width)
-
-
-def _path_chunks(paths: np.ndarray, n: int) -> Iterator[np.ndarray]:
-    """The rows of ``paths`` as intp, :func:`_chunk_rows` at a time.
-
-    The one owner of the path-array rule: a 2-D integer array of at least
-    one column of state indices in ``[0, n)``, each chunk checked before it
-    is yielded.
-    """
-    paths = np.asarray(paths)
+    n, paths = model.n_states, np.asarray(paths)
     if paths.ndim != 2 or paths.dtype.kind not in "iu":
         raise ValidationError(f"paths must be a 2-D integer array, got {paths.ndim}-D {paths.dtype}")
     if not paths.shape[1]:
         raise ValidationError(f"paths must have at least one column, got shape {paths.shape}")
     unsigned = paths.view(paths.dtype.str.replace("i", "u"))  # a negative index reads as >= n
-    chunk = _chunk_rows(paths.shape[1])
-    for lo in range(0, len(paths), chunk):
-        rows = paths[lo:lo + chunk]
-        if unsigned[lo:lo + chunk].max(initial=0) >= n:
-            r, c = np.argwhere((rows < 0) | (rows >= n))[0]
-            raise ValidationError(
-                f"paths[{lo + r}, {c}] = {rows[r, c]} is not a state index in [0, {n})"
-            )
-        yield rows.astype(np.intp, copy=False)
+    if unsigned.max(initial=0) >= n:
+        r, c = divmod(int(np.argmax(unsigned >= n)), paths.shape[1])
+        raise ValidationError(f"paths[{r}, {c}] = {paths[r, c]} is not a state index in [0, {n})")
+    tally = _PathTally(n, digest=False)
+    tally.add(paths)
+    return tally.counts
 
 
 def _constant(value: int, dtype=np.uint64) -> np.ndarray:

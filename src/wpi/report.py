@@ -119,7 +119,7 @@ def score_section(config: ExperimentConfig) -> dict:
     reports = [
         {"suite": suite_id, "irreversible_ops": run.trace.irreversible_ops,
          "duration_s": run.trace.duration, **_fields(account_run(run), _REPORT_FIELDS)}
-        for suite_id, run in _runs(config)
+        for (_, suite_id), run in config.runs.items()
     ]
     return {"suites": suites, "wpi_reports": reports}
 
@@ -127,7 +127,7 @@ def score_section(config: ExperimentConfig) -> dict:
 def compare_section(config: ExperimentConfig) -> list[dict]:
     """Fixed-algorithm comparisons, one per suite with at least two traces, if any."""
     by_suite: dict[str, list[SubstrateRun]] = {}
-    for suite_id, run in _runs(config):
+    for (_, suite_id), run in config.runs.items():
         by_suite.setdefault(suite_id, []).append(run)
     comparisons = []
     for suite_id, runs in by_suite.items():
@@ -139,14 +139,6 @@ def compare_section(config: ExperimentConfig) -> list[dict]:
                 "rows": [_fields(r, _COMPARISON_FIELDS) for r in rows],
             })
     return comparisons
-
-
-def _runs(config: ExperimentConfig) -> list[tuple[str, SubstrateRun]]:
-    """``(suite id, run)`` for each trace of ``config``, in config order."""
-    return [
-        (suite_id, SubstrateRun(config.substrate(substrate_name), trace, config.suites[suite_id]))
-        for (substrate_name, suite_id), trace in config.traces.items()
-    ]
 
 
 def _fields(row: ComparisonRow, table: dict[str, str]) -> dict:

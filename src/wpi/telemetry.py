@@ -20,13 +20,14 @@ from .errors import TelemetryError, ValidationError
 EXPECTED_HEADER = ["t_s", "power_w"]
 
 
-def ingest_telemetry(path: str | Path) -> list[tuple[float, float]]:
-    """Read a telemetry CSV into (timestamp, power) pairs.
+def ingest_telemetry(path: str | Path) -> np.ndarray:
+    """Read a telemetry CSV as an ``(n, 2)`` float array of ``(t_s, power_w)`` rows.
 
-    All row-level problems (non-numeric or non-finite fields, non-monotone
-    timestamps, negative power) are collected and raised together.  A file
-    that is not UTF-8 text, or a path holding a NUL byte, raises
-    :class:`TelemetryError` at row 0, as an empty file does.
+    A file with a header and no rows gives shape ``(0, 2)``.  All row-level
+    problems (non-numeric or non-finite fields, non-monotone timestamps,
+    negative power) are collected and raised together.  A file that is not
+    UTF-8 text, or a path holding a NUL byte, raises :class:`TelemetryError`
+    at row 0, as an empty file does.
     """
     path = Path(path)
     try:
@@ -51,7 +52,6 @@ def ingest_telemetry(path: str | Path) -> list[tuple[float, float]]:
         raise TelemetryError(
             [(1, f"expected header 't_s,power_w', got {','.join(header)!r}")]
         )
-    previous_t = None
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -66,25 +66,16 @@ def ingest_telemetry(path: str | Path) -> list[tuple[float, float]]:
         if not (math.isfinite(t) and math.isfinite(p)):
             issues.append((lineno, f"timestamp and power must be finite, got {row!r}"))
             continue
-        if previous_t is not None and t <= previous_t:
-            issues.append(
-                (lineno, f"timestamp {t!r} is not strictly greater than {previous_t!r}")
-            )
+        if rows and t <= rows[-1][0]:
+            issues.append((lineno, f"timestamp {t!r} is not strictly greater than {rows[-1][0]!r}"))
             continue
         if p < 0.0:
             issues.append((lineno, f"negative power {p!r} W"))
             continue
-        previous_t = t
         rows.append((t, p))
 
     if issues:
         raise TelemetryError(issues)
-    return rows
-
-
-def read_power_csv(path: str | Path) -> np.ndarray:
-    """Telemetry file as an (n, 2) float array of (t_s, power_w)."""
-    rows = ingest_telemetry(path)
     return np.array(rows, dtype=float).reshape(-1, 2)
 
 

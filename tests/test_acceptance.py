@@ -259,6 +259,5 @@ def test_criterion_10_telemetry_integration(tmp_path):
         + "\n"
     )
     exact = 5.0 * 6.0 - (4.0 / omega) * (math.cos(omega * 6.0) - 1.0)
-    rows = np.array(ingest_telemetry(csv))
-    got = integrate_power(rows)
+    got = integrate_power(ingest_telemetry(csv))
     assert abs(got - exact) / abs(exact) < 1e-3

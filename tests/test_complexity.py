@@ -13,11 +13,17 @@ import pytest
 from wpi import (
     CoarseState,
     Estimator,
+    StateMeasure,
     ValidationError,
+    algorithmic_entropy,
     complexity_exact,
     complexity_lz,
     conditional_complexity,
+    entropy_decomposition,
+    estimate_complexity,
     lz78_codelength,
+    model_table,
+    two_state_chain,
 )
 from wpi.complexity import SEPARATOR
 from wpi.machine import DEFAULT_MACHINE
@@ -296,6 +302,34 @@ class TestExactEstimator:
             for bits in itertools.product("01", repeat=length):
                 x = "".join(bits)
                 assert conditional_complexity(CoarseState(x), y, Estimator.EXACT_ENUM).bits == table[x]
+
+
+X, Y = CoarseState("0110"), CoarseState("1")
+#: Every entry point that takes an estimator by name, called with ``name``.
+ESTIMATOR_CALLS = {
+    "Estimator": lambda name: Estimator(name),
+    "estimate_complexity": lambda name: estimate_complexity(X, name),
+    "conditional_complexity": lambda name: conditional_complexity(X, Y, name),
+    "model_table": lambda name: model_table(two_state_chain(), name),
+    "algorithmic_entropy": lambda name: algorithmic_entropy(X, StateMeasure({X: 1.0}), name),
+    "entropy_decomposition":
+        lambda name: entropy_decomposition(X, Y, StateMeasure({X: 1.0, Y: 1.0}), name),
+}
+
+
+class TestEstimatorName:
+    @pytest.mark.parametrize("call", ESTIMATOR_CALLS.values(), ids=ESTIMATOR_CALLS.keys())
+    @pytest.mark.parametrize("name", ["bogus", "EXACT_ENUM", None])
+    def test_unknown_name_is_a_validation_error_naming_the_choices(self, call, name):
+        # each raised the enum's bare ValueError "'bogus' is not a valid Estimator"
+        with pytest.raises(ValidationError) as info:
+            call(name)
+        assert str(info.value) == f"estimator must be one of ['exact-enum', 'lz-proxy'], got {name!r}"
+
+    @pytest.mark.parametrize("call", ESTIMATOR_CALLS.values(), ids=ESTIMATOR_CALLS.keys())
+    def test_known_names_and_members_are_taken(self, call):
+        for name in ("exact-enum", "lz-proxy", *Estimator):
+            call(name)
 
 
 class TestCoarseState:

@@ -121,7 +121,7 @@ class TestValidation:
     def test_minimal_config_parses(self):
         config = config_from_dict(minimal_config())
         assert config.sim.seed == 7
-        assert ("cpu", "s") in config.traces
+        assert ("cpu", "s") in config.runs
         assert config.models[0].name == "m"
 
     def test_missing_seed_is_an_error(self):
@@ -236,7 +236,7 @@ class TestValidation:
         assert pointers(info) == ["/traces/0"]
         largest = int(sys.float_info.max)
         config = config_from_dict(with_value(("traces", 0, "irreversible_ops"), largest))
-        assert config.traces[("cpu", "s")].irreversible_ops == largest
+        assert config.runs[("cpu", "s")].trace.irreversible_ops == largest
 
     def test_delta_range(self):
         with pytest.raises(ConfigError) as info:
@@ -334,7 +334,7 @@ class TestValidation:
         data["traces"][0]["measured_energy"] = 5
         config = config_from_dict(data)
         assert type(config.substrates[0].extra_overheads["io"]) is float
-        assert type(config.traces[("cpu", "s")].measured_energy) is float
+        assert type(config.runs[("cpu", "s")].trace.measured_energy) is float
 
     @pytest.mark.parametrize("row", [
         [], [1, 2.5, 0, -0.0], [True, 1.0], [1.0, False], [1, None], ["1", 1.0], [[1.0]],
@@ -366,7 +366,7 @@ class TestValidation:
         data["traces"][0].update(measured_energy=None, telemetry=None)
         data["models"][0]["labels"] = None
         config = config_from_dict(data)
-        assert config.traces[("cpu", "s")].measured_energy is None
+        assert config.runs[("cpu", "s")].trace.measured_energy is None
         assert config.document["models"][0]["labels"] == [None, None]
 
 
@@ -378,7 +378,7 @@ class TestTelemetryAttachment:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
         config = ingest_config(path)
-        assert config.traces[("cpu", "s")].measured_energy == 1.0
+        assert config.runs[("cpu", "s")].trace.measured_energy == 1.0
 
     def test_telemetry_and_measured_energy_conflict(self, tmp_path):
         (tmp_path / "power.csv").write_text("t_s,power_w\n0.0,1.0\n1.0,1.0\n")

@@ -296,6 +296,37 @@ class TestSampling:
         assert counts.sum() == 400_000
         assert peak < 2 * counts.nbytes + (1 << 20), peak
 
+    def test_narrow_paths_are_cast_a_block_at_a_time(self):
+        # an int32 array cast to intp whole traced 21.0 MB here, against the
+        # 17.8 MB bound of the test above
+        n = 1024
+        model = simple_model(np.full((n, n), 1.0 / n), n)
+        paths = np.random.default_rng(2).integers(0, n, (100_000, 5)).astype(np.int32)
+        tracemalloc.start()
+        try:
+            counts = transition_counts(model, paths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 400_000
+        assert peak < 2 * counts.nbytes + (1 << 20), peak
+
+    def test_a_bad_entry_is_found_before_any_count_array(self):
+        # the tally's 8 MB count array was made before the first chunk was
+        # checked, and np.argwhere over the whole array traced 16.5 MB
+        n = 1024
+        model = simple_model(np.full((n, n), 1.0 / n), n)
+        paths = np.full((100_000, 5), n, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError,
+                               match=r"paths\[0, 0\] = 1024 is not a state index in \[0, 1024\)"):
+                transition_counts(model, paths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
+
     @pytest.mark.parametrize("paths, message", [
         (np.array([[0, 2]]), r"paths\[0, 1\] = 2 is not a state index in \[0, 2\)"),
         (np.array([[0, -1]]), r"paths\[0, 1\] = -1 is not a state index in \[0, 2\)"),

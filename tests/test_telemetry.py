@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wpi import TelemetryError, ValidationError, ingest_telemetry, integrate_power, read_power_csv
+from wpi import TelemetryError, ValidationError, ingest_telemetry, integrate_power
 
 
 def write_csv(tmp_path, rows, header="t_s,power_w"):
@@ -18,7 +18,7 @@ def write_csv(tmp_path, rows, header="t_s,power_w"):
 class TestIngest:
     def test_reads_pairs(self, tmp_path):
         path = write_csv(tmp_path, [(0.0, 1.0), (1.0, 2.0)])
-        assert ingest_telemetry(path) == [(0.0, 1.0), (1.0, 2.0)]
+        assert ingest_telemetry(path).tolist() == [[0.0, 1.0], [1.0, 2.0]]
 
     def test_header_enforced(self, tmp_path):
         path = write_csv(tmp_path, [(0, 1)], header="time,watts")
@@ -69,7 +69,14 @@ class TestIngest:
                 ingest_telemetry(path)
             assert info.value.issues == issues
         else:
-            assert ingest_telemetry(path) == [(0.0, 1.0), (2.0, 1.0)]
+            assert ingest_telemetry(path).tolist() == [[0.0, 1.0], [2.0, 1.0]]
+
+    def test_header_only_file_has_no_samples(self, tmp_path):
+        path = write_csv(tmp_path, [])
+        samples = ingest_telemetry(path)
+        assert samples.shape == (0, 2) and samples.dtype == float
+        with pytest.raises(ValidationError, match="at least 2 samples"):
+            integrate_power(samples)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -92,11 +99,11 @@ class TestIngest:
 class TestIntegration:
     def test_constant_power_unit_interval(self, tmp_path):
         path = write_csv(tmp_path, [(0.0, 1.0), (1.0, 1.0)])
-        assert integrate_power(read_power_csv(path)) == 1.0
+        assert integrate_power(ingest_telemetry(path)) == 1.0
 
     def test_triangle_area(self, tmp_path):
         path = write_csv(tmp_path, [(0.0, 0.0), (2.0, 2.0)])
-        assert integrate_power(read_power_csv(path)) == 2.0
+        assert integrate_power(ingest_telemetry(path)) == 2.0
 
     def test_sine_trace_matches_closed_form(self):
         # P(t) = 3 + 2 sin(2 pi t) over [0, 1.5]: integral = 3*1.5 - (2/w)(cos(w*1.5)-1)
