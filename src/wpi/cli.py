@@ -15,7 +15,7 @@ from pathlib import Path
 from .complexity import Estimator
 from .config import ExperimentConfig, default_config_path, ingest_config
 from .errors import ValidationError
-from .report import build_metadata, compare_section, model_sections, score_section, write_bundle
+from .report import build_bundle, write_bundle
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,18 +75,6 @@ def _load(args) -> ExperimentConfig:
     return ingest_config(path, **overrides)
 
 
-def _empty_bundle(config) -> dict:
-    return {
-        "metadata": build_metadata(config),
-        "scores": None,
-        "wpi_reports": None,
-        "comparison": None,
-        "simulations": None,
-        "bound_checks": None,
-        "gates": None,
-    }
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
@@ -96,43 +84,25 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        config = _load(args)
-        bundle = _empty_bundle(config)
-
-        if args.command in ("score", "report"):
-            section = score_section(config)
-            bundle["scores"] = section["suites"]
-            bundle["wpi_reports"] = section["wpi_reports"]
-        if args.command in ("compare", "report"):
-            bundle["comparison"] = compare_section(config)
-            if args.command == "compare" and not bundle["comparison"]:
-                raise ValidationError("comparison requires at least 2 traces sharing one suite")
-        if args.command in ("simulate", "check-bounds", "report"):
-            # one sample per model serves both sections; each model's paths
-            # stream through the run's one chunk buffer and are never held
-            bundle["simulations"], bundle["bound_checks"], bundle["gates"] = model_sections(
-                config, getattr(args, "steps", 1),
-                simulate=args.command != "check-bounds", check=args.command != "simulate")
-
-        try:
-            written = write_bundle(args.out, bundle, fmt=args.format)
-        except OSError as exc:
-            print(f"error: cannot write output to {args.out}: {exc}", file=sys.stderr)
-            return 1
-        for path in written:
-            print(path)
-
-        if getattr(args, "assert_mode", False):
-            failed = [g for g in bundle["gates"] if not g["passed"]]
-            for gate in failed:
-                print(f"GATE FAIL {gate['model']}/{gate['gate']}: {gate['detail']}",
-                      file=sys.stderr)
-            if failed:
-                return 2
-        return 0
+        bundle = build_bundle(_load(args), args.command, getattr(args, "steps", 1))
     except ValidationError as exc:
         _print_validation_error(exc)
         return 1
+    try:
+        written = write_bundle(args.out, bundle, fmt=args.format)
+    except OSError as exc:
+        print(f"error: cannot write output to {args.out}: {exc}", file=sys.stderr)
+        return 1
+    for path in written:
+        print(path)
+
+    if getattr(args, "assert_mode", False):
+        failed = [g for g in bundle["gates"] if not g["passed"]]
+        for gate in failed:
+            print(f"GATE FAIL {gate['model']}/{gate['gate']}: {gate['detail']}", file=sys.stderr)
+        if failed:
+            return 2
+    return 0
 
 
 def _print_validation_error(exc: ValidationError) -> None:

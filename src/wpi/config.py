@@ -172,13 +172,16 @@ def ingest_config(path: str | Path, **overrides) -> ExperimentConfig:
     Raises :class:`~wpi.errors.ConfigError` carrying the complete list of
     validation problems; a JSON parse failure reports line and column, and
     text past the parser's limits (integer length, nesting depth) is a parse
-    failure too.
+    failure too.  A leading byte-order mark is ignored; non-UTF-8 text is an error.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
+        text = raw.decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ConfigError([("", f"cannot read config file: {exc}")]) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError([("", f"not UTF-8 text: byte {exc.start} is {raw[exc.start]:#04x}")]) from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

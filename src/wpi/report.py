@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import BoundCheckResult, coupled_bound_suite, ift_check, markov_tail_check, model_table
+from .bounds import coupled_bound_suite, ift_check, markov_tail_check, model_table
 from .config import ExperimentConfig
 from .errors import ValidationError
 from .markov import MarkovModel, _PathTally, path_buffer, sample_trajectories
@@ -101,9 +101,59 @@ def build_metadata(config: ExperimentConfig) -> dict:
     }
 
 
-def bound_check_dict(result: BoundCheckResult) -> dict:
-    """The fields of ``result``, the estimator by its tag."""
-    return {**vars(result), "estimator": result.estimator.value}
+def build_bundle(config: ExperimentConfig, command: str, steps: int) -> dict:
+    """The bundle ``wpi <command>`` writes: its metadata and the sections ``command`` fills.
+
+    ``score`` fills ``scores`` and ``wpi_reports``, ``compare`` ``comparison``,
+    ``simulate`` ``simulations``, ``check-bounds`` ``bound_checks`` and
+    ``gates``, and ``report`` all six; the others are None.  Model ``index``
+    draws ``config.sim.samples`` paths of ``steps`` each with seed
+    ``config.sim.seed + index``, and no array of them is made: its one
+    :func:`~wpi.markov.sample_trajectories` call draws them a block at a time
+    in the run's one :func:`~wpi.markov.path_buffer` workspace, and a
+    :class:`~wpi.markov._PathTally` counts and hashes each block before the
+    next overwrites it.  The gates are the verdicts of :func:`_verdicts`
+    that are not vacuous.
+    """
+    bundle = {"metadata": build_metadata(config), "scores": None, "wpi_reports": None,
+              "comparison": None, "simulations": None, "bound_checks": None, "gates": None}
+    if command in ("score", "report"):
+        bundle.update(score_section(config))
+    if command in ("compare", "report"):
+        bundle["comparison"] = compare_section(config)
+        if command == "compare" and not bundle["comparison"]:
+            raise ValidationError("comparison requires at least 2 traces sharing one suite")
+    if command not in ("simulate", "check-bounds", "report"):
+        return bundle
+    if not config.models:
+        raise ValidationError("config has no models to sample")
+    simulate, check = command != "check-bounds", command != "simulate"
+    simulations, checks = [], []
+    workspace = path_buffer(steps, config.sim.samples)
+    for index, model in enumerate(config.models):
+        seed = config.sim.seed + index
+        tally = _PathTally(model.n_states, digest=simulate)
+        sample_trajectories(model, steps, config.sim.samples, seed, out=workspace, each=tally.add)
+        if index == len(config.models) - 1:
+            # held through the last checks, it pinned the top of glibc's heap:
+            # one 1024-state model's checks peaked 8 MB higher
+            del workspace
+        if simulate:
+            simulations.append(simulate_section(model, seed, tally))
+        if check:
+            # the bound checks read each path's first step; a Philox stream's
+            # first two draws do not depend on how many follow
+            checks.append(bounds_section(config, model, seed, tally.first_counts))
+    if simulate:
+        bundle["simulations"] = simulations
+    if check:
+        bundle["bound_checks"] = checks
+        bundle["gates"] = [
+            {"gate": row["gate"], "model": row["model"],
+             "passed": row["status"] == "pass", "detail": row["detail"]}
+            for section in checks for row in _verdicts(section) if row["status"] != "vacuous"
+        ]
+    return bundle
 
 
 def score_section(config: ExperimentConfig) -> dict:
@@ -121,7 +171,7 @@ def score_section(config: ExperimentConfig) -> dict:
          "duration_s": run.trace.duration, **_fields(account_run(run), _REPORT_FIELDS)}
         for (_, suite_id), run in config.runs.items()
     ]
-    return {"suites": suites, "wpi_reports": reports}
+    return {"scores": suites, "wpi_reports": reports}
 
 
 def compare_section(config: ExperimentConfig) -> list[dict]:
@@ -146,46 +196,6 @@ def _fields(row: ComparisonRow, table: dict[str, str]) -> dict:
     return {key: getattr(row, name) for key, name in table.items()}
 
 
-def model_sections(
-    config: ExperimentConfig, steps: int, simulate: bool, check: bool
-) -> tuple[list[dict] | None, list[dict] | None, list[dict] | None]:
-    """Sample, summarize and check each model in turn.
-
-    Model ``index`` draws ``config.sim.samples`` paths of ``steps`` each
-    with seed ``config.sim.seed + index``.  No array of a model's paths is
-    made: its one :func:`~wpi.markov.sample_trajectories` call draws them a
-    block at a time in the run's one :func:`~wpi.markov.path_buffer`
-    workspace, freed before the last model's checks, and a
-    :class:`~wpi.markov._PathTally` counts and hashes each block before the
-    next overwrites it.  Returns the ``simulations`` entries of
-    :func:`simulate_section` if ``simulate``, and the ``bound_checks``
-    entries and gates of :func:`bounds_section` if ``check``, in model
-    order; each list not asked for is None.
-    """
-    if not config.models:
-        raise ValidationError("config has no models to sample")
-    simulations = [] if simulate else None
-    checks, gates = ([], []) if check else (None, None)
-    workspace = path_buffer(steps, config.sim.samples)
-    for index, model in enumerate(config.models):
-        seed = config.sim.seed + index
-        tally = _PathTally(model.n_states, digest=simulate)
-        sample_trajectories(model, steps, config.sim.samples, seed, out=workspace, each=tally.add)
-        if index == len(config.models) - 1:
-            # held through the last checks, it pinned the top of glibc's heap:
-            # one 1024-state model's checks peaked 8 MB higher
-            del workspace
-        if simulate:
-            simulations.append(simulate_section(model, seed, tally))
-        if check:
-            # the bound checks read each path's first step; a Philox stream's
-            # first two draws do not depend on how many follow
-            section, section_gates = bounds_section(config, model, seed, tally.first_counts)
-            checks.append(section)
-            gates += section_gates
-    return simulations, checks, gates
-
-
 def simulate_section(model: MarkovModel, seed: int, tally: _PathTally) -> dict:
     """Summarize one model's sampled paths, as ``tally`` holds them, deterministically."""
     return {
@@ -202,12 +212,11 @@ def simulate_section(model: MarkovModel, seed: int, tally: _PathTally) -> dict:
 
 def bounds_section(
     config: ExperimentConfig, model: MarkovModel, seed: int, counts: np.ndarray
-) -> tuple[dict, list[dict]]:
-    """Bound checks of one model on the first-step ``counts`` of its paths, plus its gates.
+) -> dict:
+    """Bound checks of one model on the first-step ``counts`` of its paths.
 
     ``seed`` is the model's sampling seed.  Every check runs at ``config.sim.delta`` on one
-    :func:`~wpi.bounds.model_table` under ``config.sim.estimator``.  The gates are the
-    --assert verdicts of :func:`_verdicts` that are not vacuous.
+    :func:`~wpi.bounds.model_table` under ``config.sim.estimator``.
     """
     delta, table = config.sim.delta, model_table(model, config.sim.estimator)
     ift = ift_check(table, counts)
@@ -220,28 +229,24 @@ def bounds_section(
     deltas = sorted(set(TAIL_DELTAS) | {delta})
     tails = [markov_tail_check(table, counts, d) for d in deltas]
 
-    coupled = _suite_dict(coupled_bound_suite(table, counts, delta))
+    suite = coupled_bound_suite(table, counts, delta)
+    coupled = {**vars(suite), "rate_se": suite.rate_standard_error,
+               "checks": [dict(vars(check)) for check in suite.checks]}
 
-    section = {
+    return {
         "model": model.name,
         "seed": seed,
         "samples": ift.samples,
-        "estimator": ift.estimator.value,
+        "estimator": ift.estimator,
         "complexity_ift": {
             "mean": ift.complexity_mean,
             "se": ift.complexity_se,
             "excursion_above_one": bool(excursion),
         },
         "surprisal_ift": surprisal,
-        "markov_tail": [bound_check_dict(t) for t in tails],
+        "markov_tail": [dict(vars(tail)) for tail in tails],
         **{f"coupled_{kind}": {**coupled, "kind": kind} for kind in _COUPLED_KINDS},
     }
-    gates = [
-        {"gate": row["gate"], "model": row["model"],
-         "passed": row["status"] == "pass", "detail": row["detail"]}
-        for row in _verdicts(section) if row["status"] != "vacuous"
-    ]
-    return section, gates
 
 
 def write_bundle(
@@ -336,16 +341,6 @@ def _verdicts(section: dict) -> list[dict]:
         limit = 1.0 - suite["delta"] - 3.0 * suite["rate_se"]
         verdict(gate, rate >= limit, rate, limit, f"holds rate {rate!r} must be >= {limit!r}")
     return rows
-
-
-def _suite_dict(suite) -> dict:
-    """The fields of a coupled suite plus ``rate_se``, each check by :func:`bound_check_dict`."""
-    return {
-        **vars(suite),
-        "estimator": suite.estimator.value,
-        "rate_se": suite.rate_standard_error,
-        "checks": [bound_check_dict(c) for c in suite.checks],
-    }
 
 
 def _cell(value) -> str:

@@ -25,9 +25,9 @@ def ingest_telemetry(path: str | Path) -> np.ndarray:
 
     A file with a header and no rows gives shape ``(0, 2)``.  All row-level
     problems (non-numeric or non-finite fields, non-monotone timestamps,
-    negative power) are collected and raised together.  A file that is not
-    UTF-8 text, or a path holding a NUL byte, raises :class:`TelemetryError`
-    at row 0, as an empty file does.
+    negative power) are collected and raised together.  One leading byte-order
+    mark is ignored.  A file that is not UTF-8 text, or a path holding a NUL
+    byte, raises :class:`TelemetryError` at row 0, as an empty file does.
     """
     path = Path(path)
     try:
@@ -35,7 +35,7 @@ def ingest_telemetry(path: str | Path) -> np.ndarray:
     except ValueError as exc:  # the path holds a NUL byte
         raise TelemetryError([(0, f"cannot open {str(path)!r}: {exc}")]) from exc
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")  # a byte-order mark is no header
     except UnicodeDecodeError as exc:
         raise TelemetryError(
             [(0, f"not UTF-8 text: byte {exc.start} is {data[exc.start]:#04x}")]

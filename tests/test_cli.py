@@ -32,8 +32,8 @@ from wpi import (
 import wpi.cli
 from wpi.cli import default_config_path, main
 from wpi.markov import _CHUNK, _PathTally
-from wpi.report import (_atomic_write, _json_text, bounds_section, compare_section, score_section,
-                        write_bundle)
+from wpi.report import (_atomic_write, _json_text, _verdicts, bounds_section, compare_section,
+                        score_section, write_bundle)
 
 
 def load_report(out_dir):
@@ -177,11 +177,11 @@ class TestSubcommands:
             "initial": [1.0, 0.0, 0.0],
         }]))
         counts = np.array([[0, 99, 1], [0, 0, 100], [100, 0, 0]])
-        section, gates = bounds_section(config, config.models[0], 1, counts)
+        section = bounds_section(config, config.models[0], 1, counts)
         text = _json_text(section["surprisal_ift"])
         assert '"mean": "inf"' in text and '"se": "inf"' in text
-        surprisal = [g["passed"] for g in gates if g["gate"].startswith("surprisal_ift_")]
-        assert surprisal == [False, False]  # the window, and the identity with an infinite SE
+        surprisal = [r["status"] for r in _verdicts(section) if r["gate"].startswith("surprisal_ift_")]
+        assert surprisal == ["fail", "fail"]  # the window, and the identity with an infinite SE
 
     def test_check_bounds_writes_tsv_and_gates(self, tmp_path):
         config = small_config(tmp_path)
@@ -376,18 +376,34 @@ class TestSubcommands:
         assert all(out is first for out in later)
 
     def test_shared_array_gives_each_command_the_same_sections(self, tmp_path):
-        # the shipped config's three models differ in size, so a count or
-        # digest that read another model's paths would differ; check-bounds
-        # reads each path's first step, which does not depend on --steps
-        outs = {command: tmp_path / command for command in ("simulate", "check-bounds", "report")}
-        for command, out in outs.items():
-            steps = [] if command == "check-bounds" else ["--steps", 3]
-            assert run([command, "--samples", 2_000, *steps, "--out", out]) == 0
-        simulate, check, report = (load_report(out) for out in outs.values())
+        # each command fills exactly its sections, as report fills them; the
+        # shipped config's three models differ in size, so a count or digest
+        # that read another model's paths would differ; check-bounds reads
+        # each path's first step, which does not depend on --steps
+        filled = {
+            "score": ("scores", "wpi_reports"),
+            "compare": ("comparison",),
+            "simulate": ("simulations",),
+            "check-bounds": ("bound_checks", "gates"),
+            "report": ("scores", "wpi_reports", "comparison", "simulations", "bound_checks",
+                       "gates"),
+        }
+        flags = {"score": [], "compare": [], "check-bounds": ["--samples", 2_000]}
+        bundles = {}
+        for command in filled:
+            out = tmp_path / command
+            args = flags.get(command, ["--samples", 2_000, "--steps", 3])
+            assert run([command, *args, "--out", out]) == 0
+            bundles[command] = load_report(out)
+        report = bundles["report"]
         assert len(report["simulations"]) == 3
-        assert simulate["simulations"] == report["simulations"]
-        assert check["bound_checks"] == report["bound_checks"]
-        assert check["gates"] == report["gates"]
+        assert all(report[key] for key in filled["report"])
+        for command, sections in filled.items():
+            bundle = bundles[command]
+            assert set(bundle) == {"metadata", *filled["report"]}
+            for key in filled["report"]:
+                expected = report[key] if key in sections else None
+                assert bundle[key] == expected, (command, key)
 
     def test_report_holds_one_model_of_paths_at_a_time(self, tmp_path):
         # one model's paths are 200,000 x 2 int64 (3.2 MB); holding two of

@@ -415,6 +415,19 @@ class TestConfigHash:
             "7a3e955facb77b782ec6f7c3cef7864d06c0a88bd9f4f0e6b451a5b33c478034"
         )
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        # PowerShell 5.1's `Out-File -Encoding utf8` writes one
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + default_config_path().read_bytes())
+        assert config_hash(ingest_config(path)) == config_hash(ingest_config(default_config_path()))
+
+    def test_non_utf8_config_names_its_first_bad_byte(self, tmp_path):
+        # a decode error reaches the user as a validation error, not a traceback
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xef\xbb\xbf{\xff}")
+        with pytest.raises(ConfigError, match="not UTF-8 text: byte 4 is 0xff"):
+            ingest_config(path)
+
     def test_filled_in_config_hash_is_pinned(self, tmp_path):
         # integer numbers, omitted defaults, null labels and a telemetry trace
         # hash as their validated values: floats, defaults, nulls, the integral
@@ -486,7 +499,7 @@ def test_each_state_complexity_is_estimated_once(monkeypatch, models, estimator,
     # one bound-check pass estimates K of each state once, for every check of
     # its model, and K(x|y) once per checked pair
     import wpi.bounds
-    from wpi.report import model_sections
+    from wpi.report import build_bundle
 
     if models == "ring":
         data = ring_config(0.75, 0.1875, 0.0625)
@@ -502,7 +515,7 @@ def test_each_state_complexity_is_estimated_once(monkeypatch, models, estimator,
             return estimate(*args)
 
         monkeypatch.setattr(wpi.bounds, name, counted)
-    model_sections(config, 1, False, True)
+    build_bundle(config, "check-bounds", 1)
     assert sum(model.n_states for model in config.models) == estimates
     assert calls == {"estimate_complexity": estimates, "conditional_complexity": conditionals}
 

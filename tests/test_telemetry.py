@@ -91,6 +91,18 @@ class TestIngest:
         with pytest.raises(TelemetryError, match="UTF-8.*byte 20"):
             ingest_telemetry(path)
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with one
+        path = tmp_path / "power.csv"
+        path.write_bytes(b"\xef\xbb\xbft_s,power_w\n0,1\n1,3\n2,3\n")
+        assert integrate_power(ingest_telemetry(path)) == 5.0
+
+    def test_bad_byte_after_a_byte_order_mark_is_named_by_its_file_offset(self, tmp_path):
+        path = tmp_path / "power.csv"
+        path.write_bytes("\ufefft_s,power_w\n0,1".encode() + b"\xff")
+        with pytest.raises(TelemetryError, match="byte 18 is 0xff"):
+            ingest_telemetry(path)
+
     def test_nul_byte_in_path_rejected(self):
         with pytest.raises(TelemetryError, match="null byte"):
             ingest_telemetry("a\x00b")
