@@ -28,15 +28,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 #: Each subcommand's help and its options, in the order its help lists them.
-_IO = ("--config", "--out", "--format")
-_SAMPLING = _IO + ("--seed", "--samples", "--delta", "--estimator")
+_IO = ("--config", "--out")
+_TABLES = _IO + ("--format",)  # for the subcommands that write a TSV table
+_SAMPLING = ("--seed", "--samples", "--delta", "--estimator")
 _COMMANDS = {
     "score": ("intelligence scores and phi per trace", _IO),
-    "compare": ("rank substrates by phi at fixed algorithm", _IO),
-    "simulate": ("sample Markov trajectories", _SAMPLING + ("--steps",)),
-    "check-bounds": ("fluctuation and efficiency bound checks", _SAMPLING + ("--assert",)),
+    "compare": ("rank substrates by phi at fixed algorithm", _TABLES),
+    "simulate": ("sample Markov trajectories", _IO + _SAMPLING + ("--steps",)),
+    "check-bounds": ("fluctuation and efficiency bound checks", _TABLES + _SAMPLING + ("--assert",)),
     "report": ("full bundle: score, compare, simulate, bounds",
-               _SAMPLING + ("--steps", "--assert")),
+               _TABLES + _SAMPLING + ("--steps", "--assert")),
 }
 _OPTIONS = {
     "--config": dict(type=Path, default=None,
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
         _print_validation_error(exc)
         return 1
     try:
-        written = write_bundle(args.out, bundle, fmt=args.format)
+        written = write_bundle(args.out, bundle, fmt=getattr(args, "format", None))
     except OSError as exc:
         print(f"error: cannot write output to {args.out}: {exc}", file=sys.stderr)
         return 1

@@ -19,13 +19,13 @@ Keys marked ``?`` are optional.  One field table per kind of object gives
 each key's JSON type and default, and any other key is an error.  A number
 is an integer or a float but not a boolean, and is read as a float, so it
 must be finite; only ``measured_energy``, ``telemetry``, ``labels`` and a
-label may be ``null``.  ``_floats`` is the one rule for numbers, alone or
-in a list.  Range rules are the constructors' (``Substrate``, ...), and
-``MarkovModel`` names each problem of a model, reported at its field's
-pointer (``/models/<i>/kernel/<j>``).  This module checks only the sampling
-settings' ranges and what no object holds: unique names, trace references,
-and a model's ``labels`` and ``measure`` (validated and hashed, but read by
-no computation): their lengths, and that every weight is > 0.
+label may be ``null``.  ``_floats`` is the one rule for numbers, alone or in
+a list.  Range rules are the constructors' (``Substrate``, ...); ``_built``
+reports each object's problems at its entry's pointer, or at a field's that
+``MarkovModel`` names (``/models/<i>/kernel/<j>``).  This module checks only
+the sampling settings' ranges and what no object holds: unique names, trace
+references, and a model's ``labels`` and ``measure`` (validated and hashed,
+but read by no computation): their lengths, and that every weight is > 0.
 
 Validation reports *every* problem found, each tagged with the JSON pointer
 of the offending value.  A trace's ``telemetry`` names a power CSV relative
@@ -368,7 +368,7 @@ def _entries(parent: dict, key: str, table: dict, ptr: str, errors: list,
 def _validate_sim(fields: dict, errors: list, n_models: int) -> SimSettings:
     """Simulation settings; model ``i`` samples with seed ``seed + i``.
 
-    The result holds ``_INVALID`` where a problem was reported.
+    The result holds ``_INVALID`` or None where a problem was reported.
     """
     seed, samples, delta, estimator = (
         fields["seed"], fields["samples"], fields["delta"], fields["estimator"]
@@ -382,47 +382,32 @@ def _validate_sim(fields: dict, errors: list, n_models: int) -> SimSettings:
     if delta is not _INVALID and not 0.0 < delta < 1.0:
         errors.append(("/delta", f"delta must be in (0, 1), got {delta!r}"))
     if estimator is not _INVALID:
-        try:
-            estimator = Estimator(estimator)
-        except ValidationError as exc:
-            errors.append(("/estimator", str(exc)))
+        estimator = _built(errors, "/estimator", Estimator, estimator)
     return SimSettings(seed=seed, samples=samples, delta=delta, estimator=estimator)
 
 
 def _validate_substrates(document: dict, errors: list) -> dict[str, Substrate | None]:
     """Each substrate an entry names, in config order; None if its problems were reported."""
-    out: dict[str, Substrate] = {}
     declared: dict[tuple, str] = {}
     entries = _entries(document, "substrates", _SUBSTRATE, "", errors, ("name",), declared)
-    for ptr, fields in entries:
-        try:
-            out[fields["name"]] = Substrate(**fields)
-        except ValidationError as exc:
-            errors.append((ptr, str(exc)))
+    out = {fields["name"]: _built(errors, ptr, Substrate, **fields) for ptr, fields in entries}
     return {name: out.get(name) for (name,) in declared}
 
 
 def _validate_suites(document: dict, errors: list) -> dict[str, TaskSuite | None]:
     """Each suite an entry names, in config order; None if its problems were reported."""
-    out: dict[str, TaskSuite] = {}
+    out: dict[str, TaskSuite | None] = {}
     declared: dict[tuple, str] = {}
     for ptr, fields in _entries(document, "suites", _SUITE, "", errors, ("id",), declared):
         suite_id = fields["id"]
         if not suite_id:
             errors.append((f"{ptr}/id", "suite id must be non-empty"))
             continue
-        n_tasks, records = len(fields["tasks"]), []
-        for task_ptr, task in _entries(fields, "tasks", _TASK, ptr, errors):
-            try:
-                records.append(TaskRecord(**task))
-            except ValidationError as exc:
-                errors.append((task_ptr, str(exc)))
-        if len(records) < n_tasks:
-            continue
-        try:
-            out[suite_id] = TaskSuite(records)
-        except ValidationError as exc:
-            errors.append((f"{ptr}/tasks", str(exc)))
+        n_tasks = len(fields["tasks"])
+        records = [_built(errors, task_ptr, TaskRecord, **task)
+                   for task_ptr, task in _entries(fields, "tasks", _TASK, ptr, errors)]
+        if len(records) == n_tasks and None not in records:
+            out[suite_id] = _built(errors, f"{ptr}/tasks", TaskSuite, records)
     return {suite_id: out.get(suite_id) for (suite_id,) in declared}
 
 
@@ -445,21 +430,14 @@ def _validate_traces(
         if telemetry is not None and fields["measured_energy"] is not None:
             errors.append((f"{ptr}/telemetry", "trace gives both measured_energy and telemetry"))
         elif telemetry is not None:
-            csv_path = Path(telemetry)
-            if base_dir is not None and not csv_path.is_absolute():
-                csv_path = base_dir / csv_path
-            try:
-                fields["measured_energy"] = integrate_power(ingest_telemetry(csv_path))
-            except (ValidationError, OSError) as exc:
-                errors.append((f"{ptr}/telemetry", str(exc)))
+            csv_path = Path(base_dir or "", telemetry)
+            fields["measured_energy"] = _built(errors, f"{ptr}/telemetry",
+                                               lambda: integrate_power(ingest_telemetry(csv_path)))
         if len(errors) > before:
             continue
-        try:
-            trace = ExecutionTrace(fields["irreversible_ops"], fields["duration"], fields["measured_energy"])
-        except ValidationError as exc:
-            errors.append((ptr, str(exc)))
-        else:  # a substrate or suite that failed its own checks is None, and was reported
-            out[key] = SubstrateRun(substrates[substrate], trace, suites[suite])
+        trace = _built(errors, ptr, ExecutionTrace,
+                       fields["irreversible_ops"], fields["duration"], fields["measured_energy"])
+        out[key] = SubstrateRun(substrates[substrate], trace, suites[suite])  # any None part was reported
     return out
 
 
@@ -475,15 +453,26 @@ def _validate_models(document: dict, errors: list) -> list[MarkovModel]:
         bad = next(((state, w) for state, w in zip(bits, measure) if not w > 0.0), None)
         if bad and "measure" not in sized:
             errors.append((ptr, "measure weight for state {!r} must be > 0, got {}".format(*bad)))
-        states = []
-        for j, state_bits in enumerate(bits):
-            try:
-                states.append(CoarseState(state_bits))
-            except ValidationError as exc:
-                errors.append((f"{ptr}/states/{j}", str(exc)))
-                states.append(state_bits)  # holds its place, so the laws are checked for n states
-        try:
-            out.append(MarkovModel(states, fields["kernel"], fields["initial"], name=fields["name"]))
-        except ConfigError as exc:
-            errors += ((f"{ptr}/{field}", message) for field, message in exc.issues)
+        built = [_built(errors, f"{ptr}/states/{j}", CoarseState, b) for j, b in enumerate(bits)]
+        # a failed state holds its place, so the laws are checked for n states; "" builds a falsy state
+        states = [b if state is None else state for state, b in zip(built, bits)]
+        out.append(_built(errors, ptr, MarkovModel, states, fields["kernel"], fields["initial"],
+                          name=fields["name"]))
     return out
+
+
+def _built(errors: list, ptr: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, or None once its failure is reported.
+
+    A :class:`ConfigError` names each problem by a field of the object
+    (``kernel/0``), reported at ``f"{ptr}/{field}"``; any other
+    :class:`ValidationError` is reported at ``ptr``.  ``OSError`` is caught
+    only because the telemetry reader opens a file; no constructor does I/O.
+    """
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as exc:
+        errors.extend((f"{ptr}/{field}", message) for field, message in exc.issues)
+    except (ValidationError, OSError) as exc:
+        errors.append((ptr, str(exc)))
+    return None

@@ -452,8 +452,15 @@ class TestExitCodes:
         bad.write_text('{"seed": 1, "models": [{"name": "m"}]}')
         assert run(["simulate", "--config", bad, "--out", tmp_path / "out"]) == 1
 
-    def test_unknown_flag_exits_one(self, tmp_path):
-        assert run(["score", "--nonsense"]) == 1
+    # score and simulate write no TSV table, so they take no --format
+    @pytest.mark.parametrize("argv", [
+        ["score", "--nonsense"], ["score", "--format", "tsv"], ["simulate", "--format", "json"],
+    ])
+    def test_unknown_flag_exits_one(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "wpi-out").exists()
 
     def test_unknown_command_exits_one(self):
         assert run(["frobnicate"]) == 1

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from wpi import (
+    CoarseState,
     ConfigError,
     config_from_dict,
     default_substrates,
@@ -73,9 +74,9 @@ def entry(section, **changes):
 
 
 # Inputs of the wrong JSON type (10**400 overflows a float), a NaN initial
-# law, an empty state list, a duplicate model name, an unknown key, and
-# duplicates whose first copy has a problem of its own, each with the
-# pointer that must name it.
+# law, an empty state list, a duplicate model name, an unknown key,
+# duplicates whose first copy has a problem of its own, and values that a
+# constructor rejects, each with the pointer that must name it.
 BAD_INPUTS = [
     (("traces", 0, "measured_energy"), "5", "/traces/0/measured_energy"),
     (("traces", 0, "measured_energy"), True, "/traces/0/measured_energy"),
@@ -114,6 +115,10 @@ BAD_INPUTS = [
     # an entry that is not an object, and an empty suite id
     (("substrates", 0), 5, ("/substrates/0", "must be an object, got 5")),
     (("suites", 0, "id"), "", ("/suites/0/id", "suite id must be non-empty")),
+    # a constructor's own rule, at its entry's pointer
+    (("suites", 0, "tasks", 0, "id"), "",
+     ("/suites/0/tasks/0", "task id must be a non-empty string")),
+    (("substrates", 0, "name"), "", ("/substrates/0", "substrate name must be non-empty")),
 ]
 
 
@@ -123,6 +128,11 @@ class TestValidation:
         assert config.sim.seed == 7
         assert ("cpu", "s") in config.runs
         assert config.models[0].name == "m"
+
+    def test_empty_state_builds(self):
+        # CoarseState("") is falsy, and must not be taken for a state that failed to build
+        config = config_from_dict(with_value(("models", 0, "states"), ["", "1"]))
+        assert config.models[0].states[0] == CoarseState("")
 
     def test_missing_seed_is_an_error(self):
         data = minimal_config()
@@ -587,3 +597,4 @@ def test_shipped_names_read_the_packaged_config():
              "eight-state": eight_state_chain}
     for name, chain in named.items():
         assert chain() == by_name[name]
+        assert chain() != name  # a model compares equal only to a model

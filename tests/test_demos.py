@@ -1,5 +1,5 @@
-"""Each demo script and the README's quickstart run to completion against this
-checkout's sources."""
+"""Each demo script, the README's quickstart and ``python -m wpi.cli`` run
+against this checkout's sources."""
 
 import os
 import re
@@ -32,6 +32,12 @@ def run_with_sources(args, cwd):
 def test_demo_runs(demo, tmp_path):
     result = run_with_sources([str(demo)], tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("args, code", [(["score", "--out", "out"], 0), (["frobnicate"], 1)])
+def test_cli_module_runs(args, code, tmp_path):
+    result = run_with_sources(["-m", "wpi.cli", *args], tmp_path)
+    assert result.returncode == code, result.stdout + result.stderr
 
 
 def test_readme_quickstart_runs(tmp_path):

@@ -104,6 +104,9 @@ class TestEnumeration:
     def test_rejects_oversized_budget(self):
         with pytest.raises(ValidationError):
             DEFAULT_MACHINE.shortest_program("0", 21)
+        for max_len in (21, -1):  # the table checks the search's range
+            with pytest.raises(ValidationError):
+                DEFAULT_MACHINE.complexity_table(max_len)
 
     def test_aux_tape_enables_short_conditional_programs(self):
         assert DEFAULT_MACHINE.shortest_program("1011", 10, aux="1011") == "111"
