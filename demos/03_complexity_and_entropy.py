@@ -1,24 +1,25 @@
-"""Complexity estimators and ensemble-free algorithmic entropy.
+"""Complexity estimators and algorithmic entropy under a model's own law.
 
 True Kolmogorov complexity is uncomputable; the toolkit ships two declared
 stand-ins.  The LZ78 codelength proxy scales to long strings, while the
 tiny reference machine gives exact shortest-program lengths for desk-scale
-states.  Entropy of an individual state is complexity plus the log of its
-coarse-graining weight, and transitions decompose into irreversible and
-exchanged parts.
+states.  A model's table gives each state's algorithmic entropy
+S(x) = K(x) + log2 pi(x) under the kernel's stationary law pi, and splits
+each edge's entropy production into a pi term and a kernel term.
 """
+
+import math
 
 from wpi import (
     CoarseState,
     Estimator,
-    StateMeasure,
-    algorithmic_entropy,
     complexity_exact,
     complexity_lz,
     conditional_complexity,
-    entropy_decomposition,
+    four_state_chain,
     landauer_constant,
     min_energy_of_change,
+    model_table,
 )
 from wpi.machine import DEFAULT_MACHINE
 
@@ -47,24 +48,24 @@ print(f"K(x)   = {complexity_exact(x).bits} bits")
 print(f"K(x|x) = {conditional_complexity(x, x, Estimator.EXACT_ENUM).bits} bits "
       f"(copy the auxiliary tape)")
 
-# Algorithmic entropy relative to a measure; negative values are fine for
-# strongly weighted coarse grains.
-states = [CoarseState(f"{i:04b}") for i in range(16)]
-pi = StateMeasure({s: 1.0 / 16 for s in states})
-s0 = algorithmic_entropy(states[0], pi, Estimator.EXACT_ENUM)
-print(f"\nS(0000) under uniform pi over 16 states = K - 4 = {s0:.1f} bits")
+# Algorithmic entropy under the stationary law of the shipped four-state
+# chain: its pi is uniform, so S(x) = K(x) - 2.
+model = four_state_chain()
+table = model_table(model, "exact-enum")
+print()
+for state, k, s in zip(model.states, table.k, table.entropy):
+    print(f"S({state.bits}) = K {k} + log2 pi {s - k:+.1f} = {s:.1f} bits")
 
-# A transition's entropy change splits exactly into irreversible +
-# exchanged; only the irreversible part carries a Landauer energy floor.
-weighted = StateMeasure({states[0]: 1.0, states[6]: 0.25})
-delta = entropy_decomposition(states[0], states[6], weighted, Estimator.EXACT_ENUM)
-print(f"0000 -> 0110: irreversible {delta.irreversible:+.1f} bits, "
-      f"exchanged {delta.exchanged:+.1f} bits, total {delta.total:+.1f} bits")
-floor = min_energy_of_change(delta, 300.0)
-print(f"minimum dissipation at 300 K: {floor:.3e} J "
-      f"( = {delta.irreversible:.0f} x {landauer_constant(300.0):.3e} J)")
-
-# Complexity decreases imply no positive floor.
-back = entropy_decomposition(states[6], states[0], weighted, Estimator.EXACT_ENUM)
-print(f"0110 -> 0000: irreversible {back.irreversible:+.1f} bits, "
-      f"floor {min_energy_of_change(back, 300.0):.1f} J")
+# One edge's entropy production sigma splits into a pi term (exchanged with
+# the environment) and a kernel term; only the edge's complexity change
+# carries a Landauer energy floor.
+i, j = 1, 2
+x, y = model.states[i].bits, model.states[j].bits
+pi_term = (table.entropy[i] - table.k[i]) - (table.entropy[j] - table.k[j])
+kernel_term = math.log2(model.kernel[i, j]) - math.log2(model.kernel[j, i])
+print(f"{x} -> {y}: sigma {table.sigma[i, j]:+.1f} bits = "
+      f"pi term {pi_term:+.1f} + kernel term {kernel_term:+.1f}")
+d = table.k[j] - table.k[i]
+print(f"K change {d:+d} bits; minimum dissipation at 300 K: "
+      f"{min_energy_of_change(d, 300.0):.3e} J ( = {d} x {landauer_constant(300.0):.3e} J)")
+print(f"{y} -> {x}: K change {-d:+d} bits, floor {min_energy_of_change(-d, 300.0):.1f} J")

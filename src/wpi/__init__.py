@@ -43,13 +43,6 @@ from .config import (
     shipped_chains,
     two_state_chain,
 )
-from .entropy import (
-    EntropyDelta,
-    StateMeasure,
-    algorithmic_entropy,
-    entropy_decomposition,
-    min_energy_of_change,
-)
 from .errors import (
     ConfigError,
     EnumerationBudgetExceeded,
@@ -76,6 +69,7 @@ from .metrics import (
     TaskSuite,
     intelligence_score,
     landauer_constant,
+    min_energy_of_change,
     modeled_energy,
     phi_lower_bound,
     wpi,

@@ -102,8 +102,10 @@ class ModelTable:
     """One model's inputs to every bound check, for one estimator.
 
     ``k`` is K of each state in bits, in state order; ``ift`` is
-    ``2**(-(K(y) - K(x)))`` for every (x, y) index pair.  ``sigma`` is the
-    model's :func:`surprisal_table`, or None on a chain that is not
+    ``2**(-(K(y) - K(x)))`` for every (x, y) index pair.  ``entropy`` is
+    each state's algorithmic entropy ``S(x) = K(x) + log2 pi(x)`` in bits,
+    with pi the kernel's stationary law, and ``sigma`` is the model's
+    :func:`surprisal_table`.  Both are None on a chain that is not
     irreducible and aperiodic, whose
     :class:`~wpi.errors.NonErgodicChainError` message is ``note``.
     """
@@ -112,6 +114,7 @@ class ModelTable:
     estimator: Estimator
     k: tuple[int, ...]
     ift: np.ndarray
+    entropy: np.ndarray | None
     sigma: np.ndarray | None
     note: str | None
 
@@ -130,12 +133,16 @@ def model_table(model: MarkovModel, estimator: Estimator) -> ModelTable:
         except ValidationError as exc:
             raise ValidationError(f"model {model.name!r}, state {state.bits!r}: {exc}") from exc
     kf = np.array(k, dtype=float)
-    sigma = note = None
+    entropy = sigma = note = None
     try:
-        sigma = surprisal_table(model)
+        pi = stationary_distribution(model.kernel)
     except NonErgodicChainError as exc:
         note = str(exc)
-    return ModelTable(model, estimator, tuple(k), 2.0 ** (kf[:, None] - kf[None, :]), sigma, note)
+    else:
+        entropy = kf + [math.log2(p) for p in pi.tolist()]
+        sigma = _surprisal(model.kernel, pi)
+    ift = 2.0 ** (kf[:, None] - kf[None, :])
+    return ModelTable(model, estimator, tuple(k), ift, entropy, sigma, note)
 
 
 def ift_check(table: ModelTable, counts: np.ndarray) -> IftCheckResult:
@@ -172,8 +179,12 @@ def surprisal_table(model: MarkovModel) -> np.ndarray:
     are set to 0; a positive forward transition whose reverse has zero
     probability gets sigma = +inf (its 2**(-sigma) contribution is 0).
     """
-    weighted = model.kernel * stationary_distribution(model.kernel)[:, None]
-    positive = model.kernel > 0.0
+    return _surprisal(model.kernel, stationary_distribution(model.kernel))
+
+
+def _surprisal(kernel: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    weighted = kernel * pi[:, None]
+    positive = kernel > 0.0
     logs = np.zeros_like(weighted)
     # scalar math.log2: numpy's log2 can differ from it in the last bit
     logs[positive] = [math.log2(w) for w in weighted[positive].tolist()]

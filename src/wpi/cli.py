@@ -19,7 +19,17 @@ from .report import build_bundle, write_bundle
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors reported as validation errors (exit 1)."""
+    """argparse with usage errors reported as validation errors (exit 1), an argument
+    that the named subcommand does not take with that subcommand's usage."""
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:
+            commands = next((action.choices for action in self._actions
+                             if isinstance(action, argparse._SubParsersAction)), {})
+            parser = commands.get(getattr(namespace, "command", None), self)
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -143,7 +143,8 @@ def modeled_energy(
     Modeled energy is ``overhead * N * c(T)``, or ``overhead * (N * c(T))``
     when ``overhead * N`` overflows a float.  If the trace carries a
     measured energy, the measurement replaces the model and the overhead
-    factor actually used is back-solved as ``measured / (N * c)``.
+    factor actually used is back-solved as ``measured / (N * c)``.  A power
+    ``energy / duration`` that overflows to inf is kept and flagged.
     """
     if not (1.0 <= overhead < math.inf):
         raise ValidationError(
@@ -178,9 +179,12 @@ def modeled_energy(
         factor = overhead
         source = "modeled"
 
+    if (power := energy / trace.duration) == math.inf:
+        warnings.append(f"power overflows to inf: energy {energy!r} J over duration "
+                        f"{trace.duration!r} s exceeds the largest float; phi and its slack read inf")
     return EnergyReport(
         energy=energy,
-        power=energy / trace.duration,
+        power=power,
         landauer_floor=floor,
         overhead_factor_used=factor,
         overhead_source=source,
@@ -189,12 +193,25 @@ def modeled_energy(
 
 
 def wpi(power: float, intelligence: float) -> float:
-    """Watts per intelligence unit: power divided by the intelligence score."""
-    if not (intelligence >= 0.0):
-        raise ValidationError(f"intelligence must be >= 0, got {intelligence}")
+    """Watts per intelligence unit: power (inf allowed) divided by the intelligence score."""
+    if not (power >= 0.0):
+        raise ValidationError(f"power must be >= 0 watts, got {power}")
+    if not (0.0 <= intelligence < math.inf):
+        raise ValidationError(f"intelligence must be finite and >= 0, got {intelligence}")
     if intelligence == 0.0:
         raise UndefinedMetricError("phi undefined at zero intelligence")
     return power / intelligence
+
+
+def min_energy_of_change(bits: float, temperature: float) -> float:
+    """Landauer floor in joules for a complexity change of ``bits``.
+
+    A decrease (``bits <= 0``) has no positive floor and costs 0 J.  Which
+    direction of an edge is charged is ROADMAP item 1(g)'s open question.
+    """
+    if not math.isfinite(bits):
+        raise ValidationError(f"bits must be finite, got {bits}")
+    return landauer_constant(temperature) * max(0.0, bits)
 
 
 def phi_lower_bound(

@@ -17,7 +17,7 @@ from wpi import (
     CoarseState,
     Estimator,
     ExecutionTrace,
-    StateMeasure,
+    MarkovModel,
     Substrate,
     SubstrateRun,
     TaskSuite,
@@ -25,7 +25,6 @@ from wpi import (
     coupled_bound_suite,
     default_substrates,
     efficiency_bound_check,
-    entropy_decomposition,
     four_state_chain,
     ift_check,
     intelligence_score,
@@ -136,32 +135,47 @@ def test_criterion_3_substrate_ordering():
     assert elapsed < 1.0, f"criterion 3 took {elapsed:.2f}s, budget 1s"
 
 
-@criterion(4, "entropy decomposition identity exact over 10^3 state pairs")
-def test_criterion_4_entropy_decomposition():
+@criterion(4, "entropy production splits into exchange and kernel terms over >=10^3 edges")
+def test_criterion_4_entropy_production_split():
+    def split_edges(model, estimator):
+        # sigma(x, y) = [log2 pi(x) - log2 pi(y)] + [log2 P(y|x) - log2 P(x|y)], with
+        # log2 pi(x) = S(x) - K(x) read from the table; yields each edge's exchange term
+        table = model_table(model, estimator)
+        k, kernel = table.k, model.kernel
+        for i, j in zip(*np.nonzero((kernel > 0.0) & (kernel.T > 0.0))):
+            if i == j:
+                continue
+            exchange = (table.entropy[i] - k[i]) - (table.entropy[j] - k[j])
+            kernel_term = math.log2(kernel[i, j]) - math.log2(kernel[j, i])
+            sigma = table.sigma[i, j]
+            assert abs(sigma - (exchange + kernel_term)) <= 1e-12 * max(1.0, abs(sigma))
+            yield exchange
+
+    for estimator in Estimator:
+        for model in shipped_chains():
+            exchange = list(split_edges(model, estimator))
+            assert exchange, model.name
+            # every shipped pi is uniform; the direct solve leaves eight-state's
+            # pi within 1 ulp of 1/8, so its exchange term is 0 to that ulp
+            if model.name == "eight-state":
+                assert max(map(abs, exchange)) <= 1e-15
+            else:
+                assert exchange == [0.0] * len(exchange), model.name
+
     rng = np.random.default_rng(2030)
-    states = []
-    for _ in range(220):
-        length = int(rng.integers(0, 9))
-        states.append(CoarseState("".join("01"[b] for b in rng.integers(0, 2, length))))
-    states = list({s.bits: s for s in states}.values())
-    weights = {s: float(w) for s, w in zip(states, rng.uniform(0.05, 8.0, len(states)))}
-    pi = StateMeasure(weights)
-
-    pairs = [
-        (states[i], states[j])
-        for i, j in rng.integers(0, len(states), size=(1_000, 2))
-    ]
-    for estimator in (Estimator.EXACT_ENUM, Estimator.LZ_PROXY):
-        for x, y in pairs:
-            delta = entropy_decomposition(x, y, pi, estimator)
-            assert delta.total == delta.irreversible + delta.exchanged
-
-    # isolated case: equal measure weight means zero exchanged entropy
-    iso = StateMeasure({s: 0.125 for s in states})
-    for x, y in pairs[:100]:
-        delta = entropy_decomposition(x, y, iso, Estimator.EXACT_ENUM)
-        assert delta.exchanged == 0.0
-        assert delta.total == delta.irreversible
+    edges = chains = 0
+    while edges < 1_000:
+        n = int(rng.integers(2, 9))
+        kernel = rng.random((n, n)) * (rng.random((n, n)) < 0.8)
+        kernel[np.arange(n), (np.arange(n) + 1) % n] += rng.random(n)  # irreducible
+        kernel[0, 0] += 0.5  # aperiodic
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        states = [CoarseState(format(i, "03b")) for i in range(n)]
+        model = MarkovModel(states, kernel, np.full(n, 1.0 / n), name=f"random-{chains}")
+        for estimator in Estimator:
+            count = sum(1 for _ in split_edges(model, estimator))
+        edges += count  # the same edges under both estimators
+        chains += 1
 
 
 @criterion(5, "surprisal fluctuation identity on all shipped chains")

@@ -653,11 +653,47 @@ class TestModelTable:
         states = [CoarseState("0"), CoarseState("1")]
         model = MarkovModel(states, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
         table = model_table(model, Estimator.EXACT_ENUM)
-        assert table.sigma is None
+        assert table.sigma is None and table.entropy is None
         with pytest.raises(NonErgodicChainError) as rejected:
             surprisal_table(model)
         assert table.note == str(rejected.value)
         assert table.k == (2, 2)
+
+    @pytest.mark.parametrize("estimator, expected", [
+        ("exact-enum", {"two-state": [1, 1], "four-state": [4, 4, 5, 5],
+                        "eight-state": [3] * 8}),
+        ("lz-proxy", {"two-state": [0, 0], "four-state": [4, 4, 4, 4],
+                      "eight-state": [0, 0, 3, 3, 0, 0, 3, 3]}),
+    ])
+    def test_entropy_of_the_shipped_models(self, estimator, expected):
+        # every shipped pi is uniform, so S(x) = K(x) - log2(n); the direct
+        # solve gives eight-state's pi within 1 ulp of 1/8, not exactly 1/8
+        for model in shipped_chains():
+            table = model_table(model, estimator)
+            assert table.entropy.tolist() == pytest.approx(expected[model.name], abs=1e-15)
+            if model.name != "eight-state":
+                assert table.entropy.tolist() == expected[model.name], model.name
+
+    def test_periodic_cycle_has_no_entropy(self):
+        # a deterministic 3-cycle has a uniform pi, but is_ergodic refuses it
+        states = [CoarseState(bits) for bits in ("0", "1", "01")]
+        model = MarkovModel(states, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], [1.0, 0.0, 0.0])
+        table = model_table(model, Estimator.EXACT_ENUM)
+        assert table.entropy is None and table.sigma is None
+        assert "not ergodic" in table.note
+
+    def test_one_stationary_solve_per_model(self, monkeypatch):
+        calls = []
+
+        def counted(kernel):
+            calls.append(kernel)
+            return stationary_distribution(kernel)
+
+        monkeypatch.setattr("wpi.bounds.stationary_distribution", counted)
+        for model in shipped_chains():
+            table = model_table(model, Estimator.EXACT_ENUM)
+            assert table.entropy is not None and table.sigma is not None
+        assert len(calls) == len(shipped_chains())
 
     def test_estimator_tag_is_coerced(self):
         model = four_state_chain()

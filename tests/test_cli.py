@@ -459,7 +459,10 @@ class TestExitCodes:
     def test_unknown_flag_exits_one(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 1
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        # the usage is the subcommand's, which lists the options it does take
+        assert err.startswith(f"usage: wpi {argv[0]} ")
         assert not (tmp_path / "wpi-out").exists()
 
     def test_unknown_command_exits_one(self):

@@ -13,13 +13,10 @@ import pytest
 from wpi import (
     CoarseState,
     Estimator,
-    StateMeasure,
     ValidationError,
-    algorithmic_entropy,
     complexity_exact,
     complexity_lz,
     conditional_complexity,
-    entropy_decomposition,
     estimate_complexity,
     lz78_codelength,
     model_table,
@@ -311,9 +308,6 @@ ESTIMATOR_CALLS = {
     "estimate_complexity": lambda name: estimate_complexity(X, name),
     "conditional_complexity": lambda name: conditional_complexity(X, Y, name),
     "model_table": lambda name: model_table(two_state_chain(), name),
-    "algorithmic_entropy": lambda name: algorithmic_entropy(X, StateMeasure({X: 1.0}), name),
-    "entropy_decomposition":
-        lambda name: entropy_decomposition(X, Y, StateMeasure({X: 1.0, Y: 1.0}), name),
 }
 
 

@@ -23,6 +23,7 @@ from wpi import (
     ingest_config,
     intelligence_score,
     landauer_constant,
+    min_energy_of_change,
     modeled_energy,
     phi_lower_bound,
     wpi,
@@ -95,9 +96,19 @@ class TestIntelligenceScore:
         assert 0.0 <= intelligence_score(suite) <= suite.total_weight()
 
     def test_negative_score_rejected(self):
-        for intelligence in (-1.0, math.nan):
-            with pytest.raises(ValidationError):
+        for intelligence in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="intelligence"):
                 wpi(1.0, intelligence)
+
+    def test_negative_or_nan_power_rejected(self):
+        # -1.0 gave phi -0.5 and nan gave nan
+        for power in (-1.0, math.nan):
+            with pytest.raises(ValidationError, match="power"):
+                wpi(power, 2.0)
+
+    def test_infinite_power_gives_infinite_phi(self):
+        # an overflowing power is flagged by modeled_energy, not rejected here
+        assert wpi(math.inf, 2.0) == math.inf
 
 
 class TestLandauerConstant:
@@ -301,6 +312,19 @@ class TestWpiReport:
             [warning] = report["warnings"]
             assert warning.startswith("effective_ops overflows to inf: overhead factor ")
 
+    def test_overflowing_power_is_flagged(self):
+        # the shipped config with 1e10 J measured over 1e-300 s on cpu: the
+        # power overflows, so the row's power, phi and slack read inf
+        data = json.loads(default_config_path().read_text())
+        data["traces"][0].update(measured_energy=1e10, duration=1e-300)
+        config = config_from_dict(data)
+        cpu, *others = score_section(config)["wpi_reports"]
+        assert cpu["substrate"] == "cpu"
+        assert cpu["power_w"] == cpu["phi"] == cpu["slack"] == math.inf
+        [warning] = cpu["warnings"]
+        assert warning.startswith("power overflows to inf: energy 10000000000.0 J over duration ")
+        assert not any(r["warnings"] for r in others)
+
     def test_phi_strictly_decreasing_in_intelligence(self):
         lo = wpi(5.0, 2.0)
         hi = wpi(5.0, 1.0)
@@ -350,3 +374,24 @@ class TestExecutionTrace:
 
     def test_boltzmann_constant_is_exact_si(self):
         assert BOLTZMANN_CONSTANT == 1.380649e-23
+
+
+class TestMinEnergy:
+    def test_one_bit_at_room_temperature(self):
+        assert min_energy_of_change(1.0, 300.0) == landauer_constant(300.0)
+
+    def test_zero_bits(self):
+        assert min_energy_of_change(0.0, 300.0) == 0.0
+
+    def test_negative_change_clamps_to_zero(self):
+        assert min_energy_of_change(-5.0, 300.0) == 0.0
+
+    def test_temperature_validated(self):
+        with pytest.raises(ValidationError):
+            min_energy_of_change(1.0, -1.0)
+
+    @pytest.mark.parametrize("bits", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bits_rejected(self, bits):
+        # max(0.0, nan) is 0.0, so a nan change would cost 0 J
+        with pytest.raises(ValidationError, match="bits"):
+            min_energy_of_change(bits, 300.0)
