@@ -136,7 +136,7 @@ def test_criterion_3_substrate_ordering():
 
 
 @criterion(4, "entropy production splits into exchange and kernel terms over >=10^3 edges")
-def test_criterion_4_entropy_production_split():
+def test_criterion_4_entropy_decomposition():
     def split_edges(model, estimator):
         # sigma(x, y) = [log2 pi(x) - log2 pi(y)] + [log2 P(y|x) - log2 P(x|y)], with
         # log2 pi(x) = S(x) - K(x) read from the table; yields each edge's exchange term

@@ -23,7 +23,6 @@ from wpi import (
     ingest_config,
     intelligence_score,
     landauer_constant,
-    min_energy_of_change,
     modeled_energy,
     phi_lower_bound,
     wpi,
@@ -375,23 +374,3 @@ class TestExecutionTrace:
     def test_boltzmann_constant_is_exact_si(self):
         assert BOLTZMANN_CONSTANT == 1.380649e-23
 
-
-class TestMinEnergy:
-    def test_one_bit_at_room_temperature(self):
-        assert min_energy_of_change(1.0, 300.0) == landauer_constant(300.0)
-
-    def test_zero_bits(self):
-        assert min_energy_of_change(0.0, 300.0) == 0.0
-
-    def test_negative_change_clamps_to_zero(self):
-        assert min_energy_of_change(-5.0, 300.0) == 0.0
-
-    def test_temperature_validated(self):
-        with pytest.raises(ValidationError):
-            min_energy_of_change(1.0, -1.0)
-
-    @pytest.mark.parametrize("bits", [math.nan, math.inf, -math.inf])
-    def test_non_finite_bits_rejected(self, bits):
-        # max(0.0, nan) is 0.0, so a nan change would cost 0 J
-        with pytest.raises(ValidationError, match="bits"):
-            min_energy_of_change(bits, 300.0)
