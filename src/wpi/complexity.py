@@ -148,9 +148,9 @@ def _lz_conditional(x_bits: str, y_bits: str) -> int:
 
 
 def _symbol_codes(symbols: str) -> bytes:
-    raw = symbols.encode()
-    if raw.translate(None, _ALPHABET.encode()):
-        bad = next(s for s in symbols if s not in _ALPHABET)
+    raw = symbols.encode() if isinstance(symbols, str) else None
+    if raw is None or raw.translate(None, _ALPHABET.encode()):
+        bad = symbols if raw is None else next(s for s in symbols if s not in _ALPHABET)
         raise ValidationError(f"LZ78 symbols must be '0', '1' or {SEPARATOR!r}, got {bad!r}")
     return raw.translate(_SYMBOL_CODES)
 

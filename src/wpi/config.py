@@ -454,10 +454,13 @@ def _validate_models(document: dict, errors: list) -> list[MarkovModel]:
         if bad and "measure" not in sized:
             errors.append((ptr, "measure weight for state {!r} must be > 0, got {}".format(*bad)))
         built = [_built(errors, f"{ptr}/states/{j}", CoarseState, b) for j, b in enumerate(bits)]
-        # a failed state holds its place, so the laws are checked for n states; "" builds a falsy state
+        # a failed state holds its place, so the laws are checked for n states, and the
+        # model's own issue for it is dropped, as CoarseState's names it; "" builds a falsy state
         states = [b if state is None else state for state, b in zip(built, bits)]
-        out.append(_built(errors, ptr, MarkovModel, states, fields["kernel"], fields["initial"],
+        issues: list = []
+        out.append(_built(issues, ptr, MarkovModel, states, fields["kernel"], fields["initial"],
                           name=fields["name"]))
+        errors += (issue for issue in issues if not issue[0].startswith(f"{ptr}/states/"))
     return out
 
 

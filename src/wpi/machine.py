@@ -209,13 +209,13 @@ def _check_target(target: str, aux: str) -> None:
 
 
 def is_binary(s: str) -> bool:
-    """Whether ``s`` holds only the ASCII characters '0' and '1'.
+    """Whether ``s`` is a str holding only the ASCII characters '0' and '1'.
 
     Checked in C with no per-character Python work: ``isascii`` reads a
     flag of the string, and deleting every '0' and '1' from its bytes must
     leave nothing.
     """
-    return s.isascii() and not s.encode().translate(None, b"01")
+    return isinstance(s, str) and s.isascii() and not s.encode().translate(None, b"01")
 
 
 def _check_bits(s: str, label: str) -> None:

@@ -10,13 +10,13 @@ pass draws ``_CHUNK // rows`` consecutive Philox blocks (four keys each) of
 a chunk's ``rows`` paths, and a last block of fewer keys has its own pass.
 It returns the paths as one integer array, or, given a consumer, passes
 each chunk of rows to it while the chunk is still in cache and makes no
-array of all the paths: a :class:`_PathTally` consumer counts and hashes
-the chunks as they are drawn.  Beyond the paths written (all of them, or
-one chunk) and its tables, the sampler writes only one chunk's workspace
-(:func:`path_buffer`), however many trajectories or steps it draws.  Each
-double is a 53-bit integer key times ``2**-53``, and a state is picked from
-its key by an exact guide-table lookup (:class:`_GuideTable`) whose answers
-are those of a binary search of the row's CDF for the double.
+array of all the paths, as :func:`sample_tallies` draws each model of a
+run.  Beyond the paths written (all of them, or one chunk) and its tables,
+the sampler writes only one chunk's workspace (:class:`_Workspace`), however
+many trajectories or steps it draws.  Each double is a 53-bit integer key
+times ``2**-53``, and a state is picked from its key by an exact guide-table
+lookup (:class:`_GuideTable`) whose answers are those of a binary search of
+the row's CDF for the double.
 A stream's first draws do not depend on how many follow, so a path sampled
 with more steps extends the shorter one.  Seeds range over ``[0, MAX_SEED]``.
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import reprlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class MarkovModel:
 
     The constructor checks every rule of a model and raises one
     :class:`~wpi.errors.ConfigError` naming each problem by its field:
-    ``name``, ``states``, ``kernel``, ``kernel/<j>`` or ``initial``.
+    ``name``, ``states``, ``states/<j>``, ``kernel``, ``kernel/<j>`` or ``initial``.
     """
 
     states: tuple[CoarseState, ...]
@@ -76,12 +76,15 @@ class MarkovModel:
     def __init__(self, states, kernel, initial, name="model"):
         issues = [] if name else [("name", "model name must be non-empty")]
         states = tuple(states)
-        index = {s: i for i, s in enumerate(states)}
+        wrong = [j for j, s in enumerate(states) if not isinstance(s, CoarseState)]
+        index = {s: i for i, s in enumerate(states) if isinstance(s, CoarseState)}
         n = len(states)
         if not n:
             issues.append(("states", "must list at least one state"))
-        elif len(index) != n:
+        elif len(index) != n - len(wrong):
             issues.append(("states", "model states must be distinct"))
+        issues += ((f"states/{j}", f"must be a CoarseState, got {reprlib.repr(states[j])}")
+                   for j in wrong)
         # without states there is no shape to check the laws against
         kernel = _float_array(kernel, (n, n), "kernel", issues) if n else None
         initial = _float_array(initial, (n,), "initial", issues) if n else None
@@ -158,14 +161,24 @@ def is_ergodic(kernel: np.ndarray) -> bool:
     edges and against them.  The period is the gcd of
     ``level[u] + 1 - level[v]`` over all edges ``u -> v``, where ``level``
     is the breadth-first distance from state 0; the chain is aperiodic when
-    that gcd is 1.
+    that gcd is 1.  A kernel that is not a square 2-D array of at least one
+    state raises :class:`ValidationError`.
     """
-    adjacency = np.asarray(kernel) > 0.0
+    adjacency = _square(kernel) > 0.0
     level = _bfs_levels(adjacency)
     if np.any(level < 0) or np.any(_bfs_levels(adjacency.T) < 0):
         return False
     sources, targets = np.nonzero(adjacency)
     return int(np.gcd.reduce(level[sources] + 1 - level[targets])) == 1
+
+
+def _square(kernel) -> np.ndarray:
+    """``kernel`` as a float array, checked to be square and 2-D with at least one state."""
+    kernel = np.asarray(kernel, dtype=float)
+    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1] or not kernel.size:
+        raise ValidationError(f"kernel must be a square 2-D array of at least one state, "
+                              f"got shape {kernel.shape}")
+    return kernel
 
 
 def _bfs_levels(adjacency: np.ndarray) -> np.ndarray:
@@ -191,11 +204,12 @@ def stationary_distribution(kernel: np.ndarray) -> np.ndarray:
 
     A kernel that is not irreducible and aperiodic (:func:`is_ergodic`)
     raises :class:`NonErgodicChainError`, although a periodic irreducible
-    kernel has a unique positive stationary law too.  A solution that is not
-    positive, or whose L1 residual ``|pi K - pi|`` exceeds
-    ``n * DISTRIBUTION_TOL``, raises :class:`ValidationError`.
+    kernel has a unique positive stationary law too.  A kernel that is not
+    square, or a solution that is not positive or whose L1 residual
+    ``|pi K - pi|`` exceeds ``n * DISTRIBUTION_TOL``, raises
+    :class:`ValidationError`.
     """
-    kernel = np.asarray(kernel, dtype=float)
+    kernel = _square(kernel)
     if not is_ergodic(kernel):
         raise NonErgodicChainError(
             "kernel is not ergodic (must be irreducible and aperiodic)"
@@ -226,13 +240,13 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int,
     first picks the initial state, the others one transition each.
 
     Given a consumer ``each``, no array of all the paths is made and None is
-    returned: the rows are drawn ``_CHUNK`` at a time into ``out``, the
-    workspace that :func:`path_buffer` returns for ``steps`` and ``count``
-    (by default a new one), and each filled block is passed to ``each`` in
-    row order before the next is drawn.  Any other ``out``, or one given
-    without ``each``, is a :class:`ValidationError`.
+    returned: the rows are drawn ``_CHUNK`` at a time into ``out``, a
+    :class:`_Workspace` of one chunk, ``min(count, _CHUNK)`` paths of
+    ``steps`` transitions (by default a new one), and each filled block is
+    passed to ``each`` in row order before the next is drawn.  Any other
+    ``out``, or one given without ``each``, is a :class:`ValidationError`.
     """
-    _check_sample_size(steps, count)
+    steps, count = _sample_size(steps, count)
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValidationError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed <= MAX_SEED:
@@ -244,12 +258,12 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int,
         out = _Workspace(count if each is None else block[0], steps)
     elif each is None or not (isinstance(out, _Workspace) and out.paths.shape == block):
         got = f"one of shape {out.paths.shape}" if isinstance(out, _Workspace) else reprlib.repr(out)
-        raise ValidationError(f"out must be a workspace as path_buffer({steps}, {count}) returns, of shape "
-                              f"{block}, given with each, got {got}{' without each' if each is None else ''}")
+        raise ValidationError(f"out must be the workspace of one chunk, of shape {block}, given "
+                              f"with each, got {got}{' without each' if each is None else ''}")
 
     initial = _guide_table(model.initial[None, :])
     kernel = _guide_table(model.kernel)
-    full, tail = divmod(int(steps) + 1, 4)  # full-width Philox blocks, and the last one's width
+    full, tail = divmod(steps + 1, 4)  # full-width Philox blocks, and the last one's width
     for lo in range(0, count, _CHUNK):
         rows = min(_CHUNK, count - lo)
         path = out.paths[lo:lo + rows] if each is None else out.paths[:rows]
@@ -276,7 +290,7 @@ def sample_trajectories(model: MarkovModel, steps: int, count: int, seed: int,
 
 
 class _Workspace:
-    """All the sampler writes but its guide tables, as :func:`path_buffer` describes it.
+    """All the sampler writes but its guide tables; a call given one allocates nothing else.
 
     ``paths`` are ``rows`` uninitialised paths of ``steps`` transitions (too
     many to allocate is a :class:`ValidationError`); ``words`` are the eight
@@ -286,7 +300,7 @@ class _Workspace:
     """
 
     def __init__(self, rows: int, steps: int):
-        shape = (int(rows), int(steps) + 1)
+        shape = (rows, steps + 1)
         try:
             self.paths = np.empty(shape, dtype=np.int64)
         except (MemoryError, ValueError):  # ValueError: more bytes than numpy can address
@@ -302,23 +316,28 @@ class _Workspace:
         self.offsets.setflags(write=False)
 
 
-def path_buffer(steps: int, count: int) -> _Workspace:
-    """The workspace in which ``sample_trajectories(..., out=..., each=...)`` draws ``count`` paths.
+def sample_tallies(models: Sequence[MarkovModel], steps: int, count: int, seed: int,
+                   digest: bool) -> Iterator[_PathTally]:
+    """Tally ``count`` paths of ``steps`` transitions of each model; model ``i`` draws with ``seed + i``.
 
-    It holds everything the sampler writes but its guide tables: a block of
-    ``min(count, _CHUNK)`` int64 paths of ``steps`` transitions, which each
-    chunk overwrites, one pass's Philox words, 64 bytes a lane for up to
-    ``_CHUNK`` lanes, and one chunk's lookup scratch and trajectory offsets,
-    9 bytes a trajectory.  A call given a workspace allocates only its guide
-    tables, so a run that samples several models of one shape in turn draws
-    them all in one workspace, and the kernel zero-fills its pages once, not
-    once a model (``BENCH_30.json``).
+    Each model is one ``sample_trajectories(..., each=tally.add)`` call in
+    the run's one :class:`_Workspace` (``BENCH_30.json``), and its tally,
+    hashed only with ``digest``, is yielded.  The workspace is freed before
+    the last tally is yielded: held through the last model's checks, it
+    pinned the top of glibc's heap (8 MB higher at 1024 states).
     """
-    _check_sample_size(steps, count)
-    return _Workspace(min(count, _CHUNK), steps)
+    steps, count = _sample_size(steps, count)
+    workspace = _Workspace(min(count, _CHUNK), steps)
+    for i, model in enumerate(models):
+        tally = _PathTally(model.n_states, digest)
+        sample_trajectories(model, steps, count, seed + i, out=workspace, each=tally.add)
+        if i == len(models) - 1:
+            del workspace
+        yield tally
 
 
-def _check_sample_size(steps: int, count: int) -> None:
+def _sample_size(steps: int, count: int) -> tuple[int, int]:
+    """``steps`` and ``count`` as Python ints, once checked; a numpy integer would wrap."""
     for name, value in (("steps", steps), ("count", count)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
@@ -326,6 +345,7 @@ def _check_sample_size(steps: int, count: int) -> None:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
+    return int(steps), int(count)
 
 
 class _PathTally:

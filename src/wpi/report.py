@@ -26,7 +26,7 @@ from . import __version__
 from .bounds import coupled_bound_suite, ift_check, markov_tail_check, model_table
 from .config import ExperimentConfig
 from .errors import ValidationError
-from .markov import MarkovModel, _PathTally, path_buffer, sample_trajectories
+from .markov import MarkovModel, sample_tallies
 from .metrics import intelligence_score
 from .substrate import ComparisonRow, SubstrateRun, account_run, run_comparison
 
@@ -108,12 +108,9 @@ def build_bundle(config: ExperimentConfig, command: str, steps: int) -> dict:
     ``simulate`` ``simulations``, ``check-bounds`` ``bound_checks`` and
     ``gates``, and ``report`` all six; the others are None.  Model ``index``
     draws ``config.sim.samples`` paths of ``steps`` each with seed
-    ``config.sim.seed + index``, and no array of them is made: its one
-    :func:`~wpi.markov.sample_trajectories` call draws them a block at a time
-    in the run's one :func:`~wpi.markov.path_buffer` workspace, and a
-    :class:`~wpi.markov._PathTally` counts and hashes each block before the
-    next overwrites it.  The gates are the verdicts of :func:`_verdicts`
-    that are not vacuous.
+    ``config.sim.seed + index``, and no array of them is made: each model's
+    sections read the tally that :func:`~wpi.markov.sample_tallies` yields.
+    The gates are the verdicts of :func:`_verdicts` that are not vacuous.
     """
     bundle = {"metadata": build_metadata(config), "scores": None, "wpi_reports": None,
               "comparison": None, "simulations": None, "bound_checks": None, "gates": None}
@@ -129,21 +126,16 @@ def build_bundle(config: ExperimentConfig, command: str, steps: int) -> dict:
         raise ValidationError("config has no models to sample")
     simulate, check = command != "check-bounds", command != "simulate"
     simulations, checks = [], []
-    workspace = path_buffer(steps, config.sim.samples)
+    tallies = sample_tallies(config.models, steps, config.sim.samples, config.sim.seed, simulate)
     for index, model in enumerate(config.models):
-        seed = config.sim.seed + index
-        tally = _PathTally(model.n_states, digest=simulate)
-        sample_trajectories(model, steps, config.sim.samples, seed, out=workspace, each=tally.add)
-        if index == len(config.models) - 1:
-            # held through the last checks, it pinned the top of glibc's heap:
-            # one 1024-state model's checks peaked 8 MB higher
-            del workspace
+        seed, tally = config.sim.seed + index, next(tallies)
         if simulate:
             simulations.append(simulate_section(model, seed, tally))
         if check:
             # the bound checks read each path's first step; a Philox stream's
             # first two draws do not depend on how many follow
             checks.append(bounds_section(config, model, seed, tally.first_counts))
+        del tally  # its n x n counts are not held while the next model samples
     if simulate:
         bundle["simulations"] = simulations
     if check:
@@ -196,8 +188,8 @@ def _fields(row: ComparisonRow, table: dict[str, str]) -> dict:
     return {key: getattr(row, name) for key, name in table.items()}
 
 
-def simulate_section(model: MarkovModel, seed: int, tally: _PathTally) -> dict:
-    """Summarize one model's sampled paths, as ``tally`` holds them, deterministically."""
+def simulate_section(model: MarkovModel, seed: int, tally) -> dict:
+    """Summarize one model's paths, as its :func:`~wpi.markov.sample_tallies` tally holds them."""
     return {
         "model": model.name,
         "seed": seed,

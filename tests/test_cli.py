@@ -13,6 +13,7 @@ import random
 import re
 import stat
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -351,7 +352,7 @@ class TestSubcommands:
 
             return sample_trajectories(model, steps, count, seed, out=out, each=counting)
 
-        monkeypatch.setattr("wpi.report.sample_trajectories", recording)
+        monkeypatch.setattr("wpi.markov.sample_trajectories", recording)
         out = tmp_path / "out"
         assert run(["report", "--samples", 500, "--steps", steps, "--out", out]) == 0
         bundle = load_report(out)
@@ -362,18 +363,28 @@ class TestSubcommands:
 
     def test_report_draws_every_model_into_one_array(self, tmp_path, monkeypatch):
         # the one workspace holds the run's chunk buffer, so no model's paths
-        # are held, and the Philox scratch that every model reuses
-        buffers = []
+        # are held, and the Philox scratch that every model reuses; it is
+        # released before the last model's checks, and no model samples while
+        # an earlier model's tally is still referenced
+        buffers, shapes, tallies, released = [], [], [], []
 
         def recording(model, steps, count, seed, out=None, each=None):
-            buffers.append(out)
+            assert all(ref() is out for ref in buffers)
+            assert all(ref() is None for ref in tallies)
+            buffers.append(weakref.ref(out))
+            shapes.append(out.paths.shape)
+            tallies.append(weakref.ref(each.__self__))
             return sample_trajectories(model, steps, count, seed, out=out, each=each)
 
-        monkeypatch.setattr("wpi.report.sample_trajectories", recording)
+        def checking(config, model, seed, counts):
+            released.append(buffers[0]() is None)
+            return bounds_section(config, model, seed, counts)
+
+        monkeypatch.setattr("wpi.markov.sample_trajectories", recording)
+        monkeypatch.setattr("wpi.report.bounds_section", checking)
         assert run(["report", "--samples", _CHUNK + 500, "--out", tmp_path / "out"]) == 0
-        first, *later = buffers
-        assert first.paths.shape == (_CHUNK, 2) and len(later) == 2
-        assert all(out is first for out in later)
+        assert shapes == [(_CHUNK, 2)] * 3
+        assert released == [False, False, True]
 
     def test_shared_array_gives_each_command_the_same_sections(self, tmp_path):
         # each command fills exactly its sections, as report fills them; the

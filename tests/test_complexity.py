@@ -29,14 +29,17 @@ CORPUS_PATH = Path(__file__).parent / "data" / "corpus.txt"
 CORPUS = CORPUS_PATH.read_text().split()
 
 
-#: Strings that only look binary: non-ASCII digits and a superscript one,
-#: and 64,000-bit strings spoiled at their last character.
+#: Values that only look binary: non-ASCII digits and a superscript one,
+#: 64,000-bit strings spoiled at their last character, and values that are
+#: not a str.
 NOT_BINARY = {
     "fullwidth-one": "0\uff11",
     "arabic-indic-one": "01\u0661",
     "superscript-one": "\u00b9",
     "64000-bits-last-2": "01" * 31_999 + "02",
     "64000-bits-last-fullwidth-one": "01" * 31_999 + "0\uff11",
+    "int": 5,
+    "bytes": b"01",
 }
 
 
@@ -121,6 +124,11 @@ class TestLzCoder:
         for symbols in (bad, "01" + bad + "10", "0|1" + bad):
             with pytest.raises(ValidationError, match=re.escape(repr(bad))):
                 lz78_codelength(symbols)
+
+    @pytest.mark.parametrize("symbols", [5, b"01", None])
+    def test_symbols_that_are_not_a_str_are_named(self, symbols):
+        with pytest.raises(ValidationError, match=re.escape(f"got {symbols!r}")):
+            lz78_codelength(symbols)
 
     def test_estimates_are_integers(self):
         for x in CORPUS:

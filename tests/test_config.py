@@ -119,6 +119,9 @@ BAD_INPUTS = [
     (("suites", 0, "tasks", 0, "id"), "",
      ("/suites/0/tasks/0", "task id must be a non-empty string")),
     (("substrates", 0, "name"), "", ("/substrates/0", "substrate name must be non-empty")),
+    # a state that CoarseState rejects, at its own pointer
+    (("models", 0, "states"), ["0", "2"],
+     ("/models/0/states/1", "state bits must contain only '0'/'1', got '2'")),
 ]
 
 
@@ -263,7 +266,9 @@ class TestValidation:
         data["models"][0]["states"] = ["0", "x"]
         with pytest.raises(ConfigError) as info:
             config_from_dict(data)
-        assert "/models/0/states/1" in pointers(info)
+        # the failed state holds its place in the model, which reports no second issue for it
+        assert [issue for issue in info.value.issues if issue[0] == "/models/0/states/1"] == [
+            ("/models/0/states/1", "state bits must contain only '0'/'1', got 'x'")]
 
     @pytest.mark.parametrize("path, value, pointer", BAD_INPUTS, ids=[
         f"{i}:{ptr if isinstance(ptr, str) else ptr[0]}" for i, (_, _, ptr) in enumerate(BAD_INPUTS)

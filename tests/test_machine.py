@@ -7,14 +7,17 @@ import pytest
 from wpi import CoarseState, EnumerationBudgetExceeded, ValidationError, complexity_exact
 from wpi.machine import DEFAULT_MACHINE, STEP_BUDGET, ReferenceMachine, shortest_length
 
-#: Strings that only look binary: non-ASCII digits and a superscript one,
-#: and 64,000-bit strings spoiled at their last character.
+#: Values that only look binary: non-ASCII digits and a superscript one,
+#: 64,000-bit strings spoiled at their last character, and values that are
+#: not a str.
 NOT_BINARY = {
     "fullwidth-one": "0\uff11",
     "arabic-indic-one": "01\u0661",
     "superscript-one": "\u00b9",
     "64000-bits-last-2": "01" * 31_999 + "02",
     "64000-bits-last-fullwidth-one": "01" * 31_999 + "0\uff11",
+    "int": 5,
+    "bytes": b"01",
 }
 
 
@@ -64,6 +67,12 @@ class TestExecution:
     def test_rejects_non_binary(self):
         with pytest.raises(ValidationError):
             DEFAULT_MACHINE.run("01x")
+
+    @pytest.mark.parametrize("program", [5, b"01"])
+    def test_rejects_a_program_that_is_not_a_str(self, program):
+        # it raised AttributeError from the alphabet check
+        with pytest.raises(ValidationError, match="program must contain only"):
+            DEFAULT_MACHINE.run(program)
 
 
 class TestEnumeration:

@@ -1,7 +1,10 @@
 """Markov model validation, deterministic sampling, stationary laws."""
 
 import hashlib
+import re
 import tracemalloc
+import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -25,8 +28,8 @@ from wpi import (
 )
 import wpi.markov
 from wpi.cli import main
-from wpi.markov import (DISTRIBUTION_TOL, _CHUNK, _PathTally, _guide_table, _mulhi,
-                        _philox_keys, distribution_problems, path_buffer)
+from wpi.markov import (DISTRIBUTION_TOL, _CHUNK, _PathTally, _Workspace, _guide_table, _mulhi,
+                        _philox_keys, distribution_problems, sample_tallies)
 
 
 def read_only(array):
@@ -70,6 +73,16 @@ class TestModelValidation:
         states = [CoarseState("0"), CoarseState("0")]
         with pytest.raises(ValidationError, match="distinct"):
             MarkovModel(states, [[0.5, 0.5]] * 2, [0.5, 0.5])
+
+    def test_states_that_are_not_coarse_states_named(self):
+        # bit strings built a model whose complexity table then failed on a str
+        with pytest.raises(ConfigError) as info:
+            MarkovModel(["0", "1"], [[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5])
+        assert info.value.issues == [("states/0", "must be a CoarseState, got '0'"),
+                                     ("states/1", "must be a CoarseState, got '1'")]
+        with pytest.raises(ConfigError) as info:
+            MarkovModel([CoarseState("0"), [1]], [[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5])
+        assert info.value.issues == [("states/1", "must be a CoarseState, got [1]")]
 
     def test_empty_name_rejected(self):
         states = [CoarseState("0")]
@@ -458,7 +471,7 @@ class TestSampling:
         # second block
         model, count = eight_state_chain(), _CHUNK + 3
         paths = sample_trajectories(model, steps, count, seed=5)
-        buffer = path_buffer(steps, count)
+        buffer = chunk_workspace(steps, count)
         assert buffer.paths.shape == (_CHUNK, steps + 1)
         tally = _PathTally(model.n_states)
         assert sample_trajectories(model, steps, count, seed=5, out=buffer, each=tally.add) is None
@@ -472,7 +485,7 @@ class TestSampling:
         model, count = four_state_chain(), 2 * _CHUNK + 5
         paths = sample_trajectories(model, 3, count, seed=8)
         blocks = []
-        out = path_buffer(3, count)
+        out = chunk_workspace(3, count)
         sample_trajectories(model, 3, count, seed=8, out=out, each=lambda rows: blocks.append(rows.copy()))
         assert [len(b) for b in blocks] == [_CHUNK, _CHUNK, 5]
         assert np.array_equal(np.concatenate(blocks), paths)
@@ -481,25 +494,25 @@ class TestSampling:
         assert len(blocks) == 1 and np.array_equal(blocks[0], paths[:40])
 
     @pytest.mark.parametrize("make, each", [
-        (lambda: path_buffer(2, 7), print),
-        (lambda: path_buffer(1, 10), print),
-        (lambda: path_buffer(2, _CHUNK + 1), print),
+        (lambda: chunk_workspace(2, 7), print),
+        (lambda: chunk_workspace(1, 10), print),
+        (lambda: chunk_workspace(2, _CHUNK + 1), print),
         (lambda: np.zeros((10, 3), dtype=np.int64), print),
         (lambda: np.zeros((10, 3), dtype=np.int32), print),
         (lambda: np.zeros((10, 6), dtype=np.int64)[:, ::2], print),
         (lambda: read_only(np.zeros((10, 3), dtype=np.int64)), print),
-        (lambda: path_buffer(2, 10), None),
+        (lambda: chunk_workspace(2, 10), None),
     ], ids=["rows", "columns", "chunk", "array", "int32", "strided", "read-only", "without-each"])
     def test_unusable_block_buffer_rejected(self, make, each):
-        # the workspace is what path_buffer(2, 10) returns, with a block of
-        # all 10 rows, given with a consumer; one made for another shape, a
-        # bare array, or the right one without a consumer, is refused
-        with pytest.raises(ValidationError, match=r"path_buffer\(2, 10\).*of shape \(10, 3\)"):
+        # the workspace is one chunk of all 10 paths of 2 steps, given with a
+        # consumer; one made for another shape, a bare array, or the right
+        # one without a consumer, is refused
+        with pytest.raises(ValidationError, match=r"workspace of one chunk, of shape \(10, 3\)"):
             sample_trajectories(two_state_chain(), 2, 10, seed=1, out=make(), each=each)
 
     def test_workspace_serves_every_count_of_its_shape(self):
         # a count past one chunk needs a block of _CHUNK rows, whatever the count
-        model, work = four_state_chain(), path_buffer(2, _CHUNK + 5)
+        model, work = four_state_chain(), chunk_workspace(2, _CHUNK + 5)
         for count in (_CHUNK, _CHUNK + 5, 3 * _CHUNK):
             tally = _PathTally(model.n_states)
             sample_trajectories(model, 2, count, seed=4, out=work, each=tally.add)
@@ -514,7 +527,7 @@ class TestSampling:
         # only for the guide tables of a small model and numpy's temporaries;
         # 1,000 paths of 256 steps draw 16 blocks a pass, four passes a chunk
         model = eight_state_chain()
-        work = path_buffer(steps, count)
+        work = chunk_workspace(steps, count)
         tracemalloc.start()
         try:
             sample_trajectories(model, steps, count, seed=6, out=work, each=lambda rows: None)
@@ -522,6 +535,40 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert peak < _CHUNK, peak
+
+    @pytest.mark.parametrize("steps, count", [(1, 500), (4, _CHUNK + 3)])
+    def test_tallies_match_each_model_sampled_alone(self, steps, count):
+        # model i draws with seed + i, and its tally is the one its own
+        # sample_trajectories call would give
+        models = shipped_chains()
+        tallies = list(sample_tallies(models, steps, count, 21, digest=True))
+        assert len(tallies) == len(models)
+        for i, (model, tally) in enumerate(zip(models, tallies)):
+            paths = sample_trajectories(model, steps, count, seed=21 + i)
+            assert tally.digest == text_digest(paths)
+            assert np.array_equal(tally.counts, transition_counts(model, paths))
+            assert tally.first_path == paths[0].tolist() and tally.rows == count
+        plain = list(sample_tallies(models, steps, count, 21, digest=False))
+        for tally, counted in zip(plain, tallies):
+            assert np.array_equal(tally.counts, counted.counts)
+
+    def test_tallies_share_one_workspace_released_before_the_last(self, monkeypatch):
+        # one sample_trajectories call a model, looked up on the module, all
+        # in one chunk workspace, which is freed before the last tally is yielded
+        models, calls = shipped_chains(), []
+
+        def recording(model, steps, count, seed, out=None, each=None):
+            assert not calls or calls[0][2]() is out
+            calls.append((model.name, seed, weakref.ref(out)))
+            return sample_trajectories(model, steps, count, seed, out=out, each=each)
+
+        monkeypatch.setattr(wpi.markov, "sample_trajectories", recording)
+        tallies = sample_tallies(models, 2, 300, 5, digest=False)
+        for i, model in enumerate(models):
+            tally = next(tallies)
+            assert tally.rows == 300 and calls[-1][:2] == (model.name, 5 + i)
+            assert (calls[-1][2]() is None) == (i == len(models) - 1)
+        assert len(calls) == len(models) and next(tallies, None) is None
 
     def test_parameter_validation(self):
         model = two_state_chain()
@@ -545,6 +592,25 @@ class TestSampling:
         model = two_state_chain()
         paths = sample_trajectories(model, np.int64(2), np.int32(10), seed=np.uint64(1))
         assert np.array_equal(paths, sample_trajectories(model, 2, 10, seed=1))
+
+    def test_narrow_numpy_sizes_do_not_wrap(self):
+        # uint8 steps + 1 wrapped to 0 with an overflow warning, and without
+        # the warning a workspace of the right shape was refused
+        model, expected = four_state_chain(), sample_trajectories(four_state_chain(), 255, 300, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            paths = sample_trajectories(model, np.uint8(255), np.int16(300), seed=3)
+            tally = _PathTally(model.n_states)
+            sample_trajectories(model, np.uint8(255), np.int16(300), seed=3, out=chunk_workspace(255, 300),
+                                each=tally.add)
+            (streamed,) = sample_tallies([model], np.uint8(255), np.int16(300), 3, digest=True)
+        assert np.array_equal(paths, expected)
+        assert tally.digest == streamed.digest == text_digest(expected)
+
+
+def chunk_workspace(steps, count):
+    """The workspace in which ``sample_trajectories(..., out=..., each=...)`` draws ``count`` paths."""
+    return _Workspace(min(count, _CHUNK), steps)
 
 
 def philox_keys(seed, start, offsets, blocks, width):
@@ -779,6 +845,14 @@ class TestErgodicity:
             assert is_ergodic(adjacency.astype(float)) == expected, adjacency.astype(int)
             seen["ergodic" if expected else "periodic" if connected else "reducible"] += 1
         assert min(seen.values()) >= 40, seen
+
+    @pytest.mark.parametrize("check", [is_ergodic, stationary_distribution])
+    @pytest.mark.parametrize("kernel", [np.zeros((0, 0)), np.full((1, 2), 0.5), np.ones(1),
+                                        np.ones((1, 1, 1))], ids=["empty", "1x2", "1-D", "3-D"])
+    def test_kernel_that_is_not_square_named(self, check, kernel):
+        # an IndexError or a ValueError came out of the search or the solve
+        with pytest.raises(ValidationError, match=re.escape(f"got shape {kernel.shape}")):
+            check(kernel)
 
     def test_self_loop_breaks_a_cycle_period(self):
         ring = np.roll(np.eye(3), 1, axis=1)
