@@ -109,6 +109,8 @@ class MarkovModel:
         return len(self.states)
 
     def index_of(self, state: CoarseState) -> int:
+        if not isinstance(state, CoarseState):
+            raise ValidationError(f"state must be a CoarseState, got {reprlib.repr(state)}")
         try:
             return self._index[state]
         except KeyError:
@@ -317,23 +319,23 @@ class _Workspace:
 
 
 def sample_tallies(models: Sequence[MarkovModel], steps: int, count: int, seed: int,
-                   digest: bool) -> Iterator[_PathTally]:
+                   digest: bool) -> Iterator[tuple[int, _PathTally]]:
     """Tally ``count`` paths of ``steps`` transitions of each model; model ``i`` draws with ``seed + i``.
 
     Each model is one ``sample_trajectories(..., each=tally.add)`` call in
-    the run's one :class:`_Workspace` (``BENCH_30.json``), and its tally,
-    hashed only with ``digest``, is yielded.  The workspace is freed before
-    the last tally is yielded: held through the last model's checks, it
-    pinned the top of glibc's heap (8 MB higher at 1024 states).
+    the run's one :class:`_Workspace` (``BENCH_30.json``), and its seed and
+    its tally, hashed only with ``digest``, are yielded.  The workspace is
+    freed before the last tally is yielded: held through the last model's
+    checks, it pinned the top of glibc's heap (8 MB higher at 1024 states).
     """
     steps, count = _sample_size(steps, count)
     workspace = _Workspace(min(count, _CHUNK), steps)
     for i, model in enumerate(models):
-        tally = _PathTally(model.n_states, digest)
+        tally = _PathTally(model.n_states, steps + 1, digest)
         sample_trajectories(model, steps, count, seed + i, out=workspace, each=tally.add)
         if i == len(models) - 1:
             del workspace
-        yield tally
+        yield seed + i, tally
 
 
 def _sample_size(steps: int, count: int) -> tuple[int, int]:
@@ -351,34 +353,34 @@ def _sample_size(steps: int, count: int) -> tuple[int, int]:
 class _PathTally:
     """Transition counts and the path digest of rows of paths added in order.
 
-    :meth:`add` takes the rows of a sample in row order, in blocks of any
-    size, and casts and reads about ``_CHUNK`` entries at a time.
-    ``first_counts`` is the (source, target) matrix of each path's first
-    step, ``counts`` that of every step (views of the tally's two arrays, or
-    one while no path has two steps), and ``first_path`` row 0 as a list.
-    ``digest``, kept only with ``digest``, is the sha256 of the rows as
-    text: each row's decimal state indices joined by ``,`` and followed by
-    ``;``, rows in order (``[[0, 1], [10, 2]]`` is ``0,1;10,2;``).
+    Its width is fixed when it is built: :meth:`add` takes rows of ``columns``
+    states (``steps`` transitions) in row order, in blocks of any size, and
+    casts and reads about ``_CHUNK`` entries at a time.  ``first_counts`` is
+    the (source, target) matrix of each path's first step, ``counts`` that of
+    every step (views of the tally's two arrays, or of one if paths have
+    fewer than two steps), and ``first_path`` row 0 as a list.  ``digest``,
+    kept only with ``digest``, is the sha256 of the rows as text: each row's
+    decimal state indices joined by ``,`` and followed by ``;``, rows in
+    order (``[[0, 1], [10, 2]]`` is ``0,1;10,2;``).  It is written from one
+    token a state, its index and ``,`` NUL-padded on the left to the widest
+    token, so that a row's last byte is its last ``,``, which becomes ``;``;
+    the text has no NUL, so dropping them leaves the tokens joined.
     :meth:`add` does not check its rows: it takes the sampler's own and
     those that :func:`transition_counts` has checked.
     """
 
-    def __init__(self, n: int, digest: bool = True):
-        self.n = n
+    def __init__(self, n: int, columns: int, digest: bool = True):
+        self.n, self.steps = n, columns - 1
         self.rows = 0
         self.first_path: list[int] | None = None
         self._first = np.zeros(n * n, dtype=np.intp)
-        self._every = self._first  # every step is a first step until a path has two
+        self._every = np.zeros(n * n, dtype=np.intp) if columns > 2 else self._first
         self._sha = hashlib.sha256() if digest else None
         if digest:
-            # state s's token within a row, s and ",", and at a row's end, s
-            # and ";", NUL-padded to the widest token; the text has no NUL,
-            # so dropping them after the gather leaves the tokens joined
             width = len(str(n - 1)) + 1
             self._padded = n > 10  # state 10's token is wider than state 0's
-            self._inner, self._end = (
-                np.array([f"{s}{end}".encode() for s in range(n)], dtype=f"S{width}")
-                for end in ",;")
+            self._tokens = np.array([f"{s},".rjust(width, "\0").encode() for s in range(n)],
+                                    dtype=f"S{width}")
 
     @property
     def first_counts(self) -> np.ndarray:
@@ -400,18 +402,16 @@ class _PathTally:
         n, step = self.n, max(1, _CHUNK // paths.shape[1])
         for lo in range(0, len(paths), step):
             rows = paths[lo:lo + step].astype(np.intp, copy=False)
-            if rows.shape[1] > 1:
+            if self.steps:
                 pairs = rows[:, :-1] * n
                 np.add(pairs, rows[:, 1:], pairs)
-                if rows.shape[1] > 2 and self._every is self._first:
-                    self._every = self._first.copy()
                 _count(self._first, pairs[:, 0])
                 if self._every is not self._first:
                     _count(self._every, pairs.ravel())
                 del pairs  # so that the next chunk's pairs are not made beside them
             if self._sha is not None:
-                text = self._inner.take(rows)
-                text[:, -1] = self._end.take(rows[:, -1])
+                text = self._tokens.take(rows)
+                text.view(np.uint8)[:, -1] = ord(";")  # each row's last byte, its last ","
                 self._sha.update(text.tobytes().translate(None, b"\0") if self._padded else text)
 
 
@@ -440,7 +440,7 @@ def transition_counts(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
     if unsigned.max(initial=0) >= n:
         r, c = divmod(int(np.argmax(unsigned >= n)), paths.shape[1])
         raise ValidationError(f"paths[{r}, {c}] = {paths[r, c]} is not a state index in [0, {n})")
-    tally = _PathTally(n, digest=False)
+    tally = _PathTally(n, paths.shape[1], digest=False)
     tally.add(paths)
     return tally.counts
 

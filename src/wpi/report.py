@@ -106,10 +106,10 @@ def build_bundle(config: ExperimentConfig, command: str, steps: int) -> dict:
 
     ``score`` fills ``scores`` and ``wpi_reports``, ``compare`` ``comparison``,
     ``simulate`` ``simulations``, ``check-bounds`` ``bound_checks`` and
-    ``gates``, and ``report`` all six; the others are None.  Model ``index``
-    draws ``config.sim.samples`` paths of ``steps`` each with seed
-    ``config.sim.seed + index``, and no array of them is made: each model's
-    sections read the tally that :func:`~wpi.markov.sample_tallies` yields.
+    ``gates``, and ``report`` all six; the others are None.  Each model
+    draws ``config.sim.samples`` paths of ``steps`` each, and no array of
+    them is made: its sections read the seed and the tally that
+    :func:`~wpi.markov.sample_tallies` yields.
     The gates are the verdicts of :func:`_verdicts` that are not vacuous.
     """
     bundle = {"metadata": build_metadata(config), "scores": None, "wpi_reports": None,
@@ -127,8 +127,8 @@ def build_bundle(config: ExperimentConfig, command: str, steps: int) -> dict:
     simulate, check = command != "check-bounds", command != "simulate"
     simulations, checks = [], []
     tallies = sample_tallies(config.models, steps, config.sim.samples, config.sim.seed, simulate)
-    for index, model in enumerate(config.models):
-        seed, tally = config.sim.seed + index, next(tallies)
+    for model in config.models:
+        seed, tally = next(tallies)  # zip's reused result tuple would hold the last tally
         if simulate:
             simulations.append(simulate_section(model, seed, tally))
         if check:
@@ -194,7 +194,7 @@ def simulate_section(model: MarkovModel, seed: int, tally) -> dict:
         "model": model.name,
         "seed": seed,
         "count": tally.rows,
-        "steps": len(tally.first_path) - 1,
+        "steps": tally.steps,
         "states": [s.bits for s in model.states],
         "transition_counts": tally.counts.tolist(),
         "trajectory_digest": tally.digest,

@@ -467,6 +467,18 @@ class TestEfficiencyBound:
             efficiency_bound_check(table, CoarseState("111111"), model.states[1], (1.0, 1.0, 1.0),
                                    0.05)
 
+    @pytest.mark.parametrize("state, shown", [("0", "'0'"), (0, "0"), (["0"], r"\['0'\]")],
+                             ids=["str", "int", "list"])
+    def test_state_that_is_not_a_coarse_state_rejected(self, state, shown):
+        # index_of read state.bits, so a bit string raised AttributeError
+        model = two_state_chain()
+        table = model_table(model, Estimator.EXACT_ENUM)
+        message = f"state must be a CoarseState, got {shown}$"
+        with pytest.raises(ValidationError, match=message):
+            model.index_of(state)
+        with pytest.raises(ValidationError, match=message):
+            efficiency_bound_check(table, state, model.states[1], (1.0, 1.0, 1.0), 0.05)
+
     @pytest.mark.parametrize("agent, entry", [
         ((math.nan, 1.0, 1.0), "intelligence"),
         ((math.inf, 1.0, 1.0), "intelligence"),

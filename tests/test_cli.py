@@ -158,13 +158,20 @@ class TestSubcommands:
     @pytest.mark.parametrize("n_states", [1, 9, 10, 11, 100, 150])
     def test_path_digest_hashes_multi_width_tokens_as_text(self, n_states):
         # state numbers of one, two and three digits in one path array; the
-        # last two arrays are hashed in four chunks and in five chunks of 40 rows
+        # last two arrays are hashed in four chunks and in five chunks of 40
+        # rows; the counts of paths of no step, one step and more, each width
+        # built differently, are checked against np.add.at
         rng = np.random.default_rng(n_states)
-        for shape in ((1, 2), (300, 2), (40, 17), (_CHUNK + 3, 3), (170, 401)):
+        for shape in ((30, 1), (1, 2), (300, 2), (40, 17), (_CHUNK + 3, 3), (170, 401)):
             rows = rng.integers(0, n_states, shape)
-            tally = _PathTally(n_states)
+            tally = _PathTally(n_states, shape[1])
             tally.add(rows.astype(np.intp))
             assert tally.digest == text_digest(rows.tolist())
+            for got, paths in ((tally.counts, rows), (tally.first_counts, rows[:, :2])):
+                expected = np.zeros((n_states, n_states), dtype=np.intp)
+                np.add.at(expected, (paths[:, :-1].ravel(), paths[:, 1:].ravel()), 1)
+                assert np.array_equal(got, expected)
+            assert tally.steps == shape[1] - 1
 
     def test_sampled_infinite_weight_fails_the_window_gate(self, tmp_path):
         # a reverse edge of probability 1e-310, sampled once, weighs 2**1030:
@@ -444,7 +451,7 @@ class TestSubcommands:
             call = {
                 "sample": lambda: sample_trajectories(model, steps, 4_096, seed=3),
                 "count": lambda: transition_counts(model, paths),
-                "digest": lambda: _PathTally(model.n_states).add(paths),
+                "digest": lambda: _PathTally(model.n_states, steps + 1).add(paths),
             }[stage]
             tracemalloc.start()
             try:

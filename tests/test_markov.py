@@ -473,7 +473,7 @@ class TestSampling:
         paths = sample_trajectories(model, steps, count, seed=5)
         buffer = chunk_workspace(steps, count)
         assert buffer.paths.shape == (_CHUNK, steps + 1)
-        tally = _PathTally(model.n_states)
+        tally = _PathTally(model.n_states, steps + 1)
         assert sample_trajectories(model, steps, count, seed=5, out=buffer, each=tally.add) is None
         assert np.array_equal(tally.counts, transition_counts(model, paths))
         assert np.array_equal(tally.first_counts, transition_counts(model, paths[:, :2]))
@@ -514,7 +514,7 @@ class TestSampling:
         # a count past one chunk needs a block of _CHUNK rows, whatever the count
         model, work = four_state_chain(), chunk_workspace(2, _CHUNK + 5)
         for count in (_CHUNK, _CHUNK + 5, 3 * _CHUNK):
-            tally = _PathTally(model.n_states)
+            tally = _PathTally(model.n_states, 3)
             sample_trajectories(model, 2, count, seed=4, out=work, each=tally.add)
             assert tally.digest == text_digest(sample_trajectories(model, 2, count, seed=4))
 
@@ -538,18 +538,20 @@ class TestSampling:
 
     @pytest.mark.parametrize("steps, count", [(1, 500), (4, _CHUNK + 3)])
     def test_tallies_match_each_model_sampled_alone(self, steps, count):
-        # model i draws with seed + i, and its tally is the one its own
-        # sample_trajectories call would give
+        # model i draws with seed + i, which is yielded with its tally, and
+        # its tally is the one its own sample_trajectories call would give
         models = shipped_chains()
-        tallies = list(sample_tallies(models, steps, count, 21, digest=True))
-        assert len(tallies) == len(models)
+        drawn = list(sample_tallies(models, steps, count, 21, digest=True))
+        assert [seed for seed, _ in drawn] == [21, 22, 23]
+        tallies = [tally for _, tally in drawn]
         for i, (model, tally) in enumerate(zip(models, tallies)):
             paths = sample_trajectories(model, steps, count, seed=21 + i)
             assert tally.digest == text_digest(paths)
             assert np.array_equal(tally.counts, transition_counts(model, paths))
             assert tally.first_path == paths[0].tolist() and tally.rows == count
+            assert tally.steps == steps
         plain = list(sample_tallies(models, steps, count, 21, digest=False))
-        for tally, counted in zip(plain, tallies):
+        for (_, tally), counted in zip(plain, tallies):
             assert np.array_equal(tally.counts, counted.counts)
 
     def test_tallies_share_one_workspace_released_before_the_last(self, monkeypatch):
@@ -565,8 +567,8 @@ class TestSampling:
         monkeypatch.setattr(wpi.markov, "sample_trajectories", recording)
         tallies = sample_tallies(models, 2, 300, 5, digest=False)
         for i, model in enumerate(models):
-            tally = next(tallies)
-            assert tally.rows == 300 and calls[-1][:2] == (model.name, 5 + i)
+            seed, tally = next(tallies)
+            assert tally.rows == 300 and calls[-1][:2] == (model.name, seed) == (model.name, 5 + i)
             assert (calls[-1][2]() is None) == (i == len(models) - 1)
         assert len(calls) == len(models) and next(tallies, None) is None
 
@@ -600,10 +602,10 @@ class TestSampling:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             paths = sample_trajectories(model, np.uint8(255), np.int16(300), seed=3)
-            tally = _PathTally(model.n_states)
+            tally = _PathTally(model.n_states, 256)
             sample_trajectories(model, np.uint8(255), np.int16(300), seed=3, out=chunk_workspace(255, 300),
                                 each=tally.add)
-            (streamed,) = sample_tallies([model], np.uint8(255), np.int16(300), 3, digest=True)
+            ((_, streamed),) = sample_tallies([model], np.uint8(255), np.int16(300), 3, digest=True)
         assert np.array_equal(paths, expected)
         assert tally.digest == streamed.digest == text_digest(expected)
 
